@@ -26,7 +26,8 @@ for lam in (0.0, 1.0, 1e7):
     res = multistart(source, grid, M, lam, opts)
     sim = max_kl(res.quantizer, source, grid)
     print(f"lam = {lam:g}  (winner: restart {res.restart_index}, "
-          f"{res.iterations} iterations, converged={res.converged})")
+          f"{res.iterations} iterations, stop={res.stop_reason}, "
+          f"KKT residual {res.kkt_residual:.1e})")
     print(f"  d_e={res.report.d_e:.6f}  fidelity={res.report.fidelity:.6f}  "
           f"d_d={res.report.d_d:.6f}  d_theta={res.report.d_theta:.6f}")
     print(f"  similarity D = {sim.d_max:.4g} nats")

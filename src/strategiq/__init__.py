@@ -4,9 +4,9 @@ An encoder observing (X, theta) signals a decoder that estimates X while an
 eavesdropper tries to recover theta; the encoder's objective trades
 estimation fidelity against privacy leakage with a weight lam.  The package
 computes the closed-form linear equilibrium when the message rate is
-unconstrained, designs M-message strategic quantizers by projected gradient
-descent when it is not, and ships the oracles (exhaustive search, Monte
-Carlo) used to validate both.
+unconstrained, designs M-message strategic quantizers by projected L-BFGS
+on nonnegative boundary increments when it is not, and ships the oracles
+(exhaustive search, Monte Carlo) used to validate both.
 """
 
 from .gaussian_model import (
@@ -46,7 +46,6 @@ from .optimizer import (
     design,
     design_result_to_dict,
     multistart,
-    project_monotone,
     random_monotone_quantizer,
 )
 from .oracle import (
@@ -104,7 +103,6 @@ __all__ = [
     "design",
     "design_result_to_dict",
     "multistart",
-    "project_monotone",
     "random_monotone_quantizer",
     "MonteCarloReport",
     "OracleGrid",

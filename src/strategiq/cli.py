@@ -35,7 +35,7 @@ import numpy as np
 from . import linear_equilibrium as linear
 from .gaussian_model import GRID_SCHEMES, SourceSpec, ThetaGrid, make_source, make_theta_grid
 from .metrics import max_kl
-from .optimizer import OptimOptions, design, design_result_to_dict, multistart
+from .optimizer import OptimOptions, design_result_to_dict, multistart
 from .oracle import monte_carlo_distortions
 
 logger = logging.getLogger(__name__)
@@ -83,11 +83,9 @@ class SweepConfig:
     rho: float = 0.0
     theta_nodes: int = 17
     theta_scheme: str = "gauss-hermite"
-    eta: float = 0.05
     eps: float = 1e-9
     max_iters: int = 20_000
     n_restarts: int = 8
-    gradient_mode: str = "analytic"
     seed: int = 0
     out: str | None = None
     format: str = "csv"
@@ -211,12 +209,7 @@ def _quantizer_row(
     seed: int,
 ) -> SweepRow:
     opts = OptimOptions(
-        eta=cfg.eta,
-        eps=cfg.eps,
-        max_iters=cfg.max_iters,
-        n_restarts=cfg.n_restarts,
-        seed=seed,
-        gradient_mode=cfg.gradient_mode,
+        eps=cfg.eps, max_iters=cfg.max_iters, n_restarts=cfg.n_restarts, seed=seed
     )
     result = multistart(source, grid, m, lam, opts)
     similarity = max_kl(result.quantizer, source, grid)
@@ -430,13 +423,12 @@ def _build_parser() -> argparse.ArgumentParser:
                        help="append Monte Carlo cross-check columns")
     for flag, typ in (
         ("--sigma-x", float), ("--r", float), ("--rho", float),
-        ("--theta-nodes", int), ("--eta", float), ("--eps", float),
+        ("--theta-nodes", int), ("--eps", float),
         ("--max-iters", int), ("--n-restarts", int), ("--mc-samples", int),
         ("--workers", int), ("--lambda-max", float),
     ):
         sweep.add_argument(flag, type=typ)
     sweep.add_argument("--theta-scheme", choices=GRID_SCHEMES)
-    sweep.add_argument("--gradient-mode", choices=("analytic", "finite-difference"))
 
     lin = sub.add_parser("linear", help="closed-form rate-unconstrained equilibrium")
     lin.add_argument("--lambda", dest="lam", type=float, required=True)
@@ -454,40 +446,24 @@ def _build_parser() -> argparse.ArgumentParser:
     des.add_argument("--theta-nodes", type=int, default=17)
     des.add_argument("--theta-scheme", choices=GRID_SCHEMES, default="gauss-hermite")
     des.add_argument("--seed", type=int, default=0)
-    des.add_argument("--eta", type=float, default=0.05)
     des.add_argument("--eps", type=float, default=1e-9)
     des.add_argument("--max-iters", type=int, default=20_000)
     des.add_argument("--n-restarts", type=int, default=8)
     return parser
 
 
-_SWEEP_FLAG_FIELDS = {
-    "mode": "mode",
-    "seed": "seed",
-    "out": "out",
-    "format": "format",
-    "sigma_x": "sigma_x",
-    "r": "r",
-    "rho": "rho",
-    "theta_nodes": "theta_nodes",
-    "theta_scheme": "theta_scheme",
-    "eta": "eta",
-    "eps": "eps",
-    "max_iters": "max_iters",
-    "n_restarts": "n_restarts",
-    "gradient_mode": "gradient_mode",
-    "mc_samples": "mc_samples",
-    "workers": "workers",
-    "lambda_max": "lambda_max",
-}
+_SWEEP_FLAGS = (  # flags that set the SweepConfig field of the same name
+    "mode", "seed", "out", "format", "sigma_x", "r", "rho", "theta_nodes", "theta_scheme",
+    "eps", "max_iters", "n_restarts", "mc_samples", "workers", "lambda_max",
+)
 
 
 def _sweep_config_from_args(args: argparse.Namespace) -> SweepConfig:
     data = _load_config_file(args.config) if args.config else {}
-    for attr, field_name in _SWEEP_FLAG_FIELDS.items():
-        value = getattr(args, attr, None)
+    for name in _SWEEP_FLAGS:
+        value = getattr(args, name, None)
         if value is not None:
-            data[field_name] = value
+            data[name] = value
     if args.lambdas is not None:
         data["lambdas"] = _parse_lambda_flag(args.lambdas)
     if args.m is not None:
@@ -543,8 +519,7 @@ def _cmd_design(args: argparse.Namespace) -> int:
     source = make_source(args.sigma_x, args.r, args.rho)
     grid = make_theta_grid(source, args.theta_nodes, args.theta_scheme)
     opts = OptimOptions(
-        eta=args.eta, eps=args.eps, max_iters=args.max_iters,
-        n_restarts=args.n_restarts, seed=args.seed,
+        eps=args.eps, max_iters=args.max_iters, n_restarts=args.n_restarts, seed=args.seed
     )
     result = multistart(source, grid, args.m, args.lam, opts)
     payload = design_result_to_dict(result, grid)

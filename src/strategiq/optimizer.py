@@ -1,7 +1,7 @@
-"""Gradient-descent design of the privacy-weighted strategic quantizer.
+"""Projected L-BFGS design of the privacy-weighted strategic quantizer.
 
-Each iteration differentiates the encoder's Lagrangian d_e with respect to
-every interior boundary, taking the followers' dependence into account:
+The gradient of the encoder's Lagrangian d_e with respect to every interior
+boundary takes the followers' dependence into account:
 
 * a direct (Leibniz) term from the integration limits,
 * a chain term through the decoder reconstructions y (which do NOT make the
@@ -10,13 +10,14 @@ every interior boundary, taking the followers' dependence into account:
   eavesdropper's own loss, so its best response is stationary there.  A debug
   helper computes this analytically-zero term explicitly so tests can pin it.
 
-After the step q <- q - eta * grad, each row is projected back onto the
-nondecreasing cone by pool-adjacent-violators; coincident boundaries that the
-projection produces are legal and encode message skipping.  A backtracking
-rule halves eta (down to eta * 2^-20) whenever a step would increase d_e, so
-the recorded trajectory is nonincreasing.  The landscape is nonconvex;
-multistart adds a fully-revealing Lloyd-Max start to seeded random starts and
-keeps the lowest d_e.
+The descent works on each row's first interior boundary plus increments
+d >= 0, so the monotone cone is a box and a skipped message is d = 0.  Row j
+is scaled by 1/sqrt(w_j), since its gradient and curvature carry its grid
+weight.  A limited-memory BFGS direction on the variables off their bound is
+followed by projected Armijo backtracking, as in L-BFGS-B (Byrd, Lu, Nocedal
+& Zhu, 1995) and projected quasi-Newton (Kim, Sra & Dhillon, 2010).  Every
+accepted step lowers d_e.  The landscape is nonconvex; multistart adds a
+fully-revealing Lloyd-Max start to seeded random starts and keeps the lowest.
 """
 
 from __future__ import annotations
@@ -43,36 +44,37 @@ from .quantizer_core import (
 
 logger = logging.getLogger(__name__)
 
-GRADIENT_MODES = ("analytic", "finite-difference")
-_BACKTRACK_HALVINGS = 20
+STOP_REASONS = ("tolerance", "stalled", "max_iters")
 _FD_STEP = 1e-5
+_WEIGHT_FLOOR = 1e-12  # grid weights below this get the scale of this weight
+_MEMORY = 10  # curvature pairs kept by L-BFGS
+_ARMIJO = 1e-4  # sufficient-decrease constant of the line search
+_LINE_SEARCH_HALVINGS = 30
 
 
 @dataclass(frozen=True)
 class OptimOptions:
-    """Step size, stopping rule, restart budget, and gradient flavor."""
+    """Stopping rule and restart budget of the descent."""
 
-    eta: float = 0.05
     eps: float = 1e-9
     max_iters: int = 20_000
     n_restarts: int = 8
     seed: int = 0
-    gradient_mode: str = "analytic"
 
     def __post_init__(self) -> None:
-        if self.eta <= 0:
-            raise ValueError("eta must be positive")
         if self.eps <= 0:
             raise ValueError("eps must be positive")
         if self.max_iters < 1 or self.n_restarts < 1:
             raise ValueError("max_iters and n_restarts must be >= 1")
-        if self.gradient_mode not in GRADIENT_MODES:
-            raise ValueError(f"gradient_mode must be one of {GRADIENT_MODES}")
 
 
 @dataclass(frozen=True)
 class DesignResult:
-    """One descent outcome: the quantizer, responses, distortions, and diagnostics."""
+    """One design outcome: the quantizer, responses, distortions, and diagnostics.
+
+    stop_reason (one of STOP_REASONS) and kkt_residual, the inf-norm of the
+    projected gradient at the result, are None for the exhaustive oracle.
+    """
 
     quantizer: Quantizer
     responses: BestResponses
@@ -81,34 +83,8 @@ class DesignResult:
     converged: bool
     trajectory: np.ndarray | None = None
     restart_index: int | None = None
-
-
-def project_monotone(row: np.ndarray) -> np.ndarray:
-    """Euclidean projection of a boundary row onto nondecreasing order.
-
-    Pool-adjacent-violators on the interior entries; the -inf/+inf edges are
-    preserved.  Idempotent.
-    """
-    row = np.asarray(row, dtype=float)
-    out = row.copy()
-    out[1:-1] = _pav(row[1:-1])
-    return out
-
-
-def _pav(v: np.ndarray) -> np.ndarray:
-    if v.size <= 1:
-        return v.copy()
-    sums: list[float] = []
-    counts: list[int] = []
-    for x in v:
-        s, c = float(x), 1
-        # merge while the previous block mean exceeds the growing block's mean
-        while sums and sums[-1] * c > s * counts[-1]:
-            s += sums.pop()
-            c += counts.pop()
-        sums.append(s)
-        counts.append(c)
-    return np.repeat([s / c for s, c in zip(sums, counts)], counts)
+    stop_reason: str | None = None
+    kkt_residual: float | None = None
 
 
 def _row_density(source: SourceSpec, grid: ThetaGrid, points: np.ndarray) -> np.ndarray:
@@ -120,42 +96,30 @@ def _row_density(source: SourceSpec, grid: ThetaGrid, points: np.ndarray) -> np.
 
 
 def _analytic_gradient(
-    q: Quantizer,
+    b: np.ndarray,
     source: SourceSpec,
     grid: ThetaGrid,
     lam: float,
     stats: dict[str, np.ndarray],
-    y: np.ndarray,
-    theta_hat: np.ndarray,
+    br: BestResponses,
 ) -> np.ndarray:
-    b = q.interior()  # (J, M-1)
-    if b.size == 0:
-        return np.zeros_like(b)
+    """Gradient of d_e at interior boundaries b; one-sided at coincident ones."""
     theta = grid.nodes[:, None]
-    w = grid.weights[:, None]
     f = _row_density(source, grid, b)
+    y, theta_hat = br.y, br.theta_hat
 
-    y_left, y_right = y[:-1][None, :], y[1:][None, :]
-    th_left, th_right = theta_hat[:-1][None, :], theta_hat[1:][None, :]
-    direct = ((b + theta - y_left) ** 2 - lam * (theta - th_left) ** 2) - (
-        (b + theta - y_right) ** 2 - lam * (theta - th_right) ** 2
-    )
+    # differences of squares: (b + theta - y_left)^2 - (b + theta - y_right)^2,
+    # and lam times the same for (theta - theta_hat)
+    dy, sy = y[1:] - y[:-1], y[1:] + y[:-1]
+    dth, sth = theta_hat[1:] - theta_hat[:-1], theta_hat[1:] + theta_hat[:-1]
+    direct = dy * (2.0 * (b + theta) - sy) - lam * dth * (2.0 * theta - sth)
 
     n, a, t = stats["N"], stats["A"], stats["T"]
-    with np.errstate(invalid="ignore", divide="ignore"):
-        centroid_gap = np.where(
-            n >= MASS_FLOOR, (a + t) / np.where(n > 0, n, 1.0) - y, 0.0
-        )  # pooled mean of (x + theta) minus y, per cell
-    gap_left, gap_right = centroid_gap[:-1][None, :], centroid_gap[1:][None, :]
-    chain = 2.0 * (gap_right * (b - y_right) - gap_left * (b - y_left))
+    # pooled mean of (x + theta) minus y, per cell; 0 for empty cells
+    gap = np.divide(a + t, n, out=y.copy(), where=n >= MASS_FLOOR) - y
+    chain = 2.0 * (b * (gap[1:] - gap[:-1]) - (gap[1:] * y[1:] - gap[:-1] * y[:-1]))
 
-    grad = w * f * (direct + chain)
-    # collapsed directions carry subgradient 0
-    coincident = (q.boundaries[:, 1:-1] == q.boundaries[:, :-2]) | (
-        q.boundaries[:, 1:-1] == q.boundaries[:, 2:]
-    )
-    grad[coincident] = 0.0
-    return grad
+    return grid.weights[:, None] * f * (direct + chain)
 
 
 def eavesdropper_chain_term(
@@ -234,12 +198,18 @@ def boundary_gradient(
     lam: float,
     mode: str = "analytic",
 ) -> np.ndarray:
-    """Total derivative of d_e w.r.t. each interior boundary, shape (n_theta, M-1)."""
+    """Total derivative of d_e w.r.t. each interior boundary, shape (n_theta, M-1).
+
+    Coincident boundaries get subgradient 0 in both modes.
+    """
     if lam < 0:
         raise ValueError("lam must be nonnegative")
     if mode == "analytic":
         stats, br, _ = _eval_full(q, source, grid, lam)
-        return _analytic_gradient(q, source, grid, lam, stats, br.y, br.theta_hat)
+        grad = _analytic_gradient(q.interior(), source, grid, lam, stats, br)
+        b = q.boundaries
+        grad[(b[:, 1:-1] == b[:, :-2]) | (b[:, 1:-1] == b[:, 2:])] = 0.0
+        return grad
     if mode == "finite-difference":
         return _fd_gradient(q, source, grid, lam)
     raise ValueError(f"unknown gradient mode {mode!r}")
@@ -259,6 +229,57 @@ def _with_edges(interior: np.ndarray, n_rows: int) -> Quantizer:
     return Quantizer(M=interior.shape[1] + 1, boundaries=np.hstack([edges_lo, interior, edges_hi]))
 
 
+def _to_increments(interior: np.ndarray, scale: np.ndarray) -> np.ndarray:
+    """Descent variables of interior boundaries: first boundary, then increments, over scale."""
+    u = np.array(interior, dtype=float)
+    u[:, 1:] = np.diff(interior, axis=1)
+    return u / scale
+
+
+def _to_boundaries(x: np.ndarray, scale: np.ndarray) -> np.ndarray:
+    """Inverse of _to_increments."""
+    return np.cumsum(x * scale, axis=1)
+
+
+def _increment_gradient(g: np.ndarray, scale: np.ndarray) -> np.ndarray:
+    """Boundary gradient g mapped to the scaled increments (increment k moves boundaries k..)."""
+    return np.cumsum(g[:, ::-1], axis=1)[:, ::-1] * scale
+
+
+def _lbfgs_direction(g: np.ndarray, free: np.ndarray, S: np.ndarray, Y: np.ndarray) -> np.ndarray:
+    """L-BFGS direction on the free variables, or steepest descent if not downhill.
+
+    S and Y hold the curvature pairs as rows, oldest first.  The two-loop
+    recursion takes its dot products from the Gram matrix S Y^T, which needs a
+    few numpy calls instead of four per pair.
+    """
+    steepest = np.where(free, -g, 0.0)
+    k = S.shape[0]
+    if k == 0:
+        return steepest
+    q = -steepest.ravel()
+    sy = (S @ Y.T).tolist()
+    sq = (S @ q).tolist()
+    alpha = [0.0] * k
+    for i in range(k - 1, -1, -1):
+        v = sq[i]  # becomes s_i . (q - sum_{j>i} alpha_j y_j)
+        for j in range(i + 1, k):
+            v -= alpha[j] * sy[i][j]
+        alpha[i] = v / sy[i][i]
+    q -= np.dot(alpha, Y)
+    yq = (Y @ q).tolist()
+    gamma = sy[-1][-1] / Y[-1].dot(Y[-1])  # initial inverse Hessian gamma * I
+    coef = [0.0] * k  # alpha_i - beta_i, the weight of s_i in the result
+    for i in range(k):
+        v = gamma * yq[i]  # becomes y_i . (gamma q + sum_{j<i} coef_j s_j)
+        for j in range(i):
+            v += coef[j] * sy[j][i]
+        coef[i] = alpha[i] - v / sy[i][i]
+    r = gamma * q + np.dot(coef, S)
+    p = np.where(free, -r.reshape(g.shape), 0.0)
+    return p if np.vdot(p, g) < 0.0 else steepest
+
+
 def design(
     source: SourceSpec,
     grid: ThetaGrid,
@@ -267,10 +288,14 @@ def design(
     opts: OptimOptions = OptimOptions(),
     init: Quantizer | None = None,
 ) -> DesignResult:
-    """Single gradient-descent run from init (or a seeded random start).
+    """Single projected L-BFGS run from init (or a seeded random start).
 
-    Stops when the per-iteration improvement drops below opts.eps or after
-    opts.max_iters accepted steps; the converged flag reflects the eps rule.
+    The objective is d_e + lam * E[theta^2], which stays O(1) at every lam.
+    stop_reason is "tolerance" once the inf-norm of the projected gradient is
+    at most opts.eps * max(1, objective), "stalled" when the line search finds
+    no decrease, and "max_iters" after opts.max_iters accepted steps.
+    converged is True only for "tolerance".  The result never has a higher
+    d_e than init.
     """
     if M < 1:
         raise ValueError("M must be >= 1")
@@ -288,55 +313,64 @@ def design(
     stats, br, rep = _eval_full(q, source, grid, lam)
     trajectory = [rep.d_e]
     if M == 1:
-        return DesignResult(q, br, rep, iterations=0, converged=True, trajectory=np.array(trajectory))
+        return DesignResult(
+            q, br, rep, iterations=0, converged=True, trajectory=np.array(trajectory),
+            stop_reason="tolerance", kkt_residual=0.0,
+        )
 
-    eta_min = opts.eta * 2.0**-_BACKTRACK_HALVINGS
-    eta_accepted = opts.eta
-    iterations = 0
-    converged = False
-    for _ in range(opts.max_iters):
-        if opts.gradient_mode == "analytic":
-            grad = _analytic_gradient(q, source, grid, lam, stats, br.y, br.theta_hat)
-        else:
-            grad = _fd_gradient(q, source, grid, lam)
-
-        eta_try = min(opts.eta, 2.0 * eta_accepted)
-        accepted = False
-        while True:
-            interior = q.interior() - eta_try * grad
-            if interior.shape[1] > 1 and np.any(np.diff(interior, axis=1) < 0):
-                interior = np.vstack([_pav(row) for row in interior])
-            cand = _with_edges(interior, grid.n_nodes)
-            cand_stats, cand_br, cand_rep = _eval_full(cand, source, grid, lam)
-            if cand_rep.d_e <= rep.d_e:
-                accepted = True
-                break
-            if eta_try <= eta_min:
-                break
-            eta_try = max(eta_try / 2.0, eta_min)
-
-        if not accepted:
-            converged = True  # no descent direction left at the step floor
+    shift = lam * grid.second_moment()
+    scale = 1.0 / np.sqrt(np.maximum(grid.weights, _WEIGHT_FLOOR))[:, None]
+    x = _to_increments(q.interior(), scale)
+    lower = np.zeros_like(x)
+    lower[:, 0] = -np.inf
+    f = rep.d_e + shift
+    g = _increment_gradient(_analytic_gradient(q.interior(), source, grid, lam, stats, br), scale)
+    S = Y = np.empty((0, x.size))  # curvature pairs as rows, oldest first
+    iterations, evals = 0, 1
+    while True:
+        kkt_residual = float(np.max(np.abs(x - np.maximum(x - g, lower))))
+        if kkt_residual <= opts.eps * max(1.0, f):
+            stop_reason = "tolerance"
             break
-        delta = rep.d_e - cand_rep.d_e
-        q, stats, br, rep = cand, cand_stats, cand_br, cand_rep
+        if iterations == opts.max_iters:
+            stop_reason = "max_iters"
+            break
+        p = _lbfgs_direction(g, (x > lower) | (g <= 0.0), S, Y)
+        # a memoryless step moves no variable by more than one scaled unit
+        alpha = 1.0 if S.size else min(1.0, 1.0 / float(np.max(np.abs(p))))
+        for _ in range(_LINE_SEARCH_HALVINGS):
+            x_new = np.maximum(x + alpha * p, lower)
+            q_new = _with_edges(_to_boundaries(x_new, scale), grid.n_nodes)
+            stats_new, br_new, rep_new = _eval_full(q_new, source, grid, lam)
+            evals += 1
+            f_new = rep_new.d_e + shift
+            if f_new < f and f_new <= f + _ARMIJO * np.vdot(g, x_new - x):
+                break
+            alpha *= 0.5
+        else:
+            if not S.size:
+                stop_reason = "stalled"
+                break
+            S = Y = S[:0]  # retry once along the projected gradient
+            continue
+        g_new = _analytic_gradient(q_new.interior(), source, grid, lam, stats_new, br_new)
+        g_new = _increment_gradient(g_new, scale)
+        s, y = (x_new - x).ravel(), (g_new - g).ravel()
+        if s.dot(y) > np.finfo(float).eps * y.dot(y):
+            S = np.concatenate((S[1 - _MEMORY:], s[None]))
+            Y = np.concatenate((Y[1 - _MEMORY:], y[None]))
+        x, f, g = x_new, f_new, g_new
+        q, stats, br, rep = q_new, stats_new, br_new, rep_new
         trajectory.append(rep.d_e)
         iterations += 1
-        eta_accepted = eta_try
-        if delta < opts.eps:
-            converged = True
-            break
 
-    if logger.isEnabledFor(logging.DEBUG):
-        grad = _analytic_gradient(q, source, grid, lam, stats, br.y, br.theta_hat)
-        step = np.vstack([_pav(row) for row in q.interior() - opts.eta * grad])
-        proj_norm = float(np.linalg.norm(q.interior() - step)) / opts.eta
-        logger.debug(
-            "design M=%d lam=%g: iters=%d converged=%s d_e=%.9g projected_grad_norm=%.3g",
-            M, lam, iterations, converged, rep.d_e, proj_norm,
-        )
+    logger.debug(
+        "design M=%d lam=%g: iters=%d evals=%d stop=%s d_e=%.9g kkt_residual=%.3g",
+        M, lam, iterations, evals, stop_reason, rep.d_e, kkt_residual,
+    )
     return DesignResult(
-        q, br, rep, iterations=iterations, converged=converged, trajectory=np.array(trajectory)
+        q, br, rep, iterations=iterations, converged=stop_reason == "tolerance",
+        trajectory=np.array(trajectory), stop_reason=stop_reason, kkt_residual=kkt_residual,
     )
 
 
@@ -358,13 +392,11 @@ def multistart(
     else:
         lm = lloyd_max(source, M)
         inits.append(Quantizer(M=M, boundaries=np.tile(lm.boundaries, (grid.n_nodes, 1))))
-    best: DesignResult | None = None
-    for idx, init in enumerate(inits):
-        result = design(source, grid, M, lam, opts, init=init)
-        if best is None or result.report.d_e < best.report.d_e:
-            best = replace(result, restart_index=idx)
-    assert best is not None
-    return best
+    results = (
+        replace(design(source, grid, M, lam, opts, init=init), restart_index=idx)
+        for idx, init in enumerate(inits)
+    )
+    return min(results, key=lambda result: result.report.d_e)
 
 
 def design_result_to_dict(result: DesignResult, grid: ThetaGrid) -> dict:

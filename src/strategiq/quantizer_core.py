@@ -159,8 +159,7 @@ def eavesdropper_best_response(q: Quantizer, source: SourceSpec, grid: ThetaGrid
 
 
 def _eavesdropper_from_stats(n: np.ndarray, t: np.ndarray) -> np.ndarray:
-    with np.errstate(invalid="ignore", divide="ignore"):
-        return np.where(n >= MASS_FLOOR, t / np.where(n > 0, n, 1.0), 0.0)
+    return np.divide(t, n, out=np.zeros_like(t), where=n >= MASS_FLOOR)
 
 
 def best_responses(q: Quantizer, source: SourceSpec, grid: ThetaGrid) -> BestResponses:
@@ -194,11 +193,12 @@ def distortions(
 def _distortions_from_stats(
     stats: dict[str, np.ndarray], y: np.ndarray, theta_hat: np.ndarray, lam: float
 ) -> DistortionReport:
-    n, a, s = stats["N"], stats["A"], stats["S"]
-    t, b, u = stats["T"], stats["B"], stats["U"]
-    fidelity = float(np.sum(s + 2.0 * b + u - 2.0 * y * (a + t) + y**2 * n))
-    d_d = float(np.sum(s - 2.0 * y * a + y**2 * n))
-    d_theta = float(np.sum(u - 2.0 * theta_hat * t + theta_hat**2 * n))
+    n, t, u = stats["N"], stats["T"], stats["U"]
+    # sum_m E[(X - y_m)^2 1_m] and the analogous sums, as dot products
+    d_d = float(stats["S"].sum() - 2.0 * (y @ stats["A"]) + (y * y) @ n)
+    u_sum = float(u.sum())
+    fidelity = d_d + 2.0 * float(stats["B"].sum()) + u_sum - 2.0 * float(y @ t)
+    d_theta = u_sum - 2.0 * float(theta_hat @ t) + float((theta_hat * theta_hat) @ n)
     return DistortionReport(
         d_e=fidelity - lam * d_theta, fidelity=fidelity, d_d=d_d, d_theta=d_theta
     )

@@ -1,4 +1,4 @@
-"""Gradient correctness, monotone projection, and the descent loop."""
+"""Gradient correctness, the increment variables, and the descent loop."""
 
 import math
 
@@ -16,11 +16,20 @@ from strategiq import (
     lloyd_max_quantizer,
     make_source,
     make_theta_grid,
+    max_kl,
     multistart,
-    project_monotone,
     random_monotone_quantizer,
 )
-from strategiq.optimizer import eavesdropper_chain_term
+from strategiq.optimizer import (
+    STOP_REASONS,
+    _analytic_gradient,
+    _eval_full,
+    _increment_gradient,
+    _to_boundaries,
+    _to_increments,
+    _with_edges,
+    eavesdropper_chain_term,
+)
 
 INF = math.inf
 
@@ -33,34 +42,6 @@ def _separated_random_quantizer(rng, n_rows, M, min_gap=0.05):
             return Quantizer(M=M, boundaries=np.hstack([
                 np.full((n_rows, 1), -INF), interior, np.full((n_rows, 1), INF),
             ]))
-
-
-class TestProjectMonotone:
-    def test_already_monotone_unchanged(self):
-        row = np.array([-INF, 1.0, 2.0, INF])
-        np.testing.assert_array_equal(project_monotone(row), row)
-
-    def test_two_violators_average(self):
-        out = project_monotone(np.array([-INF, 2.0, 1.0, INF]))
-        np.testing.assert_allclose(out, [-INF, 1.5, 1.5, INF])
-
-    def test_three_violators_pool(self):
-        out = project_monotone(np.array([-INF, 3.0, 1.0, 2.0, INF]))
-        np.testing.assert_allclose(out, [-INF, 2.0, 2.0, 2.0, INF])
-
-    def test_idempotent_and_closest(self, rng):
-        for _ in range(50):
-            interior = rng.normal(size=8)
-            row = np.concatenate(([-INF], interior, [INF]))
-            once = project_monotone(row)
-            twice = project_monotone(once)
-            np.testing.assert_allclose(once, twice, atol=0)
-            assert np.all(np.diff(once[1:-1]) >= 0)
-            # Euclidean optimality: no random monotone vector is closer
-            dist = np.sum((once[1:-1] - interior) ** 2)
-            for _ in range(20):
-                other = np.sort(rng.normal(size=8))
-                assert np.sum((other - interior) ** 2) >= dist - 1e-12
 
 
 class TestGradient:
@@ -120,11 +101,55 @@ class TestGradient:
         np.testing.assert_array_equal(g, np.zeros_like(g))
 
 
+class TestIncrements:
+    def test_round_trip(self, unit_source, grid3, rng):
+        scale = 1.0 / np.sqrt(grid3.weights)[:, None]
+        for M in (2, 3, 5):
+            interior = random_monotone_quantizer(unit_source, grid3, M, rng).interior().copy()
+            if M > 2:
+                interior[1, 1] = interior[1, 0]  # a skipped message
+            x = _to_increments(interior, scale)
+            assert x.shape == interior.shape
+            assert np.all(x[:, 1:] >= 0.0)
+            np.testing.assert_allclose(_to_boundaries(x, scale), interior, rtol=0, atol=1e-14)
+            if M > 2:
+                assert x[1, 1] == 0.0
+
+    @pytest.mark.parametrize("lam", [0.0, 1.0, 5.0])
+    def test_gradient_matches_central_differences(self, unit_source, rng, lam):
+        grid = make_theta_grid(unit_source, 5, "gauss-hermite")
+        scale = 1.0 / np.sqrt(grid.weights)[:, None]
+        interior = _separated_random_quantizer(rng, 5, 4).interior().copy()
+        interior[2, 1] = interior[2, 0]  # row 2 skips message 2: d = 0 at its bound
+        x = _to_increments(interior, scale)
+
+        def d_e(xv):
+            q_x = _with_edges(_to_boundaries(xv, scale), 5)
+            return _eval_full(q_x, unit_source, grid, lam)[2].d_e
+
+        q = _with_edges(_to_boundaries(x, scale), 5)
+        stats, br, _ = _eval_full(q, unit_source, grid, lam)
+        grad = _increment_gradient(
+            _analytic_gradient(q.interior(), unit_source, grid, lam, stats, br), scale
+        )
+        fd = np.zeros_like(x)
+        for idx in np.ndindex(*x.shape):
+            e = np.zeros_like(x)
+            if idx == (2, 1):
+                e[idx] = 1e-7  # one-sided: the bound forbids d < 0
+                fd[idx] = (d_e(x + e) - d_e(x)) / 1e-7
+            else:
+                e[idx] = 1e-5
+                fd[idx] = (d_e(x + e) - d_e(x - e)) / 2e-5
+        assert x[2, 1] == 0.0 and grad[2, 1] != 0.0
+        assert float(np.max(np.abs(grad - fd))) / float(np.max(np.abs(fd))) < 1e-5
+
+
 class TestDesign:
     def test_two_level_symmetric_start(self, unit_source, grid3):
         init = Quantizer(M=2, boundaries=np.tile([-INF, 0.0, INF], (3, 1)))
         res = design(unit_source, grid3, 2, 0.0, OptimOptions(seed=0), init=init)
-        assert res.converged
+        assert res.converged and res.stop_reason == "tolerance"
         # at lam=0 the encoder pools theta into its target: it can only do
         # at least as well as the fully-revealing Lloyd-Max baseline on d_e
         lm_q = lloyd_max_quantizer(unit_source, 2, grid3)
@@ -165,21 +190,35 @@ class TestDesign:
 
     def test_options_validated(self):
         with pytest.raises(ValueError):
-            OptimOptions(eta=0.0)
-        with pytest.raises(ValueError):
             OptimOptions(eps=-1.0)
         with pytest.raises(ValueError):
             OptimOptions(n_restarts=0)
-        with pytest.raises(ValueError):
-            OptimOptions(gradient_mode="newton")
 
-    def test_finite_difference_mode_agrees(self, unit_source):
-        grid = make_theta_grid(unit_source, 3, "gauss-hermite")
-        opts_a = OptimOptions(seed=2, max_iters=200, gradient_mode="analytic")
-        opts_f = OptimOptions(seed=2, max_iters=200, gradient_mode="finite-difference")
-        res_a = design(unit_source, grid, 2, 0.5, opts_a)
-        res_f = design(unit_source, grid, 2, 0.5, opts_f)
-        assert res_f.report.d_e == pytest.approx(res_a.report.d_e, abs=1e-6)
+    def test_never_above_init_and_stop_reason_consistent(self, unit_source, rng):
+        grid = make_theta_grid(unit_source, 5, "gauss-hermite")
+        reasons = set()
+        cases = ((2, 0.0, 20_000), (3, 1.0, 20_000), (4, 5.0, 3), (4, 1e5, 20_000))
+        for M, lam, max_iters in cases:
+            inits = [random_monotone_quantizer(unit_source, grid, M, rng),
+                     lloyd_max_quantizer(unit_source, M, grid)]
+            for init in inits:
+                opts = OptimOptions(max_iters=max_iters)
+                res = design(unit_source, grid, M, lam, opts, init=init)
+                _, init_rep = evaluate(init, unit_source, grid, lam)
+                assert res.report.d_e <= init_rep.d_e
+                assert res.trajectory[0] == init_rep.d_e
+                assert res.stop_reason in STOP_REASONS
+                assert res.converged == (res.stop_reason == "tolerance")
+                assert 0.0 <= res.kkt_residual < math.inf
+                shifted = res.report.d_e + lam * grid.second_moment()
+                if res.converged:
+                    assert res.kkt_residual <= opts.eps * max(1.0, shifted)
+                else:
+                    assert res.kkt_residual > opts.eps * max(1.0, shifted)
+                if res.stop_reason == "max_iters":
+                    assert res.iterations == max_iters
+                reasons.add(res.stop_reason)
+        assert {"stalled", "max_iters"} <= reasons
 
 
 class TestMultistart:
@@ -200,6 +239,16 @@ class TestMultistart:
         for M in (2, 4, 8):
             res = multistart(unit_source, grid, M, 0.0, OptimOptions(seed=0, n_restarts=2))
             assert abs(res.report.d_d - lloyd_max(unit_source, M).distortion) < 1e-8
+
+    def test_d_kl_max_stable_across_seeds(self, unit_source, grid17):
+        # tail rows weigh ~1e-11 in d_e but count fully in d_kl_max, so the
+        # metric is seed noise unless the descent converges on them too
+        values = [
+            max_kl(multistart(unit_source, grid17, 2, 10.0, OptimOptions(seed=seed)).quantizer,
+                   unit_source, grid17).d_max
+            for seed in range(4)
+        ]
+        assert max(values) - min(values) < 0.01, values
 
     def test_stationarity_logged(self, unit_source, grid3):
         res = multistart(unit_source, grid3, 2, 0.5, OptimOptions(seed=1, n_restarts=2))
