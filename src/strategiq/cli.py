@@ -2,11 +2,11 @@
 
 A sweep evaluates one row per (lambda, M) pair: M = 0 is the sentinel for the
 rate-unconstrained linear stage (closed form), M >= 1 runs the multistart
-quantizer design plus the similarity metric.  Rows are independent jobs run
-on a bounded thread pool, always emitted in (lambda, M) order with
-deterministic per-row seeds, so identical configs produce byte-identical
-files.  A failed row is recorded with converged=false instead of aborting
-the sweep.
+quantizer design plus the similarity metric.  Rows run one after another
+on the calling thread in (lambda, M) order with deterministic per-row seeds,
+so identical configs produce byte-identical files.  A failed row does not
+abort the sweep: it is recorded with converged=false and the exception text
+in its `error` field, and its traceback is logged at DEBUG level.
 
 CSV schema (fixed order, floats at 12 significant digits, infinities as
 "inf", absent fields empty):
@@ -14,21 +14,24 @@ CSV schema (fixed order, floats at 12 significant digits, infinities as
     lambda,M,d_e,fidelity,d_d,d_theta,d_kl_max,alpha,iterations,converged,restart_winner,seed
 
 --verify appends Monte Carlo cross-check columns with standard errors.
-JSON output carries the same keys per row object.
+JSON output carries the same keys per row object plus `error` (null unless
+the row failed).
 
-Exit codes: 0 success, 1 config error, 2 I/O error.
+Exit codes: 0 success, 1 config error, 2 I/O error, 3 at least one sweep row
+failed (every row is still written, and each failed row gets one line on
+stderr).
 """
 
 from __future__ import annotations
 
 import argparse
+import itertools
 import json
 import logging
 import math
 import os
 import sys
-from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field, fields, replace
+from dataclasses import MISSING, dataclass, field, fields, replace
 
 import numpy as np
 
@@ -91,7 +94,6 @@ class SweepConfig:
     format: str = "csv"
     verify: bool = False
     mc_samples: int = 1_000_000
-    workers: int | None = None
     lambda_max: float = 1e7
 
 
@@ -117,6 +119,13 @@ class SweepRow:
     mc_d_d_se: float | None = None
     mc_d_theta: float | None = None
     mc_d_theta_se: float | None = None
+    error: str | None = None  # exception text of a failed row; JSON only
+
+
+# output column of each SweepRow attribute: the same name, except lam
+_COLUMN_OF = {f.name: "lambda" if f.name == "lam" else f.name for f in fields(SweepRow)}
+_ATTR_OF = {column: name for name, column in _COLUMN_OF.items()}
+_FLOAT_ATTRS = frozenset(f.name for f in fields(SweepRow) if f.type.startswith("float"))
 
 
 def resolve_lambdas(spec, lambda_max: float) -> list[float]:
@@ -175,8 +184,6 @@ def validate_config(cfg: SweepConfig) -> None:
         raise ConfigError("quantizer mode requires m_values >= 1 (0 is the linear sentinel)")
     if cfg.mc_samples < 1:
         raise ConfigError("mc_samples must be >= 1")
-    if cfg.workers is not None and cfg.workers < 1:
-        raise ConfigError("workers must be >= 1")
 
 
 def _effective_m_values(cfg: SweepConfig) -> list[int]:
@@ -252,24 +259,20 @@ def run_sweep(cfg: SweepConfig) -> list[SweepRow]:
     needs_grid = any(m >= 1 for m in m_values)
     grid = make_theta_grid(source, cfg.theta_nodes, cfg.theta_scheme) if needs_grid else None
 
-    jobs = [(lam, m) for lam in lambdas for m in m_values]
-
-    def run_job(args: tuple[int, tuple[float, int]]) -> SweepRow:
-        index, (lam, m) = args
+    rows = []
+    for index, (lam, m) in enumerate(itertools.product(lambdas, m_values)):
         seed = cfg.seed + index
         try:
             if m == LINEAR_M_SENTINEL:
-                return _linear_row(source, lam, seed)
-            return _quantizer_row(source, grid, cfg, lam, m, seed)
-        except Exception:
-            logger.exception("sweep row (lambda=%g, M=%d) failed", lam, m)
-            return SweepRow(lam=lam, M=m, converged=False, seed=seed)
-
-    workers = cfg.workers or os.cpu_count() or 1
-    if workers == 1 or len(jobs) == 1:
-        return [run_job(item) for item in enumerate(jobs)]
-    with ThreadPoolExecutor(max_workers=workers) as pool:
-        return list(pool.map(run_job, enumerate(jobs)))
+                row = _linear_row(source, lam, seed)
+            else:
+                row = _quantizer_row(source, grid, cfg, lam, m, seed)
+        except Exception as exc:
+            logger.debug("sweep row (lambda=%g, M=%d) failed", lam, m, exc_info=True)
+            row = SweepRow(lam=lam, M=m, converged=False, seed=seed,
+                           error=f"{type(exc).__name__}: {exc}")
+        rows.append(row)
+    return rows
 
 
 def _fmt(value, *, json_mode: bool = False):
@@ -278,6 +281,8 @@ def _fmt(value, *, json_mode: bool = False):
         return None if json_mode else ""
     if isinstance(value, bool):
         return value if json_mode else ("true" if value else "false")
+    if isinstance(value, str):
+        return value
     if isinstance(value, (int, np.integer)):
         return int(value) if json_mode else str(int(value))
     v = float(value)
@@ -291,45 +296,27 @@ def _row_columns(rows: list[SweepRow]) -> tuple[str, ...]:
     return CSV_COLUMNS + MC_COLUMNS if verified else CSV_COLUMNS
 
 
-def _row_values(row: SweepRow) -> dict:
-    mapping = {
-        "lambda": row.lam,
-        "M": row.M,
-        "d_e": row.d_e,
-        "fidelity": row.fidelity,
-        "d_d": row.d_d,
-        "d_theta": row.d_theta,
-        "d_kl_max": row.d_kl_max,
-        "alpha": row.alpha,
-        "iterations": row.iterations,
-        "converged": row.converged,
-        "restart_winner": row.restart_winner,
-        "seed": row.seed,
-        "mc_fidelity": row.mc_fidelity,
-        "mc_fidelity_se": row.mc_fidelity_se,
-        "mc_d_d": row.mc_d_d,
-        "mc_d_d_se": row.mc_d_d_se,
-        "mc_d_theta": row.mc_d_theta,
-        "mc_d_theta_se": row.mc_d_theta_se,
-    }
-    return mapping
+def _csv_lines(rows: list[SweepRow]):
+    """Header and one line per row, without line terminators."""
+    columns = _row_columns(rows)
+    names = [_ATTR_OF[c] for c in columns]
+    yield ",".join(columns)
+    for row in rows:
+        yield ",".join([_fmt(getattr(row, name)) for name in names])
 
 
 def emit(rows: list[SweepRow], fmt: str, path: str) -> None:
     """Write rows as CSV or JSON; I/O problems surface with the path attached."""
     if fmt not in ("csv", "json"):
         raise ConfigError(f"format must be csv or json, got {fmt!r}")
-    columns = _row_columns(rows)
     try:
         with open(path, "w", encoding="utf-8", newline="") as fh:
             if fmt == "csv":
-                fh.write(",".join(columns) + "\n")
-                for row in rows:
-                    values = _row_values(row)
-                    fh.write(",".join(_fmt(values[c]) for c in columns) + "\n")
+                fh.writelines(line + "\n" for line in _csv_lines(rows))
             else:
+                columns = _row_columns(rows) + ("error",)
                 payload = [
-                    {c: _fmt(_row_values(row)[c], json_mode=True) for c in columns}
+                    {c: _fmt(getattr(row, _ATTR_OF[c]), json_mode=True) for c in columns}
                     for row in rows
                 ]
                 json.dump(payload, fh, indent=2)
@@ -344,36 +331,18 @@ def load_rows(path: str) -> list[SweepRow]:
         payload = json.load(fh)
 
     def num(v):
-        if v is None:
-            return None
         if isinstance(v, str):
             return {"inf": math.inf, "-inf": -math.inf}[v]
         return v
 
     rows = []
     for item in payload:
-        rows.append(
-            SweepRow(
-                lam=num(item["lambda"]),
-                M=int(item["M"]),
-                d_e=num(item.get("d_e")),
-                fidelity=num(item.get("fidelity")),
-                d_d=num(item.get("d_d")),
-                d_theta=num(item.get("d_theta")),
-                d_kl_max=num(item.get("d_kl_max")),
-                alpha=num(item.get("alpha")),
-                iterations=item.get("iterations"),
-                converged=item.get("converged"),
-                restart_winner=item.get("restart_winner"),
-                seed=item.get("seed"),
-                mc_fidelity=num(item.get("mc_fidelity")),
-                mc_fidelity_se=num(item.get("mc_fidelity_se")),
-                mc_d_d=num(item.get("mc_d_d")),
-                mc_d_d_se=num(item.get("mc_d_d_se")),
-                mc_d_theta=num(item.get("mc_d_theta")),
-                mc_d_theta_se=num(item.get("mc_d_theta_se")),
-            )
-        )
+        values = {}
+        for f in fields(SweepRow):
+            column = _COLUMN_OF[f.name]
+            value = item[column] if f.default is MISSING else item.get(column)
+            values[f.name] = num(value) if f.name in _FLOAT_ATTRS else value
+        rows.append(SweepRow(**values))
     return rows
 
 
@@ -425,7 +394,7 @@ def _build_parser() -> argparse.ArgumentParser:
         ("--sigma-x", float), ("--r", float), ("--rho", float),
         ("--theta-nodes", int), ("--eps", float),
         ("--max-iters", int), ("--n-restarts", int), ("--mc-samples", int),
-        ("--workers", int), ("--lambda-max", float),
+        ("--lambda-max", float),
     ):
         sweep.add_argument(flag, type=typ)
     sweep.add_argument("--theta-scheme", choices=GRID_SCHEMES)
@@ -454,7 +423,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
 _SWEEP_FLAGS = (  # flags that set the SweepConfig field of the same name
     "mode", "seed", "out", "format", "sigma_x", "r", "rho", "theta_nodes", "theta_scheme",
-    "eps", "max_iters", "n_restarts", "mc_samples", "workers", "lambda_max",
+    "eps", "max_iters", "n_restarts", "mc_samples", "lambda_max",
 )
 
 
@@ -483,12 +452,12 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
         emit(rows, cfg.format, cfg.out)
         print(f"wrote {len(rows)} rows to {cfg.out}")
     else:
-        columns = _row_columns(rows)
-        print(",".join(columns))
-        for row in rows:
-            values = _row_values(row)
-            print(",".join(_fmt(values[c]) for c in columns))
-    return 0
+        for line in _csv_lines(rows):
+            print(line)
+    failed = [row for row in rows if row.error is not None]
+    for row in failed:
+        print(f"sweep row lambda={row.lam:g} M={row.M} failed: {row.error}", file=sys.stderr)
+    return 3 if failed else 0
 
 
 def _cmd_linear(args: argparse.Namespace) -> int:

@@ -27,7 +27,6 @@ FAST_QUANTIZER = dict(
     theta_nodes=3,
     n_restarts=2,
     max_iters=800,
-    workers=1,
 )
 
 
@@ -65,7 +64,6 @@ class TestRunSweep:
         cfg = SweepConfig(
             mode="linear",
             lambdas={"start": 1e-2, "stop": 1e7, "points": 20},
-            workers=1,
         )
         rows = run_sweep(cfg)
         assert len(rows) == 20
@@ -90,7 +88,6 @@ class TestRunSweep:
             theta_nodes=3,
             n_restarts=1,
             max_iters=400,
-            workers=1,
         )
         rows = run_sweep(cfg)
         assert [(row.lam, row.M) for row in rows] == [(0.0, 0), (0.0, 2), (1.0, 0), (1.0, 2)]
@@ -105,13 +102,8 @@ class TestRunSweep:
         cfg = SweepConfig(lambdas=[0.0, 1.0], **FAST_QUANTIZER)
         assert run_sweep(cfg) == run_sweep(cfg)
 
-    def test_thread_pool_matches_serial(self):
-        serial = SweepConfig(lambdas=[0.0, 1.0], **FAST_QUANTIZER)
-        parallel = SweepConfig(lambdas=[0.0, 1.0], **{**FAST_QUANTIZER, "workers": 4})
-        assert run_sweep(serial) == run_sweep(parallel)
-
-    def test_row_failure_is_isolated(self, monkeypatch):
-        # one exploding row must not abort the sweep
+    def test_row_failure_is_isolated(self, monkeypatch, tmp_path, capsys):
+        # one exploding row must not abort the sweep, but it must show
         import strategiq.cli as cli_mod
 
         real = cli_mod.multistart
@@ -125,7 +117,26 @@ class TestRunSweep:
         cfg = SweepConfig(lambdas=[0.0, 1.0], **FAST_QUANTIZER)
         rows = run_sweep(cfg)
         assert rows[0].converged is not False and rows[0].d_e is not None
+        assert rows[0].error is None
         assert rows[1].converged is False and rows[1].d_e is None
+        assert rows[1].error == "RuntimeError: forced failure"
+
+        args = [
+            "sweep", "--mode", "quantizer", "--lambdas", "0,1", "--m", "2",
+            "--theta-nodes", "3", "--n-restarts", "2", "--max-iters", "800",
+        ]
+        out_json, out_csv = tmp_path / "rows.json", tmp_path / "rows.csv"
+        assert main(args + ["--out", str(out_json), "--format", "json"]) == 3
+        payload = json.loads(out_json.read_text())
+        assert [item["error"] for item in payload] == [None, "RuntimeError: forced failure"]
+        err = capsys.readouterr().err.splitlines()
+        assert err == ["sweep row lambda=1 M=2 failed: RuntimeError: forced failure"]
+
+        # the CSV keeps its columns: the failed row is written, its error is not
+        assert main(args + ["--out", str(out_csv), "--format", "csv"]) == 3
+        lines = out_csv.read_text().splitlines()
+        assert lines[0] == EXPECTED_HEADER
+        assert lines[2] == "1,2,,,,,,,,false,,1"
 
 
 class TestEmit:
@@ -136,7 +147,7 @@ class TestEmit:
         assert EXPECTED_HEADER == ",".join(CSV_COLUMNS)
 
     def test_single_linear_row_schema(self, tmp_path):
-        cfg = SweepConfig(mode="linear", lambdas=[1.0], workers=1)
+        cfg = SweepConfig(mode="linear", lambdas=[1.0])
         rows = run_sweep(cfg)
         path = tmp_path / "one.csv"
         emit(rows, "csv", str(path))
@@ -167,6 +178,19 @@ class TestEmit:
         emit(rows, "json", str(path))
         assert load_rows(str(path)) == rows
 
+    def test_json_round_trip_every_row_kind(self, tmp_path):
+        linear = run_sweep(SweepConfig(mode="linear", lambdas=[0.0, 2.0, "inf"]))
+        quantizer = run_sweep(SweepConfig(lambdas=[0.5], **FAST_QUANTIZER))
+        verified = run_sweep(
+            SweepConfig(lambdas=[1.0], verify=True, mc_samples=20_000, **FAST_QUANTIZER)
+        )
+        failed = [SweepRow(lam=2.0, M=2, converged=False, seed=4, error="ValueError: boom")]
+        for rows in (linear, quantizer, verified, linear + quantizer + verified + failed):
+            path = tmp_path / "rows.json"
+            emit(rows, "json", str(path))
+            assert load_rows(str(path)) == rows
+        assert verified[0].mc_d_theta_se is not None
+
     def test_io_error_carries_path(self, tmp_path):
         with pytest.raises(OSError, match="no/such"):
             emit([], "csv", str(tmp_path / "no" / "such" / "file.csv"))
@@ -180,7 +204,7 @@ class TestCommandLine:
         assert payload["kappa"] == pytest.approx(0.723607, abs=1e-6)
 
     def test_sweep_without_out_prints_csv(self, capsys):
-        assert main(["sweep", "--mode", "linear", "--lambdas", "0,1", "--workers", "1"]) == 0
+        assert main(["sweep", "--mode", "linear", "--lambdas", "0,1"]) == 0
         lines = capsys.readouterr().out.splitlines()
         assert lines[0] == EXPECTED_HEADER
         assert len(lines) == 3
@@ -190,7 +214,7 @@ class TestCommandLine:
         code = main([
             "sweep", "--mode", "quantizer", "--lambdas", "0.5", "--m", "2",
             "--theta-nodes", "3", "--n-restarts", "1", "--max-iters", "300",
-            "--workers", "1", "--out", str(out), "--format", "csv",
+            "--out", str(out), "--format", "csv",
         ])
         assert code == 0
         lines = out.read_text().splitlines()
@@ -220,6 +244,13 @@ class TestCommandLine:
         cfg_path.write_text(json.dumps({"mystery": True}))
         assert main(["sweep", "--config", str(cfg_path)]) == 1
         assert "mystery" in capsys.readouterr().err
+
+    def test_removed_workers_field_is_exit_1(self, tmp_path, capsys):
+        # rows always run serially; the old thread-pool knob is an unknown field
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps({"mode": "linear", "workers": 2}))
+        assert main(["sweep", "--config", str(cfg_path)]) == 1
+        assert "workers" in capsys.readouterr().err
 
     def test_unwritable_output_is_exit_2(self, tmp_path):
         code = main([

@@ -1,11 +1,16 @@
 """Closed-form linear stage: moments, optimal coefficient, objective, distortions."""
 
 import math
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
+import strategiq.linear_equilibrium as linear_module
 from strategiq import (
+    SourceSpec,
     best_response_coeffs,
     encoder_objective,
     linear_distortions,
@@ -17,6 +22,17 @@ from strategiq import (
 
 GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0  # root of a^2 + a - 1
 
+# the +-10 offsets around alpha* that optimal_alpha once probed on every call
+PROBE_OFFSETS = np.concatenate([-np.logspace(-3, 1, 10)[::-1], np.logspace(-3, 1, 10)])
+
+sources = st.builds(
+    make_source,
+    st.floats(0.1, 10.0),
+    st.floats(0.05, 20.0),
+    st.floats(-1.0, 1.0, exclude_min=True, exclude_max=True),
+)
+lams = st.floats(0.0, 1e7)
+
 
 def _random_source(rng):
     return make_source(
@@ -24,6 +40,23 @@ def _random_source(rng):
         float(rng.uniform(0.2, 4.0)),
         float(rng.uniform(-0.95, 0.95)),
     )
+
+
+def _quadratic(src, lam, alpha):
+    """Stationarity quadratic q(alpha) of the linear stage."""
+    r, rho = src.r, src.rho
+    return r * (rho + r) * alpha**2 + (1.0 + lam * r**2) * alpha + (lam * rho * r - 1.0)
+
+
+def _ratio_form(src, alpha, lam):
+    """J as constant + P/v, and the size of the largest term either route cancels."""
+    mb = moment_bundle(src, alpha)
+    sx, st_, rho = src.sigma_x, src.sigma_theta, src.rho
+    constant = sx**2 + (1.0 - lam) * st_**2 + 2.0 * rho * sx * st_
+    p = mb.c_x**2 - 2.0 * mb.c_x * mb.c_xs + lam * mb.c_s**2
+    rep = linear_distortions(src, alpha, lam)
+    scale = max(1.0, abs(rep.fidelity), lam * abs(rep.d_theta), abs(constant), abs(p / mb.v))
+    return constant + p / mb.v, scale
 
 
 class TestMomentBundle:
@@ -85,9 +118,7 @@ class TestOptimalAlpha:
             src = _random_source(rng)
             lam = float(rng.uniform(0.0, 50.0))
             alpha = optimal_alpha(src, lam)
-            r, rho = src.r, src.rho
-            residual = r * (rho + r) * alpha**2 + (1.0 + lam * r**2) * alpha + (lam * rho * r - 1.0)
-            assert abs(residual) < 1e-9
+            assert abs(_quadratic(src, lam, alpha)) < 1e-9
 
     def test_minimizer_property(self, rng):
         for _ in range(200):
@@ -98,6 +129,34 @@ class TestOptimalAlpha:
             for delta in (1e-3, 1e-2, 0.1):
                 assert j_star <= encoder_objective(src, alpha + delta, lam) + 1e-9
                 assert j_star <= encoder_objective(src, alpha - delta, lam) + 1e-9
+
+    def test_negative_discriminant_is_value_error(self):
+        # |rho| > 1 is no valid source; only then can the discriminant go negative
+        with pytest.raises(ValueError, match="discriminant"):
+            optimal_alpha(SourceSpec(sigma_x=1.0, r=1.0, rho=-3.0), 1.0)
+
+    def test_certificate_rejects_the_maximizing_root(self, monkeypatch):
+        # a sign slip in the square root returns the other root, where q' < 0
+        monkeypatch.setattr(linear_module, "math", SimpleNamespace(sqrt=lambda x: -math.sqrt(x)))
+        with pytest.raises(ArithmeticError):
+            optimal_alpha(make_source(1.0, 1.0, 0.3), 2.0)
+
+    @settings(max_examples=300, deadline=None)
+    @given(src=sources, lam=lams)
+    def test_beats_probe_fan(self, src, lam):
+        try:
+            alpha = optimal_alpha(src, lam)
+        except ValueError as exc:
+            # within a few ulps of |rho| = 1 the minimizer sits where E[Z^2]
+            # rounds to zero, which is reported as a degenerate encoder
+            assert "E[Z^2]" in str(exc) and 1.0 - abs(src.rho) <= 4.0 * np.finfo(float).eps
+            return
+        j_star = encoder_objective(src, alpha, lam)
+        slack = 1e-9 * max(1.0, abs(j_star))
+        for delta in PROBE_OFFSETS:
+            probe = alpha + delta * max(1.0, abs(alpha))
+            if moment_bundle(src, probe).v > 1e-12:
+                assert j_star <= encoder_objective(src, probe, lam) + slack, delta
 
     def test_degenerate_quadratic_branch(self):
         # rho = -r kills the quadratic term; the linear equation takes over
@@ -169,10 +228,35 @@ class TestEncoderObjective:
         assert abs(samples.mean() - encoder_objective(unit_source, alpha, lam)) < 3.0 * se
 
     def test_two_formulas_agree_randomly(self, rng):
-        # encoder_objective asserts the dual-route identity internally
         for _ in range(300):
             src = _random_source(rng)
-            encoder_objective(src, float(rng.normal(scale=3.0)), float(rng.uniform(0.0, 20.0)))
+            alpha, lam = float(rng.normal(scale=3.0)), float(rng.uniform(0.0, 20.0))
+            ratio_form, scale = _ratio_form(src, alpha, lam)
+            assert abs(encoder_objective(src, alpha, lam) - ratio_form) <= 1e-10 * scale
+
+    @settings(max_examples=300, deadline=None)
+    @given(src=sources, lam=lams, alpha=st.floats(-20.0, 20.0))
+    def test_two_formulas_agree(self, src, lam, alpha):
+        assume(moment_bundle(src, alpha).v > 1e-12)
+        ratio_form, scale = _ratio_form(src, alpha, lam)
+        assert abs(encoder_objective(src, alpha, lam) - ratio_form) <= 1e-10 * scale
+
+    @settings(max_examples=300, deadline=None)
+    @given(src=sources, lam=lams, alpha=st.floats(-20.0, 20.0))
+    def test_slope_has_the_sign_of_the_quadratic(self, src, lam, alpha):
+        # J'(alpha) = 2 sigma_theta^2 sigma_x^4 (1 - rho^2) q(alpha) / v(alpha)^2
+        def slope(h):
+            return (encoder_objective(src, alpha + h, lam)
+                    - encoder_objective(src, alpha - h, lam)) / (2.0 * h)
+
+        h = 1e-4 * max(1.0, abs(alpha))
+        assume(min(moment_bundle(src, alpha + d).v for d in (-h, 0.0, h)) > 1e-6)
+        coarse, fine = slope(h), slope(h / 2.0)
+        # a central difference has a trusted sign only above the rounding noise
+        # of the terms J cancels and in agreement with its half-step twin
+        noise = 64.0 * np.finfo(float).eps * _ratio_form(src, alpha, lam)[1] / h
+        assume(abs(coarse) > noise and abs(coarse - fine) < 0.1 * abs(coarse))
+        assert np.sign(coarse) == np.sign(_quadratic(src, lam, alpha))
 
 
 class TestLinearDistortions:
