@@ -166,7 +166,8 @@ def _zphi(z: np.ndarray, phi: np.ndarray) -> np.ndarray:
 def partial_moments(source: SourceSpec, theta_j: float, a: float, b: float) -> PartialMoments:
     """Mass and first partial moment of X | theta=theta_j over [a, b].
 
-    a and b may be +-inf.  Exact up to error-function precision.
+    a and b may be +-inf.  Exact up to error-function precision; the scalar
+    case of interval_moments.
     """
     if math.isnan(a) or math.isnan(b):
         raise ValueError("interval endpoints must not be NaN")
@@ -177,11 +178,8 @@ def partial_moments(source: SourceSpec, theta_j: float, a: float, b: float) -> P
         # degenerate source: X | theta is a point mass at mu_c (half-open cells)
         mass = 1.0 if a <= mu_c < b else 0.0
         return PartialMoments(mass=mass, first=mu_c * mass)
-    lo = (a - mu_c) / sigma_c
-    hi = (b - mu_c) / sigma_c
-    mass = float(ndtr(hi) - ndtr(lo))
-    first = mu_c * mass + sigma_c * float(_phi(np.asarray(lo)) - _phi(np.asarray(hi)))
-    return PartialMoments(mass=mass, first=first)
+    mass, first, _ = interval_moments(mu_c, sigma_c, np.array([a, b]))
+    return PartialMoments(mass=float(mass[0]), first=float(first[0]))
 
 
 def conditional_density(source: SourceSpec, theta_j: float, x: float) -> float:

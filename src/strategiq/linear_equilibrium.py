@@ -60,7 +60,10 @@ class LinearEquilibrium:
 def moment_bundle(source: SourceSpec, alpha: float) -> MomentBundle:
     """All second moments of Z = X + alpha*theta needed by the linear stage."""
     sx, st, rho = source.sigma_x, source.sigma_theta, source.rho
-    v = sx**2 + 2.0 * alpha * rho * sx * st + alpha**2 * st**2
+    # E[Z^2] = sx^2 + 2 alpha rho sx st + alpha^2 st^2 written as a sum of two
+    # squares, which cannot cancel to <= 0 when |rho| is within an ulp of 1
+    a = alpha * st / sx
+    v = sx**2 * ((1.0 + a * rho) ** 2 + a**2 * (1.0 - rho**2))
     c_x = sx**2 + alpha * rho * sx * st
     c_s = rho * sx * st + alpha * st**2
     return MomentBundle(v=v, c_x=c_x, c_s=c_s, c_xs=c_x + c_s)

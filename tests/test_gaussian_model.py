@@ -4,6 +4,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.integrate import quad
 
 from strategiq import (
@@ -190,3 +192,33 @@ class TestCellMoments:
         np.testing.assert_allclose(mass.sum(axis=1), 1.0, atol=1e-10)
         np.testing.assert_allclose(first.sum(axis=1), 0.0, atol=1e-10)
         np.testing.assert_allclose(second.sum(axis=1), 1.0, atol=1e-10)
+
+    @settings(max_examples=200, deadline=None)
+    @given(data=st.data())
+    def test_cells_sum_to_whole_line_moments_randomly(self, data):
+        # over any monotone row the cells partition the line, so they sum to
+        # mass 1, mean mu and second moment mu^2 + sigma^2 of X | theta_j
+        src = make_source(
+            data.draw(st.floats(0.1, 10.0), label="sigma_x"),
+            data.draw(st.floats(0.05, 20.0), label="r"),
+            data.draw(st.floats(-0.99, 0.99), label="rho"),
+        )
+        grid = make_theta_grid(src, data.draw(st.integers(1, 9), label="n_nodes"), "gauss-hermite")
+        M = data.draw(st.integers(1, 6), label="M")
+        edge = st.one_of(
+            st.floats(-8.0, 8.0).map(lambda v: v * src.sigma_x),
+            st.sampled_from([-math.inf, 0.0, math.inf]),  # coincident and infinite edges
+        )
+        rows = [
+            [-math.inf, *sorted(data.draw(st.lists(edge, min_size=M - 1, max_size=M - 1))), math.inf]
+            for _ in range(grid.n_nodes)
+        ]
+        mass, first, second = cell_moments(src, grid, np.array(rows))
+        # a few roundings per cell of terms no larger than (|mu| + sigma)^k
+        tol = 16.0 * np.finfo(float).eps * M
+        for j in range(grid.n_nodes):
+            mu, sigma = src.conditional_params(grid.nodes[j])
+            scale = abs(mu) + sigma
+            assert abs(mass[j].sum() - 1.0) <= tol
+            assert abs(first[j].sum() - mu) <= tol * scale
+            assert abs(second[j].sum() - (mu * mu + sigma * sigma)) <= tol * scale * scale

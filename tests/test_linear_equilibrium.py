@@ -130,6 +130,22 @@ class TestOptimalAlpha:
                 assert j_star <= encoder_objective(src, alpha + delta, lam) + 1e-9
                 assert j_star <= encoder_objective(src, alpha - delta, lam) + 1e-9
 
+    def test_rho_within_an_ulp_of_one(self):
+        # the minimizer sits at alpha ~ -rho/r, where the expanded E[Z^2]
+        # cancelled to <= 0; optimal_alpha returns only a certified root
+        src = make_source(1.5, 0.16796875, 0.9999999999999998)
+        alpha = optimal_alpha(src, 161.0)
+        assert moment_bundle(src, alpha).v > 0.0
+        assert alpha == pytest.approx(-src.rho / src.r, rel=1e-6)
+
+    def test_rho_next_to_one_over_random_draws(self, rng):
+        rho = float(np.nextafter(1.0, 0.0))
+        for _ in range(1000):
+            src = make_source(float(rng.uniform(0.1, 10.0)), float(rng.uniform(0.05, 20.0)),
+                              rho * float(rng.choice([-1.0, 1.0])))
+            lam = float(10.0 ** rng.uniform(-3.0, 7.0))
+            assert moment_bundle(src, optimal_alpha(src, lam)).v > 0.0
+
     def test_negative_discriminant_is_value_error(self):
         # |rho| > 1 is no valid source; only then can the discriminant go negative
         with pytest.raises(ValueError, match="discriminant"):
@@ -144,13 +160,7 @@ class TestOptimalAlpha:
     @settings(max_examples=300, deadline=None)
     @given(src=sources, lam=lams)
     def test_beats_probe_fan(self, src, lam):
-        try:
-            alpha = optimal_alpha(src, lam)
-        except ValueError as exc:
-            # within a few ulps of |rho| = 1 the minimizer sits where E[Z^2]
-            # rounds to zero, which is reported as a degenerate encoder
-            assert "E[Z^2]" in str(exc) and 1.0 - abs(src.rho) <= 4.0 * np.finfo(float).eps
-            return
+        alpha = optimal_alpha(src, lam)
         j_star = encoder_objective(src, alpha, lam)
         slack = 1e-9 * max(1.0, abs(j_star))
         for delta in PROBE_OFFSETS:

@@ -1,21 +1,126 @@
 """Exhaustive search and Monte Carlo: the pipeline's independent referees."""
 
+import itertools
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 
+import strategiq.oracle as oracle_module
 from strategiq import (
     OracleGrid,
     Quantizer,
     brute_force_design,
     evaluate,
     make_oracle_grid,
+    make_source,
     make_theta_grid,
     monte_carlo_distortions,
 )
+from strategiq.gaussian_model import MASS_FLOOR, interval_moments
 
 INF = math.inf
+
+
+def _reference_monte_carlo(q, br, source, grid, lam, n_samples, seed):
+    """The one-shot sampler the streamed oracle replaced, kept as its referee."""
+    rng = np.random.default_rng(seed)
+    j_idx = rng.choice(grid.n_nodes, size=n_samples, p=grid.weights)
+    theta = grid.nodes[j_idx]
+    mu_c = source.rho * (source.sigma_x / source.sigma_theta) * theta
+    sigma_c = source.sigma_x * math.sqrt(max(1.0 - source.rho**2, 0.0))
+    x = mu_c + sigma_c * rng.standard_normal(n_samples)
+
+    interior = q.boundaries[:, 1:-1]
+    msg = (x[:, None] > interior[j_idx]).sum(axis=1) if q.M > 1 else np.zeros(n_samples, dtype=int)
+    y = br.y[msg]
+    th_hat = br.theta_hat[msg]
+
+    fid_s = (x + theta - y) ** 2
+    dd_s = (x - y) ** 2
+    dth_s = (theta - th_hat) ** 2
+    de_s = fid_s - lam * dth_s
+
+    def _mean_se(v):
+        m = float(v.mean())
+        se = float(v.std(ddof=1) / math.sqrt(n_samples)) if n_samples > 1 else math.inf
+        return m, se
+
+    return [*_mean_se(fid_s), *_mean_se(dd_s), *_mean_se(dth_s), *_mean_se(de_s)]
+
+
+def _reference_brute_force(source, grid, M, lam, ogrid, chunk=131_072):
+    """The digit-decoding enumeration the broadcast one replaced: (boundaries, report)."""
+    n_rows = grid.n_nodes
+    cands = ogrid.candidates
+    if M == 1:
+        choice_idx = np.zeros((1, 0), dtype=int)
+    else:
+        choice_idx = np.array(
+            list(itertools.combinations_with_replacement(range(cands.size), M - 1)), dtype=int
+        )
+    n_choices = choice_idx.shape[0]
+    total = int(n_choices) ** n_rows
+    rows_bounds = np.hstack(
+        [np.full((n_choices, 1), -np.inf), cands[choice_idx], np.full((n_choices, 1), np.inf)]
+    )
+    sigma_c = source.sigma_x * math.sqrt(max(1.0 - source.rho**2, 0.0))
+    mu_all = source.rho * (source.sigma_x / source.sigma_theta) * grid.nodes
+    tables = []
+    for j in range(n_rows):
+        mass, first, second = interval_moments(float(mu_all[j]), sigma_c, rows_bounds)
+        w, th = grid.weights[j], grid.nodes[j]
+        tables.append(
+            (w * mass, w * first, w * second, w * th * mass, w * th * first, w * th**2 * mass)
+        )
+
+    best_d_e = math.inf
+    best_index = -1
+    radix = [n_choices**p for p in range(n_rows - 1, -1, -1)]
+    for lo in range(0, total, chunk):
+        hi = min(lo + chunk, total)
+        lin = np.arange(lo, hi, dtype=np.int64)
+        n = np.zeros((hi - lo, M))
+        a = np.zeros_like(n)
+        s = np.zeros_like(n)
+        t = np.zeros_like(n)
+        b = np.zeros_like(n)
+        u = np.zeros_like(n)
+        for j in range(n_rows):
+            k = (lin // radix[j]) % n_choices
+            wm, wf, ws, wtm, wtf, wt2m = tables[j]
+            n += wm[k]
+            a += wf[k]
+            s += ws[k]
+            t += wtm[k]
+            b += wtf[k]
+            u += wt2m[k]
+        safe = np.where(n >= MASS_FLOOR, n, 1.0)
+        y = np.where(n >= MASS_FLOOR, a / safe, 0.0)
+        th_hat = np.where(n >= MASS_FLOOR, t / safe, 0.0)
+        fidelity = np.sum(s + 2.0 * b + u - 2.0 * y * (a + t) + y**2 * n, axis=1)
+        d_theta = np.sum(u - 2.0 * th_hat * t + th_hat**2 * n, axis=1)
+        d_e = fidelity - lam * d_theta
+        i = int(np.argmin(d_e))
+        if d_e[i] < best_d_e:
+            best_d_e = float(d_e[i])
+            best_index = lo + i
+
+    ks = [(best_index // radix[j]) % n_choices for j in range(n_rows)]
+    boundaries = np.vstack([rows_bounds[k] for k in ks])
+    _, report = evaluate(Quantizer(M=M, boundaries=boundaries), source, grid, lam)
+    return boundaries, report
+
+
+def _random_quantizer(rng, n_nodes, M, scale=1.5):
+    interior = np.sort(rng.uniform(-scale, scale, size=(n_nodes, M - 1)), axis=1)
+    edges = np.full((n_nodes, 1), INF)
+    return Quantizer(M=M, boundaries=np.hstack([-edges, interior, edges]))
+
+
+def _report_bits(rep):
+    return np.array([rep.d_e, rep.fidelity, rep.d_d, rep.d_theta]).tobytes()
 
 
 class TestOracleGrid:
@@ -80,6 +185,58 @@ class TestBruteForce:
         assert res.report.d_e == pytest.approx(rep.d_e, abs=1e-10)
 
 
+    @pytest.mark.parametrize(
+        "n_nodes,n_points,M",
+        [
+            (3, 41, 1), (3, 41, 2), (3, 9, 3),  # one block
+            (4, 21, 1), (4, 21, 2), (4, 6, 3),  # 21^4 = 194,481 > _CHUNK: sliced blocks
+        ],
+    )
+    def test_matches_digit_decoding_enumeration(self, n_nodes, n_points, M):
+        src = make_source(1.2, 0.7, 0.4)
+        grid = make_theta_grid(src, n_nodes, "gauss-hermite")
+        og = make_oracle_grid(src, n_points=n_points)
+        for lam in (0.0, 1.5):
+            res = brute_force_design(src, grid, M, lam, og)
+            boundaries, report = _reference_brute_force(src, grid, M, lam, og)
+            assert res.quantizer.boundaries.tobytes() == boundaries.tobytes()
+            assert _report_bits(res.report) == _report_bits(report)
+
+    @pytest.mark.parametrize(
+        "n_nodes,n_points,M",
+        [
+            (3, 11, 2),  # 11 choices: row 0 fixed, row 1 sliced by 9, row 2 broadcast
+            (3, 7, 3),  # 28 choices: row 0 fixed, row 1 sliced by 3, row 2 broadcast
+            (2, 15, 3),  # 120 choices, more than a block: row 1 sliced by 100
+        ],
+    )
+    def test_small_blocks_match_digit_decoding(self, monkeypatch, unit_source, n_nodes, n_points, M):
+        # a small block size reaches the fixed-row and sliced-row paths that
+        # large instances take at the real block size
+        monkeypatch.setattr(oracle_module, "_CHUNK", 100)
+        grid = make_theta_grid(unit_source, n_nodes, "gauss-hermite")
+        og = make_oracle_grid(unit_source, n_points=n_points)
+        for lam in (0.0, 0.7, 2.5):
+            res = brute_force_design(unit_source, grid, M, lam, og)
+            boundaries, report = _reference_brute_force(unit_source, grid, M, lam, og, chunk=100)
+            assert res.quantizer.boundaries.tobytes() == boundaries.tobytes()
+            assert _report_bits(res.report) == _report_bits(report)
+
+    def test_exact_ties_break_lexicographically(self, monkeypatch, unit_source):
+        # candidates this far out put each row's mass wholly in one cell, so
+        # every assignment that sends all rows to the same cell reveals nothing
+        # and ties exactly; the first of them in lexicographic order must win,
+        # also when the ties fall in different blocks
+        monkeypatch.setattr(oracle_module, "_CHUNK", 100)
+        grid = make_theta_grid(unit_source, 4, "gauss-hermite")
+        og = OracleGrid(candidates=np.array([-100.0, -80.0, -60.0, -40.0, 40.0, 60.0, 80.0, 100.0]))
+        res = brute_force_design(unit_source, grid, 2, 2.0, og)
+        boundaries, report = _reference_brute_force(unit_source, grid, 2, 2.0, og, chunk=100)
+        assert np.all(res.quantizer.interior() == -100.0)
+        assert res.quantizer.boundaries.tobytes() == boundaries.tobytes()
+        assert _report_bits(res.report) == _report_bits(report)
+
+
 class TestMonteCarlo:
     def test_single_cell_fidelity(self, unit_source, grid17):
         q = Quantizer(M=1, boundaries=np.tile([-INF, INF], (17, 1)))
@@ -117,3 +274,55 @@ class TestMonteCarlo:
         assert mc.report.d_e == pytest.approx(
             mc.report.fidelity - 2.0 * mc.report.d_theta, rel=1e-12
         )
+
+    @pytest.mark.parametrize("n_samples", [1, 1000, 32_768, 100_003])
+    @pytest.mark.parametrize("M", [1, 2, 3, 4])
+    def test_matches_one_shot_sampler(self, n_samples, M):
+        rng = np.random.default_rng([n_samples, M])
+        for rho in (0.0, 0.6, 1.0):
+            src = make_source(1.5, 0.8, rho)
+            grid = make_theta_grid(src, 5, "gauss-hermite")
+            q = _random_quantizer(rng, grid.n_nodes, M)
+            # cell moments need |rho| < 1; any responses serve a referee
+            br, _ = evaluate(q, make_source(1.5, 0.8, min(rho, 0.6)), grid, 1.0)
+            for lam in (0.0, 2.0, 1e7):
+                seed = int(rng.integers(2**31))
+                mc = monte_carlo_distortions(q, br, src, grid, lam, n_samples, seed)
+                got = [mc.report.fidelity, mc.se_fidelity, mc.report.d_d, mc.se_d_d,
+                       mc.report.d_theta, mc.se_d_theta, mc.report.d_e, mc.se_d_e]
+                want = _reference_monte_carlo(q, br, src, grid, lam, n_samples, seed)
+                if n_samples <= oracle_module._MC_CHUNK:
+                    # one chunk: the same samples summed the same way, so the
+                    # means agree to the bit, which pins each sample's rounding
+                    assert got[0::2] == want[0::2]
+                for g, w in zip(got, want):
+                    if math.isinf(w):
+                        assert g == w
+                    else:
+                        assert abs(g - w) <= 1e-12 * max(abs(g), abs(w)), (rho, lam, g, w)
+
+    def test_chunked_draws_are_the_one_shot_stream(self, grid17):
+        n = 3 * oracle_module._MC_CHUNK + 17
+        chunks = list(oracle_module._draws(grid17, n, 12345))
+        assert [j.size for j, _ in chunks] == [oracle_module._MC_CHUNK] * 3 + [17]
+        rng = np.random.default_rng(12345)
+        nodes = rng.choice(grid17.n_nodes, size=n, p=grid17.weights)
+        normals = rng.standard_normal(n)
+        assert np.array_equal(np.concatenate([j for j, _ in chunks]), nodes)
+        assert np.concatenate([z for _, z in chunks]).tobytes() == normals.tobytes()
+
+    def test_memory_does_not_grow_with_samples(self, unit_source, grid17):
+        q = Quantizer(M=4, boundaries=np.tile([-INF, -0.7, 0.0, 0.7, INF], (17, 1)))
+        br, _ = evaluate(q, unit_source, grid17, 1.0)
+
+        def peak(n_samples):
+            tracemalloc.start()
+            try:
+                monte_carlo_distortions(q, br, unit_source, grid17, 1.0, n_samples, seed=5)
+                return tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+        one, four = peak(1_000_000), peak(4_000_000)
+        assert one < 8 * 2**20
+        assert abs(four - one) < 2**20

@@ -4,6 +4,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from strategiq import (
     BestResponses,
@@ -240,3 +242,26 @@ class TestSerialization:
         text = json.dumps(quantizer_to_dict(q, grid3))
         q2, _ = quantizer_from_dict(json.loads(text))
         np.testing.assert_array_equal(q2.boundaries, q.boundaries)
+
+    @settings(max_examples=200, deadline=None)
+    @given(data=st.data())
+    def test_json_round_trip_is_exact(self, data):
+        import json
+
+        n_rows = data.draw(st.integers(1, 6), label="n_rows")
+        M = data.draw(st.integers(1, 6), label="M")
+        edge = st.one_of(
+            st.floats(allow_nan=False),  # includes +-inf, -0.0 and subnormals
+            st.sampled_from([-1.5, 0.0, 2.0]),  # coincident boundaries
+        )
+        rows = [
+            [-INF, *sorted(data.draw(st.lists(edge, min_size=M - 1, max_size=M - 1))), INF]
+            for _ in range(n_rows)
+        ]
+        q = Quantizer(M=M, boundaries=np.array(rows))
+        grid = make_theta_grid(make_source(1.0, 1.0, 0.0), n_rows, "gauss-hermite")
+        q2, nodes = quantizer_from_dict(json.loads(json.dumps(quantizer_to_dict(q, grid))))
+        assert q2.M == M
+        assert q2.boundaries.shape == q.boundaries.shape
+        assert q2.boundaries.tobytes() == q.boundaries.tobytes()
+        assert nodes.tobytes() == grid.nodes.tobytes()
