@@ -60,10 +60,7 @@ from .quantizer_core import (
     DistortionReport,
     Quantizer,
     ValidationReport,
-    best_responses,
-    decoder_best_response,
     distortions,
-    eavesdropper_best_response,
     evaluate,
     quantizer_from_dict,
     quantizer_to_dict,
@@ -113,10 +110,7 @@ __all__ = [
     "DistortionReport",
     "Quantizer",
     "ValidationReport",
-    "best_responses",
-    "decoder_best_response",
     "distortions",
-    "eavesdropper_best_response",
     "evaluate",
     "quantizer_from_dict",
     "quantizer_to_dict",

@@ -62,10 +62,12 @@ class SourceSpec:
         """True when |rho| = 1, i.e. theta is a.s. a multiple of X."""
         return abs(self.rho) == 1.0
 
-    def conditional_params(self, theta_j: float) -> tuple[float, float]:
-        """(mean, std) of X given theta = theta_j."""
+    def conditional_params(
+        self, theta_j: float | np.ndarray
+    ) -> tuple[float | np.ndarray, float]:
+        """(mean, std) of X given theta = theta_j; theta_j may be an array of nodes."""
         mu_c = self.rho * (self.sigma_x / self.sigma_theta) * theta_j
-        sigma_c = self.sigma_x * math.sqrt(max(1.0 - self.rho * self.rho, 0.0))
+        sigma_c = self.sigma_x * math.sqrt(max(1.0 - self.rho**2, 0.0))
         return mu_c, sigma_c
 
 
@@ -226,8 +228,7 @@ def cell_moments(
     boundaries = np.asarray(boundaries, dtype=float)
     if boundaries.ndim != 2 or boundaries.shape[0] != grid.n_nodes:
         raise ValueError("boundaries must have one row per theta node")
-    mu_c = source.rho * (source.sigma_x / source.sigma_theta) * grid.nodes
-    sigma_c = source.sigma_x * math.sqrt(max(1.0 - source.rho**2, 0.0))
+    mu_c, sigma_c = source.conditional_params(grid.nodes)
     if sigma_c == 0.0:
         raise ValueError("cell moments require a nondegenerate source (|rho| < 1)")
     return interval_moments(mu_c, sigma_c, boundaries)

@@ -5,7 +5,11 @@ boundary takes the followers' dependence into account:
 
 * a direct (Leibniz) term from the integration limits,
 * a chain term through the decoder reconstructions y (which do NOT make the
-  encoder's objective stationary, since the decoder optimizes d_d, not d_e),
+  encoder's objective stationary, since the decoder optimizes d_d, not d_e).
+  Cell m enters it with the encoder's residual E[X + theta | m] - y_m.  At
+  the decoder's best response y_m = E[X | m], that residual is
+  E[theta | m] = theta_hat_m, the eavesdropper's estimate (both are 0 in an
+  empty cell), so the chain term needs only the two responses,
 * no chain term through the eavesdropper estimates: d_e contains the
   eavesdropper's own loss, so its best response is stationary there.  A debug
   helper computes this analytically-zero term explicitly so tests can pin it.
@@ -23,7 +27,6 @@ fully-revealing Lloyd-Max start to seeded random starts and keeps the lowest.
 from __future__ import annotations
 
 import logging
-import math
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -34,9 +37,7 @@ from .quantizer_core import (
     BestResponses,
     DistortionReport,
     Quantizer,
-    _decoder_from_stats,
-    _distortions_from_stats,
-    _eavesdropper_from_stats,
+    evaluate,
     pooled_cell_stats,
     quantizer_to_dict,
     validate,
@@ -89,8 +90,7 @@ class DesignResult:
 
 def _row_density(source: SourceSpec, grid: ThetaGrid, points: np.ndarray) -> np.ndarray:
     """Conditional density f(points[j, c] | theta_j), vectorized over rows."""
-    mu_c = source.rho * (source.sigma_x / source.sigma_theta) * grid.nodes
-    sigma_c = source.sigma_x * math.sqrt(max(1.0 - source.rho**2, 0.0))
+    mu_c, sigma_c = source.conditional_params(grid.nodes)
     z = (points - mu_c[:, None]) / sigma_c
     return _phi(z) / sigma_c
 
@@ -100,10 +100,12 @@ def _analytic_gradient(
     source: SourceSpec,
     grid: ThetaGrid,
     lam: float,
-    stats: dict[str, np.ndarray],
     br: BestResponses,
 ) -> np.ndarray:
-    """Gradient of d_e at interior boundaries b; one-sided at coincident ones."""
+    """Gradient of d_e at interior boundaries b, given the best responses br to b.
+
+    One-sided at coincident boundaries.
+    """
     theta = grid.nodes[:, None]
     f = _row_density(source, grid, b)
     y, theta_hat = br.y, br.theta_hat
@@ -113,11 +115,8 @@ def _analytic_gradient(
     dy, sy = y[1:] - y[:-1], y[1:] + y[:-1]
     dth, sth = theta_hat[1:] - theta_hat[:-1], theta_hat[1:] + theta_hat[:-1]
     direct = dy * (2.0 * (b + theta) - sy) - lam * dth * (2.0 * theta - sth)
-
-    n, a, t = stats["N"], stats["A"], stats["T"]
-    # pooled mean of (x + theta) minus y, per cell; 0 for empty cells
-    gap = np.divide(a + t, n, out=y.copy(), where=n >= MASS_FLOOR) - y
-    chain = 2.0 * (b * (gap[1:] - gap[:-1]) - (gap[1:] * y[1:] - gap[:-1] * y[:-1]))
+    # through y: each cell's residual E[X + theta | m] - y_m is theta_hat_m
+    chain = 2.0 * (b * dth - (theta_hat[1:] * y[1:] - theta_hat[:-1] * y[:-1]))
 
     return grid.weights[:, None] * f * (direct + chain)
 
@@ -130,14 +129,14 @@ def eavesdropper_chain_term(
     At the eavesdropper's best response this is identically zero (its loss
     enters d_e with its own minimizer); returned so tests can assert it.
     """
-    stats = pooled_cell_stats(q, source, grid)
-    theta_hat = _eavesdropper_from_stats(stats["N"], stats["T"])
+    theta_hat = evaluate(q, source, grid, lam)[0].theta_hat
     b = q.interior()
     if b.size == 0:
         return np.zeros_like(b)
     theta = grid.nodes[:, None]
     w = grid.weights[:, None]
     f = _row_density(source, grid, b)
+    stats = pooled_cell_stats(q, source, grid)
     n, t = stats["N"], stats["T"]
     # d d_e / d theta_hat_k = 2 lam (T_k - theta_hat_k N_k)
     dde = 2.0 * lam * (t - theta_hat * n)
@@ -146,16 +145,6 @@ def eavesdropper_chain_term(
     left = dde[:-1][None, :] * (theta - theta_hat[:-1][None, :]) / safe_n[:-1][None, :]
     right = dde[1:][None, :] * (theta - theta_hat[1:][None, :]) / safe_n[1:][None, :]
     return w * f * (left - right)
-
-
-def _eval_full(
-    q: Quantizer, source: SourceSpec, grid: ThetaGrid, lam: float
-) -> tuple[dict[str, np.ndarray], BestResponses, DistortionReport]:
-    stats = pooled_cell_stats(q, source, grid)
-    y = _decoder_from_stats(q, stats["N"], stats["A"])
-    theta_hat = _eavesdropper_from_stats(stats["N"], stats["T"])
-    br = BestResponses(y=y, theta_hat=theta_hat, cell_mass=stats["N"])
-    return stats, br, _distortions_from_stats(stats, y, theta_hat, lam)
 
 
 def _fd_gradient(
@@ -187,8 +176,7 @@ def _probe_d_e(
 ) -> float:
     perturbed = np.array(q.boundaries)
     perturbed[j, c] += h
-    _, _, report = _eval_full(Quantizer(M=q.M, boundaries=perturbed), source, grid, lam)
-    return report.d_e
+    return evaluate(Quantizer(M=q.M, boundaries=perturbed), source, grid, lam)[1].d_e
 
 
 def boundary_gradient(
@@ -205,8 +193,8 @@ def boundary_gradient(
     if lam < 0:
         raise ValueError("lam must be nonnegative")
     if mode == "analytic":
-        stats, br, _ = _eval_full(q, source, grid, lam)
-        grad = _analytic_gradient(q.interior(), source, grid, lam, stats, br)
+        br, _ = evaluate(q, source, grid, lam)
+        grad = _analytic_gradient(q.interior(), source, grid, lam, br)
         b = q.boundaries
         grad[(b[:, 1:-1] == b[:, :-2]) | (b[:, 1:-1] == b[:, 2:])] = 0.0
         return grad
@@ -310,7 +298,7 @@ def design(
         raise ValueError(f"invalid init quantizer: {report_problems.violations}")
 
     q = init
-    stats, br, rep = _eval_full(q, source, grid, lam)
+    br, rep = evaluate(q, source, grid, lam)
     trajectory = [rep.d_e]
     if M == 1:
         return DesignResult(
@@ -324,7 +312,7 @@ def design(
     lower = np.zeros_like(x)
     lower[:, 0] = -np.inf
     f = rep.d_e + shift
-    g = _increment_gradient(_analytic_gradient(q.interior(), source, grid, lam, stats, br), scale)
+    g = _increment_gradient(_analytic_gradient(q.interior(), source, grid, lam, br), scale)
     S = Y = np.empty((0, x.size))  # curvature pairs as rows, oldest first
     iterations, evals = 0, 1
     while True:
@@ -341,7 +329,7 @@ def design(
         for _ in range(_LINE_SEARCH_HALVINGS):
             x_new = np.maximum(x + alpha * p, lower)
             q_new = _with_edges(_to_boundaries(x_new, scale), grid.n_nodes)
-            stats_new, br_new, rep_new = _eval_full(q_new, source, grid, lam)
+            br_new, rep_new = evaluate(q_new, source, grid, lam)
             evals += 1
             f_new = rep_new.d_e + shift
             if f_new < f and f_new <= f + _ARMIJO * np.vdot(g, x_new - x):
@@ -353,14 +341,14 @@ def design(
                 break
             S = Y = S[:0]  # retry once along the projected gradient
             continue
-        g_new = _analytic_gradient(q_new.interior(), source, grid, lam, stats_new, br_new)
+        g_new = _analytic_gradient(q_new.interior(), source, grid, lam, br_new)
         g_new = _increment_gradient(g_new, scale)
         s, y = (x_new - x).ravel(), (g_new - g).ravel()
         if s.dot(y) > np.finfo(float).eps * y.dot(y):
             S = np.concatenate((S[1 - _MEMORY:], s[None]))
             Y = np.concatenate((Y[1 - _MEMORY:], y[None]))
         x, f, g = x_new, f_new, g_new
-        q, stats, br, rep = q_new, stats_new, br_new, rep_new
+        q, br, rep = q_new, br_new, rep_new
         trajectory.append(rep.d_e)
         iterations += 1
 

@@ -115,8 +115,7 @@ def brute_force_design(
     rows_bounds = np.hstack(
         [np.full((n_choices, 1), -np.inf), cands[choice_idx], np.full((n_choices, 1), np.inf)]
     )
-    sigma_c = source.sigma_x * math.sqrt(max(1.0 - source.rho**2, 0.0))
-    mu_all = source.rho * (source.sigma_x / source.sigma_theta) * grid.nodes
+    mu_all, sigma_c = source.conditional_params(grid.nodes)
     tables = []
     for j in range(n_rows):
         mass, first, second = interval_moments(float(mu_all[j]), sigma_c, rows_bounds)
@@ -209,8 +208,7 @@ def monte_carlo_distortions(
         raise ValueError("n_samples must be >= 1")
     if lam < 0:
         raise ValueError("lam must be nonnegative")
-    mu_nodes = source.rho * (source.sigma_x / source.sigma_theta) * grid.nodes
-    sigma_c = source.sigma_x * math.sqrt(max(1.0 - source.rho**2, 0.0))
+    mu_nodes, sigma_c = source.conditional_params(grid.nodes)
     columns = [np.ascontiguousarray(c) for c in q.interior().T]
 
     count = 0

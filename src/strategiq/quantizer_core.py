@@ -124,9 +124,6 @@ def pooled_cell_stats(
         "T": wt @ mass,
         "B": wt @ first,
         "U": wt2 @ mass,
-        "mass": mass,
-        "first": first,
-        "second": second,
     }
 
 
@@ -137,39 +134,6 @@ def _empty_cell_y(q: Quantizer, m: int) -> float:
     if math.isfinite(lo) and math.isfinite(hi):
         return 0.5 * (lo + hi)
     return 0.0
-
-
-def decoder_best_response(q: Quantizer, source: SourceSpec, grid: ThetaGrid) -> np.ndarray:
-    """Per-message conditional means of X, pooled across theta nodes."""
-    stats = pooled_cell_stats(q, source, grid)
-    return _decoder_from_stats(q, stats["N"], stats["A"])
-
-
-def _decoder_from_stats(q: Quantizer, n: np.ndarray, a: np.ndarray) -> np.ndarray:
-    y = np.empty(q.M)
-    for m in range(q.M):
-        y[m] = a[m] / n[m] if n[m] >= MASS_FLOOR else _empty_cell_y(q, m)
-    return y
-
-
-def eavesdropper_best_response(q: Quantizer, source: SourceSpec, grid: ThetaGrid) -> np.ndarray:
-    """Per-message conditional means of theta; prior mean 0 for empty cells."""
-    stats = pooled_cell_stats(q, source, grid)
-    return _eavesdropper_from_stats(stats["N"], stats["T"])
-
-
-def _eavesdropper_from_stats(n: np.ndarray, t: np.ndarray) -> np.ndarray:
-    return np.divide(t, n, out=np.zeros_like(t), where=n >= MASS_FLOOR)
-
-
-def best_responses(q: Quantizer, source: SourceSpec, grid: ThetaGrid) -> BestResponses:
-    """Both followers' best responses computed from one partial-moment pass."""
-    stats = pooled_cell_stats(q, source, grid)
-    return BestResponses(
-        y=_decoder_from_stats(q, stats["N"], stats["A"]),
-        theta_hat=_eavesdropper_from_stats(stats["N"], stats["T"]),
-        cell_mass=stats["N"],
-    )
 
 
 def distortions(
@@ -207,13 +171,22 @@ def _distortions_from_stats(
 def evaluate(
     q: Quantizer, source: SourceSpec, grid: ThetaGrid, lam: float
 ) -> tuple[BestResponses, DistortionReport]:
-    """Best responses and the resulting distortions in a single moment pass."""
+    """Both followers' best responses to q and the resulting distortions.
+
+    The decoder plays the pooled conditional mean of X per message (the
+    boundary-span midpoint for an empty cell), the eavesdropper that of
+    theta (the prior mean 0 for an empty cell); one partial-moment pass
+    serves the responses and the distortions.
+    """
     if lam < 0:
         raise ValueError("lam must be nonnegative")
     stats = pooled_cell_stats(q, source, grid)
-    y = _decoder_from_stats(q, stats["N"], stats["A"])
-    theta_hat = _eavesdropper_from_stats(stats["N"], stats["T"])
-    br = BestResponses(y=y, theta_hat=theta_hat, cell_mass=stats["N"])
+    n, a = stats["N"], stats["A"]
+    y = np.empty(q.M)
+    for m in range(q.M):
+        y[m] = a[m] / n[m] if n[m] >= MASS_FLOOR else _empty_cell_y(q, m)
+    theta_hat = np.divide(stats["T"], n, out=np.zeros_like(n), where=n >= MASS_FLOOR)
+    br = BestResponses(y=y, theta_hat=theta_hat, cell_mass=n)
     return br, _distortions_from_stats(stats, y, theta_hat, lam)
 
 

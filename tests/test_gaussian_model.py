@@ -42,6 +42,15 @@ class TestMakeSource:
         src = make_source(2.0, 3.0, 0.1)
         assert src.sigma_theta == pytest.approx(6.0)
 
+    @pytest.mark.parametrize("rho", [0.0, 0.6, -0.9, 1.0])
+    def test_conditional_params_of_nodes_match_scalar_calls(self, rho):
+        src = make_source(1.3, 0.8, rho)
+        nodes = make_theta_grid(src, 17, "gauss-hermite").nodes
+        mu, sigma = src.conditional_params(nodes)
+        scalar = [src.conditional_params(float(t)) for t in nodes]
+        assert mu.tobytes() == np.array([m for m, _ in scalar]).tobytes()
+        assert all(s == sigma for _, s in scalar)
+
 
 class TestMakeThetaGrid:
     def test_single_node_uniform(self, unit_source):

@@ -4,8 +4,11 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from strategiq import (
+    MASS_FLOOR,
     OptimOptions,
     Quantizer,
     boundary_gradient,
@@ -23,13 +26,13 @@ from strategiq import (
 from strategiq.optimizer import (
     STOP_REASONS,
     _analytic_gradient,
-    _eval_full,
     _increment_gradient,
     _to_boundaries,
     _to_increments,
     _with_edges,
     eavesdropper_chain_term,
 )
+from strategiq.quantizer_core import pooled_cell_stats
 
 INF = math.inf
 
@@ -71,6 +74,45 @@ class TestGradient:
                     assert float(np.max(np.abs(ga - gf))) / denom < 1e-5
                     cases += 1
         assert cases == 18
+
+    @settings(max_examples=100, deadline=None)
+    @given(data=st.data())
+    def test_matches_finite_differences_randomly(self, data):
+        sigma_x = data.draw(st.floats(0.5, 2.0), label="sigma_x")
+        r = data.draw(st.floats(0.5, 2.0), label="r")
+        rho = data.draw(st.floats(-0.95, 0.95, exclude_min=True, exclude_max=True), label="rho")
+        lam = data.draw(st.floats(0.0, 10.0), label="lam")
+        M = data.draw(st.integers(2, 5), label="M")
+        src = make_source(sigma_x, r, rho)
+        grid = make_theta_grid(src, data.draw(st.integers(1, 5), label="n_nodes"), "gauss-hermite")
+        # separated boundaries (gaps of at least 0.05 sigma_x) keep the probes monotone
+        rows = []
+        for _ in range(grid.n_nodes):
+            first = data.draw(st.floats(-2.0, 1.0))
+            gaps = data.draw(st.lists(st.floats(0.05, 1.0), min_size=M - 2, max_size=M - 2))
+            rows.append([-INF, *(sigma_x * np.cumsum([first, *gaps])), INF])
+        q = Quantizer(M=M, boundaries=np.array(rows))
+        ga = boundary_gradient(q, src, grid, lam, "analytic")
+        gf = boundary_gradient(q, src, grid, lam, "finite-difference")
+        # central differences of d_e resolve no better than ~eps * |d_e| / step,
+        # so near a stationary draw the error is measured against that scale
+        floor = 1e-4 * (sigma_x**2 + (1.0 + lam) * src.sigma_theta**2)
+        assert float(np.max(np.abs(ga - gf))) / max(float(np.max(np.abs(gf))), floor) < 1e-5
+
+    def test_decoder_residual_is_theta_hat(self, unit_source, grid17, rng):
+        # the chain term through y weighs cell m by E[X + theta | m] - y_m,
+        # which the decoder's best response y_m = E[X | m] turns into theta_hat_m
+        for M in (2, 3, 5):
+            q = _separated_random_quantizer(rng, 17, M)
+            b = np.array(q.boundaries)
+            if M > 2:
+                b[:, 1] = b[:, 2]  # every row skips message 2
+            q = Quantizer(M=M, boundaries=b)
+            br, _ = evaluate(q, unit_source, grid17, 1.0)
+            stats = pooled_cell_stats(q, unit_source, grid17)
+            n = stats["N"]
+            residual = np.divide(stats["A"] + stats["T"], n, out=br.y.copy(), where=n >= MASS_FLOOR)
+            np.testing.assert_allclose(residual - br.y, br.theta_hat, rtol=0, atol=1e-14)
 
     def test_correlated_source_matches_finite_differences(self, rng):
         src = make_source(1.1, 0.9, -0.45)
@@ -125,12 +167,12 @@ class TestIncrements:
 
         def d_e(xv):
             q_x = _with_edges(_to_boundaries(xv, scale), 5)
-            return _eval_full(q_x, unit_source, grid, lam)[2].d_e
+            return evaluate(q_x, unit_source, grid, lam)[1].d_e
 
         q = _with_edges(_to_boundaries(x, scale), 5)
-        stats, br, _ = _eval_full(q, unit_source, grid, lam)
+        br, _ = evaluate(q, unit_source, grid, lam)
         grad = _increment_gradient(
-            _analytic_gradient(q.interior(), unit_source, grid, lam, stats, br), scale
+            _analytic_gradient(q.interior(), unit_source, grid, lam, br), scale
         )
         fd = np.zeros_like(x)
         for idx in np.ndindex(*x.shape):

@@ -10,10 +10,7 @@ from hypothesis import strategies as st
 from strategiq import (
     BestResponses,
     Quantizer,
-    best_responses,
-    decoder_best_response,
     distortions,
-    eavesdropper_best_response,
     evaluate,
     lloyd_max,
     lloyd_max_quantizer,
@@ -67,19 +64,19 @@ class TestValidate:
 class TestDecoderBestResponse:
     def test_single_cell_gives_prior_mean(self, unit_source, grid17):
         q = Quantizer(M=1, boundaries=np.tile([-INF, INF], (17, 1)))
-        y = decoder_best_response(q, unit_source, grid17)
+        y = evaluate(q, unit_source, grid17, 0.0)[0].y
         np.testing.assert_allclose(y, [0.0], atol=1e-12)
 
     def test_symmetric_split_half_normal_means(self, unit_source, grid17):
         q = Quantizer(M=2, boundaries=np.tile([-INF, 0.0, INF], (17, 1)))
-        y = decoder_best_response(q, unit_source, grid17)
+        y = evaluate(q, unit_source, grid17, 0.0)[0].y
         half_normal = math.sqrt(2.0 / math.pi)  # = 2*phi(0), conditional mean of |X|
         np.testing.assert_allclose(y, [-half_normal, half_normal], atol=1e-12)
 
     def test_mixed_boundaries_match_monte_carlo(self, unit_source):
         grid = make_theta_grid(unit_source, 2, "gauss-hermite")  # nodes -1, +1
         q = Quantizer(M=2, boundaries=_rows([-INF, -0.5, INF], [-INF, 0.5, INF]))
-        br = best_responses(q, unit_source, grid)
+        br = evaluate(q, unit_source, grid, 0.0)[0]
         mc = monte_carlo_distortions(q, br, unit_source, grid, 0.0, 1_000_000, seed=5)
         # pooled-centroid optimality: MC distortion with these y's must not be
         # beatable by nudging y (sampled quadratic check)
@@ -96,28 +93,28 @@ class TestDecoderBestResponse:
     def test_empty_cell_fallback_midpoint(self, unit_source):
         grid = make_theta_grid(unit_source, 2, "gauss-hermite")
         q = Quantizer(M=3, boundaries=_rows([-INF, 0.2, 0.2, INF], [-INF, 0.2, 0.2, INF]))
-        y = decoder_best_response(q, unit_source, grid)
+        y = evaluate(q, unit_source, grid, 0.0)[0].y
         assert y[1] == pytest.approx(0.2)  # midpoint of the collapsed span
 
 
 class TestEavesdropperBestResponse:
     def test_identical_rows_reveal_nothing(self, unit_source, grid17):
         q = Quantizer(M=2, boundaries=np.tile([-INF, 0.7, INF], (17, 1)))
-        th = eavesdropper_best_response(q, unit_source, grid17)
+        th = evaluate(q, unit_source, grid17, 0.0)[0].theta_hat
         np.testing.assert_allclose(th, [0.0, 0.0], atol=1e-12)
 
     def test_message_reveals_theta_exactly(self, unit_source):
         grid = make_theta_grid(unit_source, 2, "gauss-hermite")
         # node -1 always sends message 1, node +1 always message 2
         q = Quantizer(M=2, boundaries=_rows([-INF, INF, INF], [-INF, -INF, INF]))
-        th = eavesdropper_best_response(q, unit_source, grid)
+        th = evaluate(q, unit_source, grid, 0.0)[0].theta_hat
         np.testing.assert_allclose(th, [-1.0, 1.0], atol=1e-12)
 
     def test_mixed_case_against_monte_carlo(self, unit_source):
         grid = make_theta_grid(unit_source, 2, "gauss-hermite")
         q = Quantizer(M=2, boundaries=_rows([-INF, -0.5, INF], [-INF, 0.5, INF]))
-        br = best_responses(q, unit_source, grid)
         lam = 1.0
+        br = evaluate(q, unit_source, grid, lam)[0]
         mc = monte_carlo_distortions(q, br, unit_source, grid, lam, 1_000_000, seed=17)
         assert abs(mc.report.d_theta - distortions(q, br, unit_source, grid, lam).d_theta) \
             < 3.0 * mc.se_d_theta
@@ -197,7 +194,7 @@ class TestDistortions:
         # hulls their centroids are drawn from
         for _ in range(10):
             q = _random_quantizer(rng, 17, 4)
-            br = best_responses(q, unit_source, grid17)
+            br = evaluate(q, unit_source, grid17, 0.0)[0]
             assert br.cell_mass.sum() == pytest.approx(1.0, abs=1e-10)
             assert np.all(br.theta_hat >= grid17.nodes.min() - 1e-12)
             assert np.all(br.theta_hat <= grid17.nodes.max() + 1e-12)
