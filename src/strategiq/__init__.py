@@ -11,14 +11,11 @@ on nonnegative boundary increments when it is not, and ships the oracles
 
 from .gaussian_model import (
     MASS_FLOOR,
-    PartialMoments,
     SourceSpec,
     ThetaGrid,
     cell_moments,
-    conditional_density,
     make_source,
     make_theta_grid,
-    partial_moments,
 )
 from .linear_equilibrium import (
     LinearEquilibrium,
@@ -33,8 +30,6 @@ from .linear_equilibrium import (
 from .metrics import (
     LloydMaxResult,
     SimilarityReport,
-    kl_similarity,
-    limit_identities,
     lloyd_max,
     lloyd_max_quantizer,
     max_kl,
@@ -71,14 +66,11 @@ __version__ = "0.1.0"
 
 __all__ = [
     "MASS_FLOOR",
-    "PartialMoments",
     "SourceSpec",
     "ThetaGrid",
     "cell_moments",
-    "conditional_density",
     "make_source",
     "make_theta_grid",
-    "partial_moments",
     "LinearEquilibrium",
     "MomentBundle",
     "best_response_coeffs",
@@ -89,8 +81,6 @@ __all__ = [
     "solve_equilibrium",
     "LloydMaxResult",
     "SimilarityReport",
-    "kl_similarity",
-    "limit_identities",
     "lloyd_max",
     "lloyd_max_quantizer",
     "max_kl",

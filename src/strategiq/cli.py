@@ -86,10 +86,10 @@ class SweepConfig:
     rho: float = 0.0
     theta_nodes: int = 17
     theta_scheme: str = "gauss-hermite"
-    eps: float = 1e-9
-    max_iters: int = 20_000
-    n_restarts: int = 8
-    seed: int = 0
+    eps: float = OptimOptions.eps
+    max_iters: int = OptimOptions.max_iters
+    n_restarts: int = OptimOptions.n_restarts
+    seed: int = OptimOptions.seed
     out: str | None = None
     format: str = "csv"
     verify: bool = False
@@ -401,23 +401,23 @@ def _build_parser() -> argparse.ArgumentParser:
 
     lin = sub.add_parser("linear", help="closed-form rate-unconstrained equilibrium")
     lin.add_argument("--lambda", dest="lam", type=float, required=True)
-    lin.add_argument("--rho", type=float, default=0.0)
-    lin.add_argument("--r", type=float, default=1.0)
-    lin.add_argument("--sigma-x", type=float, default=1.0)
+    lin.add_argument("--rho", type=float, default=SweepConfig.rho)
+    lin.add_argument("--r", type=float, default=SweepConfig.r)
+    lin.add_argument("--sigma-x", type=float, default=SweepConfig.sigma_x)
 
     des = sub.add_parser("design", help="design one strategic quantizer and write JSON")
     des.add_argument("--m", type=int, required=True)
     des.add_argument("--lambda", dest="lam", type=float, required=True)
     des.add_argument("--out", required=True)
-    des.add_argument("--sigma-x", type=float, default=1.0)
-    des.add_argument("--r", type=float, default=1.0)
-    des.add_argument("--rho", type=float, default=0.0)
-    des.add_argument("--theta-nodes", type=int, default=17)
-    des.add_argument("--theta-scheme", choices=GRID_SCHEMES, default="gauss-hermite")
-    des.add_argument("--seed", type=int, default=0)
-    des.add_argument("--eps", type=float, default=1e-9)
-    des.add_argument("--max-iters", type=int, default=20_000)
-    des.add_argument("--n-restarts", type=int, default=8)
+    des.add_argument("--sigma-x", type=float, default=SweepConfig.sigma_x)
+    des.add_argument("--r", type=float, default=SweepConfig.r)
+    des.add_argument("--rho", type=float, default=SweepConfig.rho)
+    des.add_argument("--theta-nodes", type=int, default=SweepConfig.theta_nodes)
+    des.add_argument("--theta-scheme", choices=GRID_SCHEMES, default=SweepConfig.theta_scheme)
+    des.add_argument("--seed", type=int, default=SweepConfig.seed)
+    des.add_argument("--eps", type=float, default=SweepConfig.eps)
+    des.add_argument("--max-iters", type=int, default=SweepConfig.max_iters)
+    des.add_argument("--n-restarts", type=int, default=SweepConfig.n_restarts)
     return parser
 
 

@@ -105,14 +105,6 @@ class ThetaGrid:
         return float(np.dot(self.weights, self.nodes**2))
 
 
-@dataclass(frozen=True)
-class PartialMoments:
-    """Probability and first partial moment of X over one interval, given theta."""
-
-    mass: float
-    first: float
-
-
 def make_source(sigma_x: float, r: float, rho: float) -> SourceSpec:
     """Validate and build a SourceSpec; sigma_theta is derived as r * sigma_x."""
     if not (math.isfinite(sigma_x) and math.isfinite(r) and math.isfinite(rho)):
@@ -163,34 +155,6 @@ def _phi(z: np.ndarray) -> np.ndarray:
 def _zphi(z: np.ndarray, phi: np.ndarray) -> np.ndarray:
     """z * phi(z) with the correct zero limit at +-inf."""
     return np.multiply(z, phi, out=np.zeros_like(phi), where=np.isfinite(z))
-
-
-def partial_moments(source: SourceSpec, theta_j: float, a: float, b: float) -> PartialMoments:
-    """Mass and first partial moment of X | theta=theta_j over [a, b].
-
-    a and b may be +-inf.  Exact up to error-function precision; the scalar
-    case of interval_moments.
-    """
-    if math.isnan(a) or math.isnan(b):
-        raise ValueError("interval endpoints must not be NaN")
-    if a > b:
-        raise ValueError(f"interval endpoints must satisfy a <= b, got ({a}, {b})")
-    mu_c, sigma_c = source.conditional_params(theta_j)
-    if sigma_c == 0.0:
-        # degenerate source: X | theta is a point mass at mu_c (half-open cells)
-        mass = 1.0 if a <= mu_c < b else 0.0
-        return PartialMoments(mass=mass, first=mu_c * mass)
-    mass, first, _ = interval_moments(mu_c, sigma_c, np.array([a, b]))
-    return PartialMoments(mass=float(mass[0]), first=float(first[0]))
-
-
-def conditional_density(source: SourceSpec, theta_j: float, x: float) -> float:
-    """Density of X | theta=theta_j at x; rejects degenerate sources."""
-    if source.degenerate:
-        raise ValueError("conditional density undefined for |rho| = 1")
-    mu_c, sigma_c = source.conditional_params(theta_j)
-    z = (x - mu_c) / sigma_c
-    return math.exp(-0.5 * z * z) / (_SQRT2PI * sigma_c)
 
 
 def interval_moments(

@@ -69,12 +69,25 @@ def moment_bundle(source: SourceSpec, alpha: float) -> MomentBundle:
     return MomentBundle(v=v, c_x=c_x, c_s=c_s, c_xs=c_x + c_s)
 
 
-def best_response_coeffs(source: SourceSpec, alpha: float) -> tuple[float, float]:
-    """MMSE scalings (kappa, nu) of the decoder and eavesdropper against alpha."""
+def _linear_terms(source: SourceSpec, alpha: float) -> tuple[float, float, float, float, float]:
+    """(kappa, nu, fidelity, d_d, d_theta) at alpha and the followers' MMSE responses."""
     mb = moment_bundle(source, alpha)
     if mb.v <= 0:
         raise ValueError("E[Z^2] must be positive; degenerate encoder configuration")
-    return mb.c_x / mb.v, mb.c_s / mb.v
+    sx, st, rho = source.sigma_x, source.sigma_theta, source.rho
+    kappa = mb.c_x / mb.v
+    nu = mb.c_s / mb.v
+    e_xt2 = sx**2 + 2.0 * rho * sx * st + st**2
+    fidelity = e_xt2 - 2.0 * kappa * mb.c_xs + kappa**2 * mb.v
+    d_d = sx**2 - 2.0 * kappa * mb.c_x + kappa**2 * mb.v
+    d_theta = st**2 - 2.0 * nu * mb.c_s + nu**2 * mb.v
+    return kappa, nu, fidelity, d_d, d_theta
+
+
+def best_response_coeffs(source: SourceSpec, alpha: float) -> tuple[float, float]:
+    """MMSE scalings (kappa, nu) of the decoder and eavesdropper against alpha."""
+    kappa, nu, _, _, _ = _linear_terms(source, alpha)
+    return kappa, nu
 
 
 def encoder_objective(source: SourceSpec, alpha: float, lam: float) -> float:
@@ -85,15 +98,7 @@ def encoder_objective(source: SourceSpec, alpha: float, lam: float) -> float:
     """
     if lam < 0:
         raise ValueError("lam must be nonnegative")
-    mb = moment_bundle(source, alpha)
-    if mb.v <= 0:
-        raise ValueError("E[Z^2] must be positive; degenerate encoder configuration")
-    sx, st, rho = source.sigma_x, source.sigma_theta, source.rho
-    kappa = mb.c_x / mb.v
-    nu = mb.c_s / mb.v
-    e_xt2 = sx**2 + 2.0 * rho * sx * st + st**2
-    fidelity = e_xt2 - 2.0 * kappa * mb.c_xs + kappa**2 * mb.v
-    d_theta = st**2 - 2.0 * nu * mb.c_s + nu**2 * mb.v
+    _, _, fidelity, _, d_theta = _linear_terms(source, alpha)
     return fidelity - lam * d_theta
 
 
@@ -147,16 +152,7 @@ def linear_distortions(source: SourceSpec, alpha: float, lam: float) -> Distorti
     """All distortions of the linear strategy profile at (alpha, MMSE responses)."""
     if lam < 0:
         raise ValueError("lam must be nonnegative")
-    mb = moment_bundle(source, alpha)
-    if mb.v <= 0:
-        raise ValueError("E[Z^2] must be positive; degenerate encoder configuration")
-    sx, st, rho = source.sigma_x, source.sigma_theta, source.rho
-    kappa = mb.c_x / mb.v
-    nu = mb.c_s / mb.v
-    e_xt2 = sx**2 + 2.0 * rho * sx * st + st**2
-    fidelity = e_xt2 - 2.0 * kappa * mb.c_xs + kappa**2 * mb.v
-    d_d = sx**2 - 2.0 * kappa * mb.c_x + kappa**2 * mb.v
-    d_theta = st**2 - 2.0 * nu * mb.c_s + nu**2 * mb.v
+    _, _, fidelity, d_d, d_theta = _linear_terms(source, alpha)
     return DistortionReport(
         d_e=fidelity - lam * d_theta, fidelity=fidelity, d_d=d_d, d_theta=d_theta
     )

@@ -1,4 +1,4 @@
-"""Quantizer similarity, the non-strategic Lloyd-Max baseline, and limit checks.
+"""Quantizer similarity and the non-strategic Lloyd-Max baseline.
 
 Similarity between two theta nodes' rows is the KL divergence between the
 message distributions they induce under the *marginal* law of X:
@@ -24,7 +24,7 @@ import numpy as np
 from scipy.special import ndtr, ndtri
 
 from .gaussian_model import MASS_FLOOR, SourceSpec, ThetaGrid, _phi, _zphi
-from .quantizer_core import DistortionReport, Quantizer
+from .quantizer_core import Quantizer
 
 
 @dataclass(frozen=True)
@@ -46,23 +46,17 @@ class LloydMaxResult:
 
 
 def _marginal_message_probs(q: Quantizer, source: SourceSpec) -> np.ndarray:
-    """(n_theta, M) matrix of marginal-of-X cell masses for every row."""
-    cdf = ndtr(q.boundaries / source.sigma_x)
-    return cdf[:, 1:] - cdf[:, :-1]
+    """(n_theta, M) matrix of marginal-of-X cell masses for every row.
 
-
-def kl_similarity(q: Quantizer, source: SourceSpec, theta_a_index: int, theta_b_index: int) -> float:
-    """KL divergence (nats) between rows a and b's message distributions.
-
-    Zero-mass cells of row a contribute 0; a cell with mass under row a but
-    none under row b yields the +inf sentinel.
+    Each cell is formed from the tail it lies in, so an upper-tail cell does
+    not round to 0 (Phi(b) - Phi(a) does once a > ~8.3 sigma_x) and a row and
+    its mirror image get the same masses in reverse order.
     """
-    probs = _marginal_message_probs(q, source)
-    n_rows = probs.shape[0]
-    for idx in (theta_a_index, theta_b_index):
-        if not (0 <= idx < n_rows):
-            raise IndexError(f"row index {idx} out of range for {n_rows} theta nodes")
-    return _kl_from_probs(probs[theta_a_index], probs[theta_b_index])
+    z = q.boundaries / source.sigma_x
+    below, above = ndtr(z), ndtr(-z)  # mass below and above each boundary
+    across = 1.0 - (below[:, :-1] + above[:, 1:])
+    in_lower = np.where(z[:, 1:] <= 0.0, below[:, 1:] - below[:, :-1], across)
+    return np.where(z[:, :-1] >= 0.0, above[:, :-1] - above[:, 1:], in_lower)
 
 
 def _kl_from_probs(pa: np.ndarray, pb: np.ndarray) -> float:
@@ -139,12 +133,3 @@ def lloyd_max_quantizer(source: SourceSpec, M: int, grid: ThetaGrid) -> Quantize
     lm = lloyd_max(source, M)
     return Quantizer(M=M, boundaries=np.tile(lm.boundaries, (grid.n_nodes, 1)))
 
-
-def limit_identities(report: DistortionReport, source: SourceSpec, lam: float) -> dict[str, float]:
-    """Residuals of the large-lam identities (meaningful only for large lam).
-
-    At the privacy-dominated limit with rho = 0 the encoder's fidelity
-    approaches d_d + sigma_theta^2; the caller interprets the residual.
-    """
-    residual = abs(report.fidelity - (report.d_d + source.sigma_theta**2))
-    return {"encoder_limit_residual": residual, "lam": lam}

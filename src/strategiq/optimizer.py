@@ -11,8 +11,8 @@ boundary takes the followers' dependence into account:
   E[theta | m] = theta_hat_m, the eavesdropper's estimate (both are 0 in an
   empty cell), so the chain term needs only the two responses,
 * no chain term through the eavesdropper estimates: d_e contains the
-  eavesdropper's own loss, so its best response is stationary there.  A debug
-  helper computes this analytically-zero term explicitly so tests can pin it.
+  eavesdropper's own loss, so its best response is stationary there.
+  tests/test_optimizer.py computes this analytically-zero term to pin it.
 
 The descent works on each row's first interior boundary plus increments
 d >= 0, so the monotone cone is a box and a skipped message is d = 0.  Row j
@@ -31,14 +31,13 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .gaussian_model import MASS_FLOOR, SourceSpec, ThetaGrid, _phi
+from .gaussian_model import SourceSpec, ThetaGrid, _phi
 from .metrics import lloyd_max
 from .quantizer_core import (
     BestResponses,
     DistortionReport,
     Quantizer,
     evaluate,
-    pooled_cell_stats,
     quantizer_to_dict,
     validate,
 )
@@ -119,32 +118,6 @@ def _analytic_gradient(
     chain = 2.0 * (b * dth - (theta_hat[1:] * y[1:] - theta_hat[:-1] * y[:-1]))
 
     return grid.weights[:, None] * f * (direct + chain)
-
-
-def eavesdropper_chain_term(
-    q: Quantizer, source: SourceSpec, grid: ThetaGrid, lam: float
-) -> np.ndarray:
-    """The gradient contribution through theta_hat, computed explicitly.
-
-    At the eavesdropper's best response this is identically zero (its loss
-    enters d_e with its own minimizer); returned so tests can assert it.
-    """
-    theta_hat = evaluate(q, source, grid, lam)[0].theta_hat
-    b = q.interior()
-    if b.size == 0:
-        return np.zeros_like(b)
-    theta = grid.nodes[:, None]
-    w = grid.weights[:, None]
-    f = _row_density(source, grid, b)
-    stats = pooled_cell_stats(q, source, grid)
-    n, t = stats["N"], stats["T"]
-    # d d_e / d theta_hat_k = 2 lam (T_k - theta_hat_k N_k)
-    dde = 2.0 * lam * (t - theta_hat * n)
-    with np.errstate(invalid="ignore", divide="ignore"):
-        safe_n = np.where(n >= MASS_FLOOR, n, np.inf)
-    left = dde[:-1][None, :] * (theta - theta_hat[:-1][None, :]) / safe_n[:-1][None, :]
-    right = dde[1:][None, :] * (theta - theta_hat[1:][None, :]) / safe_n[1:][None, :]
-    return w * f * (left - right)
 
 
 def _fd_gradient(

@@ -6,11 +6,13 @@ import math
 import numpy as np
 import pytest
 
+from strategiq import OptimOptions
 from strategiq.cli import (
     CSV_COLUMNS,
     ConfigError,
     SweepConfig,
     SweepRow,
+    _build_parser,
     config_from_dict,
     emit,
     load_rows,
@@ -42,6 +44,20 @@ class TestConfig:
     def test_quantizer_mode_rejects_linear_sentinel(self):
         with pytest.raises(ConfigError):
             config_from_dict({"mode": "quantizer", "m_values": [0, 2]})
+
+    def test_subcommand_defaults_are_sweep_config_defaults(self):
+        cfg = SweepConfig()
+        opts = OptimOptions()
+        assert (cfg.eps, cfg.max_iters, cfg.n_restarts, cfg.seed) == (
+            opts.eps, opts.max_iters, opts.n_restarts, opts.seed)
+        parser = _build_parser()
+        design = parser.parse_args(["design", "--m", "2", "--lambda", "1", "--out", "x"])
+        linear = parser.parse_args(["linear", "--lambda", "1"])
+        for name in ("sigma_x", "r", "rho", "theta_nodes", "theta_scheme",
+                     "seed", "eps", "max_iters", "n_restarts"):
+            assert getattr(design, name) == getattr(cfg, name), name
+        for name in ("sigma_x", "r", "rho"):
+            assert getattr(linear, name) == getattr(cfg, name), name
 
     def test_lambda_log_range(self):
         lams = resolve_lambdas({"start": 0.01, "stop": 100.0, "points": 5}, 1e7)

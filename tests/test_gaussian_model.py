@@ -7,15 +7,23 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.integrate import quad
+from scipy.stats import norm
 
-from strategiq import (
-    Quantizer,
-    cell_moments,
-    conditional_density,
-    make_source,
-    make_theta_grid,
-    partial_moments,
-)
+from strategiq import Quantizer, ThetaGrid, cell_moments, make_source, make_theta_grid
+from strategiq.gaussian_model import interval_moments
+from strategiq.optimizer import _row_density
+
+
+def _one_cell(src, theta_j, a, b):
+    """(mass, first) of X | theta=theta_j over [a, b], from interval_moments."""
+    mu_c, sigma_c = src.conditional_params(theta_j)
+    mass, first, _ = interval_moments(mu_c, sigma_c, np.array([a, b]))
+    return float(mass[0]), float(first[0])
+
+
+def _conditional_pdf(src, theta_j):
+    mu_c, sigma_c = src.conditional_params(theta_j)
+    return norm(mu_c, sigma_c).pdf
 
 
 class TestMakeSource:
@@ -96,74 +104,67 @@ class TestMakeThetaGrid:
 
 class TestPartialMoments:
     def test_full_line(self, unit_source):
-        pm = partial_moments(unit_source, 0.0, -math.inf, math.inf)
-        assert pm.mass == pytest.approx(1.0, abs=1e-15)
-        assert pm.first == pytest.approx(0.0, abs=1e-15)
+        mass, first = _one_cell(unit_source, 0.0, -math.inf, math.inf)
+        assert mass == pytest.approx(1.0, abs=1e-15)
+        assert first == pytest.approx(0.0, abs=1e-15)
 
     def test_half_line(self, unit_source):
         # half-normal mean: E[X 1{X >= 0}] = 1/sqrt(2*pi)
-        pm = partial_moments(unit_source, 0.0, 0.0, math.inf)
-        assert pm.mass == pytest.approx(0.5, abs=1e-15)
-        assert pm.first == pytest.approx(1.0 / math.sqrt(2.0 * math.pi), abs=1e-14)
+        mass, first = _one_cell(unit_source, 0.0, 0.0, math.inf)
+        assert mass == pytest.approx(0.5, abs=1e-15)
+        assert first == pytest.approx(1.0 / math.sqrt(2.0 * math.pi), abs=1e-14)
 
     def test_empty_interval(self, unit_source):
-        pm = partial_moments(unit_source, 0.0, 1.0, 1.0)
-        assert pm.mass == 0.0
-        assert pm.first == 0.0
-
-    def test_bad_intervals_rejected(self, unit_source):
-        with pytest.raises(ValueError):
-            partial_moments(unit_source, 0.0, 1.0, 0.0)
-        with pytest.raises(ValueError):
-            partial_moments(unit_source, 0.0, math.nan, 1.0)
+        assert _one_cell(unit_source, 0.0, 1.0, 1.0) == (0.0, 0.0)
 
     def test_matches_adaptive_quadrature(self, rng):
         src = make_source(1.3, 0.8, 0.4)
         for _ in range(100):
             theta_j = float(rng.normal(scale=src.sigma_theta))
             a, b = np.sort(rng.normal(scale=2.0, size=2))
-            pm = partial_moments(src, theta_j, a, b)
-            mass_q, _ = quad(lambda x: conditional_density(src, theta_j, x), a, b)
-            first_q, _ = quad(lambda x: x * conditional_density(src, theta_j, x), a, b)
-            assert pm.mass == pytest.approx(mass_q, abs=1e-9)
-            assert pm.first == pytest.approx(first_q, abs=1e-9)
+            mass, first = _one_cell(src, theta_j, a, b)
+            pdf = _conditional_pdf(src, theta_j)
+            assert mass == pytest.approx(quad(pdf, a, b)[0], abs=1e-9)
+            assert first == pytest.approx(quad(lambda x: x * pdf(x), a, b)[0], abs=1e-9)
 
     def test_partition_sums(self, rng):
         # any partition: masses sum to 1, first moments to the conditional mean
         src = make_source(1.0, 2.0, -0.6)
         for theta_j in (-1.5, 0.0, 2.0):
-            mu_c, _ = src.conditional_params(theta_j)
+            mu_c, sigma_c = src.conditional_params(theta_j)
             cuts = np.sort(rng.normal(size=7))
             edges = np.concatenate(([-math.inf], cuts, [math.inf]))
-            moments = [
-                partial_moments(src, theta_j, a, b) for a, b in zip(edges[:-1], edges[1:])
-            ]
-            assert sum(pm.mass for pm in moments) == pytest.approx(1.0, abs=1e-10)
-            assert sum(pm.first for pm in moments) == pytest.approx(mu_c, abs=1e-10)
+            mass, first, _ = interval_moments(mu_c, sigma_c, edges)
+            assert mass.sum() == pytest.approx(1.0, abs=1e-10)
+            assert first.sum() == pytest.approx(mu_c, abs=1e-10)
 
 
 class TestConditionalDensity:
+    # the pipeline's conditional density is the descent's vectorized _row_density
     def test_standard_normal_at_zero(self, unit_source):
-        assert conditional_density(unit_source, 0.0, 0.0) == pytest.approx(0.398942, abs=1e-6)
+        grid = make_theta_grid(unit_source, 1, "uniform-truncated")
+        density = _row_density(unit_source, grid, np.array([[0.0]]))
+        assert density[0, 0] == pytest.approx(0.398942, abs=1e-6)
 
     def test_far_tail(self, unit_source):
-        assert conditional_density(unit_source, 0.0, 10.0) < 1e-20
+        grid = make_theta_grid(unit_source, 1, "uniform-truncated")
+        assert _row_density(unit_source, grid, np.array([[10.0]]))[0, 0] < 1e-20
 
     def test_correlated_case(self):
         # X | theta=2 ~ N(rho*(sigma_x/sigma_theta)*2, 1-rho^2) = N(1, 0.75)
         src = make_source(1.0, 1.0, 0.5)
-        expected = math.exp(-0.0) / math.sqrt(2.0 * math.pi * 0.75)
-        assert conditional_density(src, 2.0, 1.0) == pytest.approx(expected, rel=1e-12)
+        mu_c, sigma_c = src.conditional_params(2.0)
+        assert mu_c == pytest.approx(1.0, rel=1e-15)
+        assert sigma_c**2 == pytest.approx(0.75, rel=1e-15)
+        grid = ThetaGrid(nodes=np.array([2.0]), weights=np.array([1.0]))
+        expected = 1.0 / math.sqrt(2.0 * math.pi * 0.75)
+        assert _row_density(src, grid, np.array([[1.0]]))[0, 0] == pytest.approx(expected, rel=1e-12)
         assert expected == pytest.approx(0.460659, abs=1e-6)
-
-    def test_degenerate_rejected(self):
-        src = make_source(1.0, 1.0, 1.0)
-        with pytest.raises(ValueError):
-            conditional_density(src, 0.0, 0.0)
 
 
 class TestCellMoments:
     def test_matches_scalar_op(self, rng):
+        # the (J, M) batch agrees with one interval_moments call per cell
         src = make_source(0.9, 1.4, 0.25)
         grid = make_theta_grid(src, 5, "gauss-hermite")
         interior = np.sort(rng.normal(size=(5, 3)), axis=1)
@@ -173,27 +174,28 @@ class TestCellMoments:
         mass, first, _ = cell_moments(src, grid, boundaries)
         for j in range(5):
             for m in range(4):
-                pm = partial_moments(src, grid.nodes[j], boundaries[j, m], boundaries[j, m + 1])
-                assert mass[j, m] == pytest.approx(pm.mass, abs=1e-14)
-                assert first[j, m] == pytest.approx(pm.first, abs=1e-14)
+                mass_jm, first_jm = _one_cell(
+                    src, grid.nodes[j], boundaries[j, m], boundaries[j, m + 1]
+                )
+                assert mass[j, m] == pytest.approx(mass_jm, abs=1e-14)
+                assert first[j, m] == pytest.approx(first_jm, abs=1e-14)
 
     def test_second_moment_against_quadrature(self, rng):
-        src = make_source(1.0, 1.0, 0.3)
-        grid = make_theta_grid(src, 3, "gauss-hermite")
-        interior = np.sort(rng.normal(size=(3, 2)), axis=1)
+        # mass, first and second moment of every cell against adaptive quadrature
+        src = make_source(0.9, 1.4, 0.25)
+        grid = make_theta_grid(src, 5, "gauss-hermite")
+        interior = np.sort(rng.normal(size=(5, 3)), axis=1)
         boundaries = np.hstack(
-            [np.full((3, 1), -math.inf), interior, np.full((3, 1), math.inf)]
+            [np.full((5, 1), -math.inf), interior, np.full((5, 1), math.inf)]
         )
-        _, _, second = cell_moments(src, grid, boundaries)
-        for j in range(3):
-            for m in range(3):
-                a, b = boundaries[j, m], boundaries[j, m + 1]
-                ref, _ = quad(
-                    lambda x: x * x * conditional_density(src, grid.nodes[j], x),
-                    max(a, -40.0),
-                    min(b, 40.0),
-                )
-                assert second[j, m] == pytest.approx(ref, abs=1e-9)
+        moments = cell_moments(src, grid, boundaries)
+        for j in range(5):
+            pdf = _conditional_pdf(src, grid.nodes[j])
+            for m in range(4):
+                a, b = max(boundaries[j, m], -40.0), min(boundaries[j, m + 1], 40.0)
+                for k, moment in enumerate(moments):
+                    ref, _ = quad(lambda x: x**k * pdf(x), a, b)
+                    assert moment[j, m] == pytest.approx(ref, abs=1e-9)
 
     def test_cells_sum_to_total_moments(self, unit_source, grid17):
         q = Quantizer(M=4, boundaries=np.tile([-math.inf, -0.5, 0.3, 1.1, math.inf], (17, 1)))

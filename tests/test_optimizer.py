@@ -27,14 +27,35 @@ from strategiq.optimizer import (
     STOP_REASONS,
     _analytic_gradient,
     _increment_gradient,
+    _row_density,
     _to_boundaries,
     _to_increments,
     _with_edges,
-    eavesdropper_chain_term,
 )
 from strategiq.quantizer_core import pooled_cell_stats
 
 INF = math.inf
+
+
+def eavesdropper_chain_term(q, source, grid, lam):
+    """The gradient contribution through theta_hat, computed explicitly.
+
+    At the eavesdropper's best response this is identically zero (its loss
+    enters d_e with its own minimizer), which is why the descent's gradient
+    has no such term.
+    """
+    theta_hat = evaluate(q, source, grid, lam)[0].theta_hat
+    b = q.interior()
+    theta = grid.nodes[:, None]
+    f = _row_density(source, grid, b)
+    stats = pooled_cell_stats(q, source, grid)
+    n, t = stats["N"], stats["T"]
+    # d d_e / d theta_hat_k = 2 lam (T_k - theta_hat_k N_k)
+    dde = 2.0 * lam * (t - theta_hat * n)
+    safe_n = np.where(n >= MASS_FLOOR, n, np.inf)
+    left = dde[:-1][None, :] * (theta - theta_hat[:-1][None, :]) / safe_n[:-1][None, :]
+    right = dde[1:][None, :] * (theta - theta_hat[1:][None, :]) / safe_n[1:][None, :]
+    return grid.weights[:, None] * f * (left - right)
 
 
 def _separated_random_quantizer(rng, n_rows, M, min_gap=0.05):
