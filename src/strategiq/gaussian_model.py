@@ -57,11 +57,6 @@ class SourceSpec:
     def sigma_theta(self) -> float:
         return self.r * self.sigma_x
 
-    @property
-    def degenerate(self) -> bool:
-        """True when |rho| = 1, i.e. theta is a.s. a multiple of X."""
-        return abs(self.rho) == 1.0
-
     def conditional_params(
         self, theta_j: float | np.ndarray
     ) -> tuple[float | np.ndarray, float]:
@@ -154,7 +149,7 @@ def _phi(z: np.ndarray) -> np.ndarray:
 
 def _zphi(z: np.ndarray, phi: np.ndarray) -> np.ndarray:
     """z * phi(z) with the correct zero limit at +-inf."""
-    return np.multiply(z, phi, out=np.zeros_like(phi), where=np.isfinite(z))
+    return np.multiply(z, phi, out=np.zeros(phi.shape), where=np.isfinite(z))
 
 
 def interval_moments(
@@ -167,7 +162,13 @@ def interval_moments(
     with one entry per cell along the last axis.
     """
     mu_b = np.asarray(mu)[..., None]
-    z = (boundaries - mu_b) / sigma
+    return _standardized_moments(mu_b, sigma, (boundaries - mu_b) / sigma)[:3]
+
+
+def _standardized_moments(
+    mu_b: np.ndarray, sigma: float, z: np.ndarray
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """interval_moments given the standardized edges z; also returns phi(z)."""
     cdf = ndtr(z)
     pdf = _phi(z)
     zpdf = _zphi(z, pdf)
@@ -177,7 +178,7 @@ def interval_moments(
     first = mu_b * mass + sigma * dphi
     # mu^2 mass + 2 mu sigma dphi + sigma^2 (mass + dzphi), factored
     second = mu_b * first + sigma * (mu_b * dphi + sigma * (mass + zpdf[..., :-1] - zpdf[..., 1:]))
-    return mass, first, second
+    return mass, first, second, pdf
 
 
 def cell_moments(

@@ -20,8 +20,11 @@ is scaled by 1/sqrt(w_j), since its gradient and curvature carry its grid
 weight.  A limited-memory BFGS direction on the variables off their bound is
 followed by projected Armijo backtracking, as in L-BFGS-B (Byrd, Lu, Nocedal
 & Zhu, 1995) and projected quasi-Newton (Kim, Sra & Dhillon, 2010).  Every
-accepted step lowers d_e.  The landscape is nonconvex; multistart adds a
-fully-revealing Lloyd-Max start to seeded random starts and keeps the lowest.
+accepted step lowers d_e.  A trial point costs one moment pass, the one
+evaluate uses: Phi and phi at its boundaries, evaluated once, give both
+responses, d_e and the density the gradient needs.  The landscape is
+nonconvex; multistart adds a fully-revealing Lloyd-Max start to seeded
+random starts and keeps the lowest.
 """
 
 from __future__ import annotations
@@ -31,12 +34,14 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .gaussian_model import SourceSpec, ThetaGrid, _phi
+from .gaussian_model import SourceSpec, ThetaGrid
 from .metrics import lloyd_max
 from .quantizer_core import (
     BestResponses,
     DistortionReport,
     Quantizer,
+    _grid_terms,
+    _moment_pass,
     evaluate,
     quantizer_to_dict,
     validate,
@@ -50,6 +55,7 @@ _WEIGHT_FLOOR = 1e-12  # grid weights below this get the scale of this weight
 _MEMORY = 10  # curvature pairs kept by L-BFGS
 _ARMIJO = 1e-4  # sufficient-decrease constant of the line search
 _LINE_SEARCH_HALVINGS = 30
+_EPS = float(np.finfo(float).eps)
 
 
 @dataclass(frozen=True)
@@ -72,8 +78,9 @@ class OptimOptions:
 class DesignResult:
     """One design outcome: the quantizer, responses, distortions, and diagnostics.
 
-    stop_reason (one of STOP_REASONS) and kkt_residual, the inf-norm of the
-    projected gradient at the result, are None for the exhaustive oracle.
+    stop_reason (one of STOP_REASONS), kkt_residual (the inf-norm of the
+    projected gradient at the result) and evals (the objective evaluations
+    the run spent, the start's included) are None for the exhaustive oracle.
     """
 
     quantizer: Quantizer
@@ -85,29 +92,18 @@ class DesignResult:
     restart_index: int | None = None
     stop_reason: str | None = None
     kkt_residual: float | None = None
-
-
-def _row_density(source: SourceSpec, grid: ThetaGrid, points: np.ndarray) -> np.ndarray:
-    """Conditional density f(points[j, c] | theta_j), vectorized over rows."""
-    mu_c, sigma_c = source.conditional_params(grid.nodes)
-    z = (points - mu_c[:, None]) / sigma_c
-    return _phi(z) / sigma_c
+    evals: int | None = None
 
 
 def _analytic_gradient(
-    b: np.ndarray,
-    source: SourceSpec,
-    grid: ThetaGrid,
-    lam: float,
-    br: BestResponses,
+    b: np.ndarray, grid: ThetaGrid, lam: float, y: np.ndarray, theta_hat: np.ndarray, f: np.ndarray
 ) -> np.ndarray:
-    """Gradient of d_e at interior boundaries b, given the best responses br to b.
+    """Gradient of d_e at interior boundaries b, given the best responses y, theta_hat to b.
 
-    One-sided at coincident boundaries.
+    f is the conditional density at b, as _moment_pass returns it.  One-sided
+    at coincident boundaries.
     """
     theta = grid.nodes[:, None]
-    f = _row_density(source, grid, b)
-    y, theta_hat = br.y, br.theta_hat
 
     # differences of squares: (b + theta - y_left)^2 - (b + theta - y_right)^2,
     # and lam times the same for (theta - theta_hat)
@@ -166,8 +162,9 @@ def boundary_gradient(
     if lam < 0:
         raise ValueError("lam must be nonnegative")
     if mode == "analytic":
-        br, _ = evaluate(q, source, grid, lam)
-        grad = _analytic_gradient(q.interior(), source, grid, lam, br)
+        interior = q.interior()
+        _, y, theta_hat, _, f = _moment_pass(interior, _grid_terms(source, grid, q.n_theta), lam)
+        grad = _analytic_gradient(interior, grid, lam, y, theta_hat, f)
         b = q.boundaries
         grad[(b[:, 1:-1] == b[:, :-2]) | (b[:, 1:-1] == b[:, 2:])] = 0.0
         return grad
@@ -199,12 +196,12 @@ def _to_increments(interior: np.ndarray, scale: np.ndarray) -> np.ndarray:
 
 def _to_boundaries(x: np.ndarray, scale: np.ndarray) -> np.ndarray:
     """Inverse of _to_increments."""
-    return np.cumsum(x * scale, axis=1)
+    return (x * scale).cumsum(axis=1)
 
 
 def _increment_gradient(g: np.ndarray, scale: np.ndarray) -> np.ndarray:
     """Boundary gradient g mapped to the scaled increments (increment k moves boundaries k..)."""
-    return np.cumsum(g[:, ::-1], axis=1)[:, ::-1] * scale
+    return g[:, ::-1].cumsum(axis=1)[:, ::-1] * scale
 
 
 def _lbfgs_direction(g: np.ndarray, free: np.ndarray, S: np.ndarray, Y: np.ndarray) -> np.ndarray:
@@ -270,26 +267,24 @@ def design(
     if not report_problems.ok:
         raise ValueError(f"invalid init quantizer: {report_problems.violations}")
 
-    q = init
-    br, rep = evaluate(q, source, grid, lam)
-    trajectory = [rep.d_e]
-    if M == 1:
-        return DesignResult(
-            q, br, rep, iterations=0, converged=True, trajectory=np.array(trajectory),
-            stop_reason="tolerance", kkt_residual=0.0,
-        )
-
+    # the loop calls the moment pass itself; responses, report and quantizer
+    # are built once, for the result
+    terms = _grid_terms(source, grid, grid.n_nodes)
+    b = init.interior()
+    sums, resp_y, theta_hat, dist, density = _moment_pass(b, terms, lam)
+    trajectory = [dist[0]]
     shift = lam * grid.second_moment()
     scale = 1.0 / np.sqrt(np.maximum(grid.weights, _WEIGHT_FLOOR))[:, None]
-    x = _to_increments(q.interior(), scale)
+    x = _to_increments(b, scale)
     lower = np.zeros_like(x)
-    lower[:, 0] = -np.inf
-    f = rep.d_e + shift
-    g = _increment_gradient(_analytic_gradient(q.interior(), source, grid, lam, br), scale)
+    lower[:, :1] = -np.inf
+    f = dist[0] + shift
+    g = _increment_gradient(_analytic_gradient(b, grid, lam, resp_y, theta_hat, density), scale)
     S = Y = np.empty((0, x.size))  # curvature pairs as rows, oldest first
     iterations, evals = 0, 1
     while True:
-        kkt_residual = float(np.max(np.abs(x - np.maximum(x - g, lower))))
+        # at M = 1 there are no variables, and the residual 0 stops at once
+        kkt_residual = float(np.abs(x - np.maximum(x - g, lower)).max(initial=0.0))
         if kkt_residual <= opts.eps * max(1.0, f):
             stop_reason = "tolerance"
             break
@@ -298,14 +293,15 @@ def design(
             break
         p = _lbfgs_direction(g, (x > lower) | (g <= 0.0), S, Y)
         # a memoryless step moves no variable by more than one scaled unit
-        alpha = 1.0 if S.size else min(1.0, 1.0 / float(np.max(np.abs(p))))
+        alpha = 1.0 if S.size else min(1.0, 1.0 / float(np.abs(p).max()))
         for _ in range(_LINE_SEARCH_HALVINGS):
             x_new = np.maximum(x + alpha * p, lower)
-            q_new = _with_edges(_to_boundaries(x_new, scale), grid.n_nodes)
-            br_new, rep_new = evaluate(q_new, source, grid, lam)
+            b_new = _to_boundaries(x_new, scale)
+            trial = _moment_pass(b_new, terms, lam)
             evals += 1
-            f_new = rep_new.d_e + shift
-            if f_new < f and f_new <= f + _ARMIJO * np.vdot(g, x_new - x):
+            f_new = trial[3][0] + shift
+            dx = x_new - x
+            if f_new < f and f_new <= f + _ARMIJO * np.vdot(g, dx):
                 break
             alpha *= 0.5
         else:
@@ -314,24 +310,26 @@ def design(
                 break
             S = Y = S[:0]  # retry once along the projected gradient
             continue
-        g_new = _analytic_gradient(q_new.interior(), source, grid, lam, br_new)
+        sums, resp_y, theta_hat, dist, density = trial
+        g_new = _analytic_gradient(b_new, grid, lam, resp_y, theta_hat, density)
         g_new = _increment_gradient(g_new, scale)
-        s, y = (x_new - x).ravel(), (g_new - g).ravel()
-        if s.dot(y) > np.finfo(float).eps * y.dot(y):
+        s, y = dx.ravel(), (g_new - g).ravel()
+        if s.dot(y) > _EPS * y.dot(y):
             S = np.concatenate((S[1 - _MEMORY:], s[None]))
             Y = np.concatenate((Y[1 - _MEMORY:], y[None]))
-        x, f, g = x_new, f_new, g_new
-        q, br, rep = q_new, br_new, rep_new
-        trajectory.append(rep.d_e)
+        x, f, g, b = x_new, f_new, g_new, b_new
+        trajectory.append(dist[0])
         iterations += 1
 
     logger.debug(
         "design M=%d lam=%g: iters=%d evals=%d stop=%s d_e=%.9g kkt_residual=%.3g",
-        M, lam, iterations, evals, stop_reason, rep.d_e, kkt_residual,
+        M, lam, iterations, evals, stop_reason, dist[0], kkt_residual,
     )
     return DesignResult(
-        q, br, rep, iterations=iterations, converged=stop_reason == "tolerance",
-        trajectory=np.array(trajectory), stop_reason=stop_reason, kkt_residual=kkt_residual,
+        _with_edges(b, grid.n_nodes), BestResponses(resp_y, theta_hat, sums[0]),
+        DistortionReport(*dist), iterations=iterations,
+        converged=stop_reason == "tolerance", trajectory=np.array(trajectory),
+        stop_reason=stop_reason, kkt_residual=kkt_residual, evals=evals,
     )
 
 

@@ -23,7 +23,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .gaussian_model import MASS_FLOOR, SourceSpec, ThetaGrid, cell_moments
+from .gaussian_model import MASS_FLOOR, SourceSpec, ThetaGrid, _standardized_moments
 
 
 @dataclass(frozen=True)
@@ -104,6 +104,44 @@ def validate(q: Quantizer) -> ValidationReport:
     return ValidationReport(tuple(violations), tuple(notes))
 
 
+def _grid_terms(source: SourceSpec, grid: ThetaGrid, n_rows: int) -> tuple:
+    """_moment_pass's constants: mu_c column, sigma_c, -inf/+inf columns, w, w*theta, w*theta^2."""
+    if n_rows != grid.n_nodes:
+        raise ValueError("boundaries must have one row per theta node")
+    mu_c, sigma_c = source.conditional_params(grid.nodes)
+    if sigma_c == 0.0:
+        raise ValueError("cell moments require a nondegenerate source (|rho| < 1)")
+    edge = np.full((n_rows, 1), np.inf)
+    w = grid.weights
+    return mu_c[:, None], sigma_c, -edge, edge, w, w * grid.nodes, w * grid.nodes**2
+
+
+def _moment_pass(interior: np.ndarray, terms: tuple, lam: float) -> tuple:
+    """One Phi/phi evaluation at the interior boundaries (n_nodes, M-1), and all it yields.
+
+    The cell moments are interval_moments', with the +-inf edges entering z
+    as +-inf.  Returns (sums, y, theta_hat, distortions, density):
+    the pooled (N, A, S, T, B, U) of pooled_cell_stats, both best responses,
+    DistortionReport's (d_e, fidelity, d_d, d_theta), and the conditional
+    density of X at each interior boundary.
+    """
+    mu, sigma, edge_lo, edge_hi, w, wt, wt2 = terms
+    z = np.concatenate((edge_lo, (interior - mu) / sigma, edge_hi), axis=1)
+    mass, first, second, pdf = _standardized_moments(mu, sigma, z)
+    sums = (w @ mass, w @ first, w @ second, wt @ mass, wt @ first, wt2 @ mass)
+    n, a, t = sums[0], sums[1], sums[3]
+
+    if n.min() >= MASS_FLOOR:
+        y, theta_hat = a / n, t / n
+    else:
+        full = n >= MASS_FLOOR
+        y = np.divide(a, n, out=np.zeros_like(n), where=full)
+        theta_hat = np.divide(t, n, out=np.zeros_like(n), where=full)
+        for m in np.flatnonzero(~full):
+            y[m] = _empty_cell_y(interior, m)
+    return sums, y, theta_hat, _distortions(sums, y, theta_hat, lam), pdf[:, 1:-1] / sigma
+
+
 def pooled_cell_stats(
     q: Quantizer, source: SourceSpec, grid: ThetaGrid
 ) -> dict[str, np.ndarray]:
@@ -113,26 +151,17 @@ def pooled_cell_stats(
     S = second moment of x, T = first moment of theta, B = cross moment
     x*theta, U = second moment of theta.
     """
-    mass, first, second = cell_moments(source, grid, q.boundaries)
-    w = grid.weights
-    wt = w * grid.nodes
-    wt2 = w * grid.nodes**2
-    return {
-        "N": w @ mass,
-        "A": w @ first,
-        "S": w @ second,
-        "T": wt @ mass,
-        "B": wt @ first,
-        "U": wt2 @ mass,
-    }
+    sums = _moment_pass(q.interior(), _grid_terms(source, grid, q.n_theta), 0.0)[0]
+    return dict(zip("NASTBU", sums))
 
 
-def _empty_cell_y(q: Quantizer, m: int) -> float:
-    """Deterministic reconstruction for a zero-mass cell m (0-based)."""
-    lo = q.boundaries[:, m].min()
-    hi = q.boundaries[:, m + 1].max()
-    if math.isfinite(lo) and math.isfinite(hi):
-        return 0.5 * (lo + hi)
+def _empty_cell_y(interior: np.ndarray, m: int) -> float:
+    """Deterministic reconstruction for a zero-mass cell m (0-based): its span's midpoint."""
+    if 0 < m < interior.shape[1]:
+        lo = interior[:, m - 1].min()
+        hi = interior[:, m].max()
+        if math.isfinite(lo) and math.isfinite(hi):
+            return 0.5 * (lo + hi)
     return 0.0
 
 
@@ -150,22 +179,21 @@ def distortions(
     """
     if lam < 0:
         raise ValueError("lam must be nonnegative")
-    stats = pooled_cell_stats(q, source, grid)
-    return _distortions_from_stats(stats, br.y, br.theta_hat, lam)
+    sums = _moment_pass(q.interior(), _grid_terms(source, grid, q.n_theta), lam)[0]
+    return DistortionReport(*_distortions(sums, br.y, br.theta_hat, lam))
 
 
-def _distortions_from_stats(
-    stats: dict[str, np.ndarray], y: np.ndarray, theta_hat: np.ndarray, lam: float
-) -> DistortionReport:
-    n, t, u = stats["N"], stats["T"], stats["U"]
+def _distortions(
+    sums: tuple[np.ndarray, ...], y: np.ndarray, theta_hat: np.ndarray, lam: float
+) -> tuple[float, float, float, float]:
+    """(d_e, fidelity, d_d, d_theta) from the pooled sums and the responses."""
+    n, a, s, t, b, u = sums
     # sum_m E[(X - y_m)^2 1_m] and the analogous sums, as dot products
-    d_d = float(stats["S"].sum() - 2.0 * (y @ stats["A"]) + (y * y) @ n)
+    d_d = float(s.sum() - 2.0 * (y @ a) + (y * y) @ n)
     u_sum = float(u.sum())
-    fidelity = d_d + 2.0 * float(stats["B"].sum()) + u_sum - 2.0 * float(y @ t)
+    fidelity = d_d + 2.0 * float(b.sum()) + u_sum - 2.0 * float(y @ t)
     d_theta = u_sum - 2.0 * float(theta_hat @ t) + float((theta_hat * theta_hat) @ n)
-    return DistortionReport(
-        d_e=fidelity - lam * d_theta, fidelity=fidelity, d_d=d_d, d_theta=d_theta
-    )
+    return fidelity - lam * d_theta, fidelity, d_d, d_theta
 
 
 def evaluate(
@@ -180,14 +208,10 @@ def evaluate(
     """
     if lam < 0:
         raise ValueError("lam must be nonnegative")
-    stats = pooled_cell_stats(q, source, grid)
-    n, a = stats["N"], stats["A"]
-    y = np.empty(q.M)
-    for m in range(q.M):
-        y[m] = a[m] / n[m] if n[m] >= MASS_FLOOR else _empty_cell_y(q, m)
-    theta_hat = np.divide(stats["T"], n, out=np.zeros_like(n), where=n >= MASS_FLOOR)
-    br = BestResponses(y=y, theta_hat=theta_hat, cell_mass=n)
-    return br, _distortions_from_stats(stats, y, theta_hat, lam)
+    sums, y, theta_hat, dist, _ = _moment_pass(
+        q.interior(), _grid_terms(source, grid, q.n_theta), lam
+    )
+    return BestResponses(y=y, theta_hat=theta_hat, cell_mass=sums[0]), DistortionReport(*dist)
 
 
 def _encode_boundary(v: float) -> float | str:

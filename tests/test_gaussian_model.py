@@ -9,9 +9,9 @@ from hypothesis import strategies as st
 from scipy.integrate import quad
 from scipy.stats import norm
 
-from strategiq import Quantizer, ThetaGrid, cell_moments, make_source, make_theta_grid
+from strategiq import Quantizer, ThetaGrid, cell_moments, evaluate, make_source, make_theta_grid
 from strategiq.gaussian_model import interval_moments
-from strategiq.optimizer import _row_density
+from strategiq.quantizer_core import _grid_terms, _moment_pass
 
 
 def _one_cell(src, theta_j, a, b):
@@ -19,6 +19,11 @@ def _one_cell(src, theta_j, a, b):
     mu_c, sigma_c = src.conditional_params(theta_j)
     mass, first, _ = interval_moments(mu_c, sigma_c, np.array([a, b]))
     return float(mass[0]), float(first[0])
+
+
+def _density(src, grid, points):
+    """Conditional density at points[j, c] given theta_j, as the moment pass returns it."""
+    return _moment_pass(points, _grid_terms(src, grid, grid.n_nodes), 0.0)[4]
 
 
 def _conditional_pdf(src, theta_j):
@@ -30,11 +35,23 @@ class TestMakeSource:
     def test_unit_independent(self):
         src = make_source(1.0, 1.0, 0.0)
         assert src.sigma_theta == 1.0
-        assert not src.degenerate
+        grid = make_theta_grid(src, 3)
+        mass, _, _ = cell_moments(src, grid, np.tile([-math.inf, 0.0, math.inf], (3, 1)))
+        assert mass.sum() == pytest.approx(3.0, rel=1e-15)
 
     def test_full_correlation_is_degenerate_but_accepted(self):
-        src = make_source(1.0, 1.0, 1.0)
-        assert src.degenerate
+        # |rho| = 1 is a valid source, but X | theta is a point mass: no cell moments
+        boundaries = np.tile([-math.inf, 0.0, math.inf], (3, 1))
+        for rho in (1.0, -1.0):
+            src = make_source(1.0, 1.0, rho)
+            grid = make_theta_grid(src, 3)
+            with pytest.raises(ValueError, match="nondegenerate"):
+                cell_moments(src, grid, boundaries)
+            with pytest.raises(ValueError, match="nondegenerate"):
+                evaluate(Quantizer(M=2, boundaries=boundaries), src, grid, 0.0)
+        src = make_source(1.0, 1.0, math.nextafter(1.0, 0.0))
+        mass, _, _ = cell_moments(src, make_theta_grid(src, 3), boundaries)
+        assert np.all(np.isfinite(mass))
 
     def test_zero_scale_rejected(self):
         with pytest.raises(ValueError):
@@ -140,15 +157,15 @@ class TestPartialMoments:
 
 
 class TestConditionalDensity:
-    # the pipeline's conditional density is the descent's vectorized _row_density
+    # the conditional density the descent's gradient takes from the moment pass
     def test_standard_normal_at_zero(self, unit_source):
         grid = make_theta_grid(unit_source, 1, "uniform-truncated")
-        density = _row_density(unit_source, grid, np.array([[0.0]]))
+        density = _density(unit_source, grid, np.array([[0.0]]))
         assert density[0, 0] == pytest.approx(0.398942, abs=1e-6)
 
     def test_far_tail(self, unit_source):
         grid = make_theta_grid(unit_source, 1, "uniform-truncated")
-        assert _row_density(unit_source, grid, np.array([[10.0]]))[0, 0] < 1e-20
+        assert _density(unit_source, grid, np.array([[10.0]]))[0, 0] < 1e-20
 
     def test_correlated_case(self):
         # X | theta=2 ~ N(rho*(sigma_x/sigma_theta)*2, 1-rho^2) = N(1, 0.75)
@@ -158,7 +175,7 @@ class TestConditionalDensity:
         assert sigma_c**2 == pytest.approx(0.75, rel=1e-15)
         grid = ThetaGrid(nodes=np.array([2.0]), weights=np.array([1.0]))
         expected = 1.0 / math.sqrt(2.0 * math.pi * 0.75)
-        assert _row_density(src, grid, np.array([[1.0]]))[0, 0] == pytest.approx(expected, rel=1e-12)
+        assert _density(src, grid, np.array([[1.0]]))[0, 0] == pytest.approx(expected, rel=1e-12)
         assert expected == pytest.approx(0.460659, abs=1e-6)
 
 

@@ -1,5 +1,6 @@
 """Gradient correctness, the increment variables, and the descent loop."""
 
+import logging
 import math
 
 import numpy as np
@@ -23,16 +24,16 @@ from strategiq import (
     multistart,
     random_monotone_quantizer,
 )
+from strategiq import optimizer
 from strategiq.optimizer import (
     STOP_REASONS,
     _analytic_gradient,
     _increment_gradient,
-    _row_density,
     _to_boundaries,
     _to_increments,
     _with_edges,
 )
-from strategiq.quantizer_core import pooled_cell_stats
+from strategiq.quantizer_core import _grid_terms, _moment_pass, pooled_cell_stats
 
 INF = math.inf
 
@@ -47,7 +48,7 @@ def eavesdropper_chain_term(q, source, grid, lam):
     theta_hat = evaluate(q, source, grid, lam)[0].theta_hat
     b = q.interior()
     theta = grid.nodes[:, None]
-    f = _row_density(source, grid, b)
+    f = _moment_pass(b, _grid_terms(source, grid, grid.n_nodes), lam)[4]
     stats = pooled_cell_stats(q, source, grid)
     n, t = stats["N"], stats["T"]
     # d d_e / d theta_hat_k = 2 lam (T_k - theta_hat_k N_k)
@@ -190,11 +191,9 @@ class TestIncrements:
             q_x = _with_edges(_to_boundaries(xv, scale), 5)
             return evaluate(q_x, unit_source, grid, lam)[1].d_e
 
-        q = _with_edges(_to_boundaries(x, scale), 5)
-        br, _ = evaluate(q, unit_source, grid, lam)
-        grad = _increment_gradient(
-            _analytic_gradient(q.interior(), unit_source, grid, lam, br), scale
-        )
+        b = _to_boundaries(x, scale)
+        _, y, theta_hat, _, f = _moment_pass(b, _grid_terms(unit_source, grid, 5), lam)
+        grad = _increment_gradient(_analytic_gradient(b, grid, lam, y, theta_hat, f), scale)
         fd = np.zeros_like(x)
         for idx in np.ndindex(*x.shape):
             e = np.zeros_like(x)
@@ -282,6 +281,27 @@ class TestDesign:
                     assert res.iterations == max_iters
                 reasons.add(res.stop_reason)
         assert {"stalled", "max_iters"} <= reasons
+
+    def test_evals_count_every_moment_pass(self, unit_source, monkeypatch, caplog):
+        grid = make_theta_grid(unit_source, 5, "gauss-hermite")
+        passes = []
+        real_pass = optimizer._moment_pass
+
+        def counting_pass(*args):
+            passes.append(1)
+            return real_pass(*args)
+
+        monkeypatch.setattr(optimizer, "_moment_pass", counting_pass)
+        caplog.set_level(logging.DEBUG, logger="strategiq.optimizer")
+        cases = ((1, 2.0, 20_000), (3, 0.0, 20_000), (4, 2.0, 5), (3, 1e5, 20_000))
+        for M, lam, max_iters in cases:
+            passes.clear()
+            caplog.clear()
+            res = design(unit_source, grid, M, lam, OptimOptions(seed=M, max_iters=max_iters))
+            assert res.evals == len(passes)
+            assert res.evals >= res.iterations + 1
+            assert f"iters={res.iterations} evals={res.evals} " in caplog.text
+        assert "evals" not in design_result_to_dict(res, grid)
 
 
 class TestMultistart:

@@ -8,8 +8,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from strategiq import (
+    MASS_FLOOR,
     BestResponses,
+    DistortionReport,
     Quantizer,
+    boundary_gradient,
+    cell_moments,
     distortions,
     evaluate,
     lloyd_max,
@@ -21,6 +25,8 @@ from strategiq import (
     quantizer_to_dict,
     validate,
 )
+from strategiq.gaussian_model import _phi
+from strategiq.quantizer_core import pooled_cell_stats
 
 INF = math.inf
 
@@ -262,3 +268,150 @@ class TestSerialization:
         assert q2.boundaries.shape == q.boundaries.shape
         assert q2.boundaries.tobytes() == q.boundaries.tobytes()
         assert nodes.tobytes() == grid.nodes.tobytes()
+
+
+# -- referee: the direct evaluation and gradient --------------------------------
+#
+# _reference_evaluate and _reference_gradient evaluate a quantizer the direct
+# way: cell_moments on the full boundary matrix, a per-message loop for the
+# decoder's response, and the conditional density recomputed for the
+# gradient.  The moment pass keeps their arithmetic operation for operation,
+# so evaluate and boundary_gradient must reproduce them bit for bit; a
+# reordered operand shows up here before it shows up as a different descent.
+
+
+def _reference_pooled_cell_stats(q, source, grid):
+    mass, first, second = cell_moments(source, grid, q.boundaries)
+    w = grid.weights
+    wt = w * grid.nodes
+    wt2 = w * grid.nodes**2
+    return {
+        "N": w @ mass,
+        "A": w @ first,
+        "S": w @ second,
+        "T": wt @ mass,
+        "B": wt @ first,
+        "U": wt2 @ mass,
+    }
+
+
+def _reference_empty_cell_y(q, m):
+    lo = q.boundaries[:, m].min()
+    hi = q.boundaries[:, m + 1].max()
+    if math.isfinite(lo) and math.isfinite(hi):
+        return 0.5 * (lo + hi)
+    return 0.0
+
+
+def _reference_distortions_from_stats(stats, y, theta_hat, lam):
+    n, t, u = stats["N"], stats["T"], stats["U"]
+    d_d = float(stats["S"].sum() - 2.0 * (y @ stats["A"]) + (y * y) @ n)
+    u_sum = float(u.sum())
+    fidelity = d_d + 2.0 * float(stats["B"].sum()) + u_sum - 2.0 * float(y @ t)
+    d_theta = u_sum - 2.0 * float(theta_hat @ t) + float((theta_hat * theta_hat) @ n)
+    return DistortionReport(
+        d_e=fidelity - lam * d_theta, fidelity=fidelity, d_d=d_d, d_theta=d_theta
+    )
+
+
+def _reference_evaluate(q, source, grid, lam):
+    stats = _reference_pooled_cell_stats(q, source, grid)
+    n, a = stats["N"], stats["A"]
+    y = np.empty(q.M)
+    for m in range(q.M):
+        y[m] = a[m] / n[m] if n[m] >= MASS_FLOOR else _reference_empty_cell_y(q, m)
+    theta_hat = np.divide(stats["T"], n, out=np.zeros_like(n), where=n >= MASS_FLOOR)
+    br = BestResponses(y=y, theta_hat=theta_hat, cell_mass=n)
+    return br, _reference_distortions_from_stats(stats, y, theta_hat, lam)
+
+
+def _reference_row_density(source, grid, points):
+    mu_c, sigma_c = source.conditional_params(grid.nodes)
+    z = (points - mu_c[:, None]) / sigma_c
+    return _phi(z) / sigma_c
+
+
+def _reference_gradient(b, source, grid, lam, br):
+    theta = grid.nodes[:, None]
+    f = _reference_row_density(source, grid, b)
+    y, theta_hat = br.y, br.theta_hat
+    dy, sy = y[1:] - y[:-1], y[1:] + y[:-1]
+    dth, sth = theta_hat[1:] - theta_hat[:-1], theta_hat[1:] + theta_hat[:-1]
+    direct = dy * (2.0 * (b + theta) - sy) - lam * dth * (2.0 * theta - sth)
+    chain = 2.0 * (b * dth - (theta_hat[1:] * y[1:] - theta_hat[:-1] * y[:-1]))
+    return grid.weights[:, None] * f * (direct + chain)
+
+
+def _reference_boundary_gradient(q, source, grid, lam):
+    br, _ = _reference_evaluate(q, source, grid, lam)
+    grad = _reference_gradient(q.interior(), source, grid, lam, br)
+    b = q.boundaries
+    grad[(b[:, 1:-1] == b[:, :-2]) | (b[:, 1:-1] == b[:, 2:])] = 0.0
+    return grad
+
+
+def _bits(*values):
+    """Byte image of floats and arrays: equal only if every bit is equal."""
+    return b"".join(np.asarray(v, dtype=float).tobytes() for v in values)
+
+
+@st.composite
+def _referee_cases(draw):
+    """A source with rho in (-1, 1), a grid, lam in {0, 2, 1e5} and a quantizer.
+
+    Its columns are drawn per row, shared by every row (so a far-tail pair
+    of them pools a cell below MASS_FLOOR) or repeat the previous column
+    (coincident boundaries); values reach the far tails at |b| >= 14.
+    """
+    n_rows = draw(st.sampled_from([1, 2, 3, 5]))
+    M = draw(st.integers(1, 5))
+    source = make_source(
+        draw(st.floats(0.3, 3.0)),
+        draw(st.floats(0.2, 3.0)),
+        draw(st.floats(-1.0, 1.0, exclude_min=True, exclude_max=True)),
+    )
+    value = st.one_of(st.floats(-3.0, 3.0), st.floats(14.0, 40.0), st.floats(-40.0, -14.0))
+    columns = []
+    for _ in range(M - 1):
+        kind = draw(st.sampled_from(["per-row", "shared", "repeat"]))
+        if kind == "repeat" and columns:
+            columns.append(columns[-1])
+        elif kind == "shared":
+            columns.append([draw(value)] * n_rows)
+        else:
+            columns.append([draw(value) for _ in range(n_rows)])
+    interior = np.sort(np.array(columns, dtype=float).reshape(M - 1, n_rows).T, axis=1)
+    edges = np.full((n_rows, 1), INF)
+    q = Quantizer(M=M, boundaries=np.hstack([-edges, interior, edges]))
+    lam = draw(st.sampled_from([0.0, 2.0, 1e5]))
+    return source, make_theta_grid(source, n_rows, "gauss-hermite"), q, lam
+
+
+class TestMomentPassReferee:
+    @settings(max_examples=300, deadline=None)
+    @given(case=_referee_cases())
+    def test_evaluate_and_gradient_match_reference_bitwise(self, case):
+        source, grid, q, lam = case
+        br, rep = evaluate(q, source, grid, lam)
+        ref_br, ref_rep = _reference_evaluate(q, source, grid, lam)
+        assert _bits(br.y, br.theta_hat, br.cell_mass) == _bits(
+            ref_br.y, ref_br.theta_hat, ref_br.cell_mass
+        )
+        assert _bits(rep.d_e, rep.fidelity, rep.d_d, rep.d_theta) == _bits(
+            ref_rep.d_e, ref_rep.fidelity, ref_rep.d_d, ref_rep.d_theta
+        )
+        grad = boundary_gradient(q, source, grid, lam, mode="analytic")
+        assert _bits(grad) == _bits(_reference_boundary_gradient(q, source, grid, lam))
+        # the pooled sums themselves, so a change below the distortions' rounding shows
+        stats = pooled_cell_stats(q, source, grid)
+        ref_stats = _reference_pooled_cell_stats(q, source, grid)
+        assert _bits(*stats.values()) == _bits(*(ref_stats[k] for k in stats))
+
+    def test_empty_cell_fallback_matches_reference(self):
+        # two shared far-tail columns pool a cell below MASS_FLOOR
+        source = make_source(1.0, 1.0, 0.3)
+        grid = make_theta_grid(source, 3, "gauss-hermite")
+        q = Quantizer(M=4, boundaries=np.tile([-INF, 0.5, 20.0, 25.0, INF], (3, 1)))
+        br, _ = evaluate(q, source, grid, 2.0)
+        assert br.cell_mass[2] < MASS_FLOOR and br.y[2] == 22.5
+        assert _bits(br.y) == _bits(_reference_evaluate(q, source, grid, 2.0)[0].y)
