@@ -4,8 +4,9 @@ An encoder observing (X, theta) signals a decoder that estimates X while an
 eavesdropper tries to recover theta; the encoder's objective trades
 estimation fidelity against privacy leakage with a weight lam.  The package
 computes the closed-form linear equilibrium when the message rate is
-unconstrained, designs M-message strategic quantizers by projected L-BFGS
-on nonnegative boundary increments when it is not, and ships the oracles
+unconstrained, designs M-message strategic quantizers by a projected
+trust-region Newton method on nonnegative boundary increments when it is
+not, and ships the oracles
 (exhaustive search, Monte Carlo) used to validate both.
 """
 

@@ -1,4 +1,4 @@
-"""Projected L-BFGS design of the privacy-weighted strategic quantizer.
+"""Projected trust-region Newton design of the privacy-weighted strategic quantizer.
 
 The gradient of the encoder's Lagrangian d_e with respect to every interior
 boundary takes the followers' dependence into account:
@@ -14,17 +14,22 @@ boundary takes the followers' dependence into account:
   eavesdropper's own loss, so its best response is stationary there.
   tests/test_optimizer.py computes this analytically-zero term to pin it.
 
-The descent works on each row's first interior boundary plus increments
-d >= 0, so the monotone cone is a box and a skipped message is d = 0.  Row j
-is scaled by 1/sqrt(w_j), since its gradient and curvature carry its grid
-weight.  A limited-memory BFGS direction on the variables off their bound is
-followed by projected Armijo backtracking, as in L-BFGS-B (Byrd, Lu, Nocedal
-& Zhu, 1995) and projected quasi-Newton (Kim, Sra & Dhillon, 2010).  Every
-accepted step lowers d_e.  A trial point costs one moment pass, the one
-evaluate uses: Phi and phi at its boundaries, evaluated once, give both
-responses, d_e and the density the gradient needs.  The landscape is
-nonconvex; multistart adds a fully-revealing Lloyd-Max start to seeded
-random starts and keeps the lowest.
+The descent minimizes f = d_e + lam * E_grid[theta^2], written as a constant
+minus one term per cell so that no lam-sized total is cancelled.  It works on
+each row's first interior boundary plus increments d >= 0, so the monotone
+cone is a box and a skipped message is d = 0.  Each step minimizes the
+quadratic model with the exact Hessian inside a Euclidean trust region, on
+the variables off their bound (Lin & More, 1999; the step is More &
+Sorensen's, 1983); a variable at its bound that the step would push out is
+held there.  A step is accepted when f decreases; the radius shrinks when
+the model predicted poorly and grows, up to sigma_c, when the model was
+good and the step reached it.  At lam > 0 a poorly predicted step also gets
+a second-order correction (Fletcher's), which moves theta_hat back to where
+the linear model put it, and the better of the two points is kept.  A trial
+point costs one moment pass, the one evaluate uses: Phi and phi at its
+boundaries, evaluated once, give both responses, f, the gradient and the
+Hessian.  The landscape is nonconvex; multistart adds a fully-revealing
+Lloyd-Max start to seeded random starts and keeps the lowest.
 """
 
 from __future__ import annotations
@@ -34,7 +39,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .gaussian_model import SourceSpec, ThetaGrid
+from .gaussian_model import MASS_FLOOR, SourceSpec, ThetaGrid
 from .metrics import lloyd_max
 from .quantizer_core import (
     BestResponses,
@@ -42,25 +47,39 @@ from .quantizer_core import (
     Quantizer,
     _grid_terms,
     _moment_pass,
-    evaluate,
     quantizer_to_dict,
     validate,
 )
 
 logger = logging.getLogger(__name__)
 
+#: why a descent stopped: "tolerance" (stationary to opts.eps, and the model
+#: promises almost no further decrease), "stalled" (the trust region shrank
+#: until the model promised no decrease f could resolve, short of the
+#: tolerance) or "max_iters" (opts.max_iters accepted steps)
 STOP_REASONS = ("tolerance", "stalled", "max_iters")
 _FD_STEP = 1e-5
-_WEIGHT_FLOOR = 1e-12  # grid weights below this get the scale of this weight
-_MEMORY = 10  # curvature pairs kept by L-BFGS
-_ARMIJO = 1e-4  # sufficient-decrease constant of the line search
-_LINE_SEARCH_HALVINGS = 30
-_EPS = float(np.finfo(float).eps)
+_SECULAR_ITERS = 50  # Newton steps on the trust-region boundary equation
+_SECULAR_RTOL = 1e-3  # relative overshoot of the radius the step may keep
+_RESOLUTION = 64 * float(np.finfo(float).eps)  # of eigh's eigenvalues, relative to the largest
+# f sums a constant and one Phi per cell, each with a few roundings: changes
+# of f below this many units of its size are not resolved
+_ROUNDING = 16 * float(np.finfo(float).eps)
+# a stop by tolerance also needs the model to promise no decrease of f above
+# this fraction of the tolerance: rows of small weight meet the gradient
+# bound before they are converged
+_PROMISE = 1e-3
 
 
 @dataclass(frozen=True)
 class OptimOptions:
-    """Stopping rule and restart budget of the descent."""
+    """Stopping rule and restart budget of the descent.
+
+    eps bounds the projected gradient at a "tolerance" stop, relative to
+    max(1, d_e + lam * E[theta^2]); max_iters caps the accepted steps of one
+    restart; n_restarts is the number of seeded random starts that multistart
+    adds to its Lloyd-Max start.
+    """
 
     eps: float = 1e-9
     max_iters: int = 20_000
@@ -79,8 +98,9 @@ class DesignResult:
     """One design outcome: the quantizer, responses, distortions, and diagnostics.
 
     stop_reason (one of STOP_REASONS), kkt_residual (the inf-norm of the
-    projected gradient at the result) and evals (the objective evaluations
-    the run spent, the start's included) are None for the exhaustive oracle.
+    projected gradient in the increment variables at the result) and evals
+    (the objective evaluations the run spent, the start's included) are None
+    for the exhaustive oracle.
     """
 
     quantizer: Quantizer
@@ -125,7 +145,9 @@ def _fd_gradient(
     fully collapsed directions get 0, matching the analytic convention.
     """
     b = q.boundaries
-    grad = np.zeros((q.n_theta, q.M - 1))
+    interior = np.array(q.interior())
+    terms = _grid_terms(source, grid, q.n_theta)
+    grad = np.zeros_like(interior)
     for j in range(q.n_theta):
         for c in range(1, q.M):
             gap_lo = b[j, c] - b[j, c - 1]
@@ -134,18 +156,16 @@ def _fd_gradient(
             if h <= 0.0:
                 continue
             grad[j, c - 1] = (
-                _probe_d_e(q, source, grid, lam, j, c, h)
-                - _probe_d_e(q, source, grid, lam, j, c, -h)
+                _probe_d_e(interior, terms, lam, j, c - 1, h)
+                - _probe_d_e(interior, terms, lam, j, c - 1, -h)
             ) / (2.0 * h)
     return grad
 
 
-def _probe_d_e(
-    q: Quantizer, source: SourceSpec, grid: ThetaGrid, lam: float, j: int, c: int, h: float
-) -> float:
-    perturbed = np.array(q.boundaries)
-    perturbed[j, c] += h
-    return evaluate(Quantizer(M=q.M, boundaries=perturbed), source, grid, lam)[1].d_e
+def _probe_d_e(interior: np.ndarray, terms: tuple, lam: float, j: int, k: int, h: float) -> float:
+    perturbed = interior.copy()
+    perturbed[j, k] += h
+    return _moment_pass(perturbed, terms, lam)[3][0]
 
 
 def boundary_gradient(
@@ -187,55 +207,214 @@ def _with_edges(interior: np.ndarray, n_rows: int) -> Quantizer:
     return Quantizer(M=interior.shape[1] + 1, boundaries=np.hstack([edges_lo, interior, edges_hi]))
 
 
-def _to_increments(interior: np.ndarray, scale: np.ndarray) -> np.ndarray:
-    """Descent variables of interior boundaries: first boundary, then increments, over scale."""
+def _to_increments(interior: np.ndarray) -> np.ndarray:
+    """Descent variables of interior boundaries: each row's first boundary, then increments."""
     u = np.array(interior, dtype=float)
     u[:, 1:] = np.diff(interior, axis=1)
-    return u / scale
+    return u
 
 
-def _to_boundaries(x: np.ndarray, scale: np.ndarray) -> np.ndarray:
+def _to_boundaries(x: np.ndarray) -> np.ndarray:
     """Inverse of _to_increments."""
-    return (x * scale).cumsum(axis=1)
+    return x.cumsum(axis=1)
 
 
-def _increment_gradient(g: np.ndarray, scale: np.ndarray) -> np.ndarray:
-    """Boundary gradient g mapped to the scaled increments (increment k moves boundaries k..)."""
-    return g[:, ::-1].cumsum(axis=1)[:, ::-1] * scale
+def _increment_gradient(g: np.ndarray) -> np.ndarray:
+    """Boundary gradient(s) g, last axis M-1, mapped to the increments.
 
-
-def _lbfgs_direction(g: np.ndarray, free: np.ndarray, S: np.ndarray, Y: np.ndarray) -> np.ndarray:
-    """L-BFGS direction on the free variables, or steepest descent if not downhill.
-
-    S and Y hold the curvature pairs as rows, oldest first.  The two-loop
-    recursion takes its dot products from the Gram matrix S Y^T, which needs a
-    few numpy calls instead of four per pair.
+    Increment k moves boundaries k.., so its entry sums those from k on.
     """
-    steepest = np.where(free, -g, 0.0)
-    k = S.shape[0]
-    if k == 0:
-        return steepest
-    q = -steepest.ravel()
-    sy = (S @ Y.T).tolist()
-    sq = (S @ q).tolist()
-    alpha = [0.0] * k
-    for i in range(k - 1, -1, -1):
-        v = sq[i]  # becomes s_i . (q - sum_{j>i} alpha_j y_j)
-        for j in range(i + 1, k):
-            v -= alpha[j] * sy[i][j]
-        alpha[i] = v / sy[i][i]
-    q -= np.dot(alpha, Y)
-    yq = (Y @ q).tolist()
-    gamma = sy[-1][-1] / Y[-1].dot(Y[-1])  # initial inverse Hessian gamma * I
-    coef = [0.0] * k  # alpha_i - beta_i, the weight of s_i in the result
-    for i in range(k):
-        v = gamma * yq[i]  # becomes y_i . (gamma q + sum_{j<i} coef_j s_j)
-        for j in range(i):
-            v += coef[j] * sy[j][i]
-        coef[i] = alpha[i] - v / sy[i][i]
-    r = gamma * q + np.dot(coef, S)
-    p = np.where(free, -r.reshape(g.shape), 0.0)
-    return p if np.vdot(p, g) < 0.0 else steepest
+    return g[..., ::-1].cumsum(axis=-1)[..., ::-1]
+
+
+def _kkt_residual(x: np.ndarray, g: np.ndarray, lower: np.ndarray) -> float:
+    """Inf-norm of the projected gradient step x - P(x - g) on the increment box."""
+    return float(np.abs(x - np.maximum(x - g, lower)).max(initial=0.0))
+
+
+def _objective(n: np.ndarray, y: np.ndarray, theta_hat: np.ndarray, lam: float, c1: float) -> float:
+    """d_e + lam * E_grid[theta^2] at the best responses y, theta_hat to cell masses n.
+
+    It is c1 - sum_m Phi_m with Phi = (A^2 + 2AT - lam T^2)/N = N (y^2 + 2 y theta_hat
+    - lam theta_hat^2), and c1 = sum_j w_j ((mu_j + theta_j)^2 + sigma_c^2)
+    holds the quantizer-free totals, so no term of size lam * E[theta^2] is
+    formed and cancelled.  Cells below MASS_FLOOR carry no Phi.
+    """
+    phi = n * (y * (y + 2.0 * theta_hat) - lam * theta_hat * theta_hat)
+    if n.min() < MASS_FLOOR:
+        phi = np.where(n >= MASS_FLOOR, phi, 0.0)
+    return c1 - float(phi.sum())
+
+
+def _quantizer_free_total(source: SourceSpec, grid: ThetaGrid) -> float:
+    """c1 of _objective: sum_j w_j ((mu_j + theta_j)^2 + sigma_c^2)."""
+    mu, sigma = source.conditional_params(grid.nodes)
+    return float(grid.weights @ ((mu + grid.nodes) ** 2 + sigma * sigma))
+
+
+def _hessian(
+    b: np.ndarray,
+    grid: ThetaGrid,
+    lam: float,
+    terms: tuple,
+    trial: tuple,
+    grad: np.ndarray,
+    increments: bool = False,
+) -> tuple[np.ndarray, np.ndarray]:
+    """Exact Hessian of d_e in the interior boundaries b (or their increments), and its rows.
+
+    trial is _moment_pass's output at b and grad the analytic gradient there.
+    Per cell, Phi = N ((y + theta_hat)^2 - (1 + lam) theta_hat^2), so
+    H = diag(D) - sum_m (2/N_m) (a_m a_m^T - (1 + lam) t_m t_m^T) with
+    a_m = N_m grad(y_m + theta_hat_m) and t_m = N_m grad(theta_hat_m): the
+    Jacobian of the pooled (A, T, N) against the Hessian of Phi in them.
+    Boundary c is the upper edge of cell c and the lower edge of cell c + 1;
+    it enters their rows as +-w f (b + theta - y - theta_hat) and
+    +-w f (theta - theta_hat).  D is the second derivative of each boundary's
+    own term, through the density slope f' = -(b - mu) f / sigma_c^2.  A
+    cell below MASS_FLOOR contributes no rows.  In the increments, with L
+    the per-row cumulative sum, the Hessian is L^T H L: the rows become
+    a L and t L, and diag(D) a block per row.  Returns H, shape (P, P) with
+    P = b.size, and the rows, shape (2, M, n_rows, M-1): a, then t.
+    """
+    mu, sigma = terms[0], terms[1]
+    sums, y, theta_hat, _, density = trial
+    n_rows, k = b.shape
+    theta = grid.nodes[:, None]
+    wf = grid.weights[:, None] * density
+    diag = -(b - mu) / (sigma * sigma) * grad
+    diag += 2.0 * wf * ((y[1:] - y[:-1]) + (theta_hat[1:] - theta_hat[:-1]))
+
+    t_lo, t_hi = wf * (theta - theta_hat[:-1]), wf * (theta - theta_hat[1:])
+    rows = np.zeros((2, k + 1, n_rows, k))
+    cols = np.arange(k)
+    rows[0, cols, :, cols] = (wf * (b - y[:-1]) + t_lo).T
+    rows[0, cols + 1, :, cols] = -(wf * (b - y[1:]) + t_hi).T
+    rows[1, cols, :, cols] = t_lo.T
+    rows[1, cols + 1, :, cols] = -t_hi.T
+    if increments:
+        rows = _increment_gradient(rows)
+    n = sums[0]
+    weight = np.sqrt(np.divide(2.0, n, out=np.zeros_like(n), where=n >= MASS_FLOOR))[:, None]
+    a = rows[0].reshape(k + 1, -1) * weight
+    t = rows[1].reshape(k + 1, -1) * (np.sqrt(1.0 + lam) * weight)
+    H = t.T @ t - a.T @ a  # symmetric products, so H is exactly symmetric
+    if increments:
+        # (L^T diag(D) L)_{ik} = sum of D from boundary max(i, k) on, per row
+        tail = _increment_gradient(diag)[:, np.maximum.outer(cols, cols)]
+        every = np.arange(n_rows)
+        H.reshape(n_rows, k, n_rows, k)[every, :, every, :] += tail
+    else:
+        H.flat[:: H.shape[0] + 1] += diag.ravel()
+    return H, rows
+
+
+def _trust_region_step(
+    H: np.ndarray, g: np.ndarray, delta: float, cache: dict
+) -> tuple[np.ndarray, float, bool]:
+    """Minimizer s of g.s + s.H.s/2 over |s| <= delta, its shift sigma, and whether |s| = delta.
+
+    s solves (H + sigma I) s = -g with H + sigma I positive semidefinite
+    (More & Sorensen, 1983).  A positive definite H whose Newton step fits
+    (sigma = 0) is solved directly, after a Cholesky factorization shows it
+    is positive definite.  Otherwise H's eigendecomposition turns |s| = delta
+    into a scalar equation in sigma, solved by Newton's method on
+    1/|s(sigma)| - 1/delta from below.  cache keeps both for the retries at
+    the same point with a smaller delta.
+    """
+    if "eig" not in cache:
+        if "newton" not in cache:
+            try:
+                np.linalg.cholesky(H)
+                cache["newton"] = np.linalg.solve(H, -g)
+            except np.linalg.LinAlgError:
+                cache["newton"] = None
+        newton = cache["newton"]
+        if newton is not None and float(np.sqrt(newton @ newton)) <= delta:
+            return newton, 0.0, False
+        eigvals, vecs = np.linalg.eigh(H)
+        cache["eig"] = eigvals, vecs, vecs.T @ g
+    eigvals, vecs, gt = cache["eig"]
+    # eigenvalues closer than this to -sigma are singular to eigh's accuracy
+    resolution = _RESOLUTION * max(-float(eigvals[0]), float(eigvals[-1]))
+    sigma = max(0.0, -float(eigvals[0]))
+    c = -gt / np.maximum(eigvals + sigma, resolution)
+    norm = float(np.sqrt(c @ c))
+    if eigvals[0] >= -resolution and norm <= delta:
+        return vecs @ c, sigma, False
+    if norm <= delta:
+        # hard case: fill the step up to the boundary along the lowest eigenvector
+        c[0] = np.sqrt(delta * delta - float(c[1:] @ c[1:]))
+        return vecs @ c, sigma, True
+    for _ in range(_SECULAR_ITERS):
+        shifted = np.maximum(eigvals + sigma, resolution)
+        c = -gt / shifted
+        norm2 = float(c @ c)
+        norm = np.sqrt(norm2)
+        if norm <= delta * (1.0 + _SECULAR_RTOL):
+            break
+        sigma += (norm / delta - 1.0) * norm2 / float((c * c) @ (1.0 / shifted))
+    else:
+        c *= delta / norm  # not converged: keep the step inside the region
+    return vecs @ c, sigma, True
+
+
+def _shifted_solve(cache: dict, sigma: float, rhs: np.ndarray) -> np.ndarray:
+    """(H + sigma I)^-1 rhs for the H of a _trust_region_step cache, after its step.
+
+    Directions where H + sigma I is singular (the hard case) get 0.
+    """
+    if "eig" not in cache:  # the step was the Newton step: sigma = 0, H positive definite
+        return np.linalg.solve(cache["h"], rhs)
+    eigvals, vecs, _ = cache["eig"]
+    shifted = eigvals + sigma
+    resolution = _RESOLUTION * max(-float(eigvals[0]), float(eigvals[-1]))
+    coefficients = vecs.T @ rhs
+    return vecs @ np.divide(
+        coefficients, shifted, out=np.zeros_like(rhs), where=shifted > resolution
+    )
+
+
+def _bounded_step(
+    H: np.ndarray, g: np.ndarray, x: np.ndarray, lower: np.ndarray, delta: float, caches: dict
+):
+    """The trust-region step from x on the increment box.
+
+    It is solved on the free variables: those off their bound, and those at
+    it that the gradient points inward.  A variable at its bound that the
+    step would push out is held there and the step solved again.  Variables
+    with no curvature and no gradient are held too.  What still crosses a
+    bound is projected onto it.  caches keeps each free set's factorization.
+    Returns the new point, whether the step reached delta, and a function
+    that moves the new point by -(H + sigma I)^-1 r on the same free
+    variables, projected again.
+    """
+    at_bound = (x == lower).ravel()
+    free = (~at_bound | (g <= 0.0)) & (H != 0.0).any(axis=1)
+    step, sigma, reached, cache = np.zeros(x.size), 0.0, False, None
+    while free.any():
+        cache = caches.setdefault(free.tobytes(), {})
+        if "h" not in cache:
+            cache["h"], cache["g"] = H[np.ix_(free, free)], g[free]
+        s_free, sigma, reached = _trust_region_step(cache["h"], cache["g"], delta, cache)
+        pushed = at_bound[free] & (s_free < 0.0)
+        if not pushed.any():
+            step[free] = s_free
+            break
+        free = free.copy()
+        free[np.flatnonzero(free)[pushed]] = False
+    x_new = np.maximum(x + step.reshape(x.shape), lower)
+
+    def correct(r: np.ndarray) -> np.ndarray | None:
+        move = np.zeros(x.size)
+        if cache is not None:
+            move[free] = -_shifted_solve(cache, sigma, r[free])
+        # a correction longer than the step it corrects is not second order
+        if not move @ move <= (x_new - x).ravel() @ (x_new - x).ravel():
+            return None
+        return np.maximum(x_new + move.reshape(x.shape), lower)
+
+    return x_new, reached, correct
 
 
 def design(
@@ -246,14 +425,20 @@ def design(
     opts: OptimOptions = OptimOptions(),
     init: Quantizer | None = None,
 ) -> DesignResult:
-    """Single projected L-BFGS run from init (or a seeded random start).
+    """Single projected trust-region Newton run from init (or a seeded random start).
 
-    The objective is d_e + lam * E[theta^2], which stays O(1) at every lam.
-    stop_reason is "tolerance" once the inf-norm of the projected gradient is
-    at most opts.eps * max(1, objective), "stalled" when the line search finds
-    no decrease, and "max_iters" after opts.max_iters accepted steps.
-    converged is True only for "tolerance".  The result never has a higher
-    d_e than init.
+    The objective f = d_e + lam * E[theta^2] stays O(1) at every lam and is
+    formed without cancellation.  A step is accepted when it lowers f.  Once
+    the model promises a decrease below f's rounding, which no evaluation can
+    confirm, a step is accepted when it shrinks the projected gradient and
+    leaves f within that rounding.  stop_reason is "tolerance" once the
+    inf-norm of the projected gradient is at most tol = opts.eps * max(1, f)
+    and the model promises a decrease of at most 1e-3 * tol (or below f's
+    rounding), "stalled" when the trust region has shrunk until the model
+    promises no decrease f could resolve while the gradient is still above
+    tol, and "max_iters" after opts.max_iters accepted steps.  converged is
+    True only for "tolerance".  The result's f is never above init's by more
+    than f's rounding.
     """
     if M < 1:
         raise ValueError("M must be >= 1")
@@ -270,56 +455,96 @@ def design(
     # the loop calls the moment pass itself; responses, report and quantizer
     # are built once, for the result
     terms = _grid_terms(source, grid, grid.n_nodes)
+    c1 = _quantizer_free_total(source, grid)
     b = init.interior()
-    sums, resp_y, theta_hat, dist, density = _moment_pass(b, terms, lam)
+    state = _moment_pass(b, terms, lam)
+    sums, resp_y, theta_hat, dist, density = state
     trajectory = [dist[0]]
-    shift = lam * grid.second_moment()
-    scale = 1.0 / np.sqrt(np.maximum(grid.weights, _WEIGHT_FLOOR))[:, None]
-    x = _to_increments(b, scale)
+    x = _to_increments(b)
     lower = np.zeros_like(x)
     lower[:, :1] = -np.inf
-    f = dist[0] + shift
-    g = _increment_gradient(_analytic_gradient(b, grid, lam, resp_y, theta_hat, density), scale)
-    S = Y = np.empty((0, x.size))  # curvature pairs as rows, oldest first
+    f = _objective(sums[0], resp_y, theta_hat, lam, c1)
+    grad = _analytic_gradient(b, grid, lam, resp_y, theta_hat, density)
+    g = _increment_gradient(grad).ravel()
+    # sigma_c, the scale of a boundary move, is also the largest radius: the
+    # model of a row of small weight can call for moves of many sigma_c
+    # that f, dominated by the other rows, would accept blindly
+    delta = delta_max = terms[1]
+    H = caches = None
     iterations, evals = 0, 1
+
+    def consider(x_try: np.ndarray) -> tuple[tuple | None, tuple]:
+        """The moment pass at x_try, and x_try's state if the step from x is accepted."""
+        nonlocal evals
+        b_try = _to_boundaries(x_try)
+        trial = _moment_pass(b_try, terms, lam)
+        evals += 1
+        f_try = _objective(trial[0][0], trial[1], trial[2], lam, c1)
+        # below its rounding f cannot rank the points; a step that leaves f
+        # within that rounding then counts as progress if it shrinks the
+        # projected gradient
+        if not (f_try < f or (unseen and f_try <= f + rounding)):
+            return None, trial
+        grad_try = _analytic_gradient(b_try, grid, lam, trial[1], trial[2], trial[4])
+        g_try = _increment_gradient(grad_try).ravel()
+        if f_try < f or _kkt_residual(x_try, g_try.reshape(x.shape), lower) < kkt_residual:
+            return (x_try, f_try, g_try, b_try, grad_try, trial), trial
+        return None, trial
+
     while True:
+        kkt_residual = _kkt_residual(x, g.reshape(x.shape), lower)
+        if H is None:
+            H, rows = _hessian(b, grid, lam, terms, state, grad, increments=True)
+            caches = {}
+            # N_m times the gradient of theta_hat_m in the increments
+            n_theta_jac = rows[1].reshape(M, -1)
+        x_new, reached, correct = _bounded_step(H, g, x, lower, delta, caches)
+        s = (x_new - x).ravel()
+        predicted = -(g @ s + 0.5 * s @ (H @ s))
+        rounding = _ROUNDING * max(1.0, abs(f))
+        unseen = predicted <= rounding
         # at M = 1 there are no variables, and the residual 0 stops at once
-        kkt_residual = float(np.abs(x - np.maximum(x - g, lower)).max(initial=0.0))
-        if kkt_residual <= opts.eps * max(1.0, f):
+        tolerance = opts.eps * max(1.0, f)
+        if kkt_residual <= tolerance and predicted <= max(_PROMISE * tolerance, rounding):
             stop_reason = "tolerance"
             break
         if iterations == opts.max_iters:
             stop_reason = "max_iters"
             break
-        p = _lbfgs_direction(g, (x > lower) | (g <= 0.0), S, Y)
-        # a memoryless step moves no variable by more than one scaled unit
-        alpha = 1.0 if S.size else min(1.0, 1.0 / float(np.abs(p).max()))
-        for _ in range(_LINE_SEARCH_HALVINGS):
-            x_new = np.maximum(x + alpha * p, lower)
-            b_new = _to_boundaries(x_new, scale)
-            trial = _moment_pass(b_new, terms, lam)
-            evals += 1
-            f_new = trial[3][0] + shift
-            dx = x_new - x
-            if f_new < f and f_new <= f + _ARMIJO * np.vdot(g, dx):
-                break
-            alpha *= 0.5
-        else:
-            if not S.size:
-                stop_reason = "stalled"
-                break
-            S = Y = S[:0]  # retry once along the projected gradient
+        s_norm = float(np.sqrt(s @ s))
+        accepted, trial = consider(x_new)
+        if lam > 0.0 and not unseen and s_norm > 0.0 and (
+            accepted is None or f - accepted[1] < 0.75 * predicted
+        ):
+            # second-order correction of a poorly predicted step: theta_hat left
+            # its linear model by err, which moves the penalty's gradient by
+            # 2 lam J^T (N err)
+            n = sums[0]
+            full = n >= MASS_FLOOR
+            err = np.divide(n_theta_jac @ s, n, out=np.zeros_like(n), where=full)
+            err = np.where(full, trial[2] - theta_hat - err, 0.0)
+            x_soc = correct(2.0 * lam * (n_theta_jac.T @ err))
+            if x_soc is not None:
+                corrected = consider(x_soc)[0]
+                if corrected is not None and (accepted is None or corrected[1] < accepted[1]):
+                    accepted = corrected
+        if accepted is not None:
+            ratio = (f - accepted[1]) / predicted if predicted > 0.0 else 0.0
+            if ratio < 0.25:
+                delta = 0.25 * s_norm
+            elif ratio > 0.75 and reached:
+                delta = min(2.0 * delta, delta_max)
+            x, f, g, b, grad, state = accepted
+            sums, resp_y, theta_hat, dist, density = state
+            H = None
+            trajectory.append(dist[0])
+            iterations += 1
             continue
-        sums, resp_y, theta_hat, dist, density = trial
-        g_new = _analytic_gradient(b_new, grid, lam, resp_y, theta_hat, density)
-        g_new = _increment_gradient(g_new, scale)
-        s, y = dx.ravel(), (g_new - g).ravel()
-        if s.dot(y) > _EPS * y.dot(y):
-            S = np.concatenate((S[1 - _MEMORY:], s[None]))
-            Y = np.concatenate((Y[1 - _MEMORY:], y[None]))
-        x, f, g, b = x_new, f_new, g_new, b_new
-        trajectory.append(dist[0])
-        iterations += 1
+        # a projected step may promise no decrease; a shorter one is not projected
+        if s_norm == 0.0 or 0.0 < predicted <= rounding:
+            stop_reason = "stalled"
+            break
+        delta = 0.25 * s_norm
 
     logger.debug(
         "design M=%d lam=%g: iters=%d evals=%d stop=%s d_e=%.9g kkt_residual=%.3g",
@@ -342,7 +567,11 @@ def multistart(
 ) -> DesignResult:
     """Best of n_restarts seeded random starts plus one Lloyd-Max start.
 
-    Deterministic given opts.seed; ties break toward the lowest restart index.
+    Restarts are ranked by the descent's objective d_e + lam * E[theta^2],
+    whose rounding does not grow with lam.  A random start beats the
+    Lloyd-Max start only by more than that rounding, so a tie in the last
+    digits goes to the start that does not depend on the seed; among random
+    starts, ties break toward the lowest restart index.
     """
     rng = np.random.default_rng(opts.seed)
     inits = [random_monotone_quantizer(source, grid, M, rng) for _ in range(opts.n_restarts)]
@@ -351,11 +580,17 @@ def multistart(
     else:
         lm = lloyd_max(source, M)
         inits.append(Quantizer(M=M, boundaries=np.tile(lm.boundaries, (grid.n_nodes, 1))))
-    results = (
-        replace(design(source, grid, M, lam, opts, init=init), restart_index=idx)
-        for idx, init in enumerate(inits)
-    )
-    return min(results, key=lambda result: result.report.d_e)
+    c1 = _quantizer_free_total(source, grid)
+    ranked = []
+    for idx, init in enumerate(inits):
+        result = replace(design(source, grid, M, lam, opts, init=init), restart_index=idx)
+        responses = result.responses
+        ranked.append((_objective(responses.cell_mass, responses.y, responses.theta_hat, lam, c1),
+                       idx, result))
+    best = min(ranked[: opts.n_restarts], key=lambda entry: entry[:2])
+    if M > 1 and ranked[-1][0] <= best[0] + _ROUNDING * max(1.0, abs(best[0])):
+        best = ranked[-1]
+    return best[2]
 
 
 def design_result_to_dict(result: DesignResult, grid: ThetaGrid) -> dict:
@@ -371,6 +606,9 @@ def design_result_to_dict(result: DesignResult, grid: ThetaGrid) -> dict:
             "d_theta": result.report.d_theta,
             "iterations": result.iterations,
             "converged": result.converged,
+            "stop_reason": result.stop_reason,
+            "kkt_residual": result.kkt_residual,
+            "evals": result.evals,
         }
     )
     return data

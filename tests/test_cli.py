@@ -284,10 +284,12 @@ class TestCommandLine:
         assert code == 0
         payload = json.loads(out.read_text())
         for key in ("M", "theta_nodes", "boundaries", "y", "theta_hat",
-                    "d_e", "d_d", "d_theta", "iterations", "converged"):
+                    "d_e", "d_d", "d_theta", "iterations", "converged",
+                    "stop_reason", "kkt_residual", "evals"):
             assert key in payload
         assert payload["M"] == 2
         assert payload["boundaries"][0][0] == "-inf"
+        assert payload["evals"] >= payload["iterations"] + 1
 
     def test_byte_identical_sweeps(self, tmp_path):
         args = [

@@ -1,11 +1,12 @@
-"""Gradient correctness, the increment variables, and the descent loop."""
+"""Gradient and Hessian correctness, the objective, the increments, and the descent loop."""
 
+import json
 import logging
 import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from strategiq import (
@@ -28,7 +29,10 @@ from strategiq import optimizer
 from strategiq.optimizer import (
     STOP_REASONS,
     _analytic_gradient,
+    _hessian,
     _increment_gradient,
+    _objective,
+    _quantizer_free_total,
     _to_boundaries,
     _to_increments,
     _with_edges,
@@ -167,33 +171,31 @@ class TestGradient:
 
 class TestIncrements:
     def test_round_trip(self, unit_source, grid3, rng):
-        scale = 1.0 / np.sqrt(grid3.weights)[:, None]
         for M in (2, 3, 5):
             interior = random_monotone_quantizer(unit_source, grid3, M, rng).interior().copy()
             if M > 2:
                 interior[1, 1] = interior[1, 0]  # a skipped message
-            x = _to_increments(interior, scale)
+            x = _to_increments(interior)
             assert x.shape == interior.shape
             assert np.all(x[:, 1:] >= 0.0)
-            np.testing.assert_allclose(_to_boundaries(x, scale), interior, rtol=0, atol=1e-14)
+            np.testing.assert_allclose(_to_boundaries(x), interior, rtol=0, atol=1e-14)
             if M > 2:
                 assert x[1, 1] == 0.0
 
     @pytest.mark.parametrize("lam", [0.0, 1.0, 5.0])
     def test_gradient_matches_central_differences(self, unit_source, rng, lam):
         grid = make_theta_grid(unit_source, 5, "gauss-hermite")
-        scale = 1.0 / np.sqrt(grid.weights)[:, None]
         interior = _separated_random_quantizer(rng, 5, 4).interior().copy()
         interior[2, 1] = interior[2, 0]  # row 2 skips message 2: d = 0 at its bound
-        x = _to_increments(interior, scale)
+        x = _to_increments(interior)
 
         def d_e(xv):
-            q_x = _with_edges(_to_boundaries(xv, scale), 5)
+            q_x = _with_edges(_to_boundaries(xv), 5)
             return evaluate(q_x, unit_source, grid, lam)[1].d_e
 
-        b = _to_boundaries(x, scale)
+        b = _to_boundaries(x)
         _, y, theta_hat, _, f = _moment_pass(b, _grid_terms(unit_source, grid, 5), lam)
-        grad = _increment_gradient(_analytic_gradient(b, grid, lam, y, theta_hat, f), scale)
+        grad = _increment_gradient(_analytic_gradient(b, grid, lam, y, theta_hat, f))
         fd = np.zeros_like(x)
         for idx in np.ndindex(*x.shape):
             e = np.zeros_like(x)
@@ -205,6 +207,197 @@ class TestIncrements:
                 fd[idx] = (d_e(x + e) - d_e(x - e)) / 2e-5
         assert x[2, 1] == 0.0 and grad[2, 1] != 0.0
         assert float(np.max(np.abs(grad - fd))) / float(np.max(np.abs(fd))) < 1e-5
+
+
+def _draw_source_and_grid(data, max_nodes=17):
+    sigma_x = data.draw(st.floats(0.5, 2.0), label="sigma_x")
+    r = data.draw(st.floats(0.5, 2.0), label="r")
+    rho = data.draw(st.floats(-0.95, 0.95, exclude_min=True, exclude_max=True), label="rho")
+    src = make_source(sigma_x, r, rho)
+    grid = make_theta_grid(src, data.draw(st.integers(1, max_nodes), label="n_nodes"))
+    return src, grid
+
+
+def _draw_lam(data):
+    exponent = data.draw(st.one_of(st.none(), st.floats(-3.0, 7.0)), label="log10 lam")
+    return 0.0 if exponent is None else 10.0**exponent
+
+
+def _draw_boundaries(data, src, grid, M):
+    """Sorted rows around each node's conditional law, with coincident pairs and far tails."""
+    mu, sigma = src.conditional_params(grid.nodes)
+    rows = []
+    for j in range(grid.n_nodes):
+        z = data.draw(st.lists(st.floats(-3.0, 3.0), min_size=M - 1, max_size=M - 1))
+        row = np.sort(mu[j] + sigma * np.array(z))
+        if M > 2 and data.draw(st.booleans(), label="coincident"):
+            k = data.draw(st.integers(0, M - 3))
+            row[k + 1] = row[k]  # this row skips message k + 1
+        if data.draw(st.booleans(), label="far tail"):
+            row[-1] = max(row[-1], data.draw(st.floats(14.0, 16.0)))  # |b| >= 14
+        rows.append(row)
+    b = np.array(rows)
+    if data.draw(st.booleans(), label="empty outer cell"):
+        # the last cell holds less than MASS_FLOOR in every row
+        b[:, -1] = np.maximum(b[:, -1], mu + 8.5 * sigma)
+    return b
+
+
+class TestHessian:
+    @staticmethod
+    def _gradient(b, grid, lam, trial):
+        return _analytic_gradient(b, grid, lam, trial[1], trial[2], trial[4])
+
+    # derandomized, so that a run of the suite checks the same examples; many
+    # more random draws pass the same test
+    @settings(max_examples=150, deadline=None, derandomize=True)
+    @given(data=st.data())
+    def test_matches_central_differences_of_the_gradient(self, data):
+        src, grid = _draw_source_and_grid(data)
+        lam = _draw_lam(data)
+        M = data.draw(st.integers(2, 8), label="M")
+        b = _draw_boundaries(data, src, grid, M)
+        terms = _grid_terms(src, grid, grid.n_nodes)
+        trial = _moment_pass(b, terms, lam)
+        full = trial[0][0] >= MASS_FLOOR
+        H, _ = _hessian(b, grid, lam, terms, trial, self._gradient(b, grid, lam, trial))
+
+        # columns whose probes change which cells are below MASS_FLOOR have no
+        # derivative; nor do rows next to an empty interior cell, whose
+        # reconstruction (its span's midpoint) moves with the boundaries
+        P = b.size
+        fd = np.zeros((P, P))
+        cols = np.ones(P, dtype=bool)
+        # a probe moves a cell's mass N by up to h w f: keep that far below N,
+        # where the third derivatives of 1/N terms stay small
+        wf = grid.weights[:, None] * trial[4]
+        h = 1e-5 * terms[1]
+        if wf.max() > 0.0:  # (all densities can underflow: then every entry is 0)
+            h = min(h, 1e-3 * trial[0][0][full].min() / wf.max())
+        assume(h >= 1e-9 * terms[1])
+        for p in range(P):
+            # central differences at steps h and h/2, Richardson-extrapolated
+            central = []
+            for step in (h, 0.5 * h):
+                e = np.zeros(P)
+                e[p] = step
+                e = e.reshape(b.shape)
+                up, down = _moment_pass(b + e, terms, lam), _moment_pass(b - e, terms, lam)
+                if np.any((up[0][0] >= MASS_FLOOR) != full) or np.any(
+                    (down[0][0] >= MASS_FLOOR) != full
+                ):
+                    cols[p] = False
+                    break
+                diff = self._gradient(b + e, grid, lam, up) - self._gradient(b - e, grid, lam, down)
+                central.append(diff.ravel() / (2.0 * step))
+            if cols[p]:
+                fd[:, p] = (4.0 * central[1] - central[0]) / 3.0
+        empty_inner = ~full
+        empty_inner[[0, -1]] = False
+        rows = ~np.broadcast_to(empty_inner[:-1] | empty_inner[1:], b.shape).ravel()
+        # each row of fd differentiates one gradient entry: compare it at its
+        # own scale, above what the probes can resolve.  The entry's terms
+        # are of size w f (1 + lam) (1 + |b| + |theta| + |y|)^2 and may cancel,
+        # and the responses of a cell of mass N carry an absolute rounding of
+        # about eps (sigma_c + |theta| + |mu|) / N (its first moments are
+        # differences of densities)
+        eps = np.finfo(float).eps
+        y_max = np.abs(trial[1]).max()
+        size = (wf * (1.0 + lam) * (1.0 + np.abs(b) + np.abs(grid.nodes)[:, None] + y_max) ** 2)
+        mu = terms[0]
+        smallest = trial[0][0][full].min()
+        resolution = 8 * eps * (terms[1] + np.abs(grid.nodes).max() + np.abs(mu).max()) / smallest
+        for q in np.flatnonzero(rows):
+            scale = max(np.abs(H[q, cols]).max(initial=0.0), np.abs(fd[q, cols]).max(initial=0.0))
+            # (entries near the subnormal range keep only a few digits)
+            floor = (1e-13 + resolution) * size.flat[q] / h + 1e8 * np.finfo(float).tiny
+            assert np.abs(H[q, cols] - fd[q, cols]).max(initial=0.0) <= 1e-6 * scale + floor, q
+        np.testing.assert_array_equal(H, H.T)
+
+    def test_increments_match_central_differences_at_a_bound(self, unit_source, rng):
+        grid = make_theta_grid(unit_source, 5, "gauss-hermite")
+        lam = 2.0
+        terms = _grid_terms(unit_source, grid, 5)
+        interior = _separated_random_quantizer(rng, 5, 4).interior().copy()
+        interior[2, 1] = interior[2, 0]  # d = 0 at its bound
+        x = _to_increments(interior)
+
+        def increment_gradient(xv):
+            bv = _to_boundaries(xv)
+            trial = _moment_pass(bv, terms, lam)
+            return _increment_gradient(self._gradient(bv, grid, lam, trial)).ravel()
+
+        trial = _moment_pass(interior, terms, lam)
+        grad = self._gradient(interior, grid, lam, trial)
+        Hx, _ = _hessian(interior, grid, lam, terms, trial, grad, increments=True)
+        np.testing.assert_array_equal(Hx, Hx.T)
+        fd = np.zeros_like(Hx)
+        for p in range(x.size):
+            e = np.zeros(x.size)
+            e[p] = 1e-6
+            e = e.reshape(x.shape)
+            fd[:, p] = (increment_gradient(x + e) - increment_gradient(x - e)) / 2e-6
+        assert np.abs(Hx - fd).max() <= 1e-6 * np.abs(fd).max()
+
+
+class TestObjective:
+    @settings(max_examples=200, deadline=None, derandomize=True)
+    @given(data=st.data())
+    def test_equals_shifted_d_e_without_cancellation(self, data):
+        src, grid = _draw_source_and_grid(data)
+        lam = _draw_lam(data)
+        M = data.draw(st.integers(2, 8), label="M")
+        mu, sigma = src.conditional_params(grid.nodes)
+        b = np.sort(mu[:, None] + sigma * np.array(
+            data.draw(st.lists(st.floats(-3.0, 3.0), min_size=(M - 1) * grid.n_nodes,
+                               max_size=(M - 1) * grid.n_nodes))
+        ).reshape(grid.n_nodes, M - 1), axis=1)
+        trial = _moment_pass(b, _grid_terms(src, grid, grid.n_nodes), lam)
+        f = _objective(trial[0][0], trial[1], trial[2], lam, _quantizer_free_total(src, grid))
+
+        # d_e + lam E_grid[theta^2] from the same sums in extended precision.
+        # sum_m U_m is E_grid[theta^2], so the lam-sized totals cancel exactly;
+        # in float64 they cancel to about lam * 1e-16
+        n, a, s, t, bx, u = (v.astype(np.longdouble) for v in trial[0])
+        full = n >= MASS_FLOOR
+        y = np.where(full, a / np.where(full, n, 1), trial[1].astype(np.longdouble))
+        theta_hat = np.where(full, t / np.where(full, n, 1), 0)
+        fidelity = (s - 2 * y * a + y * y * n + 2 * bx + u - 2 * y * t).sum()
+        reference = fidelity + np.longdouble(lam) * (2 * theta_hat * t - theta_hat**2 * n).sum()
+        assert abs(np.longdouble(f) - reference) <= 1e-14 * max(1.0, abs(f))
+        shifted = trial[3][0] + lam * grid.second_moment()
+        assert abs(f - shifted) <= 1e-14 * max(1.0, abs(f)) + 64 * np.finfo(float).eps * lam * (
+            grid.second_moment()
+        )
+
+
+class TestStopping:
+    @pytest.mark.parametrize("lam", [1e5, 1e7])
+    def test_restarts_end_stationary(self, unit_source, grid17, lam):
+        rng = np.random.default_rng(0)
+        for M in (2, 3):
+            inits = [random_monotone_quantizer(unit_source, grid17, M, rng) for _ in range(4)]
+            inits.append(lloyd_max_quantizer(unit_source, M, grid17))
+            for init in inits:
+                res = design(unit_source, grid17, M, lam, init=init)
+                assert res.kkt_residual <= 1e-8, (M, res.stop_reason)
+        res = design(unit_source, grid17, 8, lam, init=lloyd_max_quantizer(unit_source, 8, grid17))
+        assert res.converged and res.kkt_residual <= 1e-8
+
+    @pytest.mark.parametrize("lam", [0.0, 2.0])
+    def test_m8_restarts_stop_by_tolerance(self, unit_source, grid17, lam):
+        for seed in range(4):
+            rng = np.random.default_rng(seed)
+            inits = [random_monotone_quantizer(unit_source, grid17, 8, rng) for _ in range(2)]
+            inits.append(lloyd_max_quantizer(unit_source, 8, grid17))
+            for init in inits:
+                res = design(unit_source, grid17, 8, lam, OptimOptions(seed=seed), init=init)
+                assert res.stop_reason == "tolerance", (seed, res.stop_reason)
+
+    def test_seed_one_picks_lloyd_max(self, unit_source, grid17):
+        # every restart lands on the same quantizer, to the last digits of f
+        res = multistart(unit_source, grid17, 2, 1e7, OptimOptions(seed=1))
+        assert res.restart_index == OptimOptions().n_restarts
 
 
 class TestDesign:
@@ -259,12 +452,14 @@ class TestDesign:
     def test_never_above_init_and_stop_reason_consistent(self, unit_source, rng):
         grid = make_theta_grid(unit_source, 5, "gauss-hermite")
         reasons = set()
-        cases = ((2, 0.0, 20_000), (3, 1.0, 20_000), (4, 5.0, 3), (4, 1e5, 20_000))
-        for M, lam, max_iters in cases:
+        # eps = 1e-300 is out of reach, so that run ends when f stops resolving progress
+        cases = ((2, 0.0, 20_000, 1e-9), (3, 1.0, 20_000, 1e-9), (4, 5.0, 3, 1e-9),
+                 (4, 1e5, 20_000, 1e-9), (3, 1.0, 20_000, 1e-300))
+        for M, lam, max_iters, eps in cases:
             inits = [random_monotone_quantizer(unit_source, grid, M, rng),
                      lloyd_max_quantizer(unit_source, M, grid)]
             for init in inits:
-                opts = OptimOptions(max_iters=max_iters)
+                opts = OptimOptions(eps=eps, max_iters=max_iters)
                 res = design(unit_source, grid, M, lam, opts, init=init)
                 _, init_rep = evaluate(init, unit_source, grid, lam)
                 assert res.report.d_e <= init_rep.d_e
@@ -275,12 +470,12 @@ class TestDesign:
                 shifted = res.report.d_e + lam * grid.second_moment()
                 if res.converged:
                     assert res.kkt_residual <= opts.eps * max(1.0, shifted)
-                else:
+                if res.stop_reason == "stalled":
                     assert res.kkt_residual > opts.eps * max(1.0, shifted)
                 if res.stop_reason == "max_iters":
                     assert res.iterations == max_iters
                 reasons.add(res.stop_reason)
-        assert {"stalled", "max_iters"} <= reasons
+        assert reasons == set(STOP_REASONS)
 
     def test_evals_count_every_moment_pass(self, unit_source, monkeypatch, caplog):
         grid = make_theta_grid(unit_source, 5, "gauss-hermite")
@@ -301,7 +496,7 @@ class TestDesign:
             assert res.evals == len(passes)
             assert res.evals >= res.iterations + 1
             assert f"iters={res.iterations} evals={res.evals} " in caplog.text
-        assert "evals" not in design_result_to_dict(res, grid)
+        assert design_result_to_dict(res, grid)["evals"] == res.evals
 
 
 class TestMultistart:
@@ -343,9 +538,13 @@ class TestSerialization:
     def test_design_result_dict_schema(self, unit_source, grid3):
         res = design(unit_source, grid3, 2, 0.5, OptimOptions(seed=0, max_iters=300))
         data = design_result_to_dict(res, grid3)
-        for key in ("M", "theta_nodes", "boundaries", "y", "theta_hat",
-                    "d_e", "fidelity", "d_d", "d_theta", "iterations", "converged"):
-            assert key in data
+        assert set(data) == {"M", "theta_nodes", "boundaries", "y", "theta_hat",
+                             "d_e", "fidelity", "d_d", "d_theta", "iterations", "converged",
+                             "stop_reason", "kkt_residual", "evals"}
+        assert data["stop_reason"] == res.stop_reason in STOP_REASONS
+        assert data["kkt_residual"] == res.kkt_residual
+        assert data["evals"] == res.evals >= res.iterations + 1
+        json.dumps(data)
         assert data["M"] == 2
         assert len(data["y"]) == 2
         assert data["boundaries"][0][0] == "-inf"
