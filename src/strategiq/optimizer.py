@@ -21,7 +21,9 @@ cone is a box and a skipped message is d = 0.  Each step minimizes the
 quadratic model with the exact Hessian inside a Euclidean trust region, on
 the variables off their bound (Lin & More, 1999; the step is More &
 Sorensen's, 1983); a variable at its bound that the step would push out is
-held there.  A step is accepted when f decreases; the radius shrinks when
+held there.  A step is accepted when f falls below every earlier f (or, once
+the model promises less than f's rounding, when it stays within that
+rounding of them and shrinks the projected gradient); the radius shrinks when
 the model predicted poorly and grows, up to sigma_c, when the model was
 good and the step reached it.  At lam > 0 a poorly predicted step also gets
 a second-order correction (Fletcher's), which moves theta_hat back to where
@@ -53,10 +55,10 @@ from .quantizer_core import (
 
 logger = logging.getLogger(__name__)
 
-#: why a descent stopped: "tolerance" (stationary to opts.eps, and the model
-#: promises almost no further decrease), "stalled" (the trust region shrank
-#: until the model promised no decrease f could resolve, short of the
-#: tolerance) or "max_iters" (opts.max_iters accepted steps)
+#: why a descent stopped: "tolerance" (stationary to opts.eps), "stalled" (the
+#: trust region shrank until the model promised no decrease f could resolve,
+#: short of the tolerance) or "max_iters" (opts.max_iters accepted steps, short
+#: of the tolerance)
 STOP_REASONS = ("tolerance", "stalled", "max_iters")
 _FD_STEP = 1e-5
 _SECULAR_ITERS = 50  # Newton steps on the trust-region boundary equation
@@ -65,9 +67,9 @@ _RESOLUTION = 64 * float(np.finfo(float).eps)  # of eigh's eigenvalues, relative
 # f sums a constant and one Phi per cell, each with a few roundings: changes
 # of f below this many units of its size are not resolved
 _ROUNDING = 16 * float(np.finfo(float).eps)
-# a stop by tolerance also needs the model to promise no decrease of f above
-# this fraction of the tolerance: rows of small weight meet the gradient
-# bound before they are converged
+# under the tolerance the descent goes on while the model promises a decrease
+# of f above this fraction of it: rows of small weight meet the gradient bound
+# before they are converged
 _PROMISE = 1e-3
 
 
@@ -253,29 +255,23 @@ def _quantizer_free_total(source: SourceSpec, grid: ThetaGrid) -> float:
 
 
 def _hessian(
-    b: np.ndarray,
-    grid: ThetaGrid,
-    lam: float,
-    terms: tuple,
-    trial: tuple,
-    grad: np.ndarray,
-    increments: bool = False,
+    b: np.ndarray, grid: ThetaGrid, lam: float, terms: tuple, trial: tuple, grad: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Exact Hessian of d_e in the interior boundaries b (or their increments), and its rows.
+    """Exact Hessian of d_e in the increments of the interior boundaries b, and its rows.
 
     trial is _moment_pass's output at b and grad the analytic gradient there.
-    Per cell, Phi = N ((y + theta_hat)^2 - (1 + lam) theta_hat^2), so
-    H = diag(D) - sum_m (2/N_m) (a_m a_m^T - (1 + lam) t_m t_m^T) with
-    a_m = N_m grad(y_m + theta_hat_m) and t_m = N_m grad(theta_hat_m): the
-    Jacobian of the pooled (A, T, N) against the Hessian of Phi in them.
+    Per cell, Phi = N ((y + theta_hat)^2 - (1 + lam) theta_hat^2), so in the
+    boundaries H = diag(D) - sum_m (2/N_m) (a_m a_m^T - (1 + lam) t_m t_m^T)
+    with a_m = N_m grad(y_m + theta_hat_m) and t_m = N_m grad(theta_hat_m):
+    the Jacobian of the pooled (A, T, N) against the Hessian of Phi in them.
     Boundary c is the upper edge of cell c and the lower edge of cell c + 1;
     it enters their rows as +-w f (b + theta - y - theta_hat) and
     +-w f (theta - theta_hat).  D is the second derivative of each boundary's
     own term, through the density slope f' = -(b - mu) f / sigma_c^2.  A
     cell below MASS_FLOOR contributes no rows.  In the increments, with L
     the per-row cumulative sum, the Hessian is L^T H L: the rows become
-    a L and t L, and diag(D) a block per row.  Returns H, shape (P, P) with
-    P = b.size, and the rows, shape (2, M, n_rows, M-1): a, then t.
+    a L and t L, and diag(D) a block per row.  Returns L^T H L, shape (P, P)
+    with P = b.size, and the rows, shape (2, M, n_rows, M-1): a L, then t L.
     """
     mu, sigma = terms[0], terms[1]
     sums, y, theta_hat, _, density = trial
@@ -292,20 +288,16 @@ def _hessian(
     rows[0, cols + 1, :, cols] = -(wf * (b - y[1:]) + t_hi).T
     rows[1, cols, :, cols] = t_lo.T
     rows[1, cols + 1, :, cols] = -t_hi.T
-    if increments:
-        rows = _increment_gradient(rows)
+    rows = _increment_gradient(rows)
     n = sums[0]
     weight = np.sqrt(np.divide(2.0, n, out=np.zeros_like(n), where=n >= MASS_FLOOR))[:, None]
     a = rows[0].reshape(k + 1, -1) * weight
     t = rows[1].reshape(k + 1, -1) * (np.sqrt(1.0 + lam) * weight)
     H = t.T @ t - a.T @ a  # symmetric products, so H is exactly symmetric
-    if increments:
-        # (L^T diag(D) L)_{ik} = sum of D from boundary max(i, k) on, per row
-        tail = _increment_gradient(diag)[:, np.maximum.outer(cols, cols)]
-        every = np.arange(n_rows)
-        H.reshape(n_rows, k, n_rows, k)[every, :, every, :] += tail
-    else:
-        H.flat[:: H.shape[0] + 1] += diag.ravel()
+    # (L^T diag(D) L)_{ik} = sum of D from boundary max(i, k) on, per row
+    tail = _increment_gradient(diag)[:, np.maximum.outer(cols, cols)]
+    every = np.arange(n_rows)
+    H.reshape(n_rows, k, n_rows, k)[every, :, every, :] += tail
     return H, rows
 
 
@@ -428,17 +420,18 @@ def design(
     """Single projected trust-region Newton run from init (or a seeded random start).
 
     The objective f = d_e + lam * E[theta^2] stays O(1) at every lam and is
-    formed without cancellation.  A step is accepted when it lowers f.  Once
-    the model promises a decrease below f's rounding, which no evaluation can
-    confirm, a step is accepted when it shrinks the projected gradient and
-    leaves f within that rounding.  stop_reason is "tolerance" once the
-    inf-norm of the projected gradient is at most tol = opts.eps * max(1, f)
-    and the model promises a decrease of at most 1e-3 * tol (or below f's
-    rounding), "stalled" when the trust region has shrunk until the model
-    promises no decrease f could resolve while the gradient is still above
-    tol, and "max_iters" after opts.max_iters accepted steps.  converged is
-    True only for "tolerance".  The result's f is never above init's by more
-    than f's rounding.
+    formed without cancellation.  A step is accepted when it lowers f below
+    every f accepted before.  Once the model promises a decrease below f's
+    rounding, which no evaluation can confirm, a step is accepted when it
+    shrinks the projected gradient and leaves f within that rounding of the
+    lowest f so far; so no accepted f is above an earlier one, init's
+    included, by more than f's rounding.  Once the inf-norm of the projected
+    gradient is at most tol = opts.eps * max(1, f), the descent stops when the
+    model promises a decrease of at most 1e-3 * tol (or below f's rounding).
+    stop_reason is "tolerance" for every stop with the gradient at most tol;
+    otherwise it is "stalled" when the trust region has shrunk until the model
+    promises no decrease f could resolve, and "max_iters" after
+    opts.max_iters accepted steps.  converged is True only for "tolerance".
     """
     if M < 1:
         raise ValueError("M must be >= 1")
@@ -473,6 +466,8 @@ def design(
     H = caches = None
     iterations, evals = 0, 1
 
+    f_low = f  # the lowest f accepted so far
+
     def consider(x_try: np.ndarray) -> tuple[tuple | None, tuple]:
         """The moment pass at x_try, and x_try's state if the step from x is accepted."""
         nonlocal evals
@@ -480,28 +475,28 @@ def design(
         trial = _moment_pass(b_try, terms, lam)
         evals += 1
         f_try = _objective(trial[0][0], trial[1], trial[2], lam, c1)
-        # below its rounding f cannot rank the points; a step that leaves f
-        # within that rounding then counts as progress if it shrinks the
-        # projected gradient
-        if not (f_try < f or (unseen and f_try <= f + rounding)):
+        # below its rounding f cannot rank the points; a step that stays within
+        # that rounding of the lowest f then counts as progress if it shrinks
+        # the projected gradient
+        if not (f_try < f_low or (unseen and f_try <= f_low + rounding)):
             return None, trial
         grad_try = _analytic_gradient(b_try, grid, lam, trial[1], trial[2], trial[4])
         g_try = _increment_gradient(grad_try).ravel()
-        if f_try < f or _kkt_residual(x_try, g_try.reshape(x.shape), lower) < kkt_residual:
+        if f_try < f_low or _kkt_residual(x_try, g_try.reshape(x.shape), lower) < kkt_residual:
             return (x_try, f_try, g_try, b_try, grad_try, trial), trial
         return None, trial
 
     while True:
         kkt_residual = _kkt_residual(x, g.reshape(x.shape), lower)
         if H is None:
-            H, rows = _hessian(b, grid, lam, terms, state, grad, increments=True)
+            H, rows = _hessian(b, grid, lam, terms, state, grad)
             caches = {}
             # N_m times the gradient of theta_hat_m in the increments
             n_theta_jac = rows[1].reshape(M, -1)
         x_new, reached, correct = _bounded_step(H, g, x, lower, delta, caches)
         s = (x_new - x).ravel()
         predicted = -(g @ s + 0.5 * s @ (H @ s))
-        rounding = _ROUNDING * max(1.0, abs(f))
+        rounding = _ROUNDING * max(1.0, abs(f_low))
         unseen = predicted <= rounding
         # at M = 1 there are no variables, and the residual 0 stops at once
         tolerance = opts.eps * max(1.0, f)
@@ -535,6 +530,7 @@ def design(
             elif ratio > 0.75 and reached:
                 delta = min(2.0 * delta, delta_max)
             x, f, g, b, grad, state = accepted
+            f_low = min(f_low, f)
             sums, resp_y, theta_hat, dist, density = state
             H = None
             trajectory.append(dist[0])
@@ -545,6 +541,8 @@ def design(
             stop_reason = "stalled"
             break
         delta = 0.25 * s_norm
+    if kkt_residual <= tolerance:
+        stop_reason = "tolerance"
 
     logger.debug(
         "design M=%d lam=%g: iters=%d evals=%d stop=%s d_e=%.9g kkt_residual=%.3g",

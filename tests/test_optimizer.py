@@ -246,7 +246,10 @@ def _draw_boundaries(data, src, grid, M):
 class TestHessian:
     @staticmethod
     def _gradient(b, grid, lam, trial):
-        return _analytic_gradient(b, grid, lam, trial[1], trial[2], trial[4])
+        """The analytic gradient in the increments of b, flattened."""
+        return _increment_gradient(
+            _analytic_gradient(b, grid, lam, trial[1], trial[2], trial[4])
+        ).ravel()
 
     # derandomized, so that a run of the suite checks the same examples; many
     # more random draws pass the same test
@@ -257,19 +260,22 @@ class TestHessian:
         lam = _draw_lam(data)
         M = data.draw(st.integers(2, 8), label="M")
         b = _draw_boundaries(data, src, grid, M)
+        x = _to_increments(b)  # a coincident pair is an increment at its bound 0
         terms = _grid_terms(src, grid, grid.n_nodes)
         trial = _moment_pass(b, terms, lam)
         full = trial[0][0] >= MASS_FLOOR
-        H, _ = _hessian(b, grid, lam, terms, trial, self._gradient(b, grid, lam, trial))
+        grad = _analytic_gradient(b, grid, lam, trial[1], trial[2], trial[4])
+        H, _ = _hessian(b, grid, lam, terms, trial, grad)
 
         # columns whose probes change which cells are below MASS_FLOOR have no
-        # derivative; nor do rows next to an empty interior cell, whose
-        # reconstruction (its span's midpoint) moves with the boundaries
+        # derivative; nor do rows that sum a boundary next to an empty
+        # interior cell, whose reconstruction (its span's midpoint) moves with
+        # the boundaries
         P = b.size
         fd = np.zeros((P, P))
         cols = np.ones(P, dtype=bool)
-        # a probe moves a cell's mass N by up to h w f: keep that far below N,
-        # where the third derivatives of 1/N terms stay small
+        # a probe moves a cell's mass N by up to 2 h w f: keep that far below
+        # N, where the third derivatives of 1/N terms stay small
         wf = grid.weights[:, None] * trial[4]
         h = 1e-5 * terms[1]
         if wf.max() > 0.0:  # (all densities can underflow: then every entry is 0)
@@ -282,62 +288,41 @@ class TestHessian:
                 e = np.zeros(P)
                 e[p] = step
                 e = e.reshape(b.shape)
-                up, down = _moment_pass(b + e, terms, lam), _moment_pass(b - e, terms, lam)
+                b_up, b_down = _to_boundaries(x + e), _to_boundaries(x - e)
+                up, down = _moment_pass(b_up, terms, lam), _moment_pass(b_down, terms, lam)
                 if np.any((up[0][0] >= MASS_FLOOR) != full) or np.any(
                     (down[0][0] >= MASS_FLOOR) != full
                 ):
                     cols[p] = False
                     break
-                diff = self._gradient(b + e, grid, lam, up) - self._gradient(b - e, grid, lam, down)
-                central.append(diff.ravel() / (2.0 * step))
+                diff = self._gradient(b_up, grid, lam, up) - self._gradient(b_down, grid, lam, down)
+                central.append(diff / (2.0 * step))
             if cols[p]:
                 fd[:, p] = (4.0 * central[1] - central[0]) / 3.0
         empty_inner = ~full
         empty_inner[[0, -1]] = False
-        rows = ~np.broadcast_to(empty_inner[:-1] | empty_inner[1:], b.shape).ravel()
-        # each row of fd differentiates one gradient entry: compare it at its
-        # own scale, above what the probes can resolve.  The entry's terms
-        # are of size w f (1 + lam) (1 + |b| + |theta| + |y|)^2 and may cancel,
-        # and the responses of a cell of mass N carry an absolute rounding of
-        # about eps (sigma_c + |theta| + |mu|) / N (its first moments are
+        next_to_empty = np.broadcast_to(empty_inner[:-1] | empty_inner[1:], b.shape)
+        rows = _increment_gradient(next_to_empty.astype(float)).ravel() == 0.0
+        # each row of fd differentiates one gradient entry, a sum of boundary
+        # entries: compare it at its own scale, above what the probes can
+        # resolve.  A boundary entry's terms are of size
+        # w f (1 + lam) (1 + |b| + |theta| + |y|)^2 and may cancel, and the
+        # responses of a cell of mass N carry an absolute rounding of about
+        # eps (sigma_c + |theta| + |mu|) / N (its first moments are
         # differences of densities)
         eps = np.finfo(float).eps
         y_max = np.abs(trial[1]).max()
         size = (wf * (1.0 + lam) * (1.0 + np.abs(b) + np.abs(grid.nodes)[:, None] + y_max) ** 2)
+        size = _increment_gradient(size).ravel()
         mu = terms[0]
         smallest = trial[0][0][full].min()
         resolution = 8 * eps * (terms[1] + np.abs(grid.nodes).max() + np.abs(mu).max()) / smallest
         for q in np.flatnonzero(rows):
             scale = max(np.abs(H[q, cols]).max(initial=0.0), np.abs(fd[q, cols]).max(initial=0.0))
             # (entries near the subnormal range keep only a few digits)
-            floor = (1e-13 + resolution) * size.flat[q] / h + 1e8 * np.finfo(float).tiny
+            floor = (1e-13 + resolution) * size[q] / h + 1e8 * np.finfo(float).tiny
             assert np.abs(H[q, cols] - fd[q, cols]).max(initial=0.0) <= 1e-6 * scale + floor, q
         np.testing.assert_array_equal(H, H.T)
-
-    def test_increments_match_central_differences_at_a_bound(self, unit_source, rng):
-        grid = make_theta_grid(unit_source, 5, "gauss-hermite")
-        lam = 2.0
-        terms = _grid_terms(unit_source, grid, 5)
-        interior = _separated_random_quantizer(rng, 5, 4).interior().copy()
-        interior[2, 1] = interior[2, 0]  # d = 0 at its bound
-        x = _to_increments(interior)
-
-        def increment_gradient(xv):
-            bv = _to_boundaries(xv)
-            trial = _moment_pass(bv, terms, lam)
-            return _increment_gradient(self._gradient(bv, grid, lam, trial)).ravel()
-
-        trial = _moment_pass(interior, terms, lam)
-        grad = self._gradient(interior, grid, lam, trial)
-        Hx, _ = _hessian(interior, grid, lam, terms, trial, grad, increments=True)
-        np.testing.assert_array_equal(Hx, Hx.T)
-        fd = np.zeros_like(Hx)
-        for p in range(x.size):
-            e = np.zeros(x.size)
-            e[p] = 1e-6
-            e = e.reshape(x.shape)
-            fd[:, p] = (increment_gradient(x + e) - increment_gradient(x - e)) / 2e-6
-        assert np.abs(Hx - fd).max() <= 1e-6 * np.abs(fd).max()
 
 
 class TestObjective:
@@ -393,6 +378,14 @@ class TestStopping:
             for init in inits:
                 res = design(unit_source, grid17, 8, lam, OptimOptions(seed=seed), init=init)
                 assert res.stop_reason == "tolerance", (seed, res.stop_reason)
+
+    def test_cap_under_the_bound_is_a_stop_by_tolerance(self, unit_source, grid17):
+        # the cap ends this run with the gradient under the bound, while the
+        # model still promises a decrease that the full run goes on to take
+        init = lloyd_max_quantizer(unit_source, 3, grid17)
+        res = design(unit_source, grid17, 3, 2.0, OptimOptions(max_iters=9), init=init)
+        assert res.iterations == 9 < design(unit_source, grid17, 3, 2.0, init=init).iterations
+        assert res.stop_reason == "tolerance" and res.kkt_residual <= 1e-9
 
     def test_seed_one_picks_lloyd_max(self, unit_source, grid17):
         # every restart lands on the same quantizer, to the last digits of f
@@ -452,26 +445,39 @@ class TestDesign:
     def test_never_above_init_and_stop_reason_consistent(self, unit_source, rng):
         grid = make_theta_grid(unit_source, 5, "gauss-hermite")
         reasons = set()
+        c1 = _quantizer_free_total(unit_source, grid)
         # eps = 1e-300 is out of reach, so that run ends when f stops resolving progress
         cases = ((2, 0.0, 20_000, 1e-9), (3, 1.0, 20_000, 1e-9), (4, 5.0, 3, 1e-9),
-                 (4, 1e5, 20_000, 1e-9), (3, 1.0, 20_000, 1e-300))
+                 (4, 1e5, 20_000, 1e-9), (4, 1e7, 20_000, 1e-9), (3, 1.0, 20_000, 1e-300))
         for M, lam, max_iters, eps in cases:
             inits = [random_monotone_quantizer(unit_source, grid, M, rng),
                      lloyd_max_quantizer(unit_source, M, grid)]
             for init in inits:
                 opts = OptimOptions(eps=eps, max_iters=max_iters)
                 res = design(unit_source, grid, M, lam, opts, init=init)
-                _, init_rep = evaluate(init, unit_source, grid, lam)
-                assert res.report.d_e <= init_rep.d_e
+                init_resp, init_rep = evaluate(init, unit_source, grid, lam)
+                # f = d_e + lam E[theta^2] is what the descent lowers; d_e's
+                # rounding grows with lam
+                f_init = _objective(init_resp.cell_mass, init_resp.y, init_resp.theta_hat, lam, c1)
+                resp = res.responses
+                f = _objective(resp.cell_mass, resp.y, resp.theta_hat, lam, c1)
+                rounding = 16 * np.finfo(float).eps * max(1.0, abs(f_init))
+                assert f <= f_init + rounding
+                if lam <= 5.0:
+                    assert res.report.d_e <= init_rep.d_e
                 assert res.trajectory[0] == init_rep.d_e
+                # a step the model promises less than f's rounding for stays
+                # within that rounding of the lowest f so far, not of the last
+                slack = rounding + 64 * np.finfo(float).eps * lam * grid.second_moment()
+                running_low = np.minimum.accumulate(res.trajectory)
+                assert np.all(res.trajectory[1:] <= running_low[:-1] + slack)
                 assert res.stop_reason in STOP_REASONS
                 assert res.converged == (res.stop_reason == "tolerance")
                 assert 0.0 <= res.kkt_residual < math.inf
-                shifted = res.report.d_e + lam * grid.second_moment()
                 if res.converged:
-                    assert res.kkt_residual <= opts.eps * max(1.0, shifted)
-                if res.stop_reason == "stalled":
-                    assert res.kkt_residual > opts.eps * max(1.0, shifted)
+                    assert res.kkt_residual <= opts.eps * max(1.0, f)
+                else:
+                    assert res.kkt_residual > opts.eps * max(1.0, f)
                 if res.stop_reason == "max_iters":
                     assert res.iterations == max_iters
                 reasons.add(res.stop_reason)
