@@ -14,7 +14,6 @@ from .gaussian_model import (
     MASS_FLOOR,
     SourceSpec,
     ThetaGrid,
-    cell_moments,
     make_source,
     make_theta_grid,
 )
@@ -69,7 +68,6 @@ __all__ = [
     "MASS_FLOOR",
     "SourceSpec",
     "ThetaGrid",
-    "cell_moments",
     "make_source",
     "make_theta_grid",
     "LinearEquilibrium",

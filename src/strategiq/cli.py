@@ -25,6 +25,7 @@ stderr).
 from __future__ import annotations
 
 import argparse
+import contextlib
 import itertools
 import json
 import logging
@@ -72,6 +73,15 @@ LINEAR_M_SENTINEL = 0
 
 class ConfigError(ValueError):
     """Malformed sweep configuration (exit code 1)."""
+
+
+@contextlib.contextmanager
+def _as_config_error():
+    """Re-raise what the constructors of a run's inputs reject as a ConfigError."""
+    try:
+        yield
+    except (TypeError, ValueError) as exc:
+        raise ConfigError(str(exc)) from exc
 
 
 @dataclass
@@ -138,20 +148,21 @@ def resolve_lambdas(spec, lambda_max: float) -> list[float]:
             start, stop, points = float(spec["start"]), float(spec["stop"]), int(spec["points"])
         except KeyError as exc:
             raise ConfigError(f"lambdas range spec missing field {exc}") from exc
-        if start <= 0 or stop <= 0 or points < 1:
-            raise ConfigError("lambdas range spec needs positive start/stop and points >= 1")
+        except (TypeError, ValueError) as exc:
+            raise ConfigError(f"lambdas range spec: {exc}") from exc
+        if not (0 < start < math.inf and 0 < stop < math.inf) or points < 1:
+            raise ConfigError("lambdas range spec needs positive finite start/stop and points >= 1")
         return [float(v) for v in np.logspace(math.log10(start), math.log10(stop), points)]
-    values = []
-    for v in spec:
-        if isinstance(v, str) and v.strip().lower() in ("inf", "+inf", "infinity"):
-            values.append(float(lambda_max))
-            continue
-        x = float(v)
-        values.append(float(lambda_max) if math.isinf(x) else x)
+    try:
+        values = [float(v) for v in spec]
+    except (TypeError, ValueError) as exc:
+        raise ConfigError(f"lambdas must be numbers: {exc}") from exc
+    values = [float(lambda_max) if v == math.inf else v for v in values]
     if not values:
         raise ConfigError("lambdas must be nonempty")
-    if any(v < 0 for v in values):
-        raise ConfigError("lambdas must be nonnegative")
+    # NaN fails both comparisons, so it is rejected too
+    if not all(0 <= v < math.inf for v in values):
+        raise ConfigError("lambdas must be nonnegative and finite (inf means lambda_max)")
     return values
 
 
@@ -184,6 +195,9 @@ def validate_config(cfg: SweepConfig) -> None:
         raise ConfigError("quantizer mode requires m_values >= 1 (0 is the linear sentinel)")
     if cfg.mc_samples < 1:
         raise ConfigError("mc_samples must be >= 1")
+    with _as_config_error():
+        OptimOptions(eps=cfg.eps, max_iters=cfg.max_iters, n_restarts=cfg.n_restarts, seed=cfg.seed)
+        make_source(cfg.sigma_x, cfg.r, cfg.rho)
 
 
 def _effective_m_values(cfg: SweepConfig) -> list[int]:
@@ -369,7 +383,7 @@ def _parse_lambda_flag(text: str):
         parts = text.split(":")
         if len(parts) != 4:
             raise ConfigError("--lambdas log spec must be log:START:STOP:POINTS")
-        return {"start": float(parts[1]), "stop": float(parts[2]), "points": int(parts[3])}
+        return {"start": parts[1], "stop": parts[2], "points": parts[3]}
     return [v.strip() for v in text.split(",") if v.strip()]
 
 
@@ -461,13 +475,15 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
 
 
 def _cmd_linear(args: argparse.Namespace) -> int:
-    source = make_source(args.sigma_x, args.r, args.rho)
-    eq = linear.solve_equilibrium(source, args.lam)
-    rep = linear.linear_distortions(source, eq.alpha, args.lam)
+    lam = resolve_lambdas([args.lam], SweepConfig.lambda_max)[0]
+    with _as_config_error():
+        source = make_source(args.sigma_x, args.r, args.rho)
+    eq = linear.solve_equilibrium(source, lam)
+    rep = linear.linear_distortions(source, eq.alpha, lam)
     print(
         json.dumps(
             {
-                "lambda": args.lam,
+                "lambda": lam,
                 "alpha": eq.alpha,
                 "kappa": eq.kappa,
                 "nu": eq.nu,
@@ -485,12 +501,14 @@ def _cmd_linear(args: argparse.Namespace) -> int:
 def _cmd_design(args: argparse.Namespace) -> int:
     if args.m < 1:
         raise ConfigError("--m must be >= 1 for design (0 is the linear sentinel)")
-    source = make_source(args.sigma_x, args.r, args.rho)
-    grid = make_theta_grid(source, args.theta_nodes, args.theta_scheme)
-    opts = OptimOptions(
-        eps=args.eps, max_iters=args.max_iters, n_restarts=args.n_restarts, seed=args.seed
-    )
-    result = multistart(source, grid, args.m, args.lam, opts)
+    lam = resolve_lambdas([args.lam], SweepConfig.lambda_max)[0]
+    with _as_config_error():
+        source = make_source(args.sigma_x, args.r, args.rho)
+        grid = make_theta_grid(source, args.theta_nodes, args.theta_scheme)
+        opts = OptimOptions(
+            eps=args.eps, max_iters=args.max_iters, n_restarts=args.n_restarts, seed=args.seed
+        )
+    result = multistart(source, grid, args.m, lam, opts)
     payload = design_result_to_dict(result, grid)
     try:
         with open(args.out, "w", encoding="utf-8") as fh:
@@ -499,7 +517,7 @@ def _cmd_design(args: argparse.Namespace) -> int:
     except OSError as exc:
         raise OSError(f"cannot write design output to {args.out!r}: {exc}") from exc
     print(
-        f"designed M={args.m} quantizer at lambda={args.lam:g}: "
+        f"designed M={args.m} quantizer at lambda={lam:g}: "
         f"d_e={result.report.d_e:.6g} d_d={result.report.d_d:.6g} "
         f"d_theta={result.report.d_theta:.6g} -> {args.out}"
     )

@@ -180,20 +180,3 @@ def _standardized_moments(
     second = mu_b * first + sigma * (mu_b * dphi + sigma * (mass + zpdf[..., :-1] - zpdf[..., 1:]))
     return mass, first, second, pdf
 
-
-def cell_moments(
-    source: SourceSpec, grid: ThetaGrid, boundaries: np.ndarray
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Per-(theta node, cell) partial moments for a boundary matrix.
-
-    boundaries has shape (n_nodes, M+1) with -inf / +inf outer edges; rows must
-    be nondecreasing.  Returns (mass, first, second), each of shape (n_nodes, M),
-    where second is the second partial moment E[X^2 1_cell | theta_j].
-    """
-    boundaries = np.asarray(boundaries, dtype=float)
-    if boundaries.ndim != 2 or boundaries.shape[0] != grid.n_nodes:
-        raise ValueError("boundaries must have one row per theta node")
-    mu_c, sigma_c = source.conditional_params(grid.nodes)
-    if sigma_c == 0.0:
-        raise ValueError("cell moments require a nondegenerate source (|rho| < 1)")
-    return interval_moments(mu_c, sigma_c, boundaries)

@@ -96,7 +96,7 @@ def encoder_objective(source: SourceSpec, alpha: float, lam: float) -> float:
     Expanded directly from the moments; tests check it against the
     constant + P/v form of the module docstring.
     """
-    if lam < 0:
+    if not lam >= 0:
         raise ValueError("lam must be nonnegative")
     _, _, fidelity, _, d_theta = _linear_terms(source, alpha)
     return fidelity - lam * d_theta
@@ -109,7 +109,7 @@ def optimal_alpha(source: SourceSpec, lam: float) -> float:
     minimizer (see the module docstring).  Raises ValueError for lam < 0 or a
     negative discriminant, and ArithmeticError if the certificate fails.
     """
-    if lam < 0:
+    if not lam >= 0:
         raise ValueError("lam must be nonnegative")
     r, rho = source.r, source.rho
     a2 = r * (rho + r)
@@ -150,7 +150,7 @@ def solve_equilibrium(source: SourceSpec, lam: float) -> LinearEquilibrium:
 
 def linear_distortions(source: SourceSpec, alpha: float, lam: float) -> DistortionReport:
     """All distortions of the linear strategy profile at (alpha, MMSE responses)."""
-    if lam < 0:
+    if not lam >= 0:
         raise ValueError("lam must be nonnegative")
     _, _, fidelity, d_d, d_theta = _linear_terms(source, alpha)
     return DistortionReport(

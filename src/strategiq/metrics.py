@@ -23,8 +23,12 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.special import ndtr, ndtri
 
-from .gaussian_model import MASS_FLOOR, SourceSpec, ThetaGrid, _phi, _zphi
+from .gaussian_model import MASS_FLOOR, SourceSpec, ThetaGrid, interval_moments
 from .quantizer_core import Quantizer
+
+# lloyd_max stops once the distortion changes by less than this
+_LLOYD_TOL = 1e-12
+_LLOYD_MAX_ITERS = 200_000
 
 
 @dataclass(frozen=True)
@@ -80,12 +84,11 @@ def max_kl(q: Quantizer, source: SourceSpec, grid: ThetaGrid) -> SimilarityRepor
     return SimilarityReport(pairwise=pairwise, d_max=float(pairwise.max()))
 
 
-def lloyd_max(
-    source: SourceSpec, M: int, tol: float = 1e-12, max_iters: int = 200_000
-) -> LloydMaxResult:
+def lloyd_max(source: SourceSpec, M: int) -> LloydMaxResult:
     """Classical centroid/midpoint fixed point for the marginal N(0, sigma_x^2).
 
-    Iterates until the distortion changes by less than tol.
+    Iterates until the distortion changes by less than _LLOYD_TOL and the
+    boundaries by less than 1e-11 sigma_x.
     """
     if M < 1:
         raise ValueError("M must be >= 1")
@@ -101,14 +104,14 @@ def lloyd_max(
     b = np.concatenate(([-np.inf], sx * ndtri(np.linspace(0.0, 1.0, M + 1)[1:-1]), [np.inf]))
     prev = math.inf
     iterations = 0
-    for iterations in range(1, max_iters + 1):
+    for iterations in range(1, _LLOYD_MAX_ITERS + 1):
         levels, dist = _lloyd_step(b, sx)
         new_b = np.concatenate(([-np.inf], 0.5 * (levels[:-1] + levels[1:]), [np.inf]))
-        moved = float(np.max(np.abs(new_b[1:-1] - b[1:-1]))) if M > 1 else 0.0
+        moved = float(np.max(np.abs(new_b[1:-1] - b[1:-1])))
         b = new_b
         # boundary stability on top of the distortion criterion: downstream
         # stationarity checks need the fixed point itself, not just its value
-        if abs(prev - dist) < tol and moved < 1e-11 * sx:
+        if abs(prev - dist) < _LLOYD_TOL and moved < 1e-11 * sx:
             break
         prev = dist
     levels, dist = _lloyd_step(b, sx)
@@ -116,13 +119,7 @@ def lloyd_max(
 
 
 def _lloyd_step(b: np.ndarray, sx: float) -> tuple[np.ndarray, float]:
-    z = b / sx
-    cdf = ndtr(z)
-    pdf = _phi(z)
-    zpdf = _zphi(z, pdf)
-    mass = cdf[1:] - cdf[:-1]
-    first = sx * (pdf[:-1] - pdf[1:])
-    second = sx**2 * (mass + zpdf[:-1] - zpdf[1:])
+    mass, first, second = interval_moments(0.0, sx, b)
     levels = np.where(mass > MASS_FLOOR, first / np.where(mass > 0, mass, 1.0), 0.0)
     dist = float(np.sum(second - 2.0 * levels * first + levels**2 * mass))
     return levels, dist

@@ -21,10 +21,14 @@ cone is a box and a skipped message is d = 0.  Each step minimizes the
 quadratic model with the exact Hessian inside a Euclidean trust region, on
 the variables off their bound (Lin & More, 1999; the step is More &
 Sorensen's, 1983); a variable at its bound that the step would push out is
-held there.  A step is accepted when f falls below every earlier f (or, once
-the model promises less than f's rounding, when it stays within that
-rounding of them and shrinks the projected gradient); the radius shrinks when
-the model predicted poorly and grows, up to sigma_c, when the model was
+held there.  One eigendecomposition of the Hessian on the free variables
+gives every step from that point: the interior step, the step on the
+region's boundary (a scalar equation in the shift sigma of the eigenvalues),
+the hard case, and (H + sigma I)^-1 for the correction below.  A step is
+accepted when f falls below every earlier f (or, once the model promises
+less than f's rounding, when it stays within that rounding of them and
+shrinks the projected gradient); the radius shrinks when the model
+predicted poorly and grows, up to sigma_c, when the model was
 good and the step reached it.  At lam > 0 a poorly predicted step also gets
 a second-order correction (Fletcher's), which moves theta_hat back to where
 the linear model put it, and the better of the two points is kept.  A trial
@@ -37,6 +41,7 @@ Lloyd-Max start to seeded random starts and keeps the lowest.
 from __future__ import annotations
 
 import logging
+import math
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -89,8 +94,8 @@ class OptimOptions:
     seed: int = 0
 
     def __post_init__(self) -> None:
-        if self.eps <= 0:
-            raise ValueError("eps must be positive")
+        if not 0.0 < self.eps < math.inf:
+            raise ValueError("eps must be positive and finite")
         if self.max_iters < 1 or self.n_restarts < 1:
             raise ValueError("max_iters and n_restarts must be >= 1")
 
@@ -181,7 +186,7 @@ def boundary_gradient(
 
     Coincident boundaries get subgradient 0 in both modes.
     """
-    if lam < 0:
+    if not lam >= 0:
         raise ValueError("lam must be nonnegative")
     if mode == "analytic":
         interior = q.interior()
@@ -301,34 +306,31 @@ def _hessian(
     return H, rows
 
 
-def _trust_region_step(
-    H: np.ndarray, g: np.ndarray, delta: float, cache: dict
-) -> tuple[np.ndarray, float, bool]:
+def _eig(H: np.ndarray, g: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray, float]:
+    """H's eigenpairs, g in their basis, and the resolution of the eigenvalues.
+
+    Eigenvalues closer than the resolution to -sigma are singular to eigh's
+    accuracy.
+    """
+    eigvals, vecs = np.linalg.eigh(H)
+    resolution = _RESOLUTION * max(-float(eigvals[0]), float(eigvals[-1]))
+    return eigvals, vecs, vecs.T @ g, resolution
+
+
+def _trust_region_step(eig: tuple, delta: float) -> tuple[np.ndarray, float, bool]:
     """Minimizer s of g.s + s.H.s/2 over |s| <= delta, its shift sigma, and whether |s| = delta.
 
-    s solves (H + sigma I) s = -g with H + sigma I positive semidefinite
-    (More & Sorensen, 1983).  A positive definite H whose Newton step fits
-    (sigma = 0) is solved directly, after a Cholesky factorization shows it
-    is positive definite.  Otherwise H's eigendecomposition turns |s| = delta
-    into a scalar equation in sigma, solved by Newton's method on
-    1/|s(sigma)| - 1/delta from below.  cache keeps both for the retries at
-    the same point with a smaller delta.
+    eig is _eig(H, g).  s solves (H + sigma I) s = -g with H + sigma I
+    positive semidefinite (More & Sorensen, 1983), and in H's eigenbasis
+    each coefficient of s is -(g's coefficient) / (eigenvalue + sigma).  The
+    interior step (sigma = 0, H positive semidefinite) is taken when it fits.
+    Otherwise |s| = delta is a scalar equation in sigma, solved by Newton's
+    method on 1/|s(sigma)| - 1/delta from sigma = max(0, -lowest eigenvalue)
+    upward.  In the hard case, where the step at that lowest sigma is
+    already inside the region (g has no part along the lowest eigenvector),
+    the step is filled up to the boundary along that eigenvector.
     """
-    if "eig" not in cache:
-        if "newton" not in cache:
-            try:
-                np.linalg.cholesky(H)
-                cache["newton"] = np.linalg.solve(H, -g)
-            except np.linalg.LinAlgError:
-                cache["newton"] = None
-        newton = cache["newton"]
-        if newton is not None and float(np.sqrt(newton @ newton)) <= delta:
-            return newton, 0.0, False
-        eigvals, vecs = np.linalg.eigh(H)
-        cache["eig"] = eigvals, vecs, vecs.T @ g
-    eigvals, vecs, gt = cache["eig"]
-    # eigenvalues closer than this to -sigma are singular to eigh's accuracy
-    resolution = _RESOLUTION * max(-float(eigvals[0]), float(eigvals[-1]))
+    eigvals, vecs, gt, resolution = eig
     sigma = max(0.0, -float(eigvals[0]))
     c = -gt / np.maximum(eigvals + sigma, resolution)
     norm = float(np.sqrt(c @ c))
@@ -351,19 +353,15 @@ def _trust_region_step(
     return vecs @ c, sigma, True
 
 
-def _shifted_solve(cache: dict, sigma: float, rhs: np.ndarray) -> np.ndarray:
-    """(H + sigma I)^-1 rhs for the H of a _trust_region_step cache, after its step.
+def _shifted_solve(eig: tuple, sigma: float, rhs: np.ndarray) -> np.ndarray:
+    """(H + sigma I)^-1 rhs from eig = _eig(H, g).
 
     Directions where H + sigma I is singular (the hard case) get 0.
     """
-    if "eig" not in cache:  # the step was the Newton step: sigma = 0, H positive definite
-        return np.linalg.solve(cache["h"], rhs)
-    eigvals, vecs, _ = cache["eig"]
+    eigvals, vecs, _, resolution = eig
     shifted = eigvals + sigma
-    resolution = _RESOLUTION * max(-float(eigvals[0]), float(eigvals[-1]))
-    coefficients = vecs.T @ rhs
     return vecs @ np.divide(
-        coefficients, shifted, out=np.zeros_like(rhs), where=shifted > resolution
+        vecs.T @ rhs, shifted, out=np.zeros_like(rhs), where=shifted > resolution
     )
 
 
@@ -376,19 +374,21 @@ def _bounded_step(
     it that the gradient points inward.  A variable at its bound that the
     step would push out is held there and the step solved again.  Variables
     with no curvature and no gradient are held too.  What still crosses a
-    bound is projected onto it.  caches keeps each free set's factorization.
-    Returns the new point, whether the step reached delta, and a function
-    that moves the new point by -(H + sigma I)^-1 r on the same free
-    variables, projected again.
+    bound is projected onto it.  caches keeps each free set's
+    eigendecomposition, so H is decomposed once per free set.  Returns the
+    new point, whether the step reached delta, and a function that moves the
+    new point by -(H + sigma I)^-1 r on the same free variables, projected
+    again.
     """
     at_bound = (x == lower).ravel()
     free = (~at_bound | (g <= 0.0)) & (H != 0.0).any(axis=1)
-    step, sigma, reached, cache = np.zeros(x.size), 0.0, False, None
+    step, sigma, reached, eig = np.zeros(x.size), 0.0, False, None
     while free.any():
-        cache = caches.setdefault(free.tobytes(), {})
-        if "h" not in cache:
-            cache["h"], cache["g"] = H[np.ix_(free, free)], g[free]
-        s_free, sigma, reached = _trust_region_step(cache["h"], cache["g"], delta, cache)
+        key = free.tobytes()
+        if key not in caches:
+            caches[key] = _eig(H[np.ix_(free, free)], g[free])
+        eig = caches[key]
+        s_free, sigma, reached = _trust_region_step(eig, delta)
         pushed = at_bound[free] & (s_free < 0.0)
         if not pushed.any():
             step[free] = s_free
@@ -399,8 +399,8 @@ def _bounded_step(
 
     def correct(r: np.ndarray) -> np.ndarray | None:
         move = np.zeros(x.size)
-        if cache is not None:
-            move[free] = -_shifted_solve(cache, sigma, r[free])
+        if eig is not None:
+            move[free] = -_shifted_solve(eig, sigma, r[free])
         # a correction longer than the step it corrects is not second order
         if not move @ move <= (x_new - x).ravel() @ (x_new - x).ravel():
             return None
@@ -435,7 +435,7 @@ def design(
     """
     if M < 1:
         raise ValueError("M must be >= 1")
-    if lam < 0:
+    if not lam >= 0:
         raise ValueError("lam must be nonnegative")
     if init is None:
         init = random_monotone_quantizer(source, grid, M, np.random.default_rng(opts.seed))

@@ -93,7 +93,7 @@ def brute_force_design(
     """
     if M < 1:
         raise ValueError("M must be >= 1")
-    if lam < 0:
+    if not lam >= 0:
         raise ValueError("lam must be nonnegative")
     n_rows = grid.n_nodes
     cands = ogrid.candidates
@@ -206,7 +206,7 @@ def monte_carlo_distortions(
     """
     if n_samples < 1:
         raise ValueError("n_samples must be >= 1")
-    if lam < 0:
+    if not lam >= 0:
         raise ValueError("lam must be nonnegative")
     mu_nodes, sigma_c = source.conditional_params(grid.nodes)
     columns = [np.ascontiguousarray(c) for c in q.interior().T]

@@ -120,10 +120,11 @@ def _moment_pass(interior: np.ndarray, terms: tuple, lam: float) -> tuple:
     """One Phi/phi evaluation at the interior boundaries (n_nodes, M-1), and all it yields.
 
     The cell moments are interval_moments', with the +-inf edges entering z
-    as +-inf.  Returns (sums, y, theta_hat, distortions, density):
-    the pooled (N, A, S, T, B, U) of pooled_cell_stats, both best responses,
-    DistortionReport's (d_e, fidelity, d_d, d_theta), and the conditional
-    density of X at each interior boundary.
+    as +-inf.  Returns (sums, y, theta_hat, distortions, density): the
+    per-message pooled sums (N, A, S, T, B, U), that is the mass and the
+    moments of x, x^2, theta, x*theta and theta^2 over the cell; both best
+    responses; DistortionReport's (d_e, fidelity, d_d, d_theta); and the
+    conditional density of X at each interior boundary.
     """
     mu, sigma, edge_lo, edge_hi, w, wt, wt2 = terms
     z = np.concatenate((edge_lo, (interior - mu) / sigma, edge_hi), axis=1)
@@ -140,19 +141,6 @@ def _moment_pass(interior: np.ndarray, terms: tuple, lam: float) -> tuple:
         for m in np.flatnonzero(~full):
             y[m] = _empty_cell_y(interior, m)
     return sums, y, theta_hat, _distortions(sums, y, theta_hat, lam), pdf[:, 1:-1] / sigma
-
-
-def pooled_cell_stats(
-    q: Quantizer, source: SourceSpec, grid: ThetaGrid
-) -> dict[str, np.ndarray]:
-    """Pooled per-message sums used by responses, distortions, and gradients.
-
-    Keys (each a length-M vector): N = mass, A = first moment of x,
-    S = second moment of x, T = first moment of theta, B = cross moment
-    x*theta, U = second moment of theta.
-    """
-    sums = _moment_pass(q.interior(), _grid_terms(source, grid, q.n_theta), 0.0)[0]
-    return dict(zip("NASTBU", sums))
 
 
 def _empty_cell_y(interior: np.ndarray, m: int) -> float:
@@ -177,7 +165,7 @@ def distortions(
     br need not be the best response; off-equilibrium profiles are evaluated
     as given (deviation tests and oracles rely on this).
     """
-    if lam < 0:
+    if not lam >= 0:
         raise ValueError("lam must be nonnegative")
     sums = _moment_pass(q.interior(), _grid_terms(source, grid, q.n_theta), lam)[0]
     return DistortionReport(*_distortions(sums, br.y, br.theta_hat, lam))
@@ -206,7 +194,7 @@ def evaluate(
     theta (the prior mean 0 for an empty cell); one partial-moment pass
     serves the responses and the distortions.
     """
-    if lam < 0:
+    if not lam >= 0:
         raise ValueError("lam must be nonnegative")
     sums, y, theta_hat, dist, _ = _moment_pass(
         q.interior(), _grid_terms(source, grid, q.n_theta), lam

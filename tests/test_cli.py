@@ -268,6 +268,37 @@ class TestCommandLine:
         assert main(["sweep", "--config", str(cfg_path)]) == 1
         assert "workers" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("argv", [
+        ["sweep", "--eps", "-1"],
+        ["sweep", "--eps", "inf"],
+        ["sweep", "--max-iters", "0"],
+        ["sweep", "--n-restarts", "0"],
+        ["sweep", "--lambdas", "nan"],
+        ["sweep", "--lambdas=-inf"],
+        ["sweep", "--lambdas", "abc"],
+        ["sweep", "--lambdas", "log:a:1:2"],
+        ["sweep", "--sigma-x", "-1"],
+        ["sweep", "--rho", "nan"],
+        ["design", "--lambda", "1", "--eps", "-1"],
+        ["design", "--lambda", "nan"],
+        ["design", "--lambda", "1", "--rho", "2"],
+        ["linear", "--lambda", "nan"],
+        ["linear", "--lambda", "-1"],
+        ["linear", "--lambda", "1", "--sigma-x", "-1"],
+    ], ids=" ".join)
+    def test_bad_input_is_config_error(self, argv, tmp_path, capsys):
+        # one "config error:" line and exit 1: no traceback, no failed rows
+        # a fast quantizer run, unless the case's own flags (given last) override it
+        fast = ["--m", "2", "--theta-nodes", "3", "--n-restarts", "1", "--max-iters", "50"]
+        if argv[0] == "sweep":
+            argv = [argv[0], "--mode", "quantizer", *fast, *argv[1:]]
+        elif argv[0] == "design":
+            argv = [argv[0], "--out", str(tmp_path / "q.json"), *fast, *argv[1:]]
+        assert main(argv) == 1
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert len(err.splitlines()) == 1 and err.startswith("config error: ")
+
     def test_unwritable_output_is_exit_2(self, tmp_path):
         code = main([
             "sweep", "--mode", "linear", "--lambdas", "1",

@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 from scipy.integrate import quad
 from scipy.stats import norm
 
-from strategiq import Quantizer, ThetaGrid, cell_moments, evaluate, make_source, make_theta_grid
+from strategiq import Quantizer, ThetaGrid, evaluate, make_source, make_theta_grid
 from strategiq.gaussian_model import interval_moments
 from strategiq.quantizer_core import _grid_terms, _moment_pass
 
@@ -19,6 +19,11 @@ def _one_cell(src, theta_j, a, b):
     mu_c, sigma_c = src.conditional_params(theta_j)
     mass, first, _ = interval_moments(mu_c, sigma_c, np.array([a, b]))
     return float(mass[0]), float(first[0])
+
+
+def _cell_moments(src, grid, boundaries):
+    """(mass, first, second) of every (theta node, cell), from interval_moments."""
+    return interval_moments(*src.conditional_params(grid.nodes), boundaries)
 
 
 def _density(src, grid, points):
@@ -36,7 +41,7 @@ class TestMakeSource:
         src = make_source(1.0, 1.0, 0.0)
         assert src.sigma_theta == 1.0
         grid = make_theta_grid(src, 3)
-        mass, _, _ = cell_moments(src, grid, np.tile([-math.inf, 0.0, math.inf], (3, 1)))
+        mass, _, _ = _cell_moments(src, grid, np.tile([-math.inf, 0.0, math.inf], (3, 1)))
         assert mass.sum() == pytest.approx(3.0, rel=1e-15)
 
     def test_full_correlation_is_degenerate_but_accepted(self):
@@ -46,11 +51,9 @@ class TestMakeSource:
             src = make_source(1.0, 1.0, rho)
             grid = make_theta_grid(src, 3)
             with pytest.raises(ValueError, match="nondegenerate"):
-                cell_moments(src, grid, boundaries)
-            with pytest.raises(ValueError, match="nondegenerate"):
                 evaluate(Quantizer(M=2, boundaries=boundaries), src, grid, 0.0)
         src = make_source(1.0, 1.0, math.nextafter(1.0, 0.0))
-        mass, _, _ = cell_moments(src, make_theta_grid(src, 3), boundaries)
+        mass, _, _ = _cell_moments(src, make_theta_grid(src, 3), boundaries)
         assert np.all(np.isfinite(mass))
 
     def test_zero_scale_rejected(self):
@@ -188,7 +191,7 @@ class TestCellMoments:
         boundaries = np.hstack(
             [np.full((5, 1), -math.inf), interior, np.full((5, 1), math.inf)]
         )
-        mass, first, _ = cell_moments(src, grid, boundaries)
+        mass, first, _ = _cell_moments(src, grid, boundaries)
         for j in range(5):
             for m in range(4):
                 mass_jm, first_jm = _one_cell(
@@ -205,7 +208,7 @@ class TestCellMoments:
         boundaries = np.hstack(
             [np.full((5, 1), -math.inf), interior, np.full((5, 1), math.inf)]
         )
-        moments = cell_moments(src, grid, boundaries)
+        moments = _cell_moments(src, grid, boundaries)
         for j in range(5):
             pdf = _conditional_pdf(src, grid.nodes[j])
             for m in range(4):
@@ -216,7 +219,7 @@ class TestCellMoments:
 
     def test_cells_sum_to_total_moments(self, unit_source, grid17):
         q = Quantizer(M=4, boundaries=np.tile([-math.inf, -0.5, 0.3, 1.1, math.inf], (17, 1)))
-        mass, first, second = cell_moments(unit_source, grid17, q.boundaries)
+        mass, first, second = _cell_moments(unit_source, grid17, q.boundaries)
         np.testing.assert_allclose(mass.sum(axis=1), 1.0, atol=1e-10)
         np.testing.assert_allclose(first.sum(axis=1), 0.0, atol=1e-10)
         np.testing.assert_allclose(second.sum(axis=1), 1.0, atol=1e-10)
@@ -241,7 +244,7 @@ class TestCellMoments:
             [-math.inf, *sorted(data.draw(st.lists(edge, min_size=M - 1, max_size=M - 1))), math.inf]
             for _ in range(grid.n_nodes)
         ]
-        mass, first, second = cell_moments(src, grid, np.array(rows))
+        mass, first, second = _cell_moments(src, grid, np.array(rows))
         # a few roundings per cell of terms no larger than (|mu| + sigma)^k
         tol = 16.0 * np.finfo(float).eps * M
         for j in range(grid.n_nodes):

@@ -27,8 +27,11 @@ from strategiq import (
 )
 from strategiq import optimizer
 from strategiq.optimizer import (
+    _RESOLUTION,
+    _SECULAR_RTOL,
     STOP_REASONS,
     _analytic_gradient,
+    _bounded_step,
     _hessian,
     _increment_gradient,
     _objective,
@@ -37,7 +40,7 @@ from strategiq.optimizer import (
     _to_increments,
     _with_edges,
 )
-from strategiq.quantizer_core import _grid_terms, _moment_pass, pooled_cell_stats
+from strategiq.quantizer_core import _grid_terms, _moment_pass
 
 INF = math.inf
 
@@ -52,9 +55,8 @@ def eavesdropper_chain_term(q, source, grid, lam):
     theta_hat = evaluate(q, source, grid, lam)[0].theta_hat
     b = q.interior()
     theta = grid.nodes[:, None]
-    f = _moment_pass(b, _grid_terms(source, grid, grid.n_nodes), lam)[4]
-    stats = pooled_cell_stats(q, source, grid)
-    n, t = stats["N"], stats["T"]
+    sums, _, _, _, f = _moment_pass(b, _grid_terms(source, grid, grid.n_nodes), lam)
+    n, t = sums[0], sums[3]
     # d d_e / d theta_hat_k = 2 lam (T_k - theta_hat_k N_k)
     dde = 2.0 * lam * (t - theta_hat * n)
     safe_n = np.where(n >= MASS_FLOOR, n, np.inf)
@@ -135,9 +137,9 @@ class TestGradient:
                 b[:, 1] = b[:, 2]  # every row skips message 2
             q = Quantizer(M=M, boundaries=b)
             br, _ = evaluate(q, unit_source, grid17, 1.0)
-            stats = pooled_cell_stats(q, unit_source, grid17)
-            n = stats["N"]
-            residual = np.divide(stats["A"] + stats["T"], n, out=br.y.copy(), where=n >= MASS_FLOOR)
+            terms = _grid_terms(unit_source, grid17, grid17.n_nodes)
+            n, a, _, t, _, _ = _moment_pass(q.interior(), terms, 1.0)[0]
+            residual = np.divide(a + t, n, out=br.y.copy(), where=n >= MASS_FLOOR)
             np.testing.assert_allclose(residual - br.y, br.theta_hat, rtol=0, atol=1e-14)
 
     def test_correlated_source_matches_finite_differences(self, rng):
@@ -323,6 +325,76 @@ class TestHessian:
             floor = (1e-13 + resolution) * size[q] / h + 1e8 * np.finfo(float).tiny
             assert np.abs(H[q, cols] - fd[q, cols]).max(initial=0.0) <= 1e-6 * scale + floor, q
         np.testing.assert_array_equal(H, H.T)
+
+
+@st.composite
+def _subproblems(draw):
+    """A trust-region subproblem: symmetric H of size 1..12, gradient g, radius delta.
+
+    H's eigenvalues have magnitudes over six decades.  "definite" keeps them
+    positive, "indefinite" negates some, "singular" zeroes some of a positive
+    semidefinite H, and "hard" makes the lowest one negative with g
+    orthogonal to its eigenvector.  Also returns a right-hand side for the
+    correction.
+    """
+    kind = draw(st.sampled_from(["definite", "indefinite", "singular", "hard"]), label="kind")
+    n = draw(st.integers(1 if kind in ("definite", "indefinite") else 2, 12), label="n")
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1), label="seed"))
+    basis = np.linalg.qr(rng.standard_normal((n, n)))[0]
+    eigvals = 10.0 ** rng.uniform(-3.0, 3.0, n)
+    coefficients = rng.standard_normal(n)
+    if kind == "indefinite":
+        eigvals[: rng.integers(1, n + 1)] *= -1.0
+    elif kind == "singular":
+        eigvals[: rng.integers(1, n)] = 0.0
+    elif kind == "hard":
+        eigvals[0] = -(10.0 ** rng.uniform(-3.0, 3.0))
+        coefficients[0] = 0.0
+    H = (basis * eigvals) @ basis.T
+    g = basis @ coefficients
+    delta = 10.0 ** draw(st.floats(-4.0, 4.0), label="log10 delta")
+    return kind, 0.5 * (H + H.T), g, delta, rng.standard_normal(n) * 1e-3 * np.linalg.norm(g)
+
+
+class TestTrustRegionStep:
+    # with no bound every variable is free, so the step is the subproblem's
+    # solution, checked by More & Sorensen's conditions
+    @settings(max_examples=400, deadline=None, derandomize=True)
+    @given(case=_subproblems())
+    def test_solves_the_subproblem(self, case):
+        kind, H, g, delta, r = case
+        n = g.size
+        x_new, reached, correct = _bounded_step(H, g, np.zeros(n), np.full(n, -INF), delta, {})
+        s = x_new
+        norm = float(np.linalg.norm(s))
+        eigvals = np.linalg.eigvalsh(H)
+        scale = float(np.abs(eigvals).max())
+        # sigma from s: the least-squares solution of (H + sigma I) s = -g
+        sigma = -float(s @ (H @ s + g)) / (norm * norm)
+        at_radius = abs(norm / delta - 1.0) <= _SECULAR_RTOL
+
+        assert norm <= delta * (1.0 + _SECULAR_RTOL)
+        assert eigvals[0] + sigma >= -_RESOLUTION * scale
+        if kind != "hard":
+            rounding = _RESOLUTION * (scale * norm + float(np.linalg.norm(g)))
+            assert np.linalg.norm((H + sigma * np.eye(n)) @ s + g) <= rounding
+        if sigma > _RESOLUTION * scale:
+            assert at_radius
+        if reached:
+            assert at_radius
+        else:
+            assert sigma <= _RESOLUTION * scale
+
+        shifted = H + sigma * np.eye(n)
+        if np.linalg.cond(shifted) <= 1e6:
+            expected = -np.linalg.solve(shifted, r)
+            x_corrected = correct(r)
+            if x_corrected is None:
+                # a correction longer than the step is refused
+                assert expected @ expected > (1.0 - 1e-6) * norm * norm
+            else:
+                np.testing.assert_allclose(x_corrected - x_new, expected, rtol=1e-7,
+                                           atol=1e-12 * norm)
 
 
 class TestObjective:

@@ -1,6 +1,9 @@
 """Checks over the source of the whole package."""
 
 import ast
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import strategiq
@@ -36,3 +39,16 @@ def test_no_orphan_imports():
         used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
         found += [f"{path.name}:{line} {name}" for name, line in imported.items() if name not in used]
     assert found == []
+
+
+def test_import_loads_no_heavy_scipy_subpackage():
+    # the package needs only scipy.special; scipy.optimize alone adds about
+    # 22 MB of resident memory to every run
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(PACKAGE.parent), env.get("PYTHONPATH")]))
+    loaded = subprocess.run(
+        [sys.executable, "-c", "import sys, strategiq; print(*sys.modules)"],
+        check=True, capture_output=True, text=True, env=env,
+    ).stdout.split()
+    heavy = {"scipy.optimize", "scipy.linalg", "scipy.stats", "scipy.integrate"}
+    assert sorted(m for m in loaded if ".".join(m.split(".")[:2]) in heavy) == []

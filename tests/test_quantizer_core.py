@@ -13,7 +13,6 @@ from strategiq import (
     DistortionReport,
     Quantizer,
     boundary_gradient,
-    cell_moments,
     distortions,
     evaluate,
     lloyd_max,
@@ -25,8 +24,8 @@ from strategiq import (
     quantizer_to_dict,
     validate,
 )
-from strategiq.gaussian_model import _phi
-from strategiq.quantizer_core import pooled_cell_stats
+from strategiq.gaussian_model import _phi, interval_moments
+from strategiq.quantizer_core import _grid_terms, _moment_pass
 
 INF = math.inf
 
@@ -273,7 +272,7 @@ class TestSerialization:
 # -- referee: the direct evaluation and gradient --------------------------------
 #
 # _reference_evaluate and _reference_gradient evaluate a quantizer the direct
-# way: cell_moments on the full boundary matrix, a per-message loop for the
+# way: interval_moments on the full boundary matrix, a per-message loop for the
 # decoder's response, and the conditional density recomputed for the
 # gradient.  The moment pass keeps their arithmetic operation for operation,
 # so evaluate and boundary_gradient must reproduce them bit for bit; a
@@ -281,7 +280,7 @@ class TestSerialization:
 
 
 def _reference_pooled_cell_stats(q, source, grid):
-    mass, first, second = cell_moments(source, grid, q.boundaries)
+    mass, first, second = interval_moments(*source.conditional_params(grid.nodes), q.boundaries)
     w = grid.weights
     wt = w * grid.nodes
     wt2 = w * grid.nodes**2
@@ -403,9 +402,9 @@ class TestMomentPassReferee:
         grad = boundary_gradient(q, source, grid, lam, mode="analytic")
         assert _bits(grad) == _bits(_reference_boundary_gradient(q, source, grid, lam))
         # the pooled sums themselves, so a change below the distortions' rounding shows
-        stats = pooled_cell_stats(q, source, grid)
+        sums = _moment_pass(q.interior(), _grid_terms(source, grid, q.n_theta), lam)[0]
         ref_stats = _reference_pooled_cell_stats(q, source, grid)
-        assert _bits(*stats.values()) == _bits(*(ref_stats[k] for k in stats))
+        assert _bits(*sums) == _bits(*(ref_stats[k] for k in "NASTBU"))
 
     def test_empty_cell_fallback_matches_reference(self):
         # two shared far-tail columns pool a cell below MASS_FLOOR
