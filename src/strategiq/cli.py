@@ -1,8 +1,9 @@
 """Sweep orchestration and the `strategiq` command line.
 
 A sweep evaluates one row per (lambda, M) pair: M = 0 is the sentinel for the
-rate-unconstrained linear stage (closed form), M >= 1 runs the multistart
-quantizer design plus the similarity metric.  Rows run one after another
+rate-unconstrained linear stage (closed form, computed for the whole lambda
+grid in one vectorized pass), M >= 1 runs the multistart quantizer design
+plus the similarity metric.  Rows run one after another
 on the calling thread in (lambda, M) order with deterministic per-row seeds,
 so identical configs produce byte-identical files.  A failed row does not
 abort the sweep: it is recorded with converged=false and the exception text
@@ -30,6 +31,8 @@ import itertools
 import json
 import logging
 import math
+import numbers
+import operator
 import os
 import sys
 from dataclasses import MISSING, dataclass, field, fields, replace
@@ -135,7 +138,33 @@ class SweepRow:
 # output column of each SweepRow attribute: the same name, except lam
 _COLUMN_OF = {f.name: "lambda" if f.name == "lam" else f.name for f in fields(SweepRow)}
 _ATTR_OF = {column: name for name, column in _COLUMN_OF.items()}
-_FLOAT_ATTRS = frozenset(f.name for f in fields(SweepRow) if f.type.startswith("float"))
+
+
+def _json_float(value):
+    if value is None:
+        return None
+    v = float(value)
+    return "inf" if v == math.inf else ("-inf" if v == -math.inf else v)
+
+
+# cell formatters by field type: 12 significant digits for CSV, native values
+# for JSON, and None as an empty CSV cell or null
+_CSV_CELL = {
+    "float": lambda v: "" if v is None else f"{v:.12g}",
+    "int": lambda v: "" if v is None else str(int(v)),
+    "bool": lambda v: "" if v is None else ("true" if v else "false"),
+    "str": lambda v: "" if v is None else v,
+}
+_JSON_CELL = {
+    "float": _json_float,
+    "int": lambda v: None if v is None else int(v),
+    "bool": lambda v: v,
+    "str": lambda v: v,
+}
+# the formatters of each output column, chosen once from SweepRow's field types
+_KIND_OF = {_COLUMN_OF[f.name]: f.type.split(" | ")[0] for f in fields(SweepRow)}
+_CSV_FORMAT = {column: _CSV_CELL[kind] for column, kind in _KIND_OF.items()}
+_JSON_FORMAT = {column: _JSON_CELL[kind] for column, kind in _KIND_OF.items()}
 
 
 def resolve_lambdas(spec, lambda_max: float) -> list[float]:
@@ -177,7 +206,29 @@ def config_from_dict(data: dict) -> SweepConfig:
     return cfg
 
 
+# what a SweepConfig field of each annotated type accepts; bool is no number here
+_ACCEPTS = {
+    "str": lambda v: isinstance(v, str),
+    "list": lambda v: isinstance(v, list),
+    "dict": lambda v: isinstance(v, dict),
+    "float": lambda v: isinstance(v, numbers.Real) and not isinstance(v, bool),
+    "int": lambda v: isinstance(v, numbers.Integral) and not isinstance(v, bool),
+    "bool": lambda v: isinstance(v, bool),
+    "None": lambda v: v is None,
+}
+
+
+def _check_field_types(cfg: SweepConfig) -> None:
+    """ConfigError naming the first field whose value its annotation does not allow."""
+    for f in fields(SweepConfig):
+        value = getattr(cfg, f.name)
+        kinds = f.type.split(" | ")
+        if not any(_ACCEPTS[kind](value) for kind in kinds):
+            raise ConfigError(f"{f.name} must be {' or '.join(kinds)}, got {value!r}")
+
+
 def validate_config(cfg: SweepConfig) -> None:
+    _check_field_types(cfg)
     if cfg.mode not in MODES:
         raise ConfigError(f"mode must be one of {MODES}, got {cfg.mode!r}")
     if cfg.format not in ("csv", "json"):
@@ -189,8 +240,8 @@ def validate_config(cfg: SweepConfig) -> None:
     if not cfg.m_values:
         raise ConfigError("m_values must be nonempty")
     for m in cfg.m_values:
-        if int(m) != m or m < 0:
-            raise ConfigError(f"m_values entries must be nonnegative integers, got {m}")
+        if not (_ACCEPTS["float"](m) and float(m).is_integer() and m >= 0):
+            raise ConfigError(f"m_values entries must be nonnegative integers, got {m!r}")
     if cfg.mode == "quantizer" and any(m == LINEAR_M_SENTINEL for m in cfg.m_values):
         raise ConfigError("quantizer mode requires m_values >= 1 (0 is the linear sentinel)")
     if cfg.mc_samples < 1:
@@ -204,21 +255,6 @@ def _effective_m_values(cfg: SweepConfig) -> list[int]:
     if cfg.mode == "linear":
         return [LINEAR_M_SENTINEL]
     return [int(m) for m in cfg.m_values]
-
-
-def _linear_row(source: SourceSpec, lam: float, seed: int) -> SweepRow:
-    alpha = linear.optimal_alpha(source, lam)
-    rep = linear.linear_distortions(source, alpha, lam)
-    return SweepRow(
-        lam=lam,
-        M=LINEAR_M_SENTINEL,
-        d_e=rep.d_e,
-        fidelity=rep.fidelity,
-        d_d=rep.d_d,
-        d_theta=rep.d_theta,
-        alpha=alpha,
-        seed=seed,
-    )
 
 
 def _quantizer_row(
@@ -273,36 +309,32 @@ def run_sweep(cfg: SweepConfig) -> list[SweepRow]:
     needs_grid = any(m >= 1 for m in m_values)
     grid = make_theta_grid(source, cfg.theta_nodes, cfg.theta_scheme) if needs_grid else None
 
+    if LINEAR_M_SENTINEL in m_values:
+        # the whole linear stage in one pass: alpha*, its certificate, distortions
+        stage = linear._linear_stage(source, np.array(lambdas))
+        certified = stage.certified.tolist()
+        linear_values = list(zip(*(a.tolist() for a in (
+            stage.d_e, stage.fidelity, stage.d_d, stage.d_theta, stage.alpha))))
+
     rows = []
     for index, (lam, m) in enumerate(itertools.product(lambdas, m_values)):
         seed = cfg.seed + index
         try:
-            if m == LINEAR_M_SENTINEL:
-                row = _linear_row(source, lam, seed)
-            else:
+            if m != LINEAR_M_SENTINEL:
                 row = _quantizer_row(source, grid, cfg, lam, m, seed)
+            else:
+                i = index // len(m_values)
+                if not certified[i]:
+                    linear.optimal_alpha(source, lam)  # raises this row's certificate error
+                d_e, fidelity, d_d, d_theta, alpha = linear_values[i]
+                row = SweepRow(lam=lam, M=LINEAR_M_SENTINEL, d_e=d_e, fidelity=fidelity,
+                               d_d=d_d, d_theta=d_theta, alpha=alpha, seed=seed)
         except Exception as exc:
             logger.debug("sweep row (lambda=%g, M=%d) failed", lam, m, exc_info=True)
             row = SweepRow(lam=lam, M=m, converged=False, seed=seed,
                            error=f"{type(exc).__name__}: {exc}")
         rows.append(row)
     return rows
-
-
-def _fmt(value, *, json_mode: bool = False):
-    """One cell: 12-significant-digit text for CSV, native values for JSON."""
-    if value is None:
-        return None if json_mode else ""
-    if isinstance(value, bool):
-        return value if json_mode else ("true" if value else "false")
-    if isinstance(value, str):
-        return value
-    if isinstance(value, (int, np.integer)):
-        return int(value) if json_mode else str(int(value))
-    v = float(value)
-    if json_mode:
-        return "inf" if v == math.inf else ("-inf" if v == -math.inf else v)
-    return f"{v:.12g}"
 
 
 def _row_columns(rows: list[SweepRow]) -> tuple[str, ...]:
@@ -313,10 +345,11 @@ def _row_columns(rows: list[SweepRow]) -> tuple[str, ...]:
 def _csv_lines(rows: list[SweepRow]):
     """Header and one line per row, without line terminators."""
     columns = _row_columns(rows)
-    names = [_ATTR_OF[c] for c in columns]
+    values = operator.attrgetter(*(_ATTR_OF[c] for c in columns))
+    formats = [_CSV_FORMAT[c] for c in columns]
     yield ",".join(columns)
     for row in rows:
-        yield ",".join([_fmt(getattr(row, name)) for name in names])
+        yield ",".join([fmt(v) for fmt, v in zip(formats, values(row))])
 
 
 def emit(rows: list[SweepRow], fmt: str, path: str) -> None:
@@ -330,7 +363,7 @@ def emit(rows: list[SweepRow], fmt: str, path: str) -> None:
             else:
                 columns = _row_columns(rows) + ("error",)
                 payload = [
-                    {c: _fmt(getattr(row, _ATTR_OF[c]), json_mode=True) for c in columns}
+                    {c: _JSON_FORMAT[c](getattr(row, _ATTR_OF[c])) for c in columns}
                     for row in rows
                 ]
                 json.dump(payload, fh, indent=2)
@@ -355,7 +388,7 @@ def load_rows(path: str) -> list[SweepRow]:
         for f in fields(SweepRow):
             column = _COLUMN_OF[f.name]
             value = item[column] if f.default is MISSING else item.get(column)
-            values[f.name] = num(value) if f.name in _FLOAT_ATTRS else value
+            values[f.name] = num(value) if _KIND_OF[column] == "float" else value
         rows.append(SweepRow(**values))
     return rows
 

@@ -22,16 +22,25 @@ so for |rho| < 1 J' has the sign of q.  The conjugate-form root, where
 q'(alpha*) = +sqrt(disc) > 0, is therefore where J turns from falling to
 rising: a strict local minimizer.  J tends to the same limit at both ends of
 the real line and has no stationary point besides the two roots, so that
-root is also the global minimizer.  optimal_alpha certifies this on every
-call at O(1) cost and raises ArithmeticError if any part fails: the relative
-residual of q(alpha*) is at most 1e-10, q'(alpha*) > 0, and J(alpha*) does
-not exceed J at the other root.
+root is also the global minimizer.  Every alpha* comes with a certificate at
+O(1) cost: the relative residual of q(alpha*) is at most 1e-10,
+q'(alpha*) > 0, E[Z^2] > 0 at alpha*, and J(alpha*) does not exceed J at the
+other root.  optimal_alpha raises ArithmeticError (ValueError for E[Z^2] <= 0)
+if any part fails.
+
+The formulas live in two vectorized kernels: _terms (moments and distortions
+at an array of alpha) and _linear_stage (alpha*, its certificate and its
+distortions at an array of lam, one numpy pass for a whole sweep).  The
+public functions evaluate the same kernels at one point and return floats,
+so a sweep row and the scalar API agree bit for bit.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
+from typing import NamedTuple
+
+import numpy as np
 
 from .gaussian_model import SourceSpec
 from .quantizer_core import DistortionReport
@@ -57,37 +66,148 @@ class LinearEquilibrium:
     lam: float
 
 
-def moment_bundle(source: SourceSpec, alpha: float) -> MomentBundle:
-    """All second moments of Z = X + alpha*theta needed by the linear stage."""
+class _Terms(NamedTuple):
+    """Moments of Z = X + alpha*theta and the distortions at the MMSE responses."""
+
+    v: np.ndarray
+    c_x: np.ndarray
+    c_s: np.ndarray
+    kappa: np.ndarray
+    nu: np.ndarray
+    d_e: np.ndarray
+    fidelity: np.ndarray
+    d_d: np.ndarray
+    d_theta: np.ndarray
+
+
+def _terms(source: SourceSpec, alpha, lam) -> _Terms:
+    """Elementwise in alpha and lam (arrays or numpy scalars).
+
+    Callers run it under np.errstate(all="ignore"): where E[Z^2] <= 0 the
+    ratios are meaningless, and callers reject that case themselves.
+    """
     sx, st, rho = source.sigma_x, source.sigma_theta, source.rho
     # E[Z^2] = sx^2 + 2 alpha rho sx st + alpha^2 st^2 written as a sum of two
     # squares, which cannot cancel to <= 0 when |rho| is within an ulp of 1
     a = alpha * st / sx
-    v = sx**2 * ((1.0 + a * rho) ** 2 + a**2 * (1.0 - rho**2))
+    b = 1.0 + a * rho
+    v = sx**2 * (b * b + a * a * (1.0 - rho**2))
     c_x = sx**2 + alpha * rho * sx * st
     c_s = rho * sx * st + alpha * st**2
-    return MomentBundle(v=v, c_x=c_x, c_s=c_s, c_xs=c_x + c_s)
-
-
-def _linear_terms(source: SourceSpec, alpha: float) -> tuple[float, float, float, float, float]:
-    """(kappa, nu, fidelity, d_d, d_theta) at alpha and the followers' MMSE responses."""
-    mb = moment_bundle(source, alpha)
-    if mb.v <= 0:
-        raise ValueError("E[Z^2] must be positive; degenerate encoder configuration")
-    sx, st, rho = source.sigma_x, source.sigma_theta, source.rho
-    kappa = mb.c_x / mb.v
-    nu = mb.c_s / mb.v
+    kappa = c_x / v
+    nu = c_s / v
     e_xt2 = sx**2 + 2.0 * rho * sx * st + st**2
-    fidelity = e_xt2 - 2.0 * kappa * mb.c_xs + kappa**2 * mb.v
-    d_d = sx**2 - 2.0 * kappa * mb.c_x + kappa**2 * mb.v
-    d_theta = st**2 - 2.0 * nu * mb.c_s + nu**2 * mb.v
-    return kappa, nu, fidelity, d_d, d_theta
+    fidelity = e_xt2 - 2.0 * kappa * (c_x + c_s) + kappa * kappa * v
+    d_d = sx**2 - 2.0 * kappa * c_x + kappa * kappa * v
+    d_theta = st**2 - 2.0 * nu * c_s + nu * nu * v
+    return _Terms(v, c_x, c_s, kappa, nu, fidelity - lam * d_theta, fidelity, d_d, d_theta)
+
+
+_DEGENERATE_TEXT = "E[Z^2] must be positive; degenerate encoder configuration"
+# the parts of the certificate in the order they are checked: the first that
+# fails names the exception, formatted with the values the stage quotes
+_FAILURES = (
+    (ValueError, "negative discriminant {disc}; violates lam >= 0, |rho| <= 1 structure"),
+    (ArithmeticError, "alpha*={alpha} leaves stationarity residual {residual}"),
+    (ArithmeticError, "alpha*={alpha} is not where J' turns from negative to positive"),
+    (ValueError, _DEGENERATE_TEXT),
+    (ArithmeticError, "alpha*={alpha} is beaten by the other root {other}"),
+)
+
+
+class _Stage(NamedTuple):
+    """The linear stage at every lam of a grid, elementwise like lam."""
+
+    alpha: np.ndarray
+    certified: np.ndarray  # bool: alpha* passed every part of the certificate
+    d_e: np.ndarray
+    fidelity: np.ndarray
+    d_d: np.ndarray
+    d_theta: np.ndarray
+    failed: tuple  # one bool array per entry of _FAILURES
+    quoted: dict  # alpha, disc, residual, other (None where there is no such root)
+
+    def error(self, index=()) -> Exception | None:
+        """The exception that rejects alpha* at index, or None if it is certified.
+
+        index is an element index, or () for a stage computed at a numpy scalar.
+        """
+        for (kind, text), failed in zip(_FAILURES, self.failed):
+            if failed[index]:
+                return kind(text.format(**{k: None if v is None else float(v[index])
+                                           for k, v in self.quoted.items()}))
+        return None
+
+
+def _linear_stage(source: SourceSpec, lam) -> _Stage:
+    """alpha*, its certificate and its distortions at every nonnegative lam.
+
+    Elementwise in lam, an array or a numpy scalar.
+    """
+    r, rho = source.r, source.rho
+    a2 = r * (rho + r)
+    with np.errstate(all="ignore"):
+        a1 = 1.0 + lam * r**2
+        a0 = lam * rho * r - 1.0
+        if a2 == 0.0:
+            alpha = -a0 / a1
+            disc = other = None
+        else:
+            disc = a1 * a1 - 4.0 * a2 * a0
+            sq = np.sqrt(disc)
+            # conjugate form of (-a1 + sq)/(2 a2): immune to cancellation at large lam
+            alpha = -2.0 * a0 / (a1 + sq)
+            other = (-a1 - sq) / (2.0 * a2)
+        alpha_sq = alpha * alpha
+        residual = a2 * alpha_sq + a1 * alpha + a0
+        scale = abs(a2) * alpha_sq + np.abs(a1 * alpha) + np.abs(a0)
+        terms = _terms(source, alpha, lam)
+        if other is None:
+            negative_disc = beaten = np.zeros_like(alpha, dtype=bool)
+        else:
+            negative_disc = disc < 0
+            rival = _terms(source, other, lam)
+            slack = 1e-9 * np.maximum(1.0, np.abs(terms.d_e))
+            beaten = (rival.v > 1e-12) & (terms.d_e > rival.d_e + slack)
+        failed = (
+            negative_disc,
+            np.abs(residual) > 1e-10 * scale,
+            ~(2.0 * a2 * alpha + a1 > 0.0),
+            terms.v <= 0,
+            beaten,
+        )
+    certified = ~(failed[0] | failed[1] | failed[2] | failed[3] | failed[4])
+    quoted = {"alpha": alpha, "disc": disc, "residual": residual, "other": other}
+    return _Stage(alpha, certified, terms.d_e, terms.fidelity, terms.d_d, terms.d_theta,
+                  failed, quoted)
+
+
+def _check_lam(lam: float) -> None:
+    if not lam >= 0:
+        raise ValueError("lam must be nonnegative")
+
+
+def _terms_at(source: SourceSpec, alpha: float, lam: float = 0.0) -> _Terms:
+    """_terms at one (alpha, lam); ValueError where E[Z^2] <= 0."""
+    with np.errstate(all="ignore"):
+        terms = _terms(source, np.float64(alpha), lam)
+    if terms.v <= 0:
+        raise ValueError(_DEGENERATE_TEXT)
+    return terms
+
+
+def moment_bundle(source: SourceSpec, alpha: float) -> MomentBundle:
+    """All second moments of Z = X + alpha*theta needed by the linear stage."""
+    with np.errstate(all="ignore"):
+        t = _terms(source, np.float64(alpha), 0.0)
+    return MomentBundle(v=float(t.v), c_x=float(t.c_x), c_s=float(t.c_s),
+                        c_xs=float(t.c_x + t.c_s))
 
 
 def best_response_coeffs(source: SourceSpec, alpha: float) -> tuple[float, float]:
     """MMSE scalings (kappa, nu) of the decoder and eavesdropper against alpha."""
-    kappa, nu, _, _, _ = _linear_terms(source, alpha)
-    return kappa, nu
+    t = _terms_at(source, alpha)
+    return float(t.kappa), float(t.nu)
 
 
 def encoder_objective(source: SourceSpec, alpha: float, lam: float) -> float:
@@ -96,49 +216,23 @@ def encoder_objective(source: SourceSpec, alpha: float, lam: float) -> float:
     Expanded directly from the moments; tests check it against the
     constant + P/v form of the module docstring.
     """
-    if not lam >= 0:
-        raise ValueError("lam must be nonnegative")
-    _, _, fidelity, _, d_theta = _linear_terms(source, alpha)
-    return fidelity - lam * d_theta
+    return linear_distortions(source, alpha, lam).d_e
 
 
 def optimal_alpha(source: SourceSpec, lam: float) -> float:
     """Leader-optimal encoder coefficient alpha*.
 
     Solves the stationarity quadratic and certifies the returned root as the
-    minimizer (see the module docstring).  Raises ValueError for lam < 0 or a
-    negative discriminant, and ArithmeticError if the certificate fails.
+    minimizer (see the module docstring).  Raises ValueError for lam < 0, a
+    negative discriminant or E[Z^2] <= 0, and ArithmeticError if the rest of
+    the certificate fails.
     """
-    if not lam >= 0:
-        raise ValueError("lam must be nonnegative")
-    r, rho = source.r, source.rho
-    a2 = r * (rho + r)
-    a1 = 1.0 + lam * r**2
-    a0 = lam * rho * r - 1.0
-    if a2 == 0.0:
-        alpha = -a0 / a1
-        other = None
-    else:
-        disc = a1 * a1 - 4.0 * a2 * a0
-        if disc < 0:
-            raise ValueError(
-                f"negative discriminant {disc}; violates lam >= 0, |rho| <= 1 structure"
-            )
-        sq = math.sqrt(disc)
-        # conjugate form of (-a1 + sq)/(2 a2): immune to cancellation at large lam
-        alpha = -2.0 * a0 / (a1 + sq)
-        other = (-a1 - sq) / (2.0 * a2)
-
-    residual = a2 * alpha**2 + a1 * alpha + a0
-    if abs(residual) > 1e-10 * (abs(a2) * alpha**2 + abs(a1 * alpha) + abs(a0)):
-        raise ArithmeticError(f"alpha*={alpha} leaves stationarity residual {residual}")
-    if not 2.0 * a2 * alpha + a1 > 0.0:
-        raise ArithmeticError(f"alpha*={alpha} is not where J' turns from negative to positive")
-    j_star = encoder_objective(source, alpha, lam)
-    if other is not None and moment_bundle(source, other).v > 1e-12:
-        if j_star > encoder_objective(source, other, lam) + 1e-9 * max(1.0, abs(j_star)):
-            raise ArithmeticError(f"alpha*={alpha} is beaten by the other root {other}")
-    return alpha
+    _check_lam(lam)
+    stage = _linear_stage(source, np.float64(lam))
+    error = stage.error()
+    if error is not None:
+        raise error
+    return float(stage.alpha)
 
 
 def solve_equilibrium(source: SourceSpec, lam: float) -> LinearEquilibrium:
@@ -150,9 +244,8 @@ def solve_equilibrium(source: SourceSpec, lam: float) -> LinearEquilibrium:
 
 def linear_distortions(source: SourceSpec, alpha: float, lam: float) -> DistortionReport:
     """All distortions of the linear strategy profile at (alpha, MMSE responses)."""
-    if not lam >= 0:
-        raise ValueError("lam must be nonnegative")
-    _, _, fidelity, d_d, d_theta = _linear_terms(source, alpha)
+    _check_lam(lam)
+    t = _terms_at(source, alpha, lam)
     return DistortionReport(
-        d_e=fidelity - lam * d_theta, fidelity=fidelity, d_d=d_d, d_theta=d_theta
+        d_e=float(t.d_e), fidelity=float(t.fidelity), d_d=float(t.d_d), d_theta=float(t.d_theta)
     )

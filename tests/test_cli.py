@@ -6,7 +6,8 @@ import math
 import numpy as np
 import pytest
 
-from strategiq import OptimOptions
+import strategiq.linear_equilibrium as linear_module
+from strategiq import OptimOptions, make_source, optimal_alpha
 from strategiq.cli import (
     CSV_COLUMNS,
     ConfigError,
@@ -154,6 +155,31 @@ class TestRunSweep:
         assert lines[0] == EXPECTED_HEADER
         assert lines[2] == "1,2,,,,,,,,false,,1"
 
+    def test_certificate_failure_fails_only_its_row(self, monkeypatch, capsys):
+        # a sign slip in the kernel's square root at one lambda's discriminant
+        # returns the other root there, where q' < 0
+        lambdas = [0.5, 1.0, 2.0, 4.0]
+        cfg = SweepConfig(mode="linear", lambdas=lambdas, rho=0.3)
+        clean = run_sweep(cfg)
+        sqrt = np.sqrt
+        seen = []
+        monkeypatch.setattr(linear_module.np, "sqrt", lambda x: seen.append(x) or sqrt(x))
+        optimal_alpha(make_source(1.0, 1.0, 0.3), 2.0)
+        target = seen[-1]
+        monkeypatch.setattr(linear_module.np, "sqrt",
+                            lambda x: np.where(x == target, -sqrt(x), sqrt(x)))
+        with pytest.raises(ArithmeticError) as scalar:
+            optimal_alpha(make_source(1.0, 1.0, 0.3), 2.0)
+
+        rows = run_sweep(cfg)
+        assert rows[2].error == f"ArithmeticError: {scalar.value}"
+        assert "is not where J' turns" in rows[2].error
+        assert (rows[2].d_e, rows[2].alpha, rows[2].converged) == (None, None, False)
+        assert rows[:2] + rows[3:] == clean[:2] + clean[3:]
+        assert main(["sweep", "--mode", "linear", "--lambdas", "0.5,1,2,4", "--rho", "0.3"]) == 3
+        err = capsys.readouterr().err.splitlines()
+        assert err == [f"sweep row lambda=2 M=0 failed: ArithmeticError: {scalar.value}"]
+
 
 class TestEmit:
     def test_header_only_for_empty(self, tmp_path):
@@ -298,6 +324,22 @@ class TestCommandLine:
         out, err = capsys.readouterr()
         assert out == ""
         assert len(err.splitlines()) == 1 and err.startswith("config error: ")
+
+    @pytest.mark.parametrize("field,value", [
+        ("theta_nodes", "3"),
+        ("mc_samples", "x"),
+        ("m_values", 2),
+        ("theta_nodes", 2.5),
+        ("seed", "7"),
+        ("max_iters", 2.5),
+    ])
+    def test_wrongly_typed_config_field_is_config_error(self, field, value, tmp_path, capsys):
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps({"mode": "linear", field: value}))
+        assert main(["sweep", "--config", str(cfg_path)]) == 1
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err.startswith(f"config error: {field} must be ") and len(err.splitlines()) == 1
 
     def test_unwritable_output_is_exit_2(self, tmp_path):
         code = main([

@@ -1,7 +1,6 @@
 """Closed-form linear stage: moments, optimal coefficient, objective, distortions."""
 
 import math
-from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -19,6 +18,7 @@ from strategiq import (
     optimal_alpha,
     solve_equilibrium,
 )
+from strategiq.cli import SweepConfig, emit, run_sweep
 
 GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0  # root of a^2 + a - 1
 
@@ -152,8 +152,9 @@ class TestOptimalAlpha:
             optimal_alpha(SourceSpec(sigma_x=1.0, r=1.0, rho=-3.0), 1.0)
 
     def test_certificate_rejects_the_maximizing_root(self, monkeypatch):
-        # a sign slip in the square root returns the other root, where q' < 0
-        monkeypatch.setattr(linear_module, "math", SimpleNamespace(sqrt=lambda x: -math.sqrt(x)))
+        # a sign slip in the kernel's square root returns the other root, where q' < 0
+        sqrt = np.sqrt
+        monkeypatch.setattr(linear_module.np, "sqrt", lambda x: -sqrt(x))
         with pytest.raises(ArithmeticError):
             optimal_alpha(make_source(1.0, 1.0, 0.3), 2.0)
 
@@ -323,3 +324,77 @@ class TestSolveEquilibrium:
 
     def test_rho_zero_lam_zero_positive_alpha(self, unit_source):
         assert solve_equilibrium(unit_source, 0.0).alpha > 0.0
+
+
+# the nine linear-sweep benchmark sources, (1, 0.5, -0.5) among them with
+# a2 = r (rho + r) = 0, and rho one ulp off +-1
+RHO_NEXT_TO_ONE = float(np.nextafter(1.0, 0.0))
+BENCH_SOURCES = [(1.0, r, rho) for r in (0.5, 1.0, 2.0) for rho in (-0.5, 0.0, 0.5)]
+KERNEL_SOURCES = BENCH_SOURCES + [
+    (1.5, 0.16796875, RHO_NEXT_TO_ONE),
+    (1.5, 0.16796875, -RHO_NEXT_TO_ONE),
+]
+KERNEL_LAMBDAS = [0.0] + [float(v) for v in np.logspace(-2, 7, 1000)]
+
+
+def _referee(src, lam):
+    """The linear stage in plain Python floats, apart from the kernels: a referee.
+
+    Returns (alpha*, d_e, fidelity, d_d, d_theta), each with the size of the
+    largest term its formula cancels.
+    """
+    sx, st_, rho, r = src.sigma_x, src.sigma_theta, src.rho, src.r
+    a2, a1, a0 = r * (rho + r), 1.0 + lam * r**2, lam * rho * r - 1.0
+    if a2 == 0.0:
+        alpha = -a0 / a1
+    else:
+        alpha = -2.0 * a0 / (a1 + math.sqrt(a1 * a1 - 4.0 * a2 * a0))
+    a = alpha * st_ / sx
+    v = sx**2 * ((1.0 + a * rho) ** 2 + a**2 * (1.0 - rho**2))
+    c_x = sx**2 + alpha * rho * sx * st_
+    c_s = rho * sx * st_ + alpha * st_**2
+    kappa, nu = c_x / v, c_s / v
+    fidelity = sx**2 + 2.0 * rho * sx * st_ + st_**2 - 2.0 * kappa * (c_x + c_s) + kappa**2 * v
+    d_d = sx**2 - 2.0 * kappa * c_x + kappa**2 * v
+    d_theta = st_**2 - 2.0 * nu * c_s + nu**2 * v
+    terms = (sx + st_) ** 2  # bounds E[(X + theta)^2], E[X^2] and E[theta^2]
+    return (
+        (alpha, abs(alpha)),
+        (fidelity - lam * d_theta, terms + lam * abs(d_theta)),
+        (fidelity, terms),
+        (d_d, terms),
+        (d_theta, terms),
+    )
+
+
+class TestOneKernel:
+    """Sweep rows and the scalar API come from one vectorized kernel."""
+
+    @pytest.mark.parametrize("spec", KERNEL_SOURCES, ids=str)
+    def test_sweep_rows_are_the_scalar_api(self, spec):
+        src = make_source(*spec)
+        rows = run_sweep(SweepConfig(mode="linear", lambdas=KERNEL_LAMBDAS, sigma_x=spec[0],
+                                     r=spec[1], rho=spec[2]))
+        assert [row.lam for row in rows] == KERNEL_LAMBDAS
+        for row in rows:
+            assert row.error is None
+            alpha = optimal_alpha(src, row.lam)
+            rep = linear_distortions(src, alpha, row.lam)
+            got = (row.alpha, row.d_e, row.fidelity, row.d_d, row.d_theta)
+            assert got == (alpha, rep.d_e, rep.fidelity, rep.d_d, rep.d_theta), row.lam
+            assert rep.d_e == encoder_objective(src, alpha, row.lam)
+            for value, (want, scale) in zip(got, _referee(src, row.lam)):
+                assert abs(value - want) <= 4.0 * np.spacing(scale), (row.lam, value, want)
+
+    @pytest.mark.parametrize("spec", BENCH_SOURCES, ids=str)
+    def test_csv_text_is_the_referees(self, spec, tmp_path):
+        src = make_source(*spec)
+        cfg = SweepConfig(mode="linear", lambdas=KERNEL_LAMBDAS, r=spec[1], rho=spec[2], seed=5)
+        path = tmp_path / "linear.csv"
+        emit(run_sweep(cfg), "csv", str(path))
+        lines = path.read_text().splitlines()[1:]
+        for index, (lam, line) in enumerate(zip(KERNEL_LAMBDAS, lines, strict=True)):
+            (alpha, _), (d_e, _), (fidelity, _), (d_d, _), (d_theta, _) = _referee(src, lam)
+            cells = [f"{v:.12g}" for v in (lam, 0, d_e, fidelity, d_d, d_theta)]
+            want = ",".join(cells + ["", f"{alpha:.12g}", "", "", "", str(5 + index)])
+            assert line == want
