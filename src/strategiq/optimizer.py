@@ -36,6 +36,20 @@ point costs one moment pass, the one evaluate uses: Phi and phi at its
 boundaries, evaluated once, give both responses, f, the gradient and the
 Hessian.  The landscape is nonconvex; multistart adds a fully-revealing
 Lloyd-Max start to seeded random starts and keeps the lowest.
+
+At large lam the model of f holds only for short steps, and a random start
+descended at lam directly takes hundreds to thousands of steps.  Above
+lam_c = 1e3, multistart therefore descends each random start by
+continuation in the penalty weight (Fiacco & McCormick, 1968; Nocedal &
+Wright, 2006, sec. 17.1): one design run at each rung of the ladder
+0, 10, 1e3, 1e5, ... (x100) below lam, then at lam, each started from the
+quantizer the previous rung reached.  lam_c is where the ladder breaks even
+on uncorrelated sources; on correlated ones it pays from lam = 10 on.  The
+restart's iterations and evals count every rung, its max_iters accepted
+steps are shared by the rungs, and its stop reason, KKT residual and
+trajectory are the last rung's.  The Lloyd-Max start, a few steps from its
+optimum at large lam on uncorrelated sources, is descended at lam directly.
+At lam <= lam_c every start is one direct descent.
 """
 
 from __future__ import annotations
@@ -76,6 +90,10 @@ _ROUNDING = 16 * float(np.finfo(float).eps)
 # of f above this fraction of it: rows of small weight meet the gradient bound
 # before they are converged
 _PROMISE = 1e-3
+# multistart descends a random start at lam > _LADDER_FROM through the weights
+# 0, 10, 10 * _LADDER_STEP, ... below lam, then lam itself
+_LADDER_FROM = 1e3
+_LADDER_STEP = 100.0
 
 
 @dataclass(frozen=True)
@@ -107,7 +125,10 @@ class DesignResult:
     stop_reason (one of STOP_REASONS), kkt_residual (the inf-norm of the
     projected gradient in the increment variables at the result) and evals
     (the objective evaluations the run spent, the start's included) are None
-    for the exhaustive oracle.
+    for the exhaustive oracle.  For a restart that multistart descends along
+    its ladder of weights, iterations and evals sum every rung; stop_reason,
+    converged, kkt_residual and trajectory are the last rung's, the one at
+    the target lam, since earlier rungs rank a different objective.
     """
 
     quantizer: Quantizer
@@ -556,6 +577,41 @@ def design(
     )
 
 
+def _laddered(
+    source: SourceSpec, grid: ThetaGrid, M: int, lam: float, opts: OptimOptions,
+    init: Quantizer, c1: float,
+) -> DesignResult:
+    """design at lam from init, warm-started through the weights 0, 10, 1e3, ... below lam.
+
+    Each rung is one design run from the previous rung's quantizer.  The
+    rungs share the restart's opts.max_iters accepted steps: each gets what
+    the earlier ones left, less one step kept back for the last rung, and a
+    rung left no step is skipped.  iterations and evals sum the rungs; the
+    rest of the result is the last rung's.
+    """
+    rungs, weight = [0.0], 10.0
+    while weight < lam:
+        rungs.append(weight)
+        weight *= _LADDER_STEP
+    rungs.append(lam)
+    iterations = evals = 0
+    for k, weight in enumerate(rungs):
+        budget = opts.max_iters - iterations - (k < len(rungs) - 1)
+        if budget < 1:
+            continue
+        result = design(source, grid, M, weight, replace(opts, max_iters=budget), init=init)
+        iterations += result.iterations
+        evals += result.evals
+        responses = result.responses
+        logger.debug(
+            "rung %d/%d lam=%g: iters=%d evals=%d stop=%s f=%.12g",
+            k + 1, len(rungs), weight, result.iterations, result.evals, result.stop_reason,
+            _objective(responses.cell_mass, responses.y, responses.theta_hat, weight, c1),
+        )
+        init = result.quantizer
+    return replace(result, iterations=iterations, evals=evals)
+
+
 def multistart(
     source: SourceSpec,
     grid: ThetaGrid,
@@ -569,7 +625,10 @@ def multistart(
     whose rounding does not grow with lam.  A random start beats the
     Lloyd-Max start only by more than that rounding, so a tie in the last
     digits goes to the start that does not depend on the seed; among random
-    starts, ties break toward the lowest restart index.
+    starts, ties break toward the lowest restart index.  At lam > 1e3 each
+    random start is descended along the ladder of _laddered; the Lloyd-Max
+    start, which on uncorrelated sources is a few steps from its optimum at
+    large lam, is descended at lam directly.
     """
     rng = np.random.default_rng(opts.seed)
     inits = [random_monotone_quantizer(source, grid, M, rng) for _ in range(opts.n_restarts)]
@@ -581,7 +640,11 @@ def multistart(
     c1 = _quantizer_free_total(source, grid)
     ranked = []
     for idx, init in enumerate(inits):
-        result = replace(design(source, grid, M, lam, opts, init=init), restart_index=idx)
+        if lam > _LADDER_FROM and idx < opts.n_restarts:
+            result = _laddered(source, grid, M, lam, opts, init, c1)
+        else:
+            result = design(source, grid, M, lam, opts, init=init)
+        result = replace(result, restart_index=idx)
         responses = result.responses
         ranked.append((_objective(responses.cell_mass, responses.y, responses.theta_hat, lam, c1),
                        idx, result))

@@ -27,6 +27,7 @@ from strategiq import (
 )
 from strategiq import optimizer
 from strategiq.optimizer import (
+    _LADDER_FROM,
     _RESOLUTION,
     _SECULAR_RTOL,
     STOP_REASONS,
@@ -34,6 +35,7 @@ from strategiq.optimizer import (
     _bounded_step,
     _hessian,
     _increment_gradient,
+    _laddered,
     _objective,
     _quantizer_free_total,
     _to_boundaries,
@@ -610,6 +612,112 @@ class TestMultistart:
         res = multistart(unit_source, grid3, 2, 0.5, OptimOptions(seed=1, n_restarts=2))
         g = boundary_gradient(res.quantizer, unit_source, grid3, 0.5)
         print(f"projected gradient norm at convergence: {float(np.linalg.norm(g)):.3g}")
+
+
+def _recording_design(monkeypatch):
+    """Patch optimizer.design to record (lam, max_iters, result) of every call."""
+    calls = []
+    real_design = optimizer.design
+
+    def recording(source, grid, M, lam, opts, init):
+        result = real_design(source, grid, M, lam, opts, init=init)
+        calls.append((lam, opts.max_iters, result))
+        return result
+
+    monkeypatch.setattr(optimizer, "design", recording)
+    return calls
+
+
+def _f(result, source, grid, lam):
+    resp = result.responses
+    return _objective(resp.cell_mass, resp.y, resp.theta_hat, lam,
+                      _quantizer_free_total(source, grid))
+
+
+class TestLadder:
+    @pytest.mark.parametrize("lam", [0.0, 2.0, _LADDER_FROM])
+    def test_rows_at_or_below_the_threshold_descend_directly(self, unit_source, monkeypatch, lam):
+        grid = make_theta_grid(unit_source, 5, "gauss-hermite")
+        opts = OptimOptions(seed=4, n_restarts=3)
+        rng = np.random.default_rng(opts.seed)
+        inits = [random_monotone_quantizer(unit_source, grid, 3, rng) for _ in range(3)]
+        inits.append(lloyd_max_quantizer(unit_source, 3, grid))
+        direct = [design(unit_source, grid, 3, lam, opts, init=init) for init in inits]
+        # the lowest f among the random starts, and the Lloyd-Max start on a tie
+        f = [_f(res, unit_source, grid, lam) for res in direct]
+        best = min(range(3), key=lambda idx: (f[idx], idx))
+        if f[3] <= f[best] + 16 * np.finfo(float).eps * max(1.0, abs(f[best])):
+            best = 3
+        calls = _recording_design(monkeypatch)
+        res = multistart(unit_source, grid, 3, lam, opts)
+        assert [call[0] for call in calls] == [lam] * 4
+        np.testing.assert_array_equal(res.quantizer.boundaries, direct[best].quantizer.boundaries)
+        assert res.report == direct[best].report
+        assert (res.iterations, res.evals, res.restart_index) == (
+            direct[best].iterations, direct[best].evals, best)
+
+    def test_random_starts_climb_the_ladder(self, unit_source, monkeypatch):
+        grid = make_theta_grid(unit_source, 5, "gauss-hermite")
+        calls = _recording_design(monkeypatch)
+        multistart(unit_source, grid, 3, 1e7, OptimOptions(seed=2, n_restarts=2))
+        ladder = [0.0, 10.0, 1e3, 1e5, 1e7]
+        # the Lloyd-Max start is descended at the target directly
+        assert [call[0] for call in calls] == ladder + ladder + [1e7]
+        calls.clear()
+        multistart(unit_source, grid, 3, 2e3, OptimOptions(seed=2, n_restarts=1))
+        assert [call[0] for call in calls] == [0.0, 10.0, 1e3, 2e3, 2e3]
+
+    def test_rungs_sum_into_the_restart(self, unit_source, monkeypatch, caplog):
+        grid = make_theta_grid(unit_source, 5, "gauss-hermite")
+        init = random_monotone_quantizer(unit_source, grid, 4, np.random.default_rng(3))
+        calls = _recording_design(monkeypatch)
+        caplog.set_level(logging.DEBUG, logger="strategiq.optimizer")
+        res = _laddered(unit_source, grid, 4, 1e5, OptimOptions(), init,
+                        _quantizer_free_total(unit_source, grid))
+        rungs = [call[2] for call in calls]
+        assert [call[0] for call in calls] == [0.0, 10.0, 1e3, 1e5]
+        assert res.iterations == sum(rung.iterations for rung in rungs)
+        assert res.evals == sum(rung.evals for rung in rungs)
+        last = rungs[-1]
+        assert (res.stop_reason, res.converged, res.kkt_residual) == (
+            last.stop_reason, last.converged, last.kkt_residual)
+        np.testing.assert_array_equal(res.trajectory, last.trajectory)
+        np.testing.assert_array_equal(res.quantizer.boundaries, last.quantizer.boundaries)
+        # each rung starts from the quantizer the previous one reached
+        for k in range(1, len(calls)):
+            start = evaluate(rungs[k - 1].quantizer, unit_source, grid, calls[k][0])[1]
+            assert rungs[k].trajectory[0] == start.d_e
+        for k, (lam, _, rung) in enumerate(calls):
+            line = (f"rung {k + 1}/4 lam={lam:g}: iters={rung.iterations} evals={rung.evals} "
+                    f"stop={rung.stop_reason} f={_f(rung, unit_source, grid, lam):.12g}")
+            assert line in caplog.text
+
+    @pytest.mark.parametrize("max_iters", [1, 2, 7, 30])
+    def test_rungs_share_the_restart_cap(self, unit_source, monkeypatch, max_iters):
+        grid = make_theta_grid(unit_source, 5, "gauss-hermite")
+        init = random_monotone_quantizer(unit_source, grid, 4, np.random.default_rng(5))
+        calls = _recording_design(monkeypatch)
+        res = _laddered(unit_source, grid, 4, 1e7, OptimOptions(max_iters=max_iters), init,
+                        _quantizer_free_total(unit_source, grid))
+        assert res.iterations <= max_iters
+        assert res.stop_reason in ("max_iters", "tolerance")
+        assert calls[-1][0] == 1e7
+        # each rung gets what the earlier ones left, the last rung keeping one step
+        spent = 0
+        for k, (_, budget, rung) in enumerate(calls):
+            assert budget == max_iters - spent - (k < len(calls) - 1)
+            spent += rung.iterations
+        if max_iters == 1:
+            assert len(calls) == 1
+
+    def test_correlated_source_winner_meets_the_tolerance(self):
+        # descended at 1e7 directly, every random start here stalls or takes
+        # thousands of steps, and the winner stopped "stalled"
+        source = make_source(1.0, 1.3, -0.8)
+        grid = make_theta_grid(source, 9, "gauss-hermite")
+        res = multistart(source, grid, 6, 1e7, OptimOptions(seed=0, n_restarts=4))
+        assert res.stop_reason == "tolerance"
+        assert _f(res, source, grid, 1e7) <= 0.2708719522
 
 
 class TestSerialization:
