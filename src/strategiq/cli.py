@@ -16,17 +16,20 @@ CSV schema (fixed order, floats at 12 significant digits, infinities as
 
 --verify appends Monte Carlo cross-check columns with standard errors.
 JSON output carries the same keys per row object plus `error` (null unless
-the row failed).
+the row failed).  Without --out the rows go to stdout, in --format.
 
-Exit codes: 0 success, 1 config error, 2 I/O error, 3 at least one sweep row
-failed (every row is still written, and each failed row gets one line on
-stderr).
+Every subcommand's flags are SweepConfig fields (see _FLAGS) and every
+subcommand checks them through validate_config, so a value is rejected the
+same way whichever subcommand or config file gives it.
+
+Exit codes: 0 success, 1 config error (including a malformed flag or an
+unknown subcommand), 2 I/O error, 3 at least one sweep row failed (every row
+is still written, and each failed row gets one line on stderr).
 """
 
 from __future__ import annotations
 
 import argparse
-import contextlib
 import itertools
 import json
 import logging
@@ -47,44 +50,14 @@ from .oracle import monte_carlo_distortions
 
 logger = logging.getLogger(__name__)
 
-CSV_COLUMNS = (
-    "lambda",
-    "M",
-    "d_e",
-    "fidelity",
-    "d_d",
-    "d_theta",
-    "d_kl_max",
-    "alpha",
-    "iterations",
-    "converged",
-    "restart_winner",
-    "seed",
-)
-MC_COLUMNS = (
-    "mc_fidelity",
-    "mc_fidelity_se",
-    "mc_d_d",
-    "mc_d_d_se",
-    "mc_d_theta",
-    "mc_d_theta_se",
-)
-
 MODES = ("linear", "quantizer", "sweep")
 LINEAR_M_SENTINEL = 0
+# the values a SweepConfig string field may take, for its flag and its check
+_CHOICES = {"mode": MODES, "format": ("csv", "json"), "theta_scheme": GRID_SCHEMES}
 
 
 class ConfigError(ValueError):
     """Malformed sweep configuration (exit code 1)."""
-
-
-@contextlib.contextmanager
-def _as_config_error():
-    """Re-raise what the constructors of a run's inputs reject as a ConfigError."""
-    try:
-        yield
-    except (TypeError, ValueError) as exc:
-        raise ConfigError(str(exc)) from exc
 
 
 @dataclass
@@ -112,7 +85,11 @@ class SweepConfig:
 
 @dataclass
 class SweepRow:
-    """One (lambda, M) outcome; None marks a field absent for that mode."""
+    """One (lambda, M) outcome; None marks a field absent for that mode.
+
+    The field order is the column order: the CSV columns, then the --verify
+    columns (mc_*), then error.
+    """
 
     lam: float
     M: int
@@ -138,6 +115,8 @@ class SweepRow:
 # output column of each SweepRow attribute: the same name, except lam
 _COLUMN_OF = {f.name: "lambda" if f.name == "lam" else f.name for f in fields(SweepRow)}
 _ATTR_OF = {column: name for name, column in _COLUMN_OF.items()}
+MC_COLUMNS = tuple(c for c in _COLUMN_OF.values() if c.startswith("mc_"))
+CSV_COLUMNS = tuple(c for c in _COLUMN_OF.values() if c not in MC_COLUMNS and c != "error")
 
 
 def _json_float(value):
@@ -227,14 +206,15 @@ def _check_field_types(cfg: SweepConfig) -> None:
             raise ConfigError(f"{f.name} must be {' or '.join(kinds)}, got {value!r}")
 
 
+def _optim_options(cfg: SweepConfig, seed: int) -> OptimOptions:
+    return OptimOptions(eps=cfg.eps, max_iters=cfg.max_iters, n_restarts=cfg.n_restarts, seed=seed)
+
+
 def validate_config(cfg: SweepConfig) -> None:
     _check_field_types(cfg)
-    if cfg.mode not in MODES:
-        raise ConfigError(f"mode must be one of {MODES}, got {cfg.mode!r}")
-    if cfg.format not in ("csv", "json"):
-        raise ConfigError(f"format must be csv or json, got {cfg.format!r}")
-    if cfg.theta_scheme not in GRID_SCHEMES:
-        raise ConfigError(f"theta_scheme must be one of {GRID_SCHEMES}")
+    for name, allowed in _CHOICES.items():
+        if getattr(cfg, name) not in allowed:
+            raise ConfigError(f"{name} must be one of {allowed}, got {getattr(cfg, name)!r}")
     if cfg.theta_nodes < 1:
         raise ConfigError("theta_nodes must be >= 1")
     if not cfg.m_values:
@@ -246,15 +226,11 @@ def validate_config(cfg: SweepConfig) -> None:
         raise ConfigError("quantizer mode requires m_values >= 1 (0 is the linear sentinel)")
     if cfg.mc_samples < 1:
         raise ConfigError("mc_samples must be >= 1")
-    with _as_config_error():
-        OptimOptions(eps=cfg.eps, max_iters=cfg.max_iters, n_restarts=cfg.n_restarts, seed=cfg.seed)
+    try:
+        _optim_options(cfg, cfg.seed)
         make_source(cfg.sigma_x, cfg.r, cfg.rho)
-
-
-def _effective_m_values(cfg: SweepConfig) -> list[int]:
-    if cfg.mode == "linear":
-        return [LINEAR_M_SENTINEL]
-    return [int(m) for m in cfg.m_values]
+    except (TypeError, ValueError) as exc:
+        raise ConfigError(str(exc)) from exc
 
 
 def _quantizer_row(
@@ -265,10 +241,7 @@ def _quantizer_row(
     m: int,
     seed: int,
 ) -> SweepRow:
-    opts = OptimOptions(
-        eps=cfg.eps, max_iters=cfg.max_iters, n_restarts=cfg.n_restarts, seed=seed
-    )
-    result = multistart(source, grid, m, lam, opts)
+    result = multistart(source, grid, m, lam, _optim_options(cfg, seed))
     similarity = max_kl(result.quantizer, source, grid)
     row = SweepRow(
         lam=lam,
@@ -305,7 +278,8 @@ def run_sweep(cfg: SweepConfig) -> list[SweepRow]:
     validate_config(cfg)
     source = make_source(cfg.sigma_x, cfg.r, cfg.rho)
     lambdas = sorted(resolve_lambdas(cfg.lambdas, cfg.lambda_max))
-    m_values = sorted(set(_effective_m_values(cfg)))
+    requested = [LINEAR_M_SENTINEL] if cfg.mode == "linear" else cfg.m_values
+    m_values = sorted({int(m) for m in requested})
     needs_grid = any(m >= 1 for m in m_values)
     grid = make_theta_grid(source, cfg.theta_nodes, cfg.theta_scheme) if needs_grid else None
 
@@ -352,24 +326,29 @@ def _csv_lines(rows: list[SweepRow]):
         yield ",".join([fmt(v) for fmt, v in zip(formats, values(row))])
 
 
-def emit(rows: list[SweepRow], fmt: str, path: str) -> None:
-    """Write rows as CSV or JSON; I/O problems surface with the path attached."""
-    if fmt not in ("csv", "json"):
-        raise ConfigError(f"format must be csv or json, got {fmt!r}")
+def _write(text: str, path: str | None, what: str) -> None:
+    """text to path, or to stdout when path is None; I/O errors name the path."""
+    if path is None:
+        sys.stdout.write(text)
+        return
     try:
         with open(path, "w", encoding="utf-8", newline="") as fh:
-            if fmt == "csv":
-                fh.writelines(line + "\n" for line in _csv_lines(rows))
-            else:
-                columns = _row_columns(rows) + ("error",)
-                payload = [
-                    {c: _JSON_FORMAT[c](getattr(row, _ATTR_OF[c])) for c in columns}
-                    for row in rows
-                ]
-                json.dump(payload, fh, indent=2)
-                fh.write("\n")
+            fh.write(text)
     except OSError as exc:
-        raise OSError(f"cannot write sweep output to {path!r}: {exc}") from exc
+        raise OSError(f"cannot write {what} output to {path!r}: {exc}") from exc
+
+
+def emit(rows: list[SweepRow], fmt: str, path: str | None = None) -> None:
+    """Write rows as CSV or JSON to path, or to stdout when path is None."""
+    if fmt not in _CHOICES["format"]:
+        raise ConfigError(f"format must be one of {_CHOICES['format']}, got {fmt!r}")
+    if fmt == "csv":
+        text = "".join([line + "\n" for line in _csv_lines(rows)])
+    else:
+        columns = _row_columns(rows) + ("error",)
+        payload = [{c: _JSON_FORMAT[c](getattr(row, _ATTR_OF[c])) for c in columns} for row in rows]
+        text = json.dumps(payload, indent=2) + "\n"
+    _write(text, path, "sweep")
 
 
 def load_rows(path: str) -> list[SweepRow]:
@@ -420,8 +399,45 @@ def _parse_lambda_flag(text: str):
     return [v.strip() for v in text.split(",") if v.strip()]
 
 
+class _Parser(argparse.ArgumentParser):
+    """Raises ConfigError on a malformed command line (argparse exits 2); subparsers inherit it."""
+
+    def error(self, message):
+        raise ConfigError(message)
+
+
+# the SweepConfig fields each subcommand takes as flags of the same name, with
+# "-" for "_"; --lambdas, --m and --verify are written out in _build_parser
+_FLAGS = {
+    "sweep": ("mode", "seed", "out", "format", "sigma_x", "r", "rho", "theta_nodes",
+              "theta_scheme", "eps", "max_iters", "n_restarts", "mc_samples", "lambda_max"),
+    "linear": ("rho", "r", "sigma_x"),
+    "design": ("sigma_x", "r", "rho", "theta_nodes", "theta_scheme", "seed", "eps",
+               "max_iters", "n_restarts"),
+}
+_PARSE = {"float": float, "int": int, "str": str}
+
+
+def _add_config_flags(parser: argparse.ArgumentParser, command: str) -> None:
+    """One flag per field of _FLAGS[command], typed by the field's annotation.
+
+    sweep's flags default to None, so that the values of a --config file stand
+    unless a flag is given; the other subcommands default to SweepConfig's.
+    """
+    config_fields = {f.name: f for f in fields(SweepConfig)}
+    for name in _FLAGS[command]:
+        f = config_fields[name]
+        parser.add_argument(
+            "--" + name.replace("_", "-"),
+            type=_PARSE[f.type.split(" | ")[0]],
+            choices=_CHOICES.get(name),
+            default=None if command == "sweep" else f.default,
+            help="output path (default: stdout)" if name == "out" else None,
+        )
+
+
 def _build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="strategiq",
         description="Privacy-constrained strategic quantization sweeps and designs.",
     )
@@ -429,57 +445,33 @@ def _build_parser() -> argparse.ArgumentParser:
 
     sweep = sub.add_parser("sweep", help="run a (lambda, M) sweep and write CSV/JSON")
     sweep.add_argument("--config", help="JSON config file; flags override its fields")
-    sweep.add_argument("--mode", choices=MODES)
     sweep.add_argument("--lambdas", help='comma list "0,0.5,1" (inf allowed) or log:START:STOP:POINTS')
     sweep.add_argument("--m", help="comma list of M values; 0 = linear (no rate constraint)")
-    sweep.add_argument("--seed", type=int)
-    sweep.add_argument("--out", help="output path (default: stdout)")
-    sweep.add_argument("--format", choices=("csv", "json"))
     sweep.add_argument("--verify", action="store_true", default=None,
                        help="append Monte Carlo cross-check columns")
-    for flag, typ in (
-        ("--sigma-x", float), ("--r", float), ("--rho", float),
-        ("--theta-nodes", int), ("--eps", float),
-        ("--max-iters", int), ("--n-restarts", int), ("--mc-samples", int),
-        ("--lambda-max", float),
-    ):
-        sweep.add_argument(flag, type=typ)
-    sweep.add_argument("--theta-scheme", choices=GRID_SCHEMES)
+    _add_config_flags(sweep, "sweep")
 
     lin = sub.add_parser("linear", help="closed-form rate-unconstrained equilibrium")
     lin.add_argument("--lambda", dest="lam", type=float, required=True)
-    lin.add_argument("--rho", type=float, default=SweepConfig.rho)
-    lin.add_argument("--r", type=float, default=SweepConfig.r)
-    lin.add_argument("--sigma-x", type=float, default=SweepConfig.sigma_x)
+    _add_config_flags(lin, "linear")
 
     des = sub.add_parser("design", help="design one strategic quantizer and write JSON")
     des.add_argument("--m", type=int, required=True)
     des.add_argument("--lambda", dest="lam", type=float, required=True)
     des.add_argument("--out", required=True)
-    des.add_argument("--sigma-x", type=float, default=SweepConfig.sigma_x)
-    des.add_argument("--r", type=float, default=SweepConfig.r)
-    des.add_argument("--rho", type=float, default=SweepConfig.rho)
-    des.add_argument("--theta-nodes", type=int, default=SweepConfig.theta_nodes)
-    des.add_argument("--theta-scheme", choices=GRID_SCHEMES, default=SweepConfig.theta_scheme)
-    des.add_argument("--seed", type=int, default=SweepConfig.seed)
-    des.add_argument("--eps", type=float, default=SweepConfig.eps)
-    des.add_argument("--max-iters", type=int, default=SweepConfig.max_iters)
-    des.add_argument("--n-restarts", type=int, default=SweepConfig.n_restarts)
+    _add_config_flags(des, "design")
     return parser
 
 
-_SWEEP_FLAGS = (  # flags that set the SweepConfig field of the same name
-    "mode", "seed", "out", "format", "sigma_x", "r", "rho", "theta_nodes", "theta_scheme",
-    "eps", "max_iters", "n_restarts", "mc_samples", "lambda_max",
-)
+def _flag_fields(args: argparse.Namespace) -> dict:
+    """The SweepConfig fields that the subcommand's flags set (None: not given)."""
+    values = {name: getattr(args, name) for name in _FLAGS[args.command]}
+    return {name: value for name, value in values.items() if value is not None}
 
 
 def _sweep_config_from_args(args: argparse.Namespace) -> SweepConfig:
     data = _load_config_file(args.config) if args.config else {}
-    for name in _SWEEP_FLAGS:
-        value = getattr(args, name, None)
-        if value is not None:
-            data[name] = value
+    data.update(_flag_fields(args))
     if args.lambdas is not None:
         data["lambdas"] = _parse_lambda_flag(args.lambdas)
     if args.m is not None:
@@ -495,12 +487,9 @@ def _sweep_config_from_args(args: argparse.Namespace) -> SweepConfig:
 def _cmd_sweep(args: argparse.Namespace) -> int:
     cfg = _sweep_config_from_args(args)
     rows = run_sweep(cfg)
+    emit(rows, cfg.format, cfg.out or None)
     if cfg.out:
-        emit(rows, cfg.format, cfg.out)
         print(f"wrote {len(rows)} rows to {cfg.out}")
-    else:
-        for line in _csv_lines(rows):
-            print(line)
     failed = [row for row in rows if row.error is not None]
     for row in failed:
         print(f"sweep row lambda={row.lam:g} M={row.M} failed: {row.error}", file=sys.stderr)
@@ -508,9 +497,9 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
 
 
 def _cmd_linear(args: argparse.Namespace) -> int:
-    lam = resolve_lambdas([args.lam], SweepConfig.lambda_max)[0]
-    with _as_config_error():
-        source = make_source(args.sigma_x, args.r, args.rho)
+    cfg = config_from_dict({**_flag_fields(args), "mode": "linear", "lambdas": [args.lam]})
+    lam = resolve_lambdas(cfg.lambdas, cfg.lambda_max)[0]
+    source = make_source(cfg.sigma_x, cfg.r, cfg.rho)
     eq = linear.solve_equilibrium(source, lam)
     rep = linear.linear_distortions(source, eq.alpha, lam)
     print(
@@ -532,27 +521,17 @@ def _cmd_linear(args: argparse.Namespace) -> int:
 
 
 def _cmd_design(args: argparse.Namespace) -> int:
-    if args.m < 1:
-        raise ConfigError("--m must be >= 1 for design (0 is the linear sentinel)")
-    lam = resolve_lambdas([args.lam], SweepConfig.lambda_max)[0]
-    with _as_config_error():
-        source = make_source(args.sigma_x, args.r, args.rho)
-        grid = make_theta_grid(source, args.theta_nodes, args.theta_scheme)
-        opts = OptimOptions(
-            eps=args.eps, max_iters=args.max_iters, n_restarts=args.n_restarts, seed=args.seed
-        )
-    result = multistart(source, grid, args.m, lam, opts)
-    payload = design_result_to_dict(result, grid)
-    try:
-        with open(args.out, "w", encoding="utf-8") as fh:
-            json.dump(payload, fh, indent=2)
-            fh.write("\n")
-    except OSError as exc:
-        raise OSError(f"cannot write design output to {args.out!r}: {exc}") from exc
+    cfg = config_from_dict({**_flag_fields(args), "mode": "quantizer", "m_values": [args.m],
+                            "lambdas": [args.lam], "out": args.out})
+    lam = resolve_lambdas(cfg.lambdas, cfg.lambda_max)[0]
+    source = make_source(cfg.sigma_x, cfg.r, cfg.rho)
+    grid = make_theta_grid(source, cfg.theta_nodes, cfg.theta_scheme)
+    result = multistart(source, grid, args.m, lam, _optim_options(cfg, cfg.seed))
+    _write(json.dumps(design_result_to_dict(result, grid), indent=2) + "\n", cfg.out, "design")
     print(
         f"designed M={args.m} quantizer at lambda={lam:g}: "
         f"d_e={result.report.d_e:.6g} d_d={result.report.d_d:.6g} "
-        f"d_theta={result.report.d_theta:.6g} -> {args.out}"
+        f"d_theta={result.report.d_theta:.6g} -> {cfg.out}"
     )
     return 0
 

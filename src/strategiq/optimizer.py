@@ -61,7 +61,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .gaussian_model import MASS_FLOOR, SourceSpec, ThetaGrid
-from .metrics import lloyd_max
+from .metrics import lloyd_max_quantizer
 from .quantizer_core import (
     BestResponses,
     DistortionReport,
@@ -635,8 +635,7 @@ def multistart(
     if M == 1:
         inits = inits[:1]
     else:
-        lm = lloyd_max(source, M)
-        inits.append(Quantizer(M=M, boundaries=np.tile(lm.boundaries, (grid.n_nodes, 1))))
+        inits.append(lloyd_max_quantizer(source, M, grid))
     c1 = _quantizer_free_total(source, grid)
     ranked = []
     for idx, init in enumerate(inits):

@@ -251,6 +251,19 @@ class TestCommandLine:
         assert lines[0] == EXPECTED_HEADER
         assert len(lines) == 3
 
+    def test_sweep_without_out_prints_format(self, tmp_path, capsys):
+        # stdout carries what emit writes to a file, in --format
+        args = ["sweep", "--mode", "linear", "--lambdas", "0,1", "--format", "json"]
+        assert main(args) == 0
+        printed = capsys.readouterr().out
+        payload = json.loads(printed)
+        assert isinstance(payload, list) and len(payload) == 2
+        out = tmp_path / "rows.json"
+        assert main(args + ["--out", str(out)]) == 0
+        written = json.loads(out.read_text())
+        assert [sorted(item) for item in payload] == [sorted(item) for item in written]
+        assert printed == out.read_text()
+
     def test_sweep_subcommand_writes_csv(self, tmp_path, capsys):
         out = tmp_path / "sweep.csv"
         code = main([
@@ -308,9 +321,17 @@ class TestCommandLine:
         ["design", "--lambda", "1", "--eps", "-1"],
         ["design", "--lambda", "nan"],
         ["design", "--lambda", "1", "--rho", "2"],
+        ["design", "--lambda", "1", "--m", "0"],
         ["linear", "--lambda", "nan"],
         ["linear", "--lambda", "-1"],
         ["linear", "--lambda", "1", "--sigma-x", "-1"],
+        # malformed command lines: argparse's own exit 2 is the I/O error's code
+        ["sweep", "--seed", "abc"],
+        ["sweep", "--mode", "banana"],
+        ["design", "--lambda", "1", "--m", "x"],
+        ["linear"],
+        ["sweep", "--bogus", "1"],
+        ["frobnicate"],
     ], ids=" ".join)
     def test_bad_input_is_config_error(self, argv, tmp_path, capsys):
         # one "config error:" line and exit 1: no traceback, no failed rows
