@@ -211,6 +211,12 @@ def _optim_options(cfg: SweepConfig, seed: int) -> OptimOptions:
 
 
 def validate_config(cfg: SweepConfig) -> None:
+    """ConfigError unless run_sweep can run cfg."""
+    _validated_lambdas(cfg)
+
+
+def _validated_lambdas(cfg: SweepConfig) -> list[float]:
+    """Every check of validate_config; returns cfg's resolved lambdas."""
     _check_field_types(cfg)
     for name, allowed in _CHOICES.items():
         if getattr(cfg, name) not in allowed:
@@ -231,6 +237,7 @@ def validate_config(cfg: SweepConfig) -> None:
         make_source(cfg.sigma_x, cfg.r, cfg.rho)
     except (TypeError, ValueError) as exc:
         raise ConfigError(str(exc)) from exc
+    return resolve_lambdas(cfg.lambdas, cfg.lambda_max)
 
 
 def _quantizer_row(
@@ -275,9 +282,8 @@ def _quantizer_row(
 
 def run_sweep(cfg: SweepConfig) -> list[SweepRow]:
     """All (lambda, M) rows of a sweep, ordered by (lambda, M)."""
-    validate_config(cfg)
+    lambdas = sorted(_validated_lambdas(cfg))
     source = make_source(cfg.sigma_x, cfg.r, cfg.rho)
-    lambdas = sorted(resolve_lambdas(cfg.lambdas, cfg.lambda_max))
     requested = [LINEAR_M_SENTINEL] if cfg.mode == "linear" else cfg.m_values
     m_values = sorted({int(m) for m in requested})
     needs_grid = any(m >= 1 for m in m_values)

@@ -84,7 +84,8 @@ class ThetaGrid:
             raise ValueError("nodes must be strictly increasing")
         if np.any(weights < 0):
             raise ValueError("weights must be nonnegative")
-        if abs(weights.sum() - 1.0) > 1e-12:
+        # NaN fails the comparison too, so NaN weights are rejected here
+        if not abs(weights.sum() - 1.0) <= 1e-12:
             raise ValueError("weights must sum to 1 within 1e-12")
         nodes.flags.writeable = False
         weights.flags.writeable = False

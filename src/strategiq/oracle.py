@@ -7,6 +7,8 @@ Two oracles, deliberately unsophisticated:
   encoder Lagrangian at exact best responses, and returns the global grid
   optimum.  Feasible only for tiny instances (M=2, a few theta nodes); the
   gradient designer must land at or below this value up to grid resolution.
+  Assignments are scored in blocks of at most _CHUNK, so its memory is
+  O(_CHUNK) whatever the number of assignments.
 
 * monte_carlo_distortions samples the discretized source, pushes samples
   through the quantizer and both estimators, and averages squared errors.
@@ -17,14 +19,17 @@ Two oracles, deliberately unsophisticated:
 Sampling order: the samples are those of one ``default_rng(seed)`` that draws
 all n_samples node indices (``choice`` with the grid weights, one double per
 sample) and then all n_samples standard normals.  The oracle streams them in
-fixed chunks of _MC_CHUNK samples: one PCG64(seed) draws the node indices
-chunk by chunk, and a second PCG64(seed), advanced past the n_samples
-uniforms, draws the normals.  Means and variances are folded chunk by chunk
-with the pairwise update of Chan, Golub & LeVeque ("Algorithms for computing
-the sample variance", 1983), so memory is O(_MC_CHUNK) whatever n_samples
-is.  The samples are the ones whole-array sampling draws; only the order of
-summation differs, so the reported means and standard errors can differ from
-releases that summed whole arrays in the last few digits.
+fixed chunks of _MC_CHUNK samples: one PCG64(seed) draws the uniforms of the
+node indices chunk by chunk, and a second PCG64(seed), advanced past the
+n_samples uniforms, draws the normals.  ``choice`` itself is not called: a
+guide table over _BUCKETS equal-width buckets maps each uniform to the index
+``choice`` gives it, and only uniforms in a bucket that holds a CDF value are
+searched.  Means and variances are folded chunk by chunk with the pairwise
+update of Chan, Golub & LeVeque ("Algorithms for computing the sample
+variance", 1983), so memory is O(_MC_CHUNK) whatever n_samples is.  The
+samples are the ones whole-array sampling draws; only the order of summation
+differs, so the reported means and standard errors can differ from releases
+that summed whole arrays in the last few digits.
 """
 
 from __future__ import annotations
@@ -40,8 +45,9 @@ from .optimizer import DesignResult
 from .quantizer_core import BestResponses, DistortionReport, Quantizer, evaluate
 
 _MAX_ENUMERATION = 100_000_000
-_CHUNK = 131_072  # boundary assignments per brute-force block
+_CHUNK = 8_192  # boundary assignments per brute-force block; its six sums fit in L2
 _MC_CHUNK = 32_768  # Monte Carlo samples per chunk
+_BUCKETS = 4_096  # guide-table buckets for node indices; a power of two
 
 
 @dataclass(frozen=True)
@@ -179,13 +185,29 @@ def _draws(grid: ThetaGrid, n_samples: int, seed: int):
 
     Concatenated, the chunks are default_rng(seed).choice(grid.n_nodes,
     size=n_samples, p=grid.weights) followed by .standard_normal(n_samples).
+    ``choice`` is not called.  Its rule, cdf.searchsorted(u, side="right") on
+    the weights' normalized running sum, is read from a guide table over
+    _BUCKETS equal-width buckets of [0, 1) (Chen & Asau, 1974; Devroye, 1986,
+    III.2.4): every u in bucket b gets first[b], unless a CDF value lies
+    strictly inside the bucket (mixed[b]), and only those samples are searched.
+    u * _BUCKETS is exact, so each u lands in its true bucket.
     """
+    cdf = grid.weights.cumsum()
+    cdf /= cdf[-1]
+    edges = np.arange(_BUCKETS + 1) / _BUCKETS
+    first = cdf.searchsorted(edges[:-1], side="right")
+    mixed = cdf.searchsorted(edges[1:], side="left") > first
     node_rng = np.random.Generator(np.random.PCG64(seed))
-    # choice(p=...) spends one double, i.e. one step of the stream, per sample
+    # each node index spends one double, i.e. one step of the stream
     normal_rng = np.random.Generator(np.random.PCG64(seed).advance(n_samples))
     for lo in range(0, n_samples, _MC_CHUNK):
         k = min(_MC_CHUNK, n_samples - lo)
-        yield node_rng.choice(grid.n_nodes, size=k, p=grid.weights), normal_rng.standard_normal(k)
+        u = node_rng.random(k)
+        bucket = (u * _BUCKETS).astype(np.intp)
+        j_idx = first[bucket]
+        sel = np.flatnonzero(mixed[bucket])
+        j_idx[sel] = cdf.searchsorted(u[sel], side="right")
+        yield j_idx, normal_rng.standard_normal(k)
 
 
 def monte_carlo_distortions(

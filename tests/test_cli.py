@@ -75,6 +75,17 @@ class TestConfig:
         with pytest.raises(ConfigError):
             resolve_lambdas([], 1e7)
 
+    @pytest.mark.parametrize("lambdas", [
+        ["abc"],
+        [-1],
+        [],
+        {"start": 0, "stop": 1, "points": 3},
+    ], ids=repr)
+    def test_config_rejects_bad_lambdas(self, lambdas):
+        # a config that validates is one run_sweep runs
+        with pytest.raises(ConfigError, match="lambdas"):
+            config_from_dict({"mode": "linear", "lambdas": lambdas})
+
 
 class TestRunSweep:
     def test_linear_sweep_decoder_distortion_decreasing(self):

@@ -121,6 +121,15 @@ class TestMakeThetaGrid:
         with pytest.raises(ValueError):
             ThetaGrid(nodes=np.array([0.0, 1.0]), weights=np.array([1.1, -0.1]))
 
+    def test_nan_weights_rejected(self):
+        # the Monte Carlo oracle samples the weights without a check of its own
+        from strategiq import ThetaGrid
+
+        with pytest.raises(ValueError, match="sum to 1"):
+            ThetaGrid(nodes=np.array([0.0, 1.0]), weights=np.array([np.nan, np.nan]))
+        with pytest.raises(ValueError, match="sum to 1"):
+            ThetaGrid(nodes=np.array([0.0, 1.0]), weights=np.array([np.nan, 1.0]))
+
 
 class TestPartialMoments:
     def test_full_line(self, unit_source):

@@ -11,6 +11,7 @@ import strategiq.oracle as oracle_module
 from strategiq import (
     OracleGrid,
     Quantizer,
+    ThetaGrid,
     brute_force_design,
     evaluate,
     make_oracle_grid,
@@ -222,6 +223,19 @@ class TestBruteForce:
             assert res.quantizer.boundaries.tobytes() == boundaries.tobytes()
             assert _report_bits(res.report) == _report_bits(report)
 
+    @pytest.mark.parametrize("n_nodes,M", [(3, 2), (2, 3)])
+    def test_memory_is_bounded_by_the_block(self, unit_source, n_nodes, M):
+        # the enumeration holds one block of moment sums at a time
+        grid = make_theta_grid(unit_source, n_nodes, "gauss-hermite")
+        og = make_oracle_grid(unit_source)
+        tracemalloc.start()
+        try:
+            brute_force_design(unit_source, grid, M, 1.0, og)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 4 * 2**20
+
     def test_exact_ties_break_lexicographically(self, monkeypatch, unit_source):
         # candidates this far out put each row's mass wholly in one cell, so
         # every assignment that sends all rows to the same cell reveals nothing
@@ -310,6 +324,25 @@ class TestMonteCarlo:
         normals = rng.standard_normal(n)
         assert np.array_equal(np.concatenate([j for j, _ in chunks]), nodes)
         assert np.concatenate([z for _, z in chunks]).tobytes() == normals.tobytes()
+
+    @pytest.mark.parametrize("grid", [
+        ThetaGrid(nodes=[0.0], weights=[1.0]),
+        ThetaGrid(nodes=np.arange(5.0), weights=[0.0, 0.5, 0.0, 0.5, 0.0]),  # zero weights
+        ThetaGrid(nodes=np.arange(4.0), weights=np.full(4, 0.25)),  # CDF on bucket edges
+        ThetaGrid(nodes=np.arange(3.0), weights=[1e-300, 1.0 - 2e-300, 1e-300]),
+        make_theta_grid(make_source(1.0, 1.0, 0.0), 3, "gauss-hermite"),
+        make_theta_grid(make_source(1.0, 1.0, 0.0), 33, "gauss-hermite"),
+        make_theta_grid(make_source(1.0, 1.0, 0.0), 65, "gauss-hermite"),
+    ], ids=["1-node", "zero-weights", "bucket-edges", "tiny-tails", "gh3", "gh33", "gh65"])
+    def test_node_indices_are_choice_on_any_grid(self, grid):
+        # the guide table must give choice's indices from the same uniforms,
+        # whatever the weights do at bucket edges or inside one bucket
+        n = 2 * oracle_module._MC_CHUNK + 101
+        for seed in (0, 7, 2**31 + 5):
+            got = np.concatenate([j for j, _ in oracle_module._draws(grid, n, seed)])
+            want = np.random.default_rng(seed).choice(grid.n_nodes, size=n, p=grid.weights)
+            assert got.dtype == want.dtype
+            assert np.array_equal(got, want)
 
     def test_memory_does_not_grow_with_samples(self, unit_source, grid17):
         q = Quantizer(M=4, boundaries=np.tile([-INF, -0.7, 0.0, 0.7, INF], (17, 1)))
