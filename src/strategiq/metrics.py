@@ -17,13 +17,13 @@ weight grows.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import ndtr, ndtri
 
-from .gaussian_model import MASS_FLOOR, SourceSpec, ThetaGrid, interval_moments
+from .gaussian_model import MASS_FLOOR, SourceSpec, ThetaGrid, interval_moments, ndtr, ndtri
 from .quantizer_core import Quantizer
 
 # lloyd_max stops once the distortion changes by less than this
@@ -125,8 +125,18 @@ def _lloyd_step(b: np.ndarray, sx: float) -> tuple[np.ndarray, float]:
     return levels, dist
 
 
+@functools.lru_cache(maxsize=64)
+def _lloyd_max_row(sigma_x: float, M: int) -> np.ndarray:
+    """lloyd_max's boundaries, read-only: the fixed point depends on sigma_x and M alone."""
+    row = lloyd_max(SourceSpec(sigma_x=sigma_x, r=1.0, rho=0.0), M).boundaries
+    row.flags.writeable = False
+    return row
+
+
 def lloyd_max_quantizer(source: SourceSpec, M: int, grid: ThetaGrid) -> Quantizer:
-    """Fully-revealing baseline: the Lloyd-Max row replicated across theta nodes."""
-    lm = lloyd_max(source, M)
-    return Quantizer(M=M, boundaries=np.tile(lm.boundaries, (grid.n_nodes, 1)))
+    """Fully-revealing baseline: the Lloyd-Max row replicated across theta nodes.
+
+    The row is solved once per (sigma_x, M) and cached.
+    """
+    return Quantizer(M=M, boundaries=np.tile(_lloyd_max_row(source.sigma_x, M), (grid.n_nodes, 1)))
 

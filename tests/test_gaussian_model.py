@@ -6,10 +6,11 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy import special
 from scipy.integrate import quad
 from scipy.stats import norm
 
-from strategiq import Quantizer, ThetaGrid, evaluate, make_source, make_theta_grid
+from strategiq import Quantizer, ThetaGrid, evaluate, gaussian_model, make_source, make_theta_grid
 from strategiq.gaussian_model import interval_moments
 from strategiq.quantizer_core import _grid_terms, _moment_pass
 
@@ -129,6 +130,22 @@ class TestMakeThetaGrid:
             ThetaGrid(nodes=np.array([0.0, 1.0]), weights=np.array([np.nan, np.nan]))
         with pytest.raises(ValueError, match="sum to 1"):
             ThetaGrid(nodes=np.array([0.0, 1.0]), weights=np.array([np.nan, 1.0]))
+
+    @pytest.mark.parametrize("nodes", [[np.nan], [0.0, np.nan, 1.0], [-np.inf, 0.0, 1.0], [0.0, 1.0, np.inf]])
+    def test_non_finite_nodes_rejected(self, nodes):
+        weights = np.full(len(nodes), 1.0 / len(nodes))
+        with pytest.raises(ValueError, match="finite"):
+            ThetaGrid(nodes=np.array(nodes), weights=weights)
+
+
+class TestPhi:
+    @pytest.mark.parametrize("fn", ["ndtr", "ndtri"])
+    def test_bitwise_scipy(self, fn, rng):
+        special_values = [-np.inf, np.inf, np.nan, 0.0, -0.0, 40.0, -40.0, 1.0]
+        x = np.concatenate((special_values, rng.random(50), rng.normal(size=50)))
+        ours, scipys = getattr(gaussian_model, fn), getattr(special, fn)
+        assert ours(x).tobytes() == scipys(x).tobytes()
+        assert all(np.array(ours(v)).tobytes() == np.array(scipys(v)).tobytes() for v in special_values)
 
 
 class TestPartialMoments:

@@ -12,12 +12,13 @@ from strategiq import (
     linear_distortions,
     lloyd_max,
     lloyd_max_quantizer,
+    make_source,
     make_theta_grid,
     max_kl,
     multistart,
     optimal_alpha,
 )
-from strategiq.metrics import _marginal_message_probs
+from strategiq.metrics import _lloyd_max_row, _marginal_message_probs
 
 INF = math.inf
 
@@ -125,6 +126,20 @@ class TestLloydMax:
         q = lloyd_max_quantizer(unit_source, 4, grid3)
         assert q.M == 4 and q.n_theta == 3
         assert np.ptp(q.interior(), axis=0).max() == 0.0
+
+    @pytest.mark.parametrize("sigma_x", [0.3, 1.0, 2.5])
+    def test_cached_quantizer_is_lloyd_max(self, sigma_x, grid3):
+        src = make_source(sigma_x, 1.0, 0.0)
+        for M in range(1, 17):
+            q = lloyd_max_quantizer(src, M, grid3)
+            assert q.boundaries.tobytes() == np.tile(lloyd_max(src, M).boundaries, (3, 1)).tobytes()
+
+    def test_cached_row_per_sigma_x_and_read_only(self):
+        one, two = _lloyd_max_row(1.0, 4), _lloyd_max_row(2.0, 4)
+        assert _lloyd_max_row(1.0, 4) is one
+        np.testing.assert_allclose(two, 2.0 * one, rtol=1e-9)
+        with pytest.raises(ValueError, match="read-only"):
+            one[1] = 0.0
 
 
 class TestLimitIdentities:

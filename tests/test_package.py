@@ -6,6 +6,8 @@ import subprocess
 import sys
 from pathlib import Path
 
+import pytest
+
 import strategiq
 
 PACKAGE = Path(strategiq.__file__).resolve().parent
@@ -52,3 +54,30 @@ def test_import_loads_no_heavy_scipy_subpackage():
     ).stdout.split()
     heavy = {"scipy.optimize", "scipy.linalg", "scipy.stats", "scipy.integrate"}
     assert sorted(m for m in loaded if ".".join(m.split(".")[:2]) in heavy) == []
+
+
+def _phi_loaded_after(code: str) -> str:
+    """'True' or 'False': whether a fresh interpreter has scipy.special loaded after running code."""
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(PACKAGE.parent), env.get("PYTHONPATH")]))
+    return subprocess.run(
+        [sys.executable, "-c", f"{code}\nimport sys; print('scipy.special' in sys.modules)"],
+        check=True, capture_output=True, text=True, env=env,
+    ).stdout.split()[-1]
+
+
+@pytest.mark.parametrize("code, loaded", [
+    ("import strategiq", False),
+    ("from strategiq import cli; cli.main(['linear', '--lambda', '2.0'])", False),
+    ("from strategiq import cli; cli.main(['sweep', '--mode', 'linear', '--lambdas', '0,1,inf'])", False),
+    ("from strategiq import cli\nif cli.main(['sweep', '--seed', 'abc']) != 1: raise SystemExit(3)", False),
+    ("import strategiq as s\n"
+     "src = s.make_source(1.0, 1.0, 0.0); grid = s.make_theta_grid(src, 3)\n"
+     "q = s.Quantizer(M=2, boundaries=[[-float('inf'), 0.0, float('inf')]] * 3)\n"
+     "s.evaluate(q, src, grid, 1.0)", True),
+], ids=["import", "linear", "linear sweep", "config error", "evaluate"])
+def test_scipy_special_loads_on_first_phi(code, loaded):
+    # scipy.special takes longer to import than numpy and the package together,
+    # and the linear stage never evaluates Phi; test modules import it themselves,
+    # so only a fresh interpreter shows what the package loads
+    assert _phi_loaded_after(code) == str(loaded)
