@@ -126,23 +126,18 @@ def _json_float(value):
     return "inf" if v == math.inf else ("-inf" if v == -math.inf else v)
 
 
-# cell formatters by field type: 12 significant digits for CSV, native values
-# for JSON, and None as an empty CSV cell or null
-_CSV_CELL = {
-    "float": lambda v: "" if v is None else f"{v:.12g}",
-    "int": lambda v: "" if v is None else str(int(v)),
-    "bool": lambda v: "" if v is None else ("true" if v else "false"),
-    "str": lambda v: "" if v is None else v,
-}
+# the %-spec of a present CSV cell by field type: 12 significant digits for
+# floats, and bools through %s once mapped to the words true/false
+_CSV_SPEC = {"float": "%.12g", "int": "%d", "bool": "%s"}
+# JSON cell formatters by field type: native values, and None as null
 _JSON_CELL = {
     "float": _json_float,
     "int": lambda v: None if v is None else int(v),
     "bool": lambda v: v,
     "str": lambda v: v,
 }
-# the formatters of each output column, chosen once from SweepRow's field types
+# the field type of each output column, and its JSON formatter
 _KIND_OF = {_COLUMN_OF[f.name]: f.type.split(" | ")[0] for f in fields(SweepRow)}
-_CSV_FORMAT = {column: _CSV_CELL[kind] for column, kind in _KIND_OF.items()}
 _JSON_FORMAT = {column: _JSON_CELL[kind] for column, kind in _KIND_OF.items()}
 
 
@@ -305,10 +300,11 @@ def run_sweep(cfg: SweepConfig) -> list[SweepRow]:
             else:
                 i = index // len(m_values)
                 if not certified[i]:
-                    linear.optimal_alpha(source, lam)  # raises this row's certificate error
+                    raise stage.error(i)
                 d_e, fidelity, d_d, d_theta, alpha = linear_values[i]
-                row = SweepRow(lam=lam, M=LINEAR_M_SENTINEL, d_e=d_e, fidelity=fidelity,
-                               d_d=d_d, d_theta=d_theta, alpha=alpha, seed=seed)
+                # positional, in SweepRow's field order: about half the keyword call's cost
+                row = SweepRow(lam, LINEAR_M_SENTINEL, d_e, fidelity, d_d, d_theta, None, alpha,
+                               None, None, None, seed)
         except Exception as exc:
             logger.debug("sweep row (lambda=%g, M=%d) failed", lam, m, exc_info=True)
             row = SweepRow(lam=lam, M=m, converged=False, seed=seed,
@@ -323,13 +319,30 @@ def _row_columns(rows: list[SweepRow]) -> tuple[str, ...]:
 
 
 def _csv_lines(rows: list[SweepRow]):
-    """Header and one line per row, without line terminators."""
+    """The CSV text in pieces: the header line, then one piece per run of rows.
+
+    A run is a maximal run of consecutive rows with the same absent (None)
+    cells, formatted by one % call: its line (an empty cell where absent, a
+    _CSV_SPEC spec by field type elsewhere) repeated once per row, applied
+    to the run's present values with bools mapped to words.
+    """
     columns = _row_columns(rows)
+    kinds = [_KIND_OF[c] for c in columns]
     values = operator.attrgetter(*(_ATTR_OF[c] for c in columns))
-    formats = [_CSV_FORMAT[c] for c in columns]
-    yield ",".join(columns)
-    for row in rows:
-        yield ",".join([fmt(v) for fmt, v in zip(formats, values(row))])
+    nones = (None,) * len(columns)
+    yield ",".join(columns) + "\n"
+    runs = itertools.groupby(map(values, rows),
+                             key=lambda cells: tuple(map(operator.is_not, cells, nones)))
+    for present, run in runs:
+        run = list(run)
+        width = sum(present)
+        flat = itertools.chain.from_iterable(run)
+        cells = list(itertools.compress(flat, itertools.cycle(present)))
+        for k, kind in enumerate(itertools.compress(kinds, present)):
+            if kind == "bool":
+                cells[k::width] = ["true" if v else "false" for v in cells[k::width]]
+        line = ",".join([_CSV_SPEC[kind] if kept else "" for kept, kind in zip(present, kinds)])
+        yield ((line + "\n") * len(run)) % tuple(cells)
 
 
 def _write(text: str, path: str | None, what: str) -> None:
@@ -349,7 +362,7 @@ def emit(rows: list[SweepRow], fmt: str, path: str | None = None) -> None:
     if fmt not in _CHOICES["format"]:
         raise ConfigError(f"format must be one of {_CHOICES['format']}, got {fmt!r}")
     if fmt == "csv":
-        text = "".join([line + "\n" for line in _csv_lines(rows)])
+        text = "".join(_csv_lines(rows))
     else:
         columns = _row_columns(rows) + ("error",)
         payload = [{c: _JSON_FORMAT[c](getattr(row, _ATTR_OF[c])) for c in columns} for row in rows]

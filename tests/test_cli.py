@@ -1,19 +1,29 @@
 """Sweep orchestration, emission formats, and the command-line surface."""
 
+import contextlib
+import io
 import json
 import math
+import operator
+from dataclasses import fields, replace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import strategiq.linear_equilibrium as linear_module
 from strategiq import OptimOptions, make_source, optimal_alpha
 from strategiq.cli import (
+    _ATTR_OF,
+    _COLUMN_OF,
+    _KIND_OF,
     CSV_COLUMNS,
     ConfigError,
     SweepConfig,
     SweepRow,
     _build_parser,
+    _row_columns,
     config_from_dict,
     emit,
     load_rows,
@@ -31,6 +41,56 @@ FAST_QUANTIZER = dict(
     n_restarts=2,
     max_iters=800,
 )
+
+# the per-cell CSV formatter emit used before it formatted runs of rows, one
+# call per cell; it is the referee for emit's CSV bytes
+_CSV_CELL = {
+    "float": lambda v: "" if v is None else f"{v:.12g}",
+    "int": lambda v: "" if v is None else str(int(v)),
+    "bool": lambda v: "" if v is None else ("true" if v else "false"),
+    "str": lambda v: "" if v is None else v,
+}
+_CSV_FORMAT = {column: _CSV_CELL[kind] for column, kind in _KIND_OF.items()}
+
+
+def _reference_lines(rows):
+    """Header and one line per row, without line terminators."""
+    columns = _row_columns(rows)
+    values = operator.attrgetter(*(_ATTR_OF[c] for c in columns))
+    formats = [_CSV_FORMAT[c] for c in columns]
+    yield ",".join(columns)
+    for row in rows:
+        yield ",".join([fmt(v) for fmt, v in zip(formats, values(row))])
+
+
+def _reference_csv(rows):
+    return "".join([line + "\n" for line in _reference_lines(rows)])
+
+
+def _emitted_csv(rows):
+    with contextlib.redirect_stdout(io.StringIO()) as out:
+        emit(rows, "csv")
+    return out.getvalue()
+
+
+def _break_certificate_at(monkeypatch, source, lam):
+    """Negate the linear kernel's square root at lam's discriminant: the other root, q' < 0."""
+    sqrt = np.sqrt
+    seen = []
+    monkeypatch.setattr(linear_module.np, "sqrt", lambda x: seen.append(x) or sqrt(x))
+    optimal_alpha(source, lam)
+    target = seen[-1]
+    monkeypatch.setattr(linear_module.np, "sqrt",
+                        lambda x: np.where(x == target, -sqrt(x), sqrt(x)))
+
+
+# a value of each CSV field type, as a sweep or a caller may hand it to emit
+_CELL_VALUES = {
+    "float": st.floats() | st.floats().map(np.float64) | st.integers(-10**6, 10**6),
+    "int": st.integers(-10**9, 10**9) | st.integers(-10**9, 10**9).map(np.int64),
+    "bool": st.booleans() | st.booleans().map(np.bool_),
+    "str": st.text(max_size=5),
+}
 
 
 class TestConfig:
@@ -243,6 +303,56 @@ class TestEmit:
             emit(rows, "json", str(path))
             assert load_rows(str(path)) == rows
         assert verified[0].mc_d_theta_se is not None
+
+    def test_csv_is_the_per_cell_referee(self, monkeypatch):
+        linear = run_sweep(SweepConfig(mode="linear",
+                                       lambdas={"start": 1e-2, "stop": 1e7, "points": 1000}))
+        # linear and quantizer rows alternate, so every run has length 1
+        mixed = run_sweep(SweepConfig(mode="sweep", lambdas=[0.5, 2.0], m_values=[0, 2],
+                                      theta_nodes=5, n_restarts=1, max_iters=400))
+        quantizer = [row for row in mixed if row.M == 2]
+        quantizer += [replace(quantizer[0], converged=not quantizer[0].converged),
+                      replace(quantizer[0], restart_winner=0, d_kl_max=math.inf),
+                      replace(quantizer[1], restart_winner=None, d_kl_max=-math.inf)]
+        verified = run_sweep(SweepConfig(mode="sweep", lambdas=[1.0], m_values=[0, 2],
+                                         verify=True, mc_samples=20_000, theta_nodes=3,
+                                         n_restarts=1, max_iters=400))
+        hand_built = [
+            SweepRow(lam=2, M=0, d_e=-0.0, fidelity=math.nan, d_d=5e-324, d_theta=1e300,
+                     alpha=-1e-300, seed=0),
+            SweepRow(lam=np.float64(0.1), M=np.int64(3), d_e=np.float64(-1 / 3),
+                     d_kl_max=np.float64(math.inf), iterations=np.int64(12),
+                     converged=np.bool_(True), restart_winner=np.int64(0), seed=np.int64(9)),
+            SweepRow(lam=1e-300, M=1, converged=np.bool_(False), seed=-1),
+        ]
+        cases = {"linear": linear, "mixed": mixed, "quantizer": quantizer,
+                 "verified": verified, "hand-built": hand_built,
+                 "everything": linear[:3] + quantizer + verified + hand_built + linear[3:],
+                 "empty": []}
+
+        source = make_source(1.0, 1.0, 0.3)
+        _break_certificate_at(monkeypatch, source, 2.0)
+        # the failed middle row splits the linear run in two
+        cases["failed"] = run_sweep(SweepConfig(mode="linear", lambdas=[0.5, 1.0, 2.0, 4.0],
+                                                rho=0.3))
+        assert [row.error is None for row in cases["failed"]] == [True, True, False, True]
+
+        for name, rows in cases.items():
+            assert _emitted_csv(rows).encode() == _reference_csv(rows).encode(), name
+
+    @settings(derandomize=True, max_examples=100, deadline=None)
+    @given(data=st.data(), patterns=st.lists(
+        st.lists(st.booleans(), min_size=len(fields(SweepRow)), max_size=len(fields(SweepRow))),
+        min_size=1, max_size=3))
+    def test_csv_is_the_referee_on_random_none_patterns(self, data, patterns):
+        # few patterns over many rows, so runs of equal absent cells form and break
+        picks = data.draw(st.lists(st.integers(0, len(patterns) - 1), max_size=12))
+        rows = []
+        for pick in picks:
+            values = {f.name: data.draw(_CELL_VALUES[_KIND_OF[_COLUMN_OF[f.name]]])
+                      for f, absent in zip(fields(SweepRow), patterns[pick]) if not absent}
+            rows.append(SweepRow(**{"lam": None, "M": None, **values}))
+        assert _emitted_csv(rows).encode() == _reference_csv(rows).encode()
 
     def test_io_error_carries_path(self, tmp_path):
         with pytest.raises(OSError, match="no/such"):
