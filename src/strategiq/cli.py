@@ -141,6 +141,13 @@ _KIND_OF = {_COLUMN_OF[f.name]: f.type.split(" | ")[0] for f in fields(SweepRow)
 _JSON_FORMAT = {column: _JSON_CELL[kind] for column, kind in _KIND_OF.items()}
 
 
+def _lambda_number(value) -> float:
+    """float of a number or numeric string (the command line passes strings); no bool."""
+    if isinstance(value, bool):
+        raise ValueError(f"{value!r} is not a number")
+    return float(value)
+
+
 def resolve_lambdas(spec, lambda_max: float) -> list[float]:
     """Explicit list (with "inf" capped at lambda_max) or log-range dict."""
     if isinstance(spec, dict):
@@ -148,16 +155,18 @@ def resolve_lambdas(spec, lambda_max: float) -> list[float]:
         if extra:
             raise ConfigError(f"lambdas range spec has unknown keys {sorted(extra)}")
         try:
-            start, stop, points = float(spec["start"]), float(spec["stop"]), int(spec["points"])
+            start, stop, points = (_lambda_number(spec[k]) for k in ("start", "stop", "points"))
         except KeyError as exc:
             raise ConfigError(f"lambdas range spec missing field {exc}") from exc
         except (TypeError, ValueError) as exc:
             raise ConfigError(f"lambdas range spec: {exc}") from exc
+        if not points.is_integer():
+            raise ConfigError(f"lambdas range spec points must be integral, got {spec['points']!r}")
         if not (0 < start < math.inf and 0 < stop < math.inf) or points < 1:
             raise ConfigError("lambdas range spec needs positive finite start/stop and points >= 1")
-        return [float(v) for v in np.logspace(math.log10(start), math.log10(stop), points)]
+        return [float(v) for v in np.logspace(math.log10(start), math.log10(stop), int(points))]
     try:
-        values = [float(v) for v in spec]
+        values = [_lambda_number(v) for v in spec]
     except (TypeError, ValueError) as exc:
         raise ConfigError(f"lambdas must be numbers: {exc}") from exc
     values = [float(lambda_max) if v == math.inf else v for v in values]
@@ -205,13 +214,8 @@ def _optim_options(cfg: SweepConfig, seed: int) -> OptimOptions:
     return OptimOptions(eps=cfg.eps, max_iters=cfg.max_iters, n_restarts=cfg.n_restarts, seed=seed)
 
 
-def validate_config(cfg: SweepConfig) -> None:
-    """ConfigError unless run_sweep can run cfg."""
-    _validated_lambdas(cfg)
-
-
-def _validated_lambdas(cfg: SweepConfig) -> list[float]:
-    """Every check of validate_config; returns cfg's resolved lambdas."""
+def validate_config(cfg: SweepConfig) -> list[float]:
+    """ConfigError unless run_sweep can run cfg; returns cfg's resolved lambdas."""
     _check_field_types(cfg)
     for name, allowed in _CHOICES.items():
         if getattr(cfg, name) not in allowed:
@@ -277,7 +281,7 @@ def _quantizer_row(
 
 def run_sweep(cfg: SweepConfig) -> list[SweepRow]:
     """All (lambda, M) rows of a sweep, ordered by (lambda, M)."""
-    lambdas = sorted(_validated_lambdas(cfg))
+    lambdas = sorted(validate_config(cfg))
     source = make_source(cfg.sigma_x, cfg.r, cfg.rho)
     requested = [LINEAR_M_SENTINEL] if cfg.mode == "linear" else cfg.m_values
     m_values = sorted({int(m) for m in requested})

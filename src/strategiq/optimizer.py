@@ -35,21 +35,22 @@ the linear model put it, and the better of the two points is kept.  A trial
 point costs one moment pass, the one evaluate uses: Phi and phi at its
 boundaries, evaluated once, give both responses, f, the gradient and the
 Hessian.  The landscape is nonconvex; multistart adds a fully-revealing
-Lloyd-Max start to seeded random starts and keeps the lowest.
+Lloyd-Max start to seeded random starts and keeps the lowest f.
 
-At large lam the model of f holds only for short steps, and a random start
-descended at lam directly takes hundreds to thousands of steps.  Above
-lam_c = 1e3, multistart therefore descends each random start by
-continuation in the penalty weight (Fiacco & McCormick, 1968; Nocedal &
-Wright, 2006, sec. 17.1): one design run at each rung of the ladder
-0, 10, 1e3, 1e5, ... (x100) below lam, then at lam, each started from the
-quantizer the previous rung reached.  lam_c is where the ladder breaks even
-on uncorrelated sources; on correlated ones it pays from lam = 10 on.  The
+Every start is a quantizer and its rungs, the weights at which design runs
+in turn, each from the quantizer the previous rung reached; one loop
+descends them all, and the last rung is lam.  At large lam the model of f
+holds only for short steps, and a random start descended at lam directly
+takes hundreds to thousands of steps.  Above lam_c = 1e3 a random start's
+rungs are therefore the ladder 0, 10, 1e3, 1e5, ... (x100) below lam, then
+lam: continuation in the penalty weight (Fiacco & McCormick, 1968; Nocedal
+& Wright, 2006, sec. 17.1).  lam_c is where the ladder breaks even on
+uncorrelated sources; on correlated ones it pays from lam = 10 on.  The
 restart's iterations and evals count every rung, its max_iters accepted
-steps are shared by the rungs, and its stop reason, KKT residual and
+steps are shared by the rungs, and its f, stop reason, KKT residual and
 trajectory are the last rung's.  The Lloyd-Max start, a few steps from its
-optimum at large lam on uncorrelated sources, is descended at lam directly.
-At lam <= lam_c every start is one direct descent.
+optimum at large lam on uncorrelated sources, has lam as its one rung, as
+has every start at lam <= lam_c.
 """
 
 from __future__ import annotations
@@ -68,6 +69,7 @@ from .quantizer_core import (
     Quantizer,
     _grid_terms,
     _moment_pass,
+    _MomentPass,
     quantizer_to_dict,
     validate,
 )
@@ -90,8 +92,8 @@ _ROUNDING = 16 * float(np.finfo(float).eps)
 # of f above this fraction of it: rows of small weight meet the gradient bound
 # before they are converged
 _PROMISE = 1e-3
-# multistart descends a random start at lam > _LADDER_FROM through the weights
-# 0, 10, 10 * _LADDER_STEP, ... below lam, then lam itself
+# a random start at lam > _LADDER_FROM descends through the weights
+# 0, 10, 10 * _LADDER_STEP, ... below lam, then lam itself; else through lam alone
 _LADDER_FROM = 1e3
 _LADDER_STEP = 100.0
 
@@ -122,13 +124,14 @@ class OptimOptions:
 class DesignResult:
     """One design outcome: the quantizer, responses, distortions, and diagnostics.
 
+    f (the descent's objective d_e + lam * E_grid[theta^2] at the result),
     stop_reason (one of STOP_REASONS), kkt_residual (the inf-norm of the
     projected gradient in the increment variables at the result) and evals
     (the objective evaluations the run spent, the start's included) are None
-    for the exhaustive oracle.  For a restart that multistart descends along
-    its ladder of weights, iterations and evals sum every rung; stop_reason,
-    converged, kkt_residual and trajectory are the last rung's, the one at
-    the target lam, since earlier rungs rank a different objective.
+    for the exhaustive oracle.  For a restart descended through several
+    rungs, iterations and evals sum every rung; f, stop_reason, converged,
+    kkt_residual and trajectory are the last rung's, the one at the target
+    lam, since earlier rungs rank a different objective.
     """
 
     quantizer: Quantizer
@@ -141,15 +144,17 @@ class DesignResult:
     stop_reason: str | None = None
     kkt_residual: float | None = None
     evals: int | None = None
+    f: float | None = None
 
 
 def _analytic_gradient(
-    b: np.ndarray, grid: ThetaGrid, lam: float, y: np.ndarray, theta_hat: np.ndarray, f: np.ndarray
+    b: np.ndarray, grid: ThetaGrid, lam: float, y: np.ndarray, theta_hat: np.ndarray,
+    density: np.ndarray,
 ) -> np.ndarray:
     """Gradient of d_e at interior boundaries b, given the best responses y, theta_hat to b.
 
-    f is the conditional density at b, as _moment_pass returns it.  One-sided
-    at coincident boundaries.
+    density is the conditional density at b, as _moment_pass returns it.
+    One-sided at coincident boundaries.
     """
     theta = grid.nodes[:, None]
 
@@ -161,7 +166,7 @@ def _analytic_gradient(
     # through y: each cell's residual E[X + theta | m] - y_m is theta_hat_m
     chain = 2.0 * (b * dth - (theta_hat[1:] * y[1:] - theta_hat[:-1] * y[:-1]))
 
-    return grid.weights[:, None] * f * (direct + chain)
+    return grid.weights[:, None] * density * (direct + chain)
 
 
 def _fd_gradient(
@@ -193,7 +198,7 @@ def _fd_gradient(
 def _probe_d_e(interior: np.ndarray, terms: tuple, lam: float, j: int, k: int, h: float) -> float:
     perturbed = interior.copy()
     perturbed[j, k] += h
-    return _moment_pass(perturbed, terms, lam)[3][0]
+    return _moment_pass(perturbed, terms, lam).dist[0]
 
 
 def boundary_gradient(
@@ -211,8 +216,8 @@ def boundary_gradient(
         raise ValueError("lam must be nonnegative")
     if mode == "analytic":
         interior = q.interior()
-        _, y, theta_hat, _, f = _moment_pass(interior, _grid_terms(source, grid, q.n_theta), lam)
-        grad = _analytic_gradient(interior, grid, lam, y, theta_hat, f)
+        state = _moment_pass(interior, _grid_terms(source, grid, q.n_theta), lam)
+        grad = _analytic_gradient(interior, grid, lam, state.y, state.theta_hat, state.density)
         b = q.boundaries
         grad[(b[:, 1:-1] == b[:, :-2]) | (b[:, 1:-1] == b[:, 2:])] = 0.0
         return grad
@@ -260,26 +265,6 @@ def _kkt_residual(x: np.ndarray, g: np.ndarray, lower: np.ndarray) -> float:
     return float(np.abs(x - np.maximum(x - g, lower)).max(initial=0.0))
 
 
-def _objective(n: np.ndarray, y: np.ndarray, theta_hat: np.ndarray, lam: float, c1: float) -> float:
-    """d_e + lam * E_grid[theta^2] at the best responses y, theta_hat to cell masses n.
-
-    It is c1 - sum_m Phi_m with Phi = (A^2 + 2AT - lam T^2)/N = N (y^2 + 2 y theta_hat
-    - lam theta_hat^2), and c1 = sum_j w_j ((mu_j + theta_j)^2 + sigma_c^2)
-    holds the quantizer-free totals, so no term of size lam * E[theta^2] is
-    formed and cancelled.  Cells below MASS_FLOOR carry no Phi.
-    """
-    phi = n * (y * (y + 2.0 * theta_hat) - lam * theta_hat * theta_hat)
-    if n.min() < MASS_FLOOR:
-        phi = np.where(n >= MASS_FLOOR, phi, 0.0)
-    return c1 - float(phi.sum())
-
-
-def _quantizer_free_total(source: SourceSpec, grid: ThetaGrid) -> float:
-    """c1 of _objective: sum_j w_j ((mu_j + theta_j)^2 + sigma_c^2)."""
-    mu, sigma = source.conditional_params(grid.nodes)
-    return float(grid.weights @ ((mu + grid.nodes) ** 2 + sigma * sigma))
-
-
 def _hessian(
     b: np.ndarray, grid: ThetaGrid, lam: float, terms: tuple, trial: tuple, grad: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray]:
@@ -299,8 +284,8 @@ def _hessian(
     a L and t L, and diag(D) a block per row.  Returns L^T H L, shape (P, P)
     with P = b.size, and the rows, shape (2, M, n_rows, M-1): a L, then t L.
     """
-    mu, sigma = terms[0], terms[1]
-    sums, y, theta_hat, _, density = trial
+    mu, sigma = terms.mu, terms.sigma
+    sums, y, theta_hat, _, density, _ = trial
     n_rows, k = b.shape
     theta = grid.nodes[:, None]
     wf = grid.weights[:, None] * density
@@ -440,19 +425,20 @@ def design(
 ) -> DesignResult:
     """Single projected trust-region Newton run from init (or a seeded random start).
 
-    The objective f = d_e + lam * E[theta^2] stays O(1) at every lam and is
-    formed without cancellation.  A step is accepted when it lowers f below
-    every f accepted before.  Once the model promises a decrease below f's
-    rounding, which no evaluation can confirm, a step is accepted when it
-    shrinks the projected gradient and leaves f within that rounding of the
-    lowest f so far; so no accepted f is above an earlier one, init's
-    included, by more than f's rounding.  Once the inf-norm of the projected
-    gradient is at most tol = opts.eps * max(1, f), the descent stops when the
-    model promises a decrease of at most 1e-3 * tol (or below f's rounding).
-    stop_reason is "tolerance" for every stop with the gradient at most tol;
-    otherwise it is "stalled" when the trust region has shrunk until the model
-    promises no decrease f could resolve, and "max_iters" after
-    opts.max_iters accepted steps.  converged is True only for "tolerance".
+    The objective f = d_e + lam * E[theta^2] stays O(1) at every lam, is
+    formed without cancellation, and is the result's f at its end.  A step is
+    accepted when it lowers f below every f accepted before.  Once the model
+    promises a decrease below f's rounding, which no evaluation can confirm,
+    a step is accepted when it shrinks the projected gradient and leaves f
+    within that rounding of the lowest f so far; so no accepted f is above an
+    earlier one, init's included, by more than f's rounding.  Once the
+    inf-norm of the projected gradient is at most tol = opts.eps * max(1, f),
+    the descent stops when the model promises a decrease of at most
+    1e-3 * tol (or below f's rounding).  stop_reason is "tolerance" for every
+    stop with the gradient at most tol; otherwise it is "stalled" when the
+    trust region has shrunk until the model promises no decrease f could
+    resolve, and "max_iters" after opts.max_iters accepted steps.  converged
+    is True only for "tolerance".
     """
     if M < 1:
         raise ValueError("M must be >= 1")
@@ -469,39 +455,37 @@ def design(
     # the loop calls the moment pass itself; responses, report and quantizer
     # are built once, for the result
     terms = _grid_terms(source, grid, grid.n_nodes)
-    c1 = _quantizer_free_total(source, grid)
     b = init.interior()
     state = _moment_pass(b, terms, lam)
-    sums, resp_y, theta_hat, dist, density = state
-    trajectory = [dist[0]]
+    trajectory = [state.dist[0]]
     x = _to_increments(b)
     lower = np.zeros_like(x)
     lower[:, :1] = -np.inf
-    f = _objective(sums[0], resp_y, theta_hat, lam, c1)
-    grad = _analytic_gradient(b, grid, lam, resp_y, theta_hat, density)
+    f = state.f
+    grad = _analytic_gradient(b, grid, lam, state.y, state.theta_hat, state.density)
     g = _increment_gradient(grad).ravel()
     # sigma_c, the scale of a boundary move, is also the largest radius: the
     # model of a row of small weight can call for moves of many sigma_c
     # that f, dominated by the other rows, would accept blindly
-    delta = delta_max = terms[1]
+    delta = delta_max = terms.sigma
     H = caches = None
     iterations, evals = 0, 1
 
     f_low = f  # the lowest f accepted so far
 
-    def consider(x_try: np.ndarray) -> tuple[tuple | None, tuple]:
+    def consider(x_try: np.ndarray) -> tuple[tuple | None, _MomentPass]:
         """The moment pass at x_try, and x_try's state if the step from x is accepted."""
         nonlocal evals
         b_try = _to_boundaries(x_try)
         trial = _moment_pass(b_try, terms, lam)
         evals += 1
-        f_try = _objective(trial[0][0], trial[1], trial[2], lam, c1)
+        f_try = trial.f
         # below its rounding f cannot rank the points; a step that stays within
         # that rounding of the lowest f then counts as progress if it shrinks
         # the projected gradient
         if not (f_try < f_low or (unseen and f_try <= f_low + rounding)):
             return None, trial
-        grad_try = _analytic_gradient(b_try, grid, lam, trial[1], trial[2], trial[4])
+        grad_try = _analytic_gradient(b_try, grid, lam, trial.y, trial.theta_hat, trial.density)
         g_try = _increment_gradient(grad_try).ravel()
         if f_try < f_low or _kkt_residual(x_try, g_try.reshape(x.shape), lower) < kkt_residual:
             return (x_try, f_try, g_try, b_try, grad_try, trial), trial
@@ -535,10 +519,10 @@ def design(
             # second-order correction of a poorly predicted step: theta_hat left
             # its linear model by err, which moves the penalty's gradient by
             # 2 lam J^T (N err)
-            n = sums[0]
+            n = state.sums[0]
             full = n >= MASS_FLOOR
             err = np.divide(n_theta_jac @ s, n, out=np.zeros_like(n), where=full)
-            err = np.where(full, trial[2] - theta_hat - err, 0.0)
+            err = np.where(full, trial.theta_hat - state.theta_hat - err, 0.0)
             x_soc = correct(2.0 * lam * (n_theta_jac.T @ err))
             if x_soc is not None:
                 corrected = consider(x_soc)[0]
@@ -552,9 +536,8 @@ def design(
                 delta = min(2.0 * delta, delta_max)
             x, f, g, b, grad, state = accepted
             f_low = min(f_low, f)
-            sums, resp_y, theta_hat, dist, density = state
             H = None
-            trajectory.append(dist[0])
+            trajectory.append(state.dist[0])
             iterations += 1
             continue
         # a projected step may promise no decrease; a shorter one is not projected
@@ -567,33 +550,38 @@ def design(
 
     logger.debug(
         "design M=%d lam=%g: iters=%d evals=%d stop=%s d_e=%.9g kkt_residual=%.3g",
-        M, lam, iterations, evals, stop_reason, dist[0], kkt_residual,
+        M, lam, iterations, evals, stop_reason, state.dist[0], kkt_residual,
     )
     return DesignResult(
-        _with_edges(b, grid.n_nodes), BestResponses(resp_y, theta_hat, sums[0]),
-        DistortionReport(*dist), iterations=iterations,
+        _with_edges(b, grid.n_nodes), BestResponses(state.y, state.theta_hat, state.sums[0]),
+        DistortionReport(*state.dist), iterations=iterations,
         converged=stop_reason == "tolerance", trajectory=np.array(trajectory),
-        stop_reason=stop_reason, kkt_residual=kkt_residual, evals=evals,
+        stop_reason=stop_reason, kkt_residual=kkt_residual, evals=evals, f=f,
     )
 
 
-def _laddered(
-    source: SourceSpec, grid: ThetaGrid, M: int, lam: float, opts: OptimOptions,
-    init: Quantizer, c1: float,
-) -> DesignResult:
-    """design at lam from init, warm-started through the weights 0, 10, 1e3, ... below lam.
-
-    Each rung is one design run from the previous rung's quantizer.  The
-    rungs share the restart's opts.max_iters accepted steps: each gets what
-    the earlier ones left, less one step kept back for the last rung, and a
-    rung left no step is skipped.  iterations and evals sum the rungs; the
-    rest of the result is the last rung's.
-    """
+def _rungs(lam: float) -> list[float]:
+    """The weights a random start descends through in turn at lam (see _LADDER_FROM)."""
+    if lam <= _LADDER_FROM:
+        return [lam]
     rungs, weight = [0.0], 10.0
     while weight < lam:
         rungs.append(weight)
         weight *= _LADDER_STEP
     rungs.append(lam)
+    return rungs
+
+
+def _descend(
+    source: SourceSpec, grid: ThetaGrid, M: int, rungs: list, opts: OptimOptions, init: Quantizer
+) -> DesignResult:
+    """design at each weight of rungs in turn, from init, then from the previous rung's quantizer.
+
+    The rungs share the restart's opts.max_iters accepted steps: each gets what
+    the earlier ones left, less one step kept back for the last rung, and a
+    rung left no step is skipped.  iterations and evals sum the rungs; the
+    rest of the result is the last rung's.
+    """
     iterations = evals = 0
     for k, weight in enumerate(rungs):
         budget = opts.max_iters - iterations - (k < len(rungs) - 1)
@@ -602,11 +590,10 @@ def _laddered(
         result = design(source, grid, M, weight, replace(opts, max_iters=budget), init=init)
         iterations += result.iterations
         evals += result.evals
-        responses = result.responses
         logger.debug(
             "rung %d/%d lam=%g: iters=%d evals=%d stop=%s f=%.12g",
             k + 1, len(rungs), weight, result.iterations, result.evals, result.stop_reason,
-            _objective(responses.cell_mass, responses.y, responses.theta_hat, weight, c1),
+            result.f,
         )
         init = result.quantizer
     return replace(result, iterations=iterations, evals=evals)
@@ -621,32 +608,26 @@ def multistart(
 ) -> DesignResult:
     """Best of n_restarts seeded random starts plus one Lloyd-Max start.
 
-    Restarts are ranked by the descent's objective d_e + lam * E[theta^2],
-    whose rounding does not grow with lam.  A random start beats the
-    Lloyd-Max start only by more than that rounding, so a tie in the last
-    digits goes to the start that does not depend on the seed; among random
-    starts, ties break toward the lowest restart index.  At lam > 1e3 each
-    random start is descended along the ladder of _laddered; the Lloyd-Max
-    start, which on uncorrelated sources is a few steps from its optimum at
-    large lam, is descended at lam directly.
+    Restarts are ranked by their f = d_e + lam * E[theta^2], whose rounding
+    does not grow with lam.  A random start beats the Lloyd-Max start only
+    by more than that rounding, so a tie in the last digits goes to the
+    start that does not depend on the seed; among random starts, ties break
+    toward the lowest restart index.  Every start is a (quantizer, rungs)
+    pair run through _descend: a random start climbs _rungs(lam); the
+    Lloyd-Max start, which on uncorrelated sources is a few steps from its
+    optimum at large lam, is descended at lam directly.
     """
     rng = np.random.default_rng(opts.seed)
-    inits = [random_monotone_quantizer(source, grid, M, rng) for _ in range(opts.n_restarts)]
+    starts = [(random_monotone_quantizer(source, grid, M, rng), _rungs(lam))
+              for _ in range(opts.n_restarts)]
     if M == 1:
-        inits = inits[:1]
+        starts = starts[:1]
     else:
-        inits.append(lloyd_max_quantizer(source, M, grid))
-    c1 = _quantizer_free_total(source, grid)
+        starts.append((lloyd_max_quantizer(source, M, grid), [lam]))
     ranked = []
-    for idx, init in enumerate(inits):
-        if lam > _LADDER_FROM and idx < opts.n_restarts:
-            result = _laddered(source, grid, M, lam, opts, init, c1)
-        else:
-            result = design(source, grid, M, lam, opts, init=init)
-        result = replace(result, restart_index=idx)
-        responses = result.responses
-        ranked.append((_objective(responses.cell_mass, responses.y, responses.theta_hat, lam, c1),
-                       idx, result))
+    for idx, (init, rungs) in enumerate(starts):
+        result = replace(_descend(source, grid, M, rungs, opts, init), restart_index=idx)
+        ranked.append((result.f, idx, result))
     best = min(ranked[: opts.n_restarts], key=lambda entry: entry[:2])
     if M > 1 and ranked[-1][0] <= best[0] + _ROUNDING * max(1.0, abs(best[0])):
         best = ranked[-1]

@@ -19,6 +19,7 @@ reconstructions (boundary-span midpoint for y, prior mean for theta_hat).
 from __future__ import annotations
 
 import math
+from collections import namedtuple
 from dataclasses import dataclass
 
 import numpy as np
@@ -104,8 +105,14 @@ def validate(q: Quantizer) -> ValidationReport:
     return ValidationReport(tuple(violations), tuple(notes))
 
 
-def _grid_terms(source: SourceSpec, grid: ThetaGrid, n_rows: int) -> tuple:
-    """_moment_pass's constants: mu_c column, sigma_c, -inf/+inf columns, w, w*theta, w*theta^2."""
+# _moment_pass's constants: the mu_c column, sigma_c, the -inf/+inf columns, w,
+# w*theta, w*theta^2, and f's quantizer-free total c1
+_GridTerms = namedtuple("_GridTerms", "mu sigma edge_lo edge_hi w wt wt2 c1")
+_MomentPass = namedtuple("_MomentPass", "sums y theta_hat dist density f")
+
+
+def _grid_terms(source: SourceSpec, grid: ThetaGrid, n_rows: int) -> _GridTerms:
+    """_GridTerms for boundaries with n_rows rows."""
     if n_rows != grid.n_nodes:
         raise ValueError("boundaries must have one row per theta node")
     mu_c, sigma_c = source.conditional_params(grid.nodes)
@@ -113,20 +120,25 @@ def _grid_terms(source: SourceSpec, grid: ThetaGrid, n_rows: int) -> tuple:
         raise ValueError("cell moments require a nondegenerate source (|rho| < 1)")
     edge = np.full((n_rows, 1), np.inf)
     w = grid.weights
-    return mu_c[:, None], sigma_c, -edge, edge, w, w * grid.nodes, w * grid.nodes**2
+    c1 = float(w @ ((mu_c + grid.nodes) ** 2 + sigma_c * sigma_c))
+    return _GridTerms(mu_c[:, None], sigma_c, -edge, edge, w, w * grid.nodes, w * grid.nodes**2, c1)
 
 
-def _moment_pass(interior: np.ndarray, terms: tuple, lam: float) -> tuple:
+def _moment_pass(interior: np.ndarray, terms: _GridTerms, lam: float) -> _MomentPass:
     """One Phi/phi evaluation at the interior boundaries (n_nodes, M-1), and all it yields.
 
     The cell moments are interval_moments', with the +-inf edges entering z
-    as +-inf.  Returns (sums, y, theta_hat, distortions, density): the
+    as +-inf.  Returns (sums, y, theta_hat, dist, density, f): the
     per-message pooled sums (N, A, S, T, B, U), that is the mass and the
     moments of x, x^2, theta, x*theta and theta^2 over the cell; both best
-    responses; DistortionReport's (d_e, fidelity, d_d, d_theta); and the
-    conditional density of X at each interior boundary.
+    responses; DistortionReport's (d_e, fidelity, d_d, d_theta); the
+    conditional density of X at each interior boundary; and the descent's
+    objective f = d_e + lam * E_grid[theta^2].  f is c1 - sum_m Phi_m with
+    Phi = (A^2 + 2AT - lam T^2)/N = N (y^2 + 2 y theta_hat - lam theta_hat^2)
+    and c1 = sum_j w_j ((mu_j + theta_j)^2 + sigma_c^2), so no term of size
+    lam * E[theta^2] is formed and cancelled.  Cells below MASS_FLOOR carry no Phi.
     """
-    mu, sigma, edge_lo, edge_hi, w, wt, wt2 = terms
+    mu, sigma, edge_lo, edge_hi, w, wt, wt2, c1 = terms
     z = np.concatenate((edge_lo, (interior - mu) / sigma, edge_hi), axis=1)
     mass, first, second, pdf = _standardized_moments(mu, sigma, z)
     sums = (w @ mass, w @ first, w @ second, wt @ mass, wt @ first, wt2 @ mass)
@@ -140,7 +152,11 @@ def _moment_pass(interior: np.ndarray, terms: tuple, lam: float) -> tuple:
         theta_hat = np.divide(t, n, out=np.zeros_like(n), where=full)
         for m in np.flatnonzero(~full):
             y[m] = _empty_cell_y(interior, m)
-    return sums, y, theta_hat, _distortions(sums, y, theta_hat, lam), pdf[:, 1:-1] / sigma
+    phi = n * (y * (y + 2.0 * theta_hat) - lam * theta_hat * theta_hat)
+    if n.min() < MASS_FLOOR:
+        phi = np.where(n >= MASS_FLOOR, phi, 0.0)
+    return _MomentPass(sums, y, theta_hat, _distortions(sums, y, theta_hat, lam),
+                       pdf[:, 1:-1] / sigma, c1 - float(phi.sum()))
 
 
 def _empty_cell_y(interior: np.ndarray, m: int) -> float:
@@ -167,7 +183,7 @@ def distortions(
     """
     if not lam >= 0:
         raise ValueError("lam must be nonnegative")
-    sums = _moment_pass(q.interior(), _grid_terms(source, grid, q.n_theta), lam)[0]
+    sums = _moment_pass(q.interior(), _grid_terms(source, grid, q.n_theta), lam).sums
     return DistortionReport(*_distortions(sums, br.y, br.theta_hat, lam))
 
 
@@ -196,10 +212,9 @@ def evaluate(
     """
     if not lam >= 0:
         raise ValueError("lam must be nonnegative")
-    sums, y, theta_hat, dist, _ = _moment_pass(
-        q.interior(), _grid_terms(source, grid, q.n_theta), lam
-    )
-    return BestResponses(y=y, theta_hat=theta_hat, cell_mass=sums[0]), DistortionReport(*dist)
+    state = _moment_pass(q.interior(), _grid_terms(source, grid, q.n_theta), lam)
+    return (BestResponses(y=state.y, theta_hat=state.theta_hat, cell_mass=state.sums[0]),
+            DistortionReport(*state.dist))
 
 
 def _encode_boundary(v: float) -> float | str:

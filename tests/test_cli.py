@@ -125,6 +125,9 @@ class TestConfig:
         assert len(lams) == 5
         assert lams[0] == pytest.approx(0.01)
         assert lams[-1] == pytest.approx(100.0)
+        # integral numbers and the command line's numeric strings give the same range
+        assert resolve_lambdas({"start": "0.01", "stop": "1e2", "points": "5"}, 1e7) == lams
+        assert resolve_lambdas({"start": 0.01, "stop": 100, "points": 5.0}, 1e7) == lams
 
     def test_lambda_inf_capped(self):
         assert resolve_lambdas([0.0, "inf"], 1e7) == [0.0, 1e7]
@@ -140,6 +143,11 @@ class TestConfig:
         [-1],
         [],
         {"start": 0, "stop": 1, "points": 3},
+        {"start": 1, "stop": 10, "points": 2.9},
+        {"start": 1, "stop": 10, "points": True},
+        {"start": True, "stop": 10, "points": 2},
+        {"start": 1, "stop": False, "points": 2},
+        [True, 2],
     ], ids=repr)
     def test_config_rejects_bad_lambdas(self, lambdas):
         # a config that validates is one run_sweep runs

@@ -33,11 +33,10 @@ from strategiq.optimizer import (
     STOP_REASONS,
     _analytic_gradient,
     _bounded_step,
+    _descend,
     _hessian,
     _increment_gradient,
-    _laddered,
-    _objective,
-    _quantizer_free_total,
+    _rungs,
     _to_boundaries,
     _to_increments,
     _with_edges,
@@ -45,6 +44,32 @@ from strategiq.optimizer import (
 from strategiq.quantizer_core import _grid_terms, _moment_pass
 
 INF = math.inf
+
+
+def _objective(n: np.ndarray, y: np.ndarray, theta_hat: np.ndarray, lam: float, c1: float) -> float:
+    """d_e + lam * E_grid[theta^2] at the best responses y, theta_hat to cell masses n.
+
+    The referee for the f that _moment_pass forms, kept as the descent once
+    formed it: c1 - sum_m Phi_m with Phi = N (y^2 + 2 y theta_hat - lam theta_hat^2).
+    Cells below MASS_FLOOR carry no Phi.
+    """
+    phi = n * (y * (y + 2.0 * theta_hat) - lam * theta_hat * theta_hat)
+    if n.min() < MASS_FLOOR:
+        phi = np.where(n >= MASS_FLOOR, phi, 0.0)
+    return c1 - float(phi.sum())
+
+
+def _quantizer_free_total(source, grid) -> float:
+    """c1 of _objective: sum_j w_j ((mu_j + theta_j)^2 + sigma_c^2)."""
+    mu, sigma = source.conditional_params(grid.nodes)
+    return float(grid.weights @ ((mu + grid.nodes) ** 2 + sigma * sigma))
+
+
+def _f(result, source, grid, lam):
+    """The referee's f at a design result's responses."""
+    resp = result.responses
+    return _objective(resp.cell_mass, resp.y, resp.theta_hat, lam,
+                      _quantizer_free_total(source, grid))
 
 
 def eavesdropper_chain_term(q, source, grid, lam):
@@ -57,14 +82,14 @@ def eavesdropper_chain_term(q, source, grid, lam):
     theta_hat = evaluate(q, source, grid, lam)[0].theta_hat
     b = q.interior()
     theta = grid.nodes[:, None]
-    sums, _, _, _, f = _moment_pass(b, _grid_terms(source, grid, grid.n_nodes), lam)
+    sums, _, _, _, density, _ = _moment_pass(b, _grid_terms(source, grid, grid.n_nodes), lam)
     n, t = sums[0], sums[3]
     # d d_e / d theta_hat_k = 2 lam (T_k - theta_hat_k N_k)
     dde = 2.0 * lam * (t - theta_hat * n)
     safe_n = np.where(n >= MASS_FLOOR, n, np.inf)
     left = dde[:-1][None, :] * (theta - theta_hat[:-1][None, :]) / safe_n[:-1][None, :]
     right = dde[1:][None, :] * (theta - theta_hat[1:][None, :]) / safe_n[1:][None, :]
-    return grid.weights[:, None] * f * (left - right)
+    return grid.weights[:, None] * density * (left - right)
 
 
 def _separated_random_quantizer(rng, n_rows, M, min_gap=0.05):
@@ -198,8 +223,8 @@ class TestIncrements:
             return evaluate(q_x, unit_source, grid, lam)[1].d_e
 
         b = _to_boundaries(x)
-        _, y, theta_hat, _, f = _moment_pass(b, _grid_terms(unit_source, grid, 5), lam)
-        grad = _increment_gradient(_analytic_gradient(b, grid, lam, y, theta_hat, f))
+        _, y, theta_hat, _, density, _ = _moment_pass(b, _grid_terms(unit_source, grid, 5), lam)
+        grad = _increment_gradient(_analytic_gradient(b, grid, lam, y, theta_hat, density))
         fd = np.zeros_like(x)
         for idx in np.ndindex(*x.shape):
             e = np.zeros_like(x)
@@ -412,7 +437,9 @@ class TestObjective:
                                max_size=(M - 1) * grid.n_nodes))
         ).reshape(grid.n_nodes, M - 1), axis=1)
         trial = _moment_pass(b, _grid_terms(src, grid, grid.n_nodes), lam)
-        f = _objective(trial[0][0], trial[1], trial[2], lam, _quantizer_free_total(src, grid))
+        f = trial.f
+        assert f == _objective(trial.sums[0], trial.y, trial.theta_hat, lam,
+                               _quantizer_free_total(src, grid))
 
         # d_e + lam E_grid[theta^2] from the same sums in extended precision.
         # sum_m U_m is E_grid[theta^2], so the lam-sized totals cancel exactly;
@@ -428,6 +455,17 @@ class TestObjective:
         assert abs(f - shifted) <= 1e-14 * max(1.0, abs(f)) + 64 * np.finfo(float).eps * lam * (
             grid.second_moment()
         )
+
+    def test_result_f_is_the_referee(self, unit_source):
+        grid = make_theta_grid(unit_source, 5, "gauss-hermite")
+        init = random_monotone_quantizer(unit_source, grid, 4, np.random.default_rng(3))
+        direct = design(unit_source, grid, 4, 2.0, init=init)
+        assert direct.f == _f(direct, unit_source, grid, 2.0)
+        laddered = _descend(unit_source, grid, 4, _rungs(1e5), OptimOptions(), init)
+        assert laddered.f == _f(laddered, unit_source, grid, 1e5)
+        for lam in (2.0, 1e7):
+            res = multistart(unit_source, grid, 3, lam, OptimOptions(seed=1, n_restarts=2))
+            assert res.f == _f(res, unit_source, grid, lam)
 
 
 class TestStopping:
@@ -519,7 +557,7 @@ class TestDesign:
     def test_never_above_init_and_stop_reason_consistent(self, unit_source, rng):
         grid = make_theta_grid(unit_source, 5, "gauss-hermite")
         reasons = set()
-        c1 = _quantizer_free_total(unit_source, grid)
+        terms = _grid_terms(unit_source, grid, grid.n_nodes)
         # eps = 1e-300 is out of reach, so that run ends when f stops resolving progress
         cases = ((2, 0.0, 20_000, 1e-9), (3, 1.0, 20_000, 1e-9), (4, 5.0, 3, 1e-9),
                  (4, 1e5, 20_000, 1e-9), (4, 1e7, 20_000, 1e-9), (3, 1.0, 20_000, 1e-300))
@@ -529,12 +567,11 @@ class TestDesign:
             for init in inits:
                 opts = OptimOptions(eps=eps, max_iters=max_iters)
                 res = design(unit_source, grid, M, lam, opts, init=init)
-                init_resp, init_rep = evaluate(init, unit_source, grid, lam)
+                init_rep = evaluate(init, unit_source, grid, lam)[1]
                 # f = d_e + lam E[theta^2] is what the descent lowers; d_e's
                 # rounding grows with lam
-                f_init = _objective(init_resp.cell_mass, init_resp.y, init_resp.theta_hat, lam, c1)
-                resp = res.responses
-                f = _objective(resp.cell_mass, resp.y, resp.theta_hat, lam, c1)
+                f_init = _moment_pass(init.interior(), terms, lam).f
+                f = res.f
                 rounding = 16 * np.finfo(float).eps * max(1.0, abs(f_init))
                 assert f <= f_init + rounding
                 if lam <= 5.0:
@@ -628,12 +665,6 @@ def _recording_design(monkeypatch):
     return calls
 
 
-def _f(result, source, grid, lam):
-    resp = result.responses
-    return _objective(resp.cell_mass, resp.y, resp.theta_hat, lam,
-                      _quantizer_free_total(source, grid))
-
-
 class TestLadder:
     @pytest.mark.parametrize("lam", [0.0, 2.0, _LADDER_FROM])
     def test_rows_at_or_below_the_threshold_descend_directly(self, unit_source, monkeypatch, lam):
@@ -650,6 +681,7 @@ class TestLadder:
             best = 3
         calls = _recording_design(monkeypatch)
         res = multistart(unit_source, grid, 3, lam, opts)
+        assert _rungs(lam) == [lam]
         assert [call[0] for call in calls] == [lam] * 4
         np.testing.assert_array_equal(res.quantizer.boundaries, direct[best].quantizer.boundaries)
         assert res.report == direct[best].report
@@ -661,10 +693,12 @@ class TestLadder:
         calls = _recording_design(monkeypatch)
         multistart(unit_source, grid, 3, 1e7, OptimOptions(seed=2, n_restarts=2))
         ladder = [0.0, 10.0, 1e3, 1e5, 1e7]
+        assert _rungs(1e7) == ladder
         # the Lloyd-Max start is descended at the target directly
         assert [call[0] for call in calls] == ladder + ladder + [1e7]
         calls.clear()
         multistart(unit_source, grid, 3, 2e3, OptimOptions(seed=2, n_restarts=1))
+        assert _rungs(2e3) == [0.0, 10.0, 1e3, 2e3]
         assert [call[0] for call in calls] == [0.0, 10.0, 1e3, 2e3, 2e3]
 
     def test_rungs_sum_into_the_restart(self, unit_source, monkeypatch, caplog):
@@ -672,8 +706,7 @@ class TestLadder:
         init = random_monotone_quantizer(unit_source, grid, 4, np.random.default_rng(3))
         calls = _recording_design(monkeypatch)
         caplog.set_level(logging.DEBUG, logger="strategiq.optimizer")
-        res = _laddered(unit_source, grid, 4, 1e5, OptimOptions(), init,
-                        _quantizer_free_total(unit_source, grid))
+        res = _descend(unit_source, grid, 4, _rungs(1e5), OptimOptions(), init)
         rungs = [call[2] for call in calls]
         assert [call[0] for call in calls] == [0.0, 10.0, 1e3, 1e5]
         assert res.iterations == sum(rung.iterations for rung in rungs)
@@ -697,8 +730,8 @@ class TestLadder:
         grid = make_theta_grid(unit_source, 5, "gauss-hermite")
         init = random_monotone_quantizer(unit_source, grid, 4, np.random.default_rng(5))
         calls = _recording_design(monkeypatch)
-        res = _laddered(unit_source, grid, 4, 1e7, OptimOptions(max_iters=max_iters), init,
-                        _quantizer_free_total(unit_source, grid))
+        res = _descend(unit_source, grid, 4, _rungs(1e7), OptimOptions(max_iters=max_iters),
+                       init)
         assert res.iterations <= max_iters
         assert res.stop_reason in ("max_iters", "tolerance")
         assert calls[-1][0] == 1e7
