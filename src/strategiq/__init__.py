@@ -54,12 +54,10 @@ from .quantizer_core import (
     BestResponses,
     DistortionReport,
     Quantizer,
-    ValidationReport,
     distortions,
     evaluate,
     quantizer_from_dict,
     quantizer_to_dict,
-    validate,
 )
 
 __version__ = "0.1.0"
@@ -98,10 +96,8 @@ __all__ = [
     "BestResponses",
     "DistortionReport",
     "Quantizer",
-    "ValidationReport",
     "distortions",
     "evaluate",
     "quantizer_from_dict",
     "quantizer_to_dict",
-    "validate",
 ]

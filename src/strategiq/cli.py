@@ -47,6 +47,7 @@ from .gaussian_model import GRID_SCHEMES, SourceSpec, ThetaGrid, make_source, ma
 from .metrics import max_kl
 from .optimizer import OptimOptions, design_result_to_dict, multistart
 from .oracle import monte_carlo_distortions
+from .quantizer_core import _float_from_json, _json_float
 
 logger = logging.getLogger(__name__)
 
@@ -117,13 +118,6 @@ _COLUMN_OF = {f.name: "lambda" if f.name == "lam" else f.name for f in fields(Sw
 _ATTR_OF = {column: name for name, column in _COLUMN_OF.items()}
 MC_COLUMNS = tuple(c for c in _COLUMN_OF.values() if c.startswith("mc_"))
 CSV_COLUMNS = tuple(c for c in _COLUMN_OF.values() if c not in MC_COLUMNS and c != "error")
-
-
-def _json_float(value):
-    if value is None:
-        return None
-    v = float(value)
-    return "inf" if v == math.inf else ("-inf" if v == -math.inf else v)
 
 
 # the %-spec of a present CSV cell by field type: 12 significant digits for
@@ -379,18 +373,13 @@ def load_rows(path: str) -> list[SweepRow]:
     with open(path, encoding="utf-8") as fh:
         payload = json.load(fh)
 
-    def num(v):
-        if isinstance(v, str):
-            return {"inf": math.inf, "-inf": -math.inf}[v]
-        return v
-
     rows = []
     for item in payload:
         values = {}
         for f in fields(SweepRow):
             column = _COLUMN_OF[f.name]
             value = item[column] if f.default is MISSING else item.get(column)
-            values[f.name] = num(value) if _KIND_OF[column] == "float" else value
+            values[f.name] = _float_from_json(value) if _KIND_OF[column] == "float" else value
         rows.append(SweepRow(**values))
     return rows
 

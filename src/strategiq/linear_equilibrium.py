@@ -43,7 +43,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .gaussian_model import SourceSpec
-from .quantizer_core import DistortionReport
+from .quantizer_core import DistortionReport, _check_lam
 
 
 @dataclass(frozen=True)
@@ -180,11 +180,6 @@ def _linear_stage(source: SourceSpec, lam) -> _Stage:
     quoted = {"alpha": alpha, "disc": disc, "residual": residual, "other": other}
     return _Stage(alpha, certified, terms.d_e, terms.fidelity, terms.d_d, terms.d_theta,
                   failed, quoted)
-
-
-def _check_lam(lam: float) -> None:
-    if not lam >= 0:
-        raise ValueError("lam must be nonnegative")
 
 
 def _terms_at(source: SourceSpec, alpha: float, lam: float = 0.0) -> _Terms:

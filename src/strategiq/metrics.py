@@ -63,24 +63,17 @@ def _marginal_message_probs(q: Quantizer, source: SourceSpec) -> np.ndarray:
     return np.where(z[:, :-1] >= 0.0, above[:, :-1] - above[:, 1:], in_lower)
 
 
-def _kl_from_probs(pa: np.ndarray, pb: np.ndarray) -> float:
-    active = pa > 0.0
-    if np.any(active & (pb <= 0.0)):
-        return math.inf
-    return float(np.sum(pa[active] * np.log(pa[active] / pb[active])))
-
-
 def max_kl(q: Quantizer, source: SourceSpec, grid: ThetaGrid) -> SimilarityReport:
     """Full ordered-pair divergence matrix and its maximum."""
     if q.n_theta != grid.n_nodes:
         raise ValueError("quantizer rows must match the theta grid")
     probs = _marginal_message_probs(q, source)
-    n = probs.shape[0]
-    pairwise = np.zeros((n, n))
-    for a in range(n):
-        for b in range(n):
-            if a != b:
-                pairwise[a, b] = _kl_from_probs(probs[a], probs[b])
+    pa, pb = probs[:, None, :], probs[None, :, :]  # (a, b, message)
+    active = pa > 0.0
+    # the diagonal is exactly 0: p / p == 1 for every active p
+    with np.errstate(divide="ignore", invalid="ignore"):
+        pairwise = np.where(active, pa * np.log(pa / pb), 0.0).sum(axis=2)
+    pairwise[(active & (pb <= 0.0)).any(axis=2)] = math.inf
     return SimilarityReport(pairwise=pairwise, d_max=float(pairwise.max()))
 
 

@@ -67,11 +67,11 @@ from .quantizer_core import (
     BestResponses,
     DistortionReport,
     Quantizer,
+    _check_lam,
     _grid_terms,
     _moment_pass,
     _MomentPass,
     quantizer_to_dict,
-    validate,
 )
 
 logger = logging.getLogger(__name__)
@@ -212,8 +212,7 @@ def boundary_gradient(
 
     Coincident boundaries get subgradient 0 in both modes.
     """
-    if not lam >= 0:
-        raise ValueError("lam must be nonnegative")
+    _check_lam(lam)
     if mode == "analytic":
         interior = q.interior()
         state = _moment_pass(interior, _grid_terms(source, grid, q.n_theta), lam)
@@ -442,15 +441,11 @@ def design(
     """
     if M < 1:
         raise ValueError("M must be >= 1")
-    if not lam >= 0:
-        raise ValueError("lam must be nonnegative")
+    _check_lam(lam)
     if init is None:
         init = random_monotone_quantizer(source, grid, M, np.random.default_rng(opts.seed))
     if init.M != M or init.n_theta != grid.n_nodes:
         raise ValueError("init quantizer shape does not match (grid, M)")
-    report_problems = validate(init)
-    if not report_problems.ok:
-        raise ValueError(f"invalid init quantizer: {report_problems.violations}")
 
     # the loop calls the moment pass itself; responses, report and quantizer
     # are built once, for the result
@@ -617,6 +612,7 @@ def multistart(
     Lloyd-Max start, which on uncorrelated sources is a few steps from its
     optimum at large lam, is descended at lam directly.
     """
+    _check_lam(lam)
     rng = np.random.default_rng(opts.seed)
     starts = [(random_monotone_quantizer(source, grid, M, rng), _rungs(lam))
               for _ in range(opts.n_restarts)]

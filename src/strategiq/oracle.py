@@ -42,7 +42,7 @@ import numpy as np
 
 from .gaussian_model import MASS_FLOOR, SourceSpec, ThetaGrid, interval_moments
 from .optimizer import DesignResult
-from .quantizer_core import BestResponses, DistortionReport, Quantizer, evaluate
+from .quantizer_core import BestResponses, DistortionReport, Quantizer, _check_lam, evaluate
 
 _MAX_ENUMERATION = 100_000_000
 _CHUNK = 8_192  # boundary assignments per brute-force block; its six sums fit in L2
@@ -99,8 +99,7 @@ def brute_force_design(
     """
     if M < 1:
         raise ValueError("M must be >= 1")
-    if not lam >= 0:
-        raise ValueError("lam must be nonnegative")
+    _check_lam(lam)
     n_rows = grid.n_nodes
     cands = ogrid.candidates
     if M == 1:
@@ -228,8 +227,7 @@ def monte_carlo_distortions(
     """
     if n_samples < 1:
         raise ValueError("n_samples must be >= 1")
-    if not lam >= 0:
-        raise ValueError("lam must be nonnegative")
+    _check_lam(lam)
     mu_nodes, sigma_c = source.conditional_params(grid.nodes)
     columns = [np.ascontiguousarray(c) for c in q.interior().T]
 

@@ -3,7 +3,11 @@
 A quantizer with M messages assigns to each theta node its own nondecreasing
 boundary row (-inf = q_0 <= q_1 <= ... <= q_M = +inf); message m covers
 [q_{m-1}, q_m].  Coincident interior boundaries are legal and encode a cell
-that node never uses (the encoder skips that message for that theta).
+that node never uses (the encoder skips that message for that theta).  The
+constructor raises ValueError on any other shape of row, so every function
+here, and quantizer_from_dict, works on well-formed rows only.  _check_lam is
+the one check of the privacy weight's domain for every function of the
+package that takes lam.
 
 Best responses pool partial moments across theta nodes:
 
@@ -29,7 +33,11 @@ from .gaussian_model import MASS_FLOOR, SourceSpec, ThetaGrid, _standardized_mom
 
 @dataclass(frozen=True)
 class Quantizer:
-    """Per-theta-node boundary rows sharing M message labels."""
+    """Per-theta-node boundary rows sharing M message labels.
+
+    Construction raises ValueError unless M >= 1 and boundaries is a NaN-free
+    (n_theta, M+1) array whose rows run nondecreasing from -inf to +inf.
+    """
 
     M: int
     boundaries: np.ndarray
@@ -39,6 +47,24 @@ class Quantizer:
         b.flags.writeable = False
         object.__setattr__(self, "boundaries", b)
         object.__setattr__(self, "M", int(self.M))
+        if self.M < 1:
+            raise ValueError(f"M must be >= 1, got {self.M}")
+        if b.ndim != 2 or b.shape[1] != self.M + 1:
+            raise ValueError(
+                f"boundaries shape {b.shape} does not match (n_theta, M+1) for M={self.M}"
+            )
+        if np.isnan(b).any():
+            raise ValueError("boundaries contain NaN")
+        first_bad, last_bad = b[:, 0] != -np.inf, b[:, -1] != np.inf
+        decreasing = (b[:, 1:] < b[:, :-1]).any(axis=1)
+        bad = np.flatnonzero(first_bad | last_bad | decreasing)
+        if bad.size:
+            j = bad[0]
+            if first_bad[j]:
+                raise ValueError(f"row {j}: first boundary must be -inf, got {b[j, 0]}")
+            if last_bad[j]:
+                raise ValueError(f"row {j}: last boundary must be +inf, got {b[j, -1]}")
+            raise ValueError(f"row {j}: boundaries not nondecreasing")
 
     @property
     def n_theta(self) -> int:
@@ -47,18 +73,6 @@ class Quantizer:
     def interior(self) -> np.ndarray:
         """The finite boundary columns, shape (n_theta, M-1)."""
         return self.boundaries[:, 1:-1]
-
-
-@dataclass(frozen=True)
-class ValidationReport:
-    """Outcome of structural checks: hard violations and informational notes."""
-
-    violations: tuple[str, ...]
-    notes: tuple[str, ...]
-
-    @property
-    def ok(self) -> bool:
-        return not self.violations
 
 
 @dataclass(frozen=True)
@@ -80,29 +94,10 @@ class DistortionReport:
     d_theta: float
 
 
-def validate(q: Quantizer) -> ValidationReport:
-    """Diagnose shape, NaN, and monotonicity problems; note empty cells."""
-    violations: list[str] = []
-    notes: list[str] = []
-    b = q.boundaries
-    if q.M < 1:
-        violations.append(f"M must be >= 1, got {q.M}")
-    if b.ndim != 2 or b.shape[1] != q.M + 1:
-        violations.append(f"boundaries shape {b.shape} does not match (n_theta, M+1) for M={q.M}")
-        return ValidationReport(tuple(violations), tuple(notes))
-    if np.isnan(b).any():
-        violations.append("boundaries contain NaN")
-    for j, row in enumerate(b):
-        if row[0] != -np.inf:
-            violations.append(f"row {j}: first boundary must be -inf, got {row[0]}")
-        if row[-1] != np.inf:
-            violations.append(f"row {j}: last boundary must be +inf, got {row[-1]}")
-        diffs = np.diff(row)
-        if np.any(diffs < 0):
-            violations.append(f"row {j}: boundaries not nondecreasing")
-        elif np.any(row[:-1] == row[1:]):
-            notes.append(f"row {j}: coincident boundaries leave at least one cell empty")
-    return ValidationReport(tuple(violations), tuple(notes))
+def _check_lam(lam: float) -> None:
+    """The privacy weight's domain, shared by every function that takes lam."""
+    if not lam >= 0:
+        raise ValueError("lam must be nonnegative")
 
 
 # _moment_pass's constants: the mu_c column, sigma_c, the -inf/+inf columns, w,
@@ -181,8 +176,7 @@ def distortions(
     br need not be the best response; off-equilibrium profiles are evaluated
     as given (deviation tests and oracles rely on this).
     """
-    if not lam >= 0:
-        raise ValueError("lam must be nonnegative")
+    _check_lam(lam)
     sums = _moment_pass(q.interior(), _grid_terms(source, grid, q.n_theta), lam).sums
     return DistortionReport(*_distortions(sums, br.y, br.theta_hat, lam))
 
@@ -210,27 +204,31 @@ def evaluate(
     theta (the prior mean 0 for an empty cell); one partial-moment pass
     serves the responses and the distortions.
     """
-    if not lam >= 0:
-        raise ValueError("lam must be nonnegative")
+    _check_lam(lam)
     state = _moment_pass(q.interior(), _grid_terms(source, grid, q.n_theta), lam)
     return (BestResponses(y=state.y, theta_hat=state.theta_hat, cell_mass=state.sums[0]),
             DistortionReport(*state.dist))
 
 
-def _encode_boundary(v: float) -> float | str:
-    if v == np.inf:
-        return "inf"
-    if v == -np.inf:
-        return "-inf"
-    return float(v)
+# JSON has no infinities: they travel as these strings
+_INF_FROM_JSON = {"inf": math.inf, "-inf": -math.inf}
 
 
-def _decode_boundary(v: float | str) -> float:
-    if v == "inf":
-        return np.inf
-    if v == "-inf":
-        return -np.inf
-    return float(v)
+def _json_float(value) -> float | str | None:
+    """JSON form of a float, with "inf"/"-inf" for the infinities; None stays None."""
+    if value is None:
+        return None
+    v = float(value)
+    return "inf" if v == math.inf else ("-inf" if v == -math.inf else v)
+
+
+def _float_from_json(value) -> float | None:
+    """Inverse of _json_float; ValueError on any string but "inf" and "-inf"."""
+    if isinstance(value, str):
+        if value not in _INF_FROM_JSON:
+            raise ValueError(f'expected a number, "inf" or "-inf", got {value!r}')
+        return _INF_FROM_JSON[value]
+    return None if value is None else float(value)
 
 
 def quantizer_to_dict(q: Quantizer, grid: ThetaGrid) -> dict:
@@ -238,14 +236,14 @@ def quantizer_to_dict(q: Quantizer, grid: ThetaGrid) -> dict:
     return {
         "M": q.M,
         "theta_nodes": [float(t) for t in grid.nodes],
-        "boundaries": [[_encode_boundary(v) for v in row] for row in q.boundaries],
+        "boundaries": [[_json_float(v) for v in row] for row in q.boundaries],
     }
 
 
 def quantizer_from_dict(data: dict) -> tuple[Quantizer, np.ndarray]:
     """Inverse of quantizer_to_dict; returns the quantizer and its theta nodes."""
     boundaries = np.array(
-        [[_decode_boundary(v) for v in row] for row in data["boundaries"]], dtype=float
+        [[_float_from_json(v) for v in row] for row in data["boundaries"]], dtype=float
     )
     return Quantizer(M=int(data["M"]), boundaries=boundaries), np.asarray(
         data["theta_nodes"], dtype=float

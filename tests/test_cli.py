@@ -299,6 +299,16 @@ class TestEmit:
         emit(rows, "json", str(path))
         assert load_rows(str(path)) == rows
 
+    def test_load_rows_rejects_an_unknown_float_string(self, tmp_path):
+        path = tmp_path / "rows.json"
+        emit([SweepRow(lam=0.5, M=3, d_kl_max=math.inf)], "json", str(path))
+        payload = json.loads(path.read_text())
+        assert payload[0]["d_kl_max"] == "inf"
+        payload[0]["d_kl_max"] = "nan"
+        path.write_text(json.dumps(payload))
+        with pytest.raises(ValueError, match="'nan'"):
+            load_rows(str(path))
+
     def test_json_round_trip_every_row_kind(self, tmp_path):
         linear = run_sweep(SweepConfig(mode="linear", lambdas=[0.0, 2.0, "inf"]))
         quantizer = run_sweep(SweepConfig(lambdas=[0.5], **FAST_QUANTIZER))

@@ -17,6 +17,7 @@ from strategiq import (
     max_kl,
     multistart,
     optimal_alpha,
+    random_monotone_quantizer,
 )
 from strategiq.metrics import _lloyd_max_row, _marginal_message_probs
 
@@ -73,7 +74,45 @@ class TestKlSimilarity:
         assert mass > 0.0
 
 
+def _reference_max_kl(q, source):
+    """max_kl's rules pair by pair: inf where p_a > 0 = p_b, 0 on the diagonal."""
+    probs = _marginal_message_probs(q, source)
+    n = probs.shape[0]
+    pairwise = np.zeros((n, n))
+    for a in range(n):
+        for b in range(n):
+            if a == b:
+                continue
+            pa, pb = probs[a], probs[b]
+            active = pa > 0.0
+            if np.any(active & (pb <= 0.0)):
+                pairwise[a, b] = math.inf
+            else:
+                pairwise[a, b] = np.sum(pa[active] * np.log(pa[active] / pb[active]))
+    return pairwise
+
+
 class TestMaxKl:
+    def test_matches_the_pairwise_referee(self, unit_source, grid17, rng):
+        cases = [lloyd_max_quantizer(unit_source, 8, grid17)]
+        cases += [random_monotone_quantizer(unit_source, grid17, int(rng.integers(2, 10)), rng)
+                  for _ in range(40)]
+        # skipped messages: rows that give some message no mass
+        skipping = np.tile([-INF, -1.0, 0.0, 1.0, INF], (17, 1))
+        skipping[::3, 2] = -1.0
+        skipping[1::4, 1] = -INF
+        cases.append(Quantizer(M=4, boundaries=skipping))
+        for q in cases:
+            expected = _reference_max_kl(q, unit_source)
+            report = max_kl(q, unit_source, grid17)
+            finite = np.isfinite(expected)
+            np.testing.assert_array_equal(np.isfinite(report.pairwise), finite)
+            np.testing.assert_array_equal(report.pairwise[~finite], expected[~finite])
+            np.testing.assert_allclose(report.pairwise[finite], expected[finite],
+                                       rtol=1e-15, atol=0.0)
+            assert report.d_max == expected.max()
+        assert math.isinf(max_kl(cases[-1], unit_source, grid17).d_max)
+
     def test_identical_rows(self, unit_source, grid3):
         q = Quantizer(M=2, boundaries=np.tile([-INF, 0.1, INF], (3, 1)))
         report = max_kl(q, unit_source, grid3)

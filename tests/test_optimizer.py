@@ -645,6 +645,15 @@ class TestMultistart:
         ]
         assert max(values) - min(values) < 0.01, values
 
+    def test_nan_lam_raises_before_any_descent(self, unit_source, grid3, monkeypatch):
+        # _rungs(nan) is [0.0, nan]: unchecked, a whole lam=0 descent ran first
+        def no_descent(*args, **kwargs):
+            raise AssertionError("multistart descended at lam=nan")
+
+        monkeypatch.setattr(optimizer, "_descend", no_descent)
+        with pytest.raises(ValueError, match="^lam must be nonnegative$"):
+            multistart(unit_source, grid3, 2, math.nan, OptimOptions(n_restarts=2))
+
     def test_stationarity_logged(self, unit_source, grid3):
         res = multistart(unit_source, grid3, 2, 0.5, OptimOptions(seed=1, n_restarts=2))
         g = boundary_gradient(res.quantizer, unit_source, grid3, 0.5)

@@ -11,18 +11,24 @@ from strategiq import (
     MASS_FLOOR,
     BestResponses,
     DistortionReport,
+    OptimOptions,
     Quantizer,
     boundary_gradient,
+    brute_force_design,
+    design,
     distortions,
     evaluate,
+    linear_distortions,
     lloyd_max,
     lloyd_max_quantizer,
+    make_oracle_grid,
     make_source,
     make_theta_grid,
     monte_carlo_distortions,
+    multistart,
+    optimal_alpha,
     quantizer_from_dict,
     quantizer_to_dict,
-    validate,
 )
 from strategiq.gaussian_model import _phi, interval_moments
 from strategiq.quantizer_core import _grid_terms, _moment_pass
@@ -42,28 +48,46 @@ def _random_quantizer(rng, n_rows, M, spread=2.0):
 
 
 class TestValidate:
+    """The constructor raises on every malformed quantizer."""
+
     def test_canonical_symmetric(self):
         q = Quantizer(M=2, boundaries=_rows([-INF, 0, INF], [-INF, 0, INF]))
-        report = validate(q)
-        assert report.ok and not report.notes
+        assert q.n_theta == 2 and not q.boundaries.flags.writeable
 
     def test_non_monotone_row_flagged(self):
-        q = Quantizer(M=3, boundaries=_rows([-INF, 1.0, 0.5, INF]))
-        report = validate(q)
-        assert not report.ok
-        assert any("not nondecreasing" in v for v in report.violations)
+        with pytest.raises(ValueError, match=r"^row 0: boundaries not nondecreasing$"):
+            Quantizer(M=3, boundaries=_rows([-INF, 1.0, 0.5, INF]))
+        # before the check, evaluate gave this one cell mass -0.683 and no error
+        with pytest.raises(ValueError, match="not nondecreasing"):
+            Quantizer(M=3, boundaries=_rows(*[[-INF, 1.0, -1.0, INF]] * 3))
 
-    def test_coincident_boundaries_ok_with_note(self):
-        q = Quantizer(M=3, boundaries=_rows([-INF, 0.3, 0.3, INF]))
-        report = validate(q)
-        assert report.ok
-        assert any("empty" in n for n in report.notes)
+    def test_coincident_boundaries_construct(self):
+        # a coincident pair encodes a message that row never sends
+        q = Quantizer(M=3, boundaries=_rows([-INF, 0.3, 0.3, INF], [-INF, -INF, 0.0, INF]))
+        assert q.M == 3
 
     def test_nan_and_shape_flagged(self):
-        report = validate(Quantizer(M=3, boundaries=_rows([-INF, 0.0, INF])))
-        assert not report.ok
-        report = validate(Quantizer(M=2, boundaries=_rows([-INF, math.nan, INF])))
-        assert not report.ok
+        # before the check, M=5 on 3-column rows was evaluated as a 2-message quantizer
+        with pytest.raises(ValueError, match=r"shape \(3, 3\) does not match \(n_theta, M\+1\) for M=5"):
+            Quantizer(M=5, boundaries=_rows(*[[-INF, 0.0, INF]] * 3))
+        with pytest.raises(ValueError, match=r"shape \(3,\) does not match"):
+            Quantizer(M=2, boundaries=np.array([-INF, 0.0, INF]))
+        with pytest.raises(ValueError, match="^boundaries contain NaN$"):
+            Quantizer(M=2, boundaries=_rows([-INF, math.nan, INF]))
+
+    def test_m_below_one(self):
+        with pytest.raises(ValueError, match="^M must be >= 1, got 0$"):
+            Quantizer(M=0, boundaries=np.empty((3, 1)))
+
+    def test_open_edges_flagged_at_the_first_offending_row(self):
+        good = [-INF, 0.0, INF]
+        with pytest.raises(ValueError, match=r"^row 1: first boundary must be -inf, got -5.0$"):
+            Quantizer(M=2, boundaries=_rows(good, [-5.0, 0.0, INF], [-INF, 1.0, 0.5]))
+        with pytest.raises(ValueError, match=r"^row 2: last boundary must be \+inf, got 5.0$"):
+            Quantizer(M=2, boundaries=_rows(good, good, [-INF, 0.0, 5.0]))
+        # an offending row's first check wins: its open edge, then its order
+        with pytest.raises(ValueError, match=r"^row 0: last boundary"):
+            Quantizer(M=2, boundaries=_rows([-INF, 1.0, 0.5], [5.0, 0.0, INF]))
 
 
 class TestDecoderBestResponse:
@@ -226,6 +250,36 @@ class TestDistortions:
         assert abs(mc.report.d_theta - rep.d_theta) < 3.0 * mc.se_d_theta
 
 
+def _lloyd_max_pair(source, grid):
+    """A valid M=2 quantizer and its best responses, to reach the lam checks."""
+    q = lloyd_max_quantizer(source, 2, grid)
+    return q, evaluate(q, source, grid, 0.0)[0]
+
+
+_FEW_STEPS = OptimOptions(n_restarts=1, max_iters=5)
+# every public function that takes lam, called on a small valid input
+_LAM_ENTRY_POINTS = {
+    "evaluate": lambda s, g, lam: evaluate(_lloyd_max_pair(s, g)[0], s, g, lam),
+    "distortions": lambda s, g, lam: distortions(*_lloyd_max_pair(s, g), s, g, lam),
+    "boundary_gradient": lambda s, g, lam: boundary_gradient(_lloyd_max_pair(s, g)[0], s, g, lam),
+    "design": lambda s, g, lam: design(s, g, 2, lam, _FEW_STEPS),
+    "multistart": lambda s, g, lam: multistart(s, g, 2, lam, _FEW_STEPS),
+    "brute_force_design":
+        lambda s, g, lam: brute_force_design(s, g, 2, lam, make_oracle_grid(s, 3)),
+    "monte_carlo_distortions":
+        lambda s, g, lam: monte_carlo_distortions(*_lloyd_max_pair(s, g), s, g, lam, 10, 0),
+    "optimal_alpha": lambda s, g, lam: optimal_alpha(s, lam),
+    "linear_distortions": lambda s, g, lam: linear_distortions(s, 0.5, lam),
+}
+
+
+@pytest.mark.parametrize("lam", [math.nan, -1.0])
+@pytest.mark.parametrize("entry", list(_LAM_ENTRY_POINTS))
+def test_every_lam_entry_point_rejects_a_lam_outside_the_domain(unit_source, grid3, entry, lam):
+    with pytest.raises(ValueError, match="^lam must be nonnegative$"):
+        _LAM_ENTRY_POINTS[entry](unit_source, grid3, lam)
+
+
 class TestSerialization:
     def test_round_trip(self, unit_source, grid3, rng):
         q = _random_quantizer(rng, 3, 4)
@@ -244,6 +298,19 @@ class TestSerialization:
         text = json.dumps(quantizer_to_dict(q, grid3))
         q2, _ = quantizer_from_dict(json.loads(text))
         np.testing.assert_array_equal(q2.boundaries, q.boundaries)
+
+    def test_from_dict_rejects_a_decreasing_row(self, grid3):
+        data = quantizer_to_dict(Quantizer(M=3, boundaries=np.tile([-INF, -1.0, 1.0, INF], (3, 1))),
+                                 grid3)
+        data["boundaries"][1][1:3] = [1.0, -1.0]
+        with pytest.raises(ValueError, match="^row 1: boundaries not nondecreasing$"):
+            quantizer_from_dict(data)
+
+    def test_from_dict_rejects_a_numeric_string(self, grid3):
+        data = quantizer_to_dict(Quantizer(M=2, boundaries=np.tile([-INF, 0.0, INF], (3, 1))), grid3)
+        data["boundaries"][0][1] = "1.5"
+        with pytest.raises(ValueError, match="'1.5'"):
+            quantizer_from_dict(data)
 
     @settings(max_examples=200, deadline=None)
     @given(data=st.data())
