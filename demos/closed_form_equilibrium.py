@@ -7,19 +7,16 @@ grows (alpha -> 0 here since rho = 0), so the decoder's error *falls* even
 though nobody is optimizing for the decoder.
 """
 
-import numpy as np
-
-from strategiq import best_response_coeffs, linear_distortions, make_source, optimal_alpha
+from strategiq import make_source, optimal_alpha, solve_equilibrium
 
 source = make_source(sigma_x=1.0, r=1.0, rho=0.0)
 
 print(f"{'lambda':>10} {'alpha*':>10} {'kappa':>8} {'nu':>8} "
       f"{'fidelity':>10} {'D_D':>10} {'D_theta':>10}")
 for lam in [0.0, 0.1, 0.5, 1.0, 2.0, 5.0, 10.0, 100.0, 1e4, 1e7]:
-    alpha = optimal_alpha(source, lam)
-    kappa, nu = best_response_coeffs(source, alpha)
-    rep = linear_distortions(source, alpha, lam)
-    print(f"{lam:10.4g} {alpha:10.6f} {kappa:8.4f} {nu:8.4f} "
+    eq = solve_equilibrium(source, lam)
+    rep = eq.report
+    print(f"{lam:10.4g} {eq.alpha:10.6f} {eq.kappa:8.4f} {eq.nu:8.4f} "
           f"{rep.fidelity:10.6f} {rep.d_d:10.3e} {rep.d_theta:10.6f}")
 
 print()
@@ -32,7 +29,5 @@ for rho in (0.3, 0.6, -0.5):
 
 print()
 print("Large-lambda identity: encoder fidelity approaches D_D + var(theta).")
-lam = 1e7
-alpha = optimal_alpha(source, lam)
-rep = linear_distortions(source, alpha, lam)
+rep = solve_equilibrium(source, 1e7).report
 print(f"  fidelity={rep.fidelity:.8f}  D_D + var = {rep.d_d + 1.0:.8f}")

@@ -19,11 +19,7 @@ from .gaussian_model import (
 )
 from .linear_equilibrium import (
     LinearEquilibrium,
-    MomentBundle,
-    best_response_coeffs,
-    encoder_objective,
     linear_distortions,
-    moment_bundle,
     optimal_alpha,
     solve_equilibrium,
 )
@@ -69,11 +65,7 @@ __all__ = [
     "make_source",
     "make_theta_grid",
     "LinearEquilibrium",
-    "MomentBundle",
-    "best_response_coeffs",
-    "encoder_objective",
     "linear_distortions",
-    "moment_bundle",
     "optimal_alpha",
     "solve_equilibrium",
     "LloydMaxResult",

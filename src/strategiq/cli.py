@@ -38,7 +38,7 @@ import numbers
 import operator
 import os
 import sys
-from dataclasses import MISSING, dataclass, field, fields, replace
+from dataclasses import MISSING, asdict, dataclass, field, fields, replace
 
 import numpy as np
 
@@ -513,22 +513,8 @@ def _cmd_linear(args: argparse.Namespace) -> int:
     lam = resolve_lambdas(cfg.lambdas, cfg.lambda_max)[0]
     source = make_source(cfg.sigma_x, cfg.r, cfg.rho)
     eq = linear.solve_equilibrium(source, lam)
-    rep = linear.linear_distortions(source, eq.alpha, lam)
-    print(
-        json.dumps(
-            {
-                "lambda": lam,
-                "alpha": eq.alpha,
-                "kappa": eq.kappa,
-                "nu": eq.nu,
-                "d_e": rep.d_e,
-                "fidelity": rep.fidelity,
-                "d_d": rep.d_d,
-                "d_theta": rep.d_theta,
-            },
-            indent=2,
-        )
-    )
+    print(json.dumps({"lambda": lam, "alpha": eq.alpha, "kappa": eq.kappa, "nu": eq.nu,
+                      **asdict(eq.report)}, indent=2))
     return 0
 
 

@@ -29,10 +29,13 @@ other root.  optimal_alpha raises ArithmeticError (ValueError for E[Z^2] <= 0)
 if any part fails.
 
 The formulas live in two vectorized kernels: _terms (moments and distortions
-at an array of alpha) and _linear_stage (alpha*, its certificate and its
-distortions at an array of lam, one numpy pass for a whole sweep).  The
-public functions evaluate the same kernels at one point and return floats,
-so a sweep row and the scalar API agree bit for bit.
+at an array of alpha) and _linear_stage (alpha*, its certificate, kappa, nu
+and the distortions at an array of lam, one numpy pass for a whole sweep).
+The public functions evaluate the same kernels at one point and return
+floats, so a sweep row and the scalar API agree bit for bit:
+solve_equilibrium gives the whole equilibrium at one lam from one stage
+pass, optimal_alpha its alpha*, and linear_distortions the distortions at
+an arbitrary alpha.
 """
 
 from __future__ import annotations
@@ -47,23 +50,13 @@ from .quantizer_core import DistortionReport, _check_lam
 
 
 @dataclass(frozen=True)
-class MomentBundle:
-    """Second moments of Z = X + alpha*theta against X, theta, and X + theta."""
-
-    v: float
-    c_x: float
-    c_s: float
-    c_xs: float
-
-
-@dataclass(frozen=True)
 class LinearEquilibrium:
-    """Equilibrium coefficients of the unconstrained-rate game at one lam."""
+    """The unconstrained-rate equilibrium at one lam: coefficients and distortions."""
 
     alpha: float
     kappa: float
     nu: float
-    lam: float
+    report: DistortionReport
 
 
 class _Terms(NamedTuple):
@@ -120,6 +113,8 @@ class _Stage(NamedTuple):
 
     alpha: np.ndarray
     certified: np.ndarray  # bool: alpha* passed every part of the certificate
+    kappa: np.ndarray
+    nu: np.ndarray
     d_e: np.ndarray
     fidelity: np.ndarray
     d_d: np.ndarray
@@ -178,69 +173,40 @@ def _linear_stage(source: SourceSpec, lam) -> _Stage:
         )
     certified = ~(failed[0] | failed[1] | failed[2] | failed[3] | failed[4])
     quoted = {"alpha": alpha, "disc": disc, "residual": residual, "other": other}
-    return _Stage(alpha, certified, terms.d_e, terms.fidelity, terms.d_d, terms.d_theta,
-                  failed, quoted)
+    return _Stage(alpha, certified, terms.kappa, terms.nu, terms.d_e, terms.fidelity,
+                  terms.d_d, terms.d_theta, failed, quoted)
 
 
-def _terms_at(source: SourceSpec, alpha: float, lam: float = 0.0) -> _Terms:
-    """_terms at one (alpha, lam); ValueError where E[Z^2] <= 0."""
-    with np.errstate(all="ignore"):
-        terms = _terms(source, np.float64(alpha), lam)
-    if terms.v <= 0:
-        raise ValueError(_DEGENERATE_TEXT)
-    return terms
+def solve_equilibrium(source: SourceSpec, lam: float) -> LinearEquilibrium:
+    """alpha*, the MMSE responses (kappa, nu) and the distortions at privacy weight lam.
 
-
-def moment_bundle(source: SourceSpec, alpha: float) -> MomentBundle:
-    """All second moments of Z = X + alpha*theta needed by the linear stage."""
-    with np.errstate(all="ignore"):
-        t = _terms(source, np.float64(alpha), 0.0)
-    return MomentBundle(v=float(t.v), c_x=float(t.c_x), c_s=float(t.c_s),
-                        c_xs=float(t.c_x + t.c_s))
-
-
-def best_response_coeffs(source: SourceSpec, alpha: float) -> tuple[float, float]:
-    """MMSE scalings (kappa, nu) of the decoder and eavesdropper against alpha."""
-    t = _terms_at(source, alpha)
-    return float(t.kappa), float(t.nu)
-
-
-def encoder_objective(source: SourceSpec, alpha: float, lam: float) -> float:
-    """Leader objective J(alpha) at the followers' best responses.
-
-    Expanded directly from the moments; tests check it against the
-    constant + P/v form of the module docstring.
-    """
-    return linear_distortions(source, alpha, lam).d_e
-
-
-def optimal_alpha(source: SourceSpec, lam: float) -> float:
-    """Leader-optimal encoder coefficient alpha*.
-
-    Solves the stationarity quadratic and certifies the returned root as the
-    minimizer (see the module docstring).  Raises ValueError for lam < 0, a
-    negative discriminant or E[Z^2] <= 0, and ArithmeticError if the rest of
-    the certificate fails.
+    One pass of the stage kernel, which solves the stationarity quadratic and
+    certifies the returned root as the minimizer (see the module docstring).
+    Raises ValueError for lam < 0, a negative discriminant or E[Z^2] <= 0,
+    and ArithmeticError if the rest of the certificate fails.
     """
     _check_lam(lam)
     stage = _linear_stage(source, np.float64(lam))
     error = stage.error()
     if error is not None:
         raise error
-    return float(stage.alpha)
+    report = DistortionReport(float(stage.d_e), float(stage.fidelity), float(stage.d_d),
+                              float(stage.d_theta))
+    return LinearEquilibrium(float(stage.alpha), float(stage.kappa), float(stage.nu), report)
 
 
-def solve_equilibrium(source: SourceSpec, lam: float) -> LinearEquilibrium:
-    """Full equilibrium triple (alpha*, kappa, nu) at privacy weight lam."""
-    alpha = optimal_alpha(source, lam)
-    kappa, nu = best_response_coeffs(source, alpha)
-    return LinearEquilibrium(alpha=alpha, kappa=kappa, nu=nu, lam=lam)
+def optimal_alpha(source: SourceSpec, lam: float) -> float:
+    """Leader-optimal encoder coefficient alpha*; raises as solve_equilibrium does."""
+    return solve_equilibrium(source, lam).alpha
 
 
 def linear_distortions(source: SourceSpec, alpha: float, lam: float) -> DistortionReport:
     """All distortions of the linear strategy profile at (alpha, MMSE responses)."""
     _check_lam(lam)
-    t = _terms_at(source, alpha, lam)
+    with np.errstate(all="ignore"):
+        t = _terms(source, np.float64(alpha), lam)
+    if t.v <= 0:
+        raise ValueError(_DEGENERATE_TEXT)
     return DistortionReport(
         d_e=float(t.d_e), fidelity=float(t.fidelity), d_d=float(t.d_d), d_theta=float(t.d_theta)
     )

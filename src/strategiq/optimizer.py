@@ -230,13 +230,12 @@ def random_monotone_quantizer(
 ) -> Quantizer:
     """Random initialization: per-row sorted standard-normal draws scaled by sigma_x."""
     interior = np.sort(rng.standard_normal((grid.n_nodes, M - 1)), axis=1) * source.sigma_x
-    return _with_edges(interior, grid.n_nodes)
+    return _with_edges(interior)
 
 
-def _with_edges(interior: np.ndarray, n_rows: int) -> Quantizer:
-    edges_lo = np.full((n_rows, 1), -np.inf)
-    edges_hi = np.full((n_rows, 1), np.inf)
-    return Quantizer(M=interior.shape[1] + 1, boundaries=np.hstack([edges_lo, interior, edges_hi]))
+def _with_edges(interior: np.ndarray) -> Quantizer:
+    edge = np.full((interior.shape[0], 1), np.inf)
+    return Quantizer(M=interior.shape[1] + 1, boundaries=np.hstack([-edge, interior, edge]))
 
 
 def _to_increments(interior: np.ndarray) -> np.ndarray:
@@ -548,7 +547,7 @@ def design(
         M, lam, iterations, evals, stop_reason, state.dist[0], kkt_residual,
     )
     return DesignResult(
-        _with_edges(b, grid.n_nodes), BestResponses(state.y, state.theta_hat, state.sums[0]),
+        _with_edges(b), BestResponses(state.y, state.theta_hat, state.sums[0]),
         DistortionReport(*state.dist), iterations=iterations,
         converged=stop_reason == "tolerance", trajectory=np.array(trajectory),
         stop_reason=stop_reason, kkt_residual=kkt_residual, evals=evals, f=f,

@@ -23,6 +23,7 @@ reconstructions (boundary-span midpoint for y, prior mean for theta_hat).
 from __future__ import annotations
 
 import math
+import numbers
 from collections import namedtuple
 from dataclasses import dataclass
 
@@ -35,7 +36,8 @@ from .gaussian_model import MASS_FLOOR, SourceSpec, ThetaGrid, _standardized_mom
 class Quantizer:
     """Per-theta-node boundary rows sharing M message labels.
 
-    Construction raises ValueError unless M >= 1 and boundaries is a NaN-free
+    Construction raises ValueError unless M is an integer >= 1 (a bool or a
+    number with a fractional part is none) and boundaries is a NaN-free
     (n_theta, M+1) array whose rows run nondecreasing from -inf to +inf.
     """
 
@@ -46,6 +48,9 @@ class Quantizer:
         b = np.array(self.boundaries, dtype=float)
         b.flags.writeable = False
         object.__setattr__(self, "boundaries", b)
+        if isinstance(self.M, bool) or not (isinstance(self.M, numbers.Real)
+                                            and float(self.M).is_integer()):
+            raise ValueError(f"M must be an integer, got {self.M!r}")
         object.__setattr__(self, "M", int(self.M))
         if self.M < 1:
             raise ValueError(f"M must be >= 1, got {self.M}")
@@ -241,10 +246,15 @@ def quantizer_to_dict(q: Quantizer, grid: ThetaGrid) -> dict:
 
 
 def quantizer_from_dict(data: dict) -> tuple[Quantizer, np.ndarray]:
-    """Inverse of quantizer_to_dict; returns the quantizer and its theta nodes."""
+    """Inverse of quantizer_to_dict; returns the quantizer and its theta nodes.
+
+    ValueError unless there is one theta node per boundary row.
+    """
     boundaries = np.array(
         [[_float_from_json(v) for v in row] for row in data["boundaries"]], dtype=float
     )
-    return Quantizer(M=int(data["M"]), boundaries=boundaries), np.asarray(
-        data["theta_nodes"], dtype=float
-    )
+    q = Quantizer(M=data["M"], boundaries=boundaries)
+    nodes = np.asarray(data["theta_nodes"], dtype=float)
+    if nodes.shape != (q.n_theta,):
+        raise ValueError(f"{nodes.size} theta_nodes for {q.n_theta} boundary rows")
+    return q, nodes

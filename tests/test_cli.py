@@ -5,7 +5,7 @@ import io
 import json
 import math
 import operator
-from dataclasses import fields, replace
+from dataclasses import asdict, fields, replace
 
 import numpy as np
 import pytest
@@ -13,7 +13,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import strategiq.linear_equilibrium as linear_module
-from strategiq import OptimOptions, make_source, optimal_alpha
+from strategiq import OptimOptions, make_source, optimal_alpha, solve_equilibrium
 from strategiq.cli import (
     _ATTR_OF,
     _COLUMN_OF,
@@ -383,6 +383,22 @@ class TestCommandLine:
         payload = json.loads(capsys.readouterr().out)
         assert payload["alpha"] == pytest.approx(0.618034, abs=1e-6)
         assert payload["kappa"] == pytest.approx(0.723607, abs=1e-6)
+
+    def test_linear_subcommand_is_one_stage_pass(self, monkeypatch, capsys):
+        # one certified stage pass: _terms at alpha* and at the rival root, and
+        # the printed fields are solve_equilibrium's
+        calls = []
+        for name in ("_linear_stage", "_terms"):
+            kernel = getattr(linear_module, name)
+            monkeypatch.setattr(linear_module, name, lambda *args, _kernel=kernel, _name=name:
+                                calls.append(_name) or _kernel(*args))
+        assert main(["linear", "--lambda", "2.0", "--rho", "0.3", "--r", "2.0"]) == 0
+        assert sorted(calls) == ["_linear_stage", "_terms", "_terms"]
+        eq = solve_equilibrium(make_source(1.0, 2.0, 0.3), 2.0)
+        assert json.loads(capsys.readouterr().out) == {
+            "lambda": 2.0, "alpha": eq.alpha, "kappa": eq.kappa, "nu": eq.nu,
+            **asdict(eq.report),
+        }
 
     def test_sweep_without_out_prints_csv(self, capsys):
         assert main(["sweep", "--mode", "linear", "--lambdas", "0,1"]) == 0

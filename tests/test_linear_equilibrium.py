@@ -1,4 +1,8 @@
-"""Closed-form linear stage: moments, optimal coefficient, objective, distortions."""
+"""Closed-form linear stage: moments, optimal coefficient, objective, distortions.
+
+Moments and MMSE responses are read from the kernel itself,
+linear_module._terms at lam = 0, and the objective J is linear_distortions(...).d_e.
+"""
 
 import math
 
@@ -10,11 +14,8 @@ from hypothesis import strategies as st
 import strategiq.linear_equilibrium as linear_module
 from strategiq import (
     SourceSpec,
-    best_response_coeffs,
-    encoder_objective,
     linear_distortions,
     make_source,
-    moment_bundle,
     optimal_alpha,
     solve_equilibrium,
 )
@@ -50,37 +51,39 @@ def _quadratic(src, lam, alpha):
 
 def _ratio_form(src, alpha, lam):
     """J as constant + P/v, and the size of the largest term either route cancels."""
-    mb = moment_bundle(src, alpha)
+    t = linear_module._terms(src, np.float64(alpha), 0.0)
     sx, st_, rho = src.sigma_x, src.sigma_theta, src.rho
     constant = sx**2 + (1.0 - lam) * st_**2 + 2.0 * rho * sx * st_
-    p = mb.c_x**2 - 2.0 * mb.c_x * mb.c_xs + lam * mb.c_s**2
+    p = t.c_x**2 - 2.0 * t.c_x * (t.c_x + t.c_s) + lam * t.c_s**2
     rep = linear_distortions(src, alpha, lam)
-    scale = max(1.0, abs(rep.fidelity), lam * abs(rep.d_theta), abs(constant), abs(p / mb.v))
-    return constant + p / mb.v, scale
+    scale = max(1.0, abs(rep.fidelity), lam * abs(rep.d_theta), abs(constant), abs(p / t.v))
+    return constant + p / t.v, scale
 
 
 class TestMomentBundle:
+    """E[Z^2], E[XZ] and E[theta Z] as the kernel forms them."""
+
     def test_zero_alpha_is_x_only(self, unit_source):
-        mb = moment_bundle(unit_source, 0.0)
-        assert (mb.v, mb.c_x, mb.c_s, mb.c_xs) == (1.0, 1.0, 0.0, 1.0)
+        t = linear_module._terms(unit_source, np.float64(0.0), 0.0)
+        assert (t.v, t.c_x, t.c_s) == (1.0, 1.0, 0.0)
 
     def test_unit_alpha(self, unit_source):
-        mb = moment_bundle(unit_source, 1.0)
-        assert (mb.v, mb.c_x, mb.c_s, mb.c_xs) == (2.0, 1.0, 1.0, 2.0)
+        t = linear_module._terms(unit_source, np.float64(1.0), 0.0)
+        assert (t.v, t.c_x, t.c_s) == (2.0, 1.0, 1.0)
 
     def test_correlated_case_by_hand_and_monte_carlo(self):
         src = make_source(1.0, 2.0, 0.5)
-        mb = moment_bundle(src, 1.0)
-        assert (mb.v, mb.c_x, mb.c_s, mb.c_xs) == (7.0, 2.0, 5.0, 7.0)
+        t = linear_module._terms(src, np.float64(1.0), 0.0)
+        assert (t.v, t.c_x, t.c_s) == (7.0, 2.0, 5.0)
 
         rng = np.random.default_rng(7)
         cov = np.array([[1.0, 1.0], [1.0, 4.0]])  # rho*sx*st = 0.5*1*2
         xs = rng.multivariate_normal([0.0, 0.0], cov, size=1_000_000)
         z = xs[:, 0] + xs[:, 1]
         for value, sample in (
-            (mb.v, z * z),
-            (mb.c_x, xs[:, 0] * z),
-            (mb.c_s, xs[:, 1] * z),
+            (t.v, z * z),
+            (t.c_x, xs[:, 0] * z),
+            (t.c_s, xs[:, 1] * z),
         ):
             se = sample.std(ddof=1) / math.sqrt(sample.size)
             assert abs(sample.mean() - value) < 3.0 * se
@@ -89,9 +92,9 @@ class TestMomentBundle:
         for _ in range(200):
             src = _random_source(rng)
             alpha = float(rng.normal(scale=2.0))
-            mb = moment_bundle(src, alpha)
-            assert mb.v == pytest.approx(mb.c_x + alpha * mb.c_s, rel=1e-12, abs=1e-12)
-            assert mb.v > 0.0
+            t = linear_module._terms(src, np.float64(alpha), 0.0)
+            assert t.v == pytest.approx(t.c_x + alpha * t.c_s, rel=1e-12, abs=1e-12)
+            assert t.v > 0.0
 
 
 class TestOptimalAlpha:
@@ -125,17 +128,17 @@ class TestOptimalAlpha:
             src = _random_source(rng)
             lam = float(rng.uniform(0.0, 10.0))
             alpha = optimal_alpha(src, lam)
-            j_star = encoder_objective(src, alpha, lam)
+            j_star = linear_distortions(src, alpha, lam).d_e
             for delta in (1e-3, 1e-2, 0.1):
-                assert j_star <= encoder_objective(src, alpha + delta, lam) + 1e-9
-                assert j_star <= encoder_objective(src, alpha - delta, lam) + 1e-9
+                assert j_star <= linear_distortions(src, alpha + delta, lam).d_e + 1e-9
+                assert j_star <= linear_distortions(src, alpha - delta, lam).d_e + 1e-9
 
     def test_rho_within_an_ulp_of_one(self):
         # the minimizer sits at alpha ~ -rho/r, where the expanded E[Z^2]
         # cancelled to <= 0; optimal_alpha returns only a certified root
         src = make_source(1.5, 0.16796875, 0.9999999999999998)
         alpha = optimal_alpha(src, 161.0)
-        assert moment_bundle(src, alpha).v > 0.0
+        assert linear_module._terms(src, np.float64(alpha), 0.0).v > 0.0
         assert alpha == pytest.approx(-src.rho / src.r, rel=1e-6)
 
     def test_rho_next_to_one_over_random_draws(self, rng):
@@ -144,7 +147,8 @@ class TestOptimalAlpha:
             src = make_source(float(rng.uniform(0.1, 10.0)), float(rng.uniform(0.05, 20.0)),
                               rho * float(rng.choice([-1.0, 1.0])))
             lam = float(10.0 ** rng.uniform(-3.0, 7.0))
-            assert moment_bundle(src, optimal_alpha(src, lam)).v > 0.0
+            alpha = optimal_alpha(src, lam)
+            assert linear_module._terms(src, np.float64(alpha), 0.0).v > 0.0
 
     def test_negative_discriminant_is_value_error(self):
         # |rho| > 1 is no valid source; only then can the discriminant go negative
@@ -162,12 +166,12 @@ class TestOptimalAlpha:
     @given(src=sources, lam=lams)
     def test_beats_probe_fan(self, src, lam):
         alpha = optimal_alpha(src, lam)
-        j_star = encoder_objective(src, alpha, lam)
+        j_star = linear_distortions(src, alpha, lam).d_e
         slack = 1e-9 * max(1.0, abs(j_star))
         for delta in PROBE_OFFSETS:
             probe = alpha + delta * max(1.0, abs(alpha))
-            if moment_bundle(src, probe).v > 1e-12:
-                assert j_star <= encoder_objective(src, probe, lam) + slack, delta
+            if linear_module._terms(src, np.float64(probe), 0.0).v > 1e-12:
+                assert j_star <= linear_distortions(src, probe, lam).d_e + slack, delta
 
     def test_degenerate_quadratic_branch(self):
         # rho = -r kills the quadratic term; the linear equation takes over
@@ -180,16 +184,18 @@ class TestOptimalAlpha:
 
 
 class TestBestResponseCoeffs:
+    """The MMSE scalings (kappa, nu) as the kernel forms them."""
+
     def test_identity_decoder_when_no_theta(self, unit_source):
-        kappa, nu = best_response_coeffs(unit_source, 0.0)
-        assert (kappa, nu) == (1.0, 0.0)
+        t = linear_module._terms(unit_source, np.float64(0.0), 0.0)
+        assert (t.kappa, t.nu) == (1.0, 0.0)
 
     def test_equal_mixing(self, unit_source):
-        kappa, nu = best_response_coeffs(unit_source, 1.0)
-        assert (kappa, nu) == (0.5, 0.5)
+        t = linear_module._terms(unit_source, np.float64(1.0), 0.0)
+        assert (t.kappa, t.nu) == (0.5, 0.5)
 
     def test_at_golden_alpha(self, unit_source):
-        kappa, _ = best_response_coeffs(unit_source, GOLDEN)
+        kappa = linear_module._terms(unit_source, np.float64(GOLDEN), 0.0).kappa
         assert kappa == pytest.approx(1.0 / (1.0 + GOLDEN**2), rel=1e-12)
         assert kappa == pytest.approx(0.723607, abs=1e-6)
 
@@ -198,32 +204,33 @@ class TestBestResponseCoeffs:
         for _ in range(50):
             src = _random_source(rng)
             alpha = float(rng.normal())
-            mb = moment_bundle(src, alpha)
-            _, nu = best_response_coeffs(src, alpha)
+            t = linear_module._terms(src, np.float64(alpha), 0.0)
 
             def d_theta(nu_val):
-                return src.sigma_theta**2 - 2.0 * nu_val * mb.c_s + nu_val**2 * mb.v
+                return src.sigma_theta**2 - 2.0 * nu_val * t.c_s + nu_val**2 * t.v
 
             for eps in (1e-3, -1e-3):
-                assert d_theta(nu + eps) > d_theta(nu)
+                assert d_theta(t.nu + eps) > d_theta(t.nu)
 
 
 class TestEncoderObjective:
+    """The leader objective J(alpha) = linear_distortions(...).d_e."""
+
     def test_fully_revealing_value(self, unit_source):
         # kappa = 1 recovers X; the residual is theta itself
-        assert encoder_objective(unit_source, 0.0, 0.0) == pytest.approx(1.0, abs=1e-12)
+        assert linear_distortions(unit_source, 0.0, 0.0).d_e == pytest.approx(1.0, abs=1e-12)
 
     def test_minimizer_beats_large_alpha(self, unit_source):
         a_star = optimal_alpha(unit_source, 0.0)
-        assert encoder_objective(unit_source, a_star, 0.0) < encoder_objective(
-            unit_source, 1e6, 0.0
-        )
+        assert (linear_distortions(unit_source, a_star, 0.0).d_e
+                < linear_distortions(unit_source, 1e6, 0.0).d_e)
 
     def test_value_at_golden_alpha(self, unit_source):
         # frozen from the two closed forms and a 2e6-sample Monte Carlo run,
         # all of which agree: J = 2 - (1+2a)/(1+a^2) = (3 - sqrt(5))/2
         expected = (3.0 - math.sqrt(5.0)) / 2.0
-        assert encoder_objective(unit_source, GOLDEN, 0.0) == pytest.approx(expected, abs=1e-12)
+        j = linear_distortions(unit_source, GOLDEN, 0.0).d_e
+        assert j == pytest.approx(expected, abs=1e-12)
         assert expected == pytest.approx(0.381966, abs=1e-6)
 
     def test_monte_carlo_agreement(self, unit_source):
@@ -232,36 +239,38 @@ class TestEncoderObjective:
         x = rng.standard_normal(n)
         th = rng.standard_normal(n)
         alpha, lam = 0.7, 1.3
-        kappa, nu = best_response_coeffs(unit_source, alpha)
+        t = linear_module._terms(unit_source, np.float64(alpha), 0.0)
         z = x + alpha * th
-        samples = (x + th - kappa * z) ** 2 - lam * (th - nu * z) ** 2
+        samples = (x + th - t.kappa * z) ** 2 - lam * (th - t.nu * z) ** 2
         se = samples.std(ddof=1) / math.sqrt(n)
-        assert abs(samples.mean() - encoder_objective(unit_source, alpha, lam)) < 3.0 * se
+        j = linear_distortions(unit_source, alpha, lam).d_e
+        assert abs(samples.mean() - j) < 3.0 * se
 
     def test_two_formulas_agree_randomly(self, rng):
         for _ in range(300):
             src = _random_source(rng)
             alpha, lam = float(rng.normal(scale=3.0)), float(rng.uniform(0.0, 20.0))
             ratio_form, scale = _ratio_form(src, alpha, lam)
-            assert abs(encoder_objective(src, alpha, lam) - ratio_form) <= 1e-10 * scale
+            assert abs(linear_distortions(src, alpha, lam).d_e - ratio_form) <= 1e-10 * scale
 
     @settings(max_examples=300, deadline=None)
     @given(src=sources, lam=lams, alpha=st.floats(-20.0, 20.0))
     def test_two_formulas_agree(self, src, lam, alpha):
-        assume(moment_bundle(src, alpha).v > 1e-12)
+        assume(linear_module._terms(src, np.float64(alpha), 0.0).v > 1e-12)
         ratio_form, scale = _ratio_form(src, alpha, lam)
-        assert abs(encoder_objective(src, alpha, lam) - ratio_form) <= 1e-10 * scale
+        assert abs(linear_distortions(src, alpha, lam).d_e - ratio_form) <= 1e-10 * scale
 
     @settings(max_examples=300, deadline=None)
     @given(src=sources, lam=lams, alpha=st.floats(-20.0, 20.0))
     def test_slope_has_the_sign_of_the_quadratic(self, src, lam, alpha):
         # J'(alpha) = 2 sigma_theta^2 sigma_x^4 (1 - rho^2) q(alpha) / v(alpha)^2
         def slope(h):
-            return (encoder_objective(src, alpha + h, lam)
-                    - encoder_objective(src, alpha - h, lam)) / (2.0 * h)
+            return (linear_distortions(src, alpha + h, lam).d_e
+                    - linear_distortions(src, alpha - h, lam).d_e) / (2.0 * h)
 
         h = 1e-4 * max(1.0, abs(alpha))
-        assume(min(moment_bundle(src, alpha + d).v for d in (-h, 0.0, h)) > 1e-6)
+        assume(min(linear_module._terms(src, np.float64(alpha + d), 0.0).v
+                   for d in (-h, 0.0, h)) > 1e-6)
         coarse, fine = slope(h), slope(h / 2.0)
         # a central difference has a trusted sign only above the rounding noise
         # of the terms J cancels and in agreement with its half-step twin
@@ -293,7 +302,7 @@ class TestLinearDistortions:
         # finite-difference version of the comparative statics at rho = 0
         lams = np.linspace(0.0, 20.0, 41)
         alphas = [optimal_alpha(unit_source, l) for l in lams]
-        kappas = [best_response_coeffs(unit_source, a)[0] for a in alphas]
+        kappas = [linear_module._terms(unit_source, np.float64(a), 0.0).kappa for a in alphas]
         assert all(b < a for a, b in zip(alphas, alphas[1:]))
         assert all(b >= a for a, b in zip(kappas, kappas[1:]))
 
@@ -317,10 +326,10 @@ class TestSolveEquilibrium:
             src = _random_source(rng)
             lam = float(rng.uniform(0.0, 5.0))
             eq = solve_equilibrium(src, lam)
-            kappa, nu = best_response_coeffs(src, eq.alpha)
-            assert eq.kappa == pytest.approx(kappa, rel=1e-12)
-            assert eq.nu == pytest.approx(nu, rel=1e-12)
-            assert eq.lam == lam
+            t = linear_module._terms(src, np.float64(eq.alpha), 0.0)
+            assert eq.kappa == pytest.approx(float(t.kappa), rel=1e-12)
+            assert eq.nu == pytest.approx(float(t.nu), rel=1e-12)
+            assert eq.report == linear_distortions(src, eq.alpha, lam)
 
     def test_rho_zero_lam_zero_positive_alpha(self, unit_source):
         assert solve_equilibrium(unit_source, 0.0).alpha > 0.0
@@ -382,7 +391,9 @@ class TestOneKernel:
             rep = linear_distortions(src, alpha, row.lam)
             got = (row.alpha, row.d_e, row.fidelity, row.d_d, row.d_theta)
             assert got == (alpha, rep.d_e, rep.fidelity, rep.d_d, rep.d_theta), row.lam
-            assert rep.d_e == encoder_objective(src, alpha, row.lam)
+            eq = solve_equilibrium(src, row.lam)
+            t = linear_module._terms(src, np.float64(alpha), 0.0)
+            assert (eq.alpha, eq.report, eq.kappa, eq.nu) == (alpha, rep, t.kappa, t.nu), row.lam
             for value, (want, scale) in zip(got, _referee(src, row.lam)):
                 assert abs(value - want) <= 4.0 * np.spacing(scale), (row.lam, value, want)
 

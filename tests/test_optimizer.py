@@ -219,7 +219,7 @@ class TestIncrements:
         x = _to_increments(interior)
 
         def d_e(xv):
-            q_x = _with_edges(_to_boundaries(xv), 5)
+            q_x = _with_edges(_to_boundaries(xv))
             return evaluate(q_x, unit_source, grid, lam)[1].d_e
 
         b = _to_boundaries(x)

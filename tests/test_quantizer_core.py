@@ -79,6 +79,17 @@ class TestValidate:
         with pytest.raises(ValueError, match="^M must be >= 1, got 0$"):
             Quantizer(M=0, boundaries=np.empty((3, 1)))
 
+    @pytest.mark.parametrize("m", [2.9, True, "2"], ids=repr)
+    def test_m_that_is_no_integer(self, m):
+        # before the check, int(M) built 2.9 as M = 2 and True as M = 1
+        with pytest.raises(ValueError, match="^M must be an integer, got "):
+            Quantizer(M=m, boundaries=_rows([-INF, 0.0, INF]))
+
+    @pytest.mark.parametrize("m", [2, np.int64(2)], ids=repr)
+    def test_integral_m_builds(self, m):
+        q = Quantizer(M=m, boundaries=_rows([-INF, 0.0, INF]))
+        assert q.M == 2 and type(q.M) is int
+
     def test_open_edges_flagged_at_the_first_offending_row(self):
         good = [-INF, 0.0, INF]
         with pytest.raises(ValueError, match=r"^row 1: first boundary must be -inf, got -5.0$"):
@@ -310,6 +321,19 @@ class TestSerialization:
         data = quantizer_to_dict(Quantizer(M=2, boundaries=np.tile([-INF, 0.0, INF], (3, 1))), grid3)
         data["boundaries"][0][1] = "1.5"
         with pytest.raises(ValueError, match="'1.5'"):
+            quantizer_from_dict(data)
+
+    @pytest.mark.parametrize("m", [2.9, "2"], ids=repr)
+    def test_from_dict_rejects_an_m_that_is_no_integer(self, grid3, m):
+        data = quantizer_to_dict(Quantizer(M=2, boundaries=np.tile([-INF, 0.0, INF], (3, 1))), grid3)
+        data["M"] = m
+        with pytest.raises(ValueError, match="^M must be an integer, got "):
+            quantizer_from_dict(data)
+
+    def test_from_dict_rejects_a_node_count_that_is_not_the_row_count(self, grid3):
+        data = quantizer_to_dict(Quantizer(M=2, boundaries=np.tile([-INF, 0.0, INF], (3, 1))), grid3)
+        data["theta_nodes"] = data["theta_nodes"][:1]
+        with pytest.raises(ValueError, match="^1 theta_nodes for 3 boundary rows$"):
             quantizer_from_dict(data)
 
     @settings(max_examples=200, deadline=None)
