@@ -201,8 +201,14 @@ def optimal_alpha(source: SourceSpec, lam: float) -> float:
 
 
 def linear_distortions(source: SourceSpec, alpha: float, lam: float) -> DistortionReport:
-    """All distortions of the linear strategy profile at (alpha, MMSE responses)."""
+    """All distortions of the linear strategy profile at (alpha, MMSE responses).
+
+    Raises ValueError for a NaN or infinite alpha, whose distortions would
+    be NaN.
+    """
     _check_lam(lam)
+    if not np.isfinite(alpha):
+        raise ValueError("alpha must be finite")
     with np.errstate(all="ignore"):
         t = _terms(source, np.float64(alpha), lam)
     if t.v <= 0:

@@ -51,6 +51,17 @@ steps are shared by the rungs, and its f, stop reason, KKT residual and
 trajectory are the last rung's.  The Lloyd-Max start, a few steps from its
 optimum at large lam on uncorrelated sources, has lam as its one rung, as
 has every start at lam <= lam_c.
+
+A step's eigendecomposition is cubic in the number of boundaries,
+n_nodes * (M - 1), so on a grid of more than five theta nodes multistart
+descends every start on the five-node Gauss-Hermite grid instead.  The law
+of X given theta is smooth in theta, so the best coarse design, each
+boundary interpolated linearly in theta to the fine nodes, lies a few steps
+from a fine-grid optimum: the prolongation of multilevel optimization
+(Nash, 2000; Gratton, Sartenaer & Toint, 2008).  That lifted start is
+descended on the fine grid through its start's rungs, and when this polish
+does not stop by tolerance, the next coarse design in rank order is
+polished too.
 """
 
 from __future__ import annotations
@@ -61,7 +72,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .gaussian_model import MASS_FLOOR, SourceSpec, ThetaGrid
+from .gaussian_model import MASS_FLOOR, SourceSpec, ThetaGrid, make_theta_grid
 from .metrics import lloyd_max_quantizer
 from .quantizer_core import (
     BestResponses,
@@ -96,6 +107,9 @@ _PROMISE = 1e-3
 # 0, 10, 10 * _LADDER_STEP, ... below lam, then lam itself; else through lam alone
 _LADDER_FROM = 1e3
 _LADDER_STEP = 100.0
+# multistart on a grid of more nodes descends its starts on a Gauss-Hermite
+# grid of this many, and polishes the best on the fine grid
+_COARSE_NODES = 5
 
 
 @dataclass(frozen=True)
@@ -131,7 +145,8 @@ class DesignResult:
     for the exhaustive oracle.  For a restart descended through several
     rungs, iterations and evals sum every rung; f, stop_reason, converged,
     kkt_residual and trajectory are the last rung's, the one at the target
-    lam, since earlier rungs rank a different objective.
+    lam, since earlier rungs rank a different objective.  A multistart
+    result polished on a fine grid also counts its start's coarse steps.
     """
 
     quantizer: Quantizer
@@ -593,6 +608,47 @@ def _descend(
     return replace(result, iterations=iterations, evals=evals)
 
 
+def _ranked(
+    source: SourceSpec, grid: ThetaGrid, M: int, lam: float, opts: OptimOptions
+) -> list[tuple[DesignResult, list]]:
+    """Every start descended on grid, as (result, rungs) pairs, best first.
+
+    The starts are n_restarts seeded random starts, which climb _rungs(lam),
+    and at M > 1 the Lloyd-Max start, which is descended at lam directly.
+    They rank by f, ties toward the lowest restart index, except that the
+    Lloyd-Max start goes first when it is within f's rounding of the best
+    random start.
+    """
+    rng = np.random.default_rng(opts.seed)
+    starts = [(random_monotone_quantizer(source, grid, M, rng), _rungs(lam))
+              for _ in range(opts.n_restarts)]
+    if M == 1:
+        starts = starts[:1]
+    else:
+        starts.append((lloyd_max_quantizer(source, M, grid), [lam]))
+    results = [(replace(_descend(source, grid, M, rungs, opts, init), restart_index=idx), rungs)
+               for idx, (init, rungs) in enumerate(starts)]
+    ranked = sorted(results, key=lambda entry: (entry[0].f, entry[0].restart_index))
+    if M > 1:
+        lloyd = results[-1]
+        f_best = min(result.f for result, _ in results[:-1])
+        if lloyd[0].f <= f_best + _ROUNDING * max(1.0, abs(f_best)):
+            ranked = [lloyd] + [entry for entry in ranked if entry is not lloyd]
+    return ranked
+
+
+def _lift(q: Quantizer, coarse: ThetaGrid, grid: ThetaGrid) -> Quantizer:
+    """q, designed on the coarse grid, with each boundary interpolated in theta to grid's nodes.
+
+    np.interp clamps beyond the coarse end nodes, so the lifted rows are
+    convex combinations of q's rows; the running maximum undoes what
+    rounding may reverse between nearly equal boundaries.
+    """
+    lifted = np.column_stack([np.interp(grid.nodes, coarse.nodes, column)
+                              for column in q.interior().T])
+    return _with_edges(np.maximum.accumulate(lifted, axis=1))
+
+
 def multistart(
     source: SourceSpec,
     grid: ThetaGrid,
@@ -610,23 +666,46 @@ def multistart(
     pair run through _descend: a random start climbs _rungs(lam); the
     Lloyd-Max start, which on uncorrelated sources is a few steps from its
     optimum at large lam, is descended at lam directly.
+
+    At M > 1 on a grid of more than _COARSE_NODES nodes, the starts are
+    built, descended and ranked on the Gauss-Hermite grid of _COARSE_NODES
+    nodes instead, where a step's eigendecomposition is far cheaper.  The
+    best coarse result is lifted to grid (_lift) and descended there through
+    its start's rungs, a polish a few steps long.  If the polish does not
+    stop by "tolerance", the next coarse result in rank order is polished,
+    until one does or none is left.  The result is the lowest-f polish,
+    unless the converged one is within f's rounding of it.  Its
+    restart_index is the coarse index of its start, and its iterations and
+    evals sum both levels.  The levels share opts.max_iters as rungs do: the
+    coarse descents get max_iters - 1 steps, and a polish what its start
+    left.  At max_iters = 1 the coarse level has no step, and the starts
+    descend on grid directly, as they do at M = 1 and on coarse grids.
     """
     _check_lam(lam)
-    rng = np.random.default_rng(opts.seed)
-    starts = [(random_monotone_quantizer(source, grid, M, rng), _rungs(lam))
-              for _ in range(opts.n_restarts)]
-    if M == 1:
-        starts = starts[:1]
-    else:
-        starts.append((lloyd_max_quantizer(source, M, grid), [lam]))
-    ranked = []
-    for idx, (init, rungs) in enumerate(starts):
-        result = replace(_descend(source, grid, M, rungs, opts, init), restart_index=idx)
-        ranked.append((result.f, idx, result))
-    best = min(ranked[: opts.n_restarts], key=lambda entry: entry[:2])
-    if M > 1 and ranked[-1][0] <= best[0] + _ROUNDING * max(1.0, abs(best[0])):
-        best = ranked[-1]
-    return best[2]
+    if M == 1 or grid.n_nodes <= _COARSE_NODES or opts.max_iters == 1:
+        return _ranked(source, grid, M, lam, opts)[0][0]
+    coarse = make_theta_grid(source, _COARSE_NODES)
+    ranked = _ranked(source, coarse, M, lam, replace(opts, max_iters=opts.max_iters - 1))
+    best = None
+    for start, rungs in ranked:
+        polish = _descend(source, grid, M, rungs,
+                          replace(opts, max_iters=opts.max_iters - start.iterations),
+                          _lift(start.quantizer, coarse, grid))
+        polish = replace(polish, restart_index=start.restart_index,
+                         iterations=start.iterations + polish.iterations,
+                         evals=start.evals + polish.evals)
+        logger.debug(
+            "polish of restart %d on %d nodes: iters=%d evals=%d stop=%s f=%.12g",
+            start.restart_index, grid.n_nodes, polish.iterations, polish.evals,
+            polish.stop_reason, polish.f,
+        )
+        if best is None or polish.f < best.f or (
+            polish.converged and polish.f <= best.f + _ROUNDING * max(1.0, abs(best.f))
+        ):
+            best = polish
+        if polish.converged:
+            break
+    return best
 
 
 def design_result_to_dict(result: DesignResult, grid: ThetaGrid) -> dict:

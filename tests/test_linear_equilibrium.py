@@ -319,6 +319,12 @@ class TestLinearDistortions:
         rep = linear_distortions(unit_source, optimal_alpha(unit_source, lam), lam)
         assert abs(rep.fidelity - (rep.d_d + 1.0)) < 1e-6
 
+    @pytest.mark.parametrize("alpha", [math.nan, math.inf, -math.inf])
+    def test_non_finite_alpha_raises(self, alpha):
+        # unchecked, each returned four NaNs
+        with pytest.raises(ValueError, match="^alpha must be finite$"):
+            linear_distortions(make_source(1.0, 1.0, 0.3), alpha, 1.0)
+
 
 class TestSolveEquilibrium:
     def test_coefficients_are_consistent(self, rng):

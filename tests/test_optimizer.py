@@ -3,6 +3,7 @@
 import json
 import logging
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -27,6 +28,7 @@ from strategiq import (
 )
 from strategiq import optimizer
 from strategiq.optimizer import (
+    _COARSE_NODES,
     _LADDER_FROM,
     _RESOLUTION,
     _SECULAR_RTOL,
@@ -36,12 +38,15 @@ from strategiq.optimizer import (
     _descend,
     _hessian,
     _increment_gradient,
+    _lift,
     _rungs,
     _to_boundaries,
     _to_increments,
     _with_edges,
 )
 from strategiq.quantizer_core import _grid_terms, _moment_pass
+
+ROUNDING = 16 * np.finfo(float).eps
 
 INF = math.inf
 
@@ -760,6 +765,159 @@ class TestLadder:
         res = multistart(source, grid, 6, 1e7, OptimOptions(seed=0, n_restarts=4))
         assert res.stop_reason == "tolerance"
         assert _f(res, source, grid, 1e7) <= 0.2708719522
+
+
+class TestCoarseToFine:
+    """multistart on more than _COARSE_NODES nodes: coarse starts, then a fine polish."""
+
+    # a random start wins the first case and climbs the ladder again on 17
+    # nodes; the Lloyd-Max start wins the second
+    @pytest.mark.parametrize("r, rho, lam, seed, winner", [
+        (0.5, 0.9, 1e4, 1, 0), (1.0, 0.0, 1e5, 3, 2),
+    ])
+    def test_starts_descend_coarse_and_the_winner_is_polished_fine(self, monkeypatch, r, rho,
+                                                                 lam, seed, winner):
+        source = make_source(1.0, r, rho)
+        grid = make_theta_grid(source, 17, "gauss-hermite")
+        coarse = make_theta_grid(source, _COARSE_NODES, "gauss-hermite")
+        ladder = _rungs(lam)
+        calls = _recording_design(monkeypatch)
+        res = multistart(source, grid, 4, lam, OptimOptions(seed=seed, n_restarts=2))
+        n_coarse = 2 * len(ladder) + 1
+        assert [call[0] for call in calls[:n_coarse]] == ladder + ladder + [lam]
+        assert all(call[2].quantizer.n_theta == 5 for call in calls[:n_coarse])
+        polish = calls[n_coarse:]
+        assert all(call[2].quantizer.n_theta == 17 for call in polish)
+        # one polish, through the rungs of the start it lifts; restart_index
+        # is that start's index on the coarse grid
+        assert res.converged and res.restart_index == winner
+        assert [call[0] for call in polish] == (ladder if winner < 2 else [lam])
+        start = (calls[winner * len(ladder):(winner + 1) * len(ladder)] if winner < 2
+                 else calls[n_coarse - 1:n_coarse])
+        lifted = _lift(start[-1][2].quantizer, coarse, grid)
+        assert polish[0][2].trajectory[0] == evaluate(lifted, source, grid, polish[0][0])[1].d_e
+        np.testing.assert_array_equal(res.quantizer.boundaries, polish[-1][2].quantizer.boundaries)
+        assert res.iterations == sum(call[2].iterations for call in start + polish)
+        assert res.evals == sum(call[2].evals for call in start + polish)
+
+    def test_lift_interpolates_each_boundary_in_theta(self, unit_source, grid17, rng):
+        coarse = make_theta_grid(unit_source, _COARSE_NODES, "gauss-hermite")
+        interior = np.sort(rng.standard_normal((5, 6)), axis=1)
+        interior[:, 3] = interior[:, 2]  # a skipped message stays skipped
+        lifted = _lift(_with_edges(interior), coarse, grid17).interior()
+        assert lifted.shape == (17, 6)
+        assert np.all(np.diff(lifted, axis=1) >= 0.0)
+        np.testing.assert_array_equal(lifted[:, 3], lifted[:, 2])
+        for c in range(6):
+            np.testing.assert_array_equal(
+                lifted[:, c], np.interp(grid17.nodes, coarse.nodes, interior[:, c]))
+        # clamped beyond the coarse end nodes
+        assert np.all(lifted[grid17.nodes < coarse.nodes[0]] == interior[0])
+        assert np.all(lifted[grid17.nodes > coarse.nodes[-1]] == interior[-1])
+
+    def test_lift_keeps_rows_monotone_where_interpolation_rounds(self, unit_source, grid17):
+        coarse = make_theta_grid(unit_source, _COARSE_NODES, "gauss-hermite")
+        rng = np.random.default_rng(0)
+        pairs = np.sort(rng.standard_normal((5, 200)), axis=1)
+        interior = np.repeat(pairs, 2, axis=1)
+        # each pair 0, 1 or 2 ulps apart, differently at each node
+        interior[:, 1::2] += rng.integers(0, 3, pairs.shape) * np.abs(np.spacing(pairs))
+        raw = np.column_stack([np.interp(grid17.nodes, coarse.nodes, column)
+                               for column in interior.T])
+        assert np.any(np.diff(raw, axis=1) < 0.0)  # rounding reversed some pair
+        lifted = _lift(_with_edges(interior), coarse, grid17)
+        assert np.all(np.diff(lifted.interior(), axis=1) >= 0.0)
+
+    @pytest.mark.parametrize("script, picked", [
+        # a stalled polish is followed by the next; a converged one within f's
+        # rounding of the lowest wins
+        ((("stalled", 1.0), ("stalled", 0.5), ("tolerance", 0.5 + 0.5 * ROUNDING)), 2),
+        # above that rounding, the lowest f wins
+        ((("stalled", 1.0), ("stalled", 0.5), ("tolerance", 0.5 + 4.0 * ROUNDING)), 1),
+        ((("max_iters", 0.7), ("tolerance", 0.3), None), 1),
+        ((("tolerance", 0.9), None, None), 0),
+        ((("stalled", 0.9), ("max_iters", 0.4), ("stalled", 0.6)), 1),
+    ])
+    def test_polishes_run_in_rank_order_until_one_converges(self, unit_source, grid17,
+                                                            monkeypatch, script, picked):
+        coarse = make_theta_grid(unit_source, _COARSE_NODES, "gauss-hermite")
+        real_descend = optimizer._descend
+        coarse_runs, polishes = [], []
+
+        def scripted(source, grid, M, rungs, opts, init):
+            if grid.n_nodes == _COARSE_NODES:
+                result = real_descend(source, grid, M, rungs, opts, init)
+                coarse_runs.append(result)
+                return result
+            stop, f = script[len(polishes)]
+            result = replace(design(source, grid, M, rungs[-1], OptimOptions(max_iters=1),
+                                    init=init),
+                             f=f, stop_reason=stop, converged=stop == "tolerance",
+                             iterations=1, evals=2)
+            polishes.append((init, opts.max_iters, result))
+            return result
+
+        monkeypatch.setattr(optimizer, "_descend", scripted)
+        opts = OptimOptions(seed=1, n_restarts=2, max_iters=500)
+        res = multistart(unit_source, grid17, 3, 2.0, opts)
+        # the coarse results in rank order: lowest f first, ties to the lowest
+        # index, and the Lloyd-Max start first within f's rounding of the best
+        order = sorted(range(3), key=lambda k: (coarse_runs[k].f, k))
+        f_best = min(coarse_runs[0].f, coarse_runs[1].f)
+        if coarse_runs[2].f <= f_best + ROUNDING * max(1.0, f_best):
+            order = [2] + [k for k in order if k != 2]
+        n_polished = next((k + 1 for k, step in enumerate(script) if step[0] == "tolerance"),
+                          len(script))
+        assert len(polishes) == n_polished
+        for k, (init, budget, _) in enumerate(polishes):
+            start = coarse_runs[order[k]]
+            lifted = _lift(start.quantizer, coarse, grid17)
+            np.testing.assert_array_equal(init.boundaries, lifted.boundaries)
+            assert budget == opts.max_iters - start.iterations
+        assert res.f == script[picked][1]
+        assert res.restart_index == order[picked]
+        assert res.iterations == coarse_runs[order[picked]].iterations + 1
+        assert res.evals == coarse_runs[order[picked]].evals + 2
+
+    def test_m_one(self, unit_source, grid17):
+        res = multistart(unit_source, grid17, 1, 2.0, OptimOptions(seed=0, n_restarts=2))
+        assert res.converged and res.iterations == 0 and res.restart_index == 0
+        assert res.quantizer.n_theta == 17
+        assert res.report.d_d == pytest.approx(1.0, abs=1e-12)
+
+    @pytest.mark.parametrize("max_iters", [1, 2, 7, 30])
+    def test_levels_share_the_restart_cap(self, unit_source, grid17, monkeypatch, max_iters):
+        calls = _recording_design(monkeypatch)
+        res = multistart(unit_source, grid17, 4, 1e5, OptimOptions(seed=5, n_restarts=2,
+                                                                  max_iters=max_iters))
+        assert res.iterations <= max_iters
+        if max_iters == 1:
+            # no step left for the coarse level: the starts descend on the fine grid
+            assert all(call[2].quantizer.n_theta == 17 for call in calls)
+        else:
+            coarse = [call for call in calls if call[2].quantizer.n_theta == 5]
+            assert coarse and all(call[1] <= max_iters - 1 for call in coarse)
+
+    @pytest.mark.parametrize("seed", [0, 1])
+    def test_roadmap_targets_on_correlated_sources(self, seed):
+        # the direct 17-node multistart reached 1.953373, and 0.270530 at seed 1
+        opts = OptimOptions(seed=seed, n_restarts=2)
+        for (r, rho, lam, target) in ((0.5, 0.9, 100.0, 1.9513), (1.3, -0.8, 1e5, 0.262437)):
+            source = make_source(1.0, r, rho)
+            grid = make_theta_grid(source, 17, "gauss-hermite")
+            res = multistart(source, grid, 8, lam, opts)
+            assert _f(res, source, grid, lam) <= target, (r, rho, res.f)
+
+    @pytest.mark.parametrize("lam", [0.0, 2.0])
+    def test_m8_d_kl_max_is_finite_and_seed_free(self, unit_source, grid17, lam):
+        values = [
+            max_kl(multistart(unit_source, grid17, 8, lam,
+                              OptimOptions(seed=seed, n_restarts=2)).quantizer,
+                   unit_source, grid17).d_max
+            for seed in range(4)
+        ]
+        assert all(math.isfinite(v) for v in values), values
+        assert max(values) - min(values) < 0.01, values
 
 
 class TestSerialization:
