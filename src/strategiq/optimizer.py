@@ -35,7 +35,9 @@ the linear model put it, and the better of the two points is kept.  A trial
 point costs one moment pass, the one evaluate uses: Phi and phi at its
 boundaries, evaluated once, give both responses, f, the gradient and the
 Hessian.  The landscape is nonconvex; multistart adds a fully-revealing
-Lloyd-Max start to seeded random starts and keeps the lowest f.
+Lloyd-Max start to seeded random starts and keeps the lowest f.  A descent
+stops by tolerance at a projected gradient of eps * max(1, f), or of the
+gradient's rounding at lam where that is larger (Conn, Gould & Toint, 2000).
 
 Every start is a quantizer and its rungs, the weights at which design runs
 in turn, each from the quantizer the previous rung reached; one loop
@@ -59,9 +61,8 @@ of X given theta is smooth in theta, so the best coarse design, each
 boundary interpolated linearly in theta to the fine nodes, lies a few steps
 from a fine-grid optimum: the prolongation of multilevel optimization
 (Nash, 2000; Gratton, Sartenaer & Toint, 2008).  That lifted start is
-descended on the fine grid through its start's rungs, and when this polish
-does not stop by tolerance, the next coarse design in rank order is
-polished too.
+descended on the fine grid through its start's rungs, once, whatever its
+stop reason.
 """
 
 from __future__ import annotations
@@ -78,6 +79,7 @@ from .quantizer_core import (
     BestResponses,
     DistortionReport,
     Quantizer,
+    _as_integer,
     _check_lam,
     _grid_terms,
     _moment_pass,
@@ -87,7 +89,7 @@ from .quantizer_core import (
 
 logger = logging.getLogger(__name__)
 
-#: why a descent stopped: "tolerance" (stationary to opts.eps), "stalled" (the
+#: why a descent stopped: "tolerance" (stationary to the stopping bound), "stalled" (the
 #: trust region shrank until the model promised no decrease f could resolve,
 #: short of the tolerance) or "max_iters" (opts.max_iters accepted steps, short
 #: of the tolerance)
@@ -99,6 +101,11 @@ _RESOLUTION = 64 * float(np.finfo(float).eps)  # of eigh's eigenvalues, relative
 # f sums a constant and one Phi per cell, each with a few roundings: changes
 # of f below this many units of its size are not resolved
 _ROUNDING = 16 * float(np.finfo(float).eps)
+# the gradient at lam rounds at about eps * lam * E_grid[theta^2]; the stopping
+# bound is at least this times lam * E_grid[theta^2].  At 4, 100 of 100 one-ulp
+# moves of the designs on (1, 1.3, -0.8), 9 nodes, M = 6, 8, lam = 1e7 stop at once
+# (40, 91 stall without it); 16 lets unit-source restarts at 1e7 stop at 3e-8
+_GRADIENT_ROUNDING = 4 * float(np.finfo(float).eps)
 # under the tolerance the descent goes on while the model promises a decrease
 # of f above this fraction of it: rows of small weight meet the gradient bound
 # before they are converged
@@ -117,9 +124,10 @@ class OptimOptions:
     """Stopping rule and restart budget of the descent.
 
     eps bounds the projected gradient at a "tolerance" stop, relative to
-    max(1, d_e + lam * E[theta^2]); max_iters caps the accepted steps of one
-    restart; n_restarts is the number of seeded random starts that multistart
-    adds to its Lloyd-Max start.
+    max(1, d_e + lam * E[theta^2]), unless the gradient's rounding at lam is
+    larger (see design); max_iters caps the accepted steps of one restart;
+    n_restarts is the number of seeded random starts that multistart adds to
+    its Lloyd-Max start.  max_iters, n_restarts and seed are integers, no bool.
     """
 
     eps: float = 1e-9
@@ -128,7 +136,9 @@ class OptimOptions:
     seed: int = 0
 
     def __post_init__(self) -> None:
-        if not 0.0 < self.eps < math.inf:
+        for name in ("max_iters", "n_restarts", "seed"):
+            object.__setattr__(self, name, _as_integer(name, getattr(self, name)))
+        if isinstance(self.eps, bool) or not 0.0 < self.eps < math.inf:
             raise ValueError("eps must be positive and finite")
         if self.max_iters < 1 or self.n_restarts < 1:
             raise ValueError("max_iters and n_restarts must be >= 1")
@@ -445,7 +455,8 @@ def design(
     a step is accepted when it shrinks the projected gradient and leaves f
     within that rounding of the lowest f so far; so no accepted f is above an
     earlier one, init's included, by more than f's rounding.  Once the
-    inf-norm of the projected gradient is at most tol = opts.eps * max(1, f),
+    inf-norm of the projected gradient is at most tol = max(opts.eps * max(1,
+    f), 4 eps_mach lam E_grid[theta^2]), the latter the gradient's rounding,
     the descent stops when the model promises a decrease of at most
     1e-3 * tol (or below f's rounding).  stop_reason is "tolerance" for every
     stop with the gradient at most tol; otherwise it is "stalled" when the
@@ -477,6 +488,7 @@ def design(
     # model of a row of small weight can call for moves of many sigma_c
     # that f, dominated by the other rows, would accept blindly
     delta = delta_max = terms.sigma
+    gradient_rounding = _GRADIENT_ROUNDING * lam * terms.wt2.sum()
     H = caches = None
     iterations, evals = 0, 1
 
@@ -513,7 +525,7 @@ def design(
         rounding = _ROUNDING * max(1.0, abs(f_low))
         unseen = predicted <= rounding
         # at M = 1 there are no variables, and the residual 0 stops at once
-        tolerance = opts.eps * max(1.0, f)
+        tolerance = max(opts.eps * max(1.0, f), gradient_rounding)
         if kkt_residual <= tolerance and predicted <= max(_PROMISE * tolerance, rounding):
             stop_reason = "tolerance"
             break
@@ -608,17 +620,10 @@ def _descend(
     return replace(result, iterations=iterations, evals=evals)
 
 
-def _ranked(
+def _winner(
     source: SourceSpec, grid: ThetaGrid, M: int, lam: float, opts: OptimOptions
-) -> list[tuple[DesignResult, list]]:
-    """Every start descended on grid, as (result, rungs) pairs, best first.
-
-    The starts are n_restarts seeded random starts, which climb _rungs(lam),
-    and at M > 1 the Lloyd-Max start, which is descended at lam directly.
-    They rank by f, ties toward the lowest restart index, except that the
-    Lloyd-Max start goes first when it is within f's rounding of the best
-    random start.
-    """
+) -> tuple[DesignResult, list]:
+    """multistart's winning start descended on grid, as a (result, rungs) pair."""
     rng = np.random.default_rng(opts.seed)
     starts = [(random_monotone_quantizer(source, grid, M, rng), _rungs(lam))
               for _ in range(opts.n_restarts)]
@@ -628,13 +633,11 @@ def _ranked(
         starts.append((lloyd_max_quantizer(source, M, grid), [lam]))
     results = [(replace(_descend(source, grid, M, rungs, opts, init), restart_index=idx), rungs)
                for idx, (init, rungs) in enumerate(starts)]
-    ranked = sorted(results, key=lambda entry: (entry[0].f, entry[0].restart_index))
-    if M > 1:
-        lloyd = results[-1]
-        f_best = min(result.f for result, _ in results[:-1])
-        if lloyd[0].f <= f_best + _ROUNDING * max(1.0, abs(f_best)):
-            ranked = [lloyd] + [entry for entry in ranked if entry is not lloyd]
-    return ranked
+    if M == 1:
+        return results[0]
+    *randoms, lloyd = results
+    best = min(randoms, key=lambda entry: (entry[0].f, entry[0].restart_index))
+    return lloyd if lloyd[0].f <= best[0].f + _ROUNDING * max(1.0, abs(best[0].f)) else best
 
 
 def _lift(q: Quantizer, coarse: ThetaGrid, grid: ThetaGrid) -> Quantizer:
@@ -670,42 +673,31 @@ def multistart(
     At M > 1 on a grid of more than _COARSE_NODES nodes, the starts are
     built, descended and ranked on the Gauss-Hermite grid of _COARSE_NODES
     nodes instead, where a step's eigendecomposition is far cheaper.  The
-    best coarse result is lifted to grid (_lift) and descended there through
-    its start's rungs, a polish a few steps long.  If the polish does not
-    stop by "tolerance", the next coarse result in rank order is polished,
-    until one does or none is left.  The result is the lowest-f polish,
-    unless the converged one is within f's rounding of it.  Its
-    restart_index is the coarse index of its start, and its iterations and
-    evals sum both levels.  The levels share opts.max_iters as rungs do: the
-    coarse descents get max_iters - 1 steps, and a polish what its start
-    left.  At max_iters = 1 the coarse level has no step, and the starts
-    descend on grid directly, as they do at M = 1 and on coarse grids.
+    best coarse result is lifted to grid (_lift) and descended there once
+    through its start's rungs, a polish a few steps long; the polish is the
+    result, whatever its stop reason.  Its restart_index is the coarse index
+    of its start, and its iterations and evals sum both levels.  The levels
+    share opts.max_iters as rungs do: the coarse descents get max_iters - 1
+    steps, and the polish what its start left.  At max_iters = 1 the coarse
+    level has no step, and the starts descend on grid directly, as they do
+    at M = 1 and on coarse grids.
     """
     _check_lam(lam)
     if M == 1 or grid.n_nodes <= _COARSE_NODES or opts.max_iters == 1:
-        return _ranked(source, grid, M, lam, opts)[0][0]
+        return _winner(source, grid, M, lam, opts)[0]
     coarse = make_theta_grid(source, _COARSE_NODES)
-    ranked = _ranked(source, coarse, M, lam, replace(opts, max_iters=opts.max_iters - 1))
-    best = None
-    for start, rungs in ranked:
-        polish = _descend(source, grid, M, rungs,
-                          replace(opts, max_iters=opts.max_iters - start.iterations),
-                          _lift(start.quantizer, coarse, grid))
-        polish = replace(polish, restart_index=start.restart_index,
-                         iterations=start.iterations + polish.iterations,
-                         evals=start.evals + polish.evals)
-        logger.debug(
-            "polish of restart %d on %d nodes: iters=%d evals=%d stop=%s f=%.12g",
-            start.restart_index, grid.n_nodes, polish.iterations, polish.evals,
-            polish.stop_reason, polish.f,
-        )
-        if best is None or polish.f < best.f or (
-            polish.converged and polish.f <= best.f + _ROUNDING * max(1.0, abs(best.f))
-        ):
-            best = polish
-        if polish.converged:
-            break
-    return best
+    start, rungs = _winner(source, coarse, M, lam, replace(opts, max_iters=opts.max_iters - 1))
+    polish = _descend(source, grid, M, rungs,
+                      replace(opts, max_iters=opts.max_iters - start.iterations),
+                      _lift(start.quantizer, coarse, grid))
+    logger.debug(
+        "polish of restart %d on %d nodes: iters=%d evals=%d stop=%s f=%.12g",
+        start.restart_index, grid.n_nodes, polish.iterations, polish.evals,
+        polish.stop_reason, polish.f,
+    )
+    return replace(polish, restart_index=start.restart_index,
+                   iterations=start.iterations + polish.iterations,
+                   evals=start.evals + polish.evals)
 
 
 def design_result_to_dict(result: DesignResult, grid: ThetaGrid) -> dict:

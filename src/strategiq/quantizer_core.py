@@ -48,10 +48,7 @@ class Quantizer:
         b = np.array(self.boundaries, dtype=float)
         b.flags.writeable = False
         object.__setattr__(self, "boundaries", b)
-        if isinstance(self.M, bool) or not (isinstance(self.M, numbers.Real)
-                                            and float(self.M).is_integer()):
-            raise ValueError(f"M must be an integer, got {self.M!r}")
-        object.__setattr__(self, "M", int(self.M))
+        object.__setattr__(self, "M", _as_integer("M", self.M))
         if self.M < 1:
             raise ValueError(f"M must be >= 1, got {self.M}")
         if b.ndim != 2 or b.shape[1] != self.M + 1:
@@ -97,6 +94,14 @@ class DistortionReport:
     fidelity: float
     d_d: float
     d_theta: float
+
+
+def _as_integer(name: str, value) -> int:
+    """value as an int; ValueError unless it is an integer (no bool, no fraction)."""
+    if isinstance(value, bool) or not (isinstance(value, numbers.Real)
+                                       and float(value).is_integer()):
+        raise ValueError(f"{name} must be an integer, got {value!r}")
+    return int(value)
 
 
 def _check_lam(lam: float) -> None:
