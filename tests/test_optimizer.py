@@ -868,8 +868,18 @@ class TestCoarseToFine:
         lifted = _lift(_with_edges(interior), coarse, grid17)
         assert np.all(np.diff(lifted.interior(), axis=1) >= 0.0)
 
-    @pytest.mark.parametrize("stop", STOP_REASONS)
-    def test_the_winner_is_polished_once(self, unit_source, grid17, monkeypatch, stop):
+    # each script lists the (stop reason, f) a fine-grid polish reports, in
+    # rank order; only the first runs: the coarse winner is polished once and
+    # that polish is the row, even when it stalls and a later one would converge
+    @pytest.mark.parametrize("script, seed", [
+        ((("stalled", 1.0), ("stalled", 0.5), ("tolerance", 0.5 + 0.5 * ROUNDING)), 2),
+        ((("stalled", 1.0), ("stalled", 0.5), ("tolerance", 0.5 + 4.0 * ROUNDING)), 1),
+        ((("max_iters", 0.7), ("tolerance", 0.3), None), 1),
+        ((("tolerance", 0.9), None, None), 0),
+        ((("stalled", 0.9), ("max_iters", 0.4), ("stalled", 0.6)), 1),
+    ])
+    def test_polishes_run_in_rank_order_until_one_converges(self, unit_source, grid17,
+                                                            monkeypatch, script, seed):
         coarse = make_theta_grid(unit_source, _COARSE_NODES, "gauss-hermite")
         real_descend = optimizer._descend
         coarse_runs, polishes = [], []
@@ -879,15 +889,16 @@ class TestCoarseToFine:
                 result = real_descend(source, grid, M, rungs, opts, init)
                 coarse_runs.append(result)
                 return result
+            stop, f = script[len(polishes)]
             result = replace(design(source, grid, M, rungs[-1], OptimOptions(max_iters=1),
                                     init=init),
-                             stop_reason=stop, converged=stop == "tolerance",
+                             f=f, stop_reason=stop, converged=stop == "tolerance",
                              iterations=1, evals=2)
             polishes.append((init, opts.max_iters, result))
             return result
 
         monkeypatch.setattr(optimizer, "_descend", scripted)
-        opts = OptimOptions(seed=1, n_restarts=2, max_iters=500)
+        opts = OptimOptions(seed=seed, n_restarts=2, max_iters=500)
         res = multistart(unit_source, grid17, 3, 2.0, opts)
         # the coarse winner: lowest f, ties to the lowest index, and the
         # Lloyd-Max start when it is within f's rounding of the best
@@ -902,7 +913,8 @@ class TestCoarseToFine:
         np.testing.assert_array_equal(init.boundaries,
                                       _lift(start.quantizer, coarse, grid17).boundaries)
         assert budget == opts.max_iters - start.iterations
-        assert (res.stop_reason, res.converged, res.f) == (stop, stop == "tolerance", polish.f)
+        stop, f = script[0]
+        assert (res.stop_reason, res.converged, res.f) == (stop, stop == "tolerance", f)
         np.testing.assert_array_equal(res.quantizer.boundaries, polish.quantizer.boundaries)
         assert res.restart_index == winner
         assert res.iterations == start.iterations + 1
