@@ -227,9 +227,12 @@ def validate_config(cfg: SweepConfig) -> list[float]:
         raise ConfigError("mc_samples must be >= 1")
     try:
         _optim_options(cfg, cfg.seed)
-        make_source(cfg.sigma_x, cfg.r, cfg.rho)
+        source = make_source(cfg.sigma_x, cfg.r, cfg.rho)
     except (TypeError, ValueError) as exc:
         raise ConfigError(str(exc)) from exc
+    # quantizer rows need a spread of X given theta; a mixed sweep fails them row by row
+    if cfg.mode == "quantizer" and source.conditional_params(0.0)[1] == 0.0:
+        raise ConfigError(f"quantizer mode requires |rho| < 1, got {cfg.rho}")
     return resolve_lambdas(cfg.lambdas, cfg.lambda_max)
 
 

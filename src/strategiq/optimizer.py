@@ -48,8 +48,8 @@ rungs are therefore the ladder 0, 10, 1e3, 1e5, ... (x100) below lam, then
 lam: continuation in the penalty weight (Fiacco & McCormick, 1968; Nocedal
 & Wright, 2006, sec. 17.1).  lam_c is where the ladder breaks even on
 uncorrelated sources; on correlated ones it pays from lam = 10 on.  The
-restart's iterations and evals count every rung, its max_iters accepted
-steps are shared by the rungs, and its f, stop reason, KKT residual and
+restart's iterations and evals count every rung, each rung may take
+max_iters accepted steps, and its f, stop reason, KKT residual and
 trajectory are the last rung's.  The Lloyd-Max start, a few steps from its
 optimum at large lam on uncorrelated sources, has lam as its one rung, as
 has every start at lam <= lam_c.
@@ -125,9 +125,10 @@ class OptimOptions:
 
     eps bounds the projected gradient at a "tolerance" stop, relative to
     max(1, d_e + lam * E[theta^2]), unless the gradient's rounding at lam is
-    larger (see design); max_iters caps the accepted steps of one restart;
-    n_restarts is the number of seeded random starts that multistart adds to
-    its Lloyd-Max start.  max_iters, n_restarts and seed are integers, no bool.
+    larger (see design); max_iters caps the accepted steps of each design
+    call; n_restarts is the number of seeded random starts that multistart
+    adds to its Lloyd-Max start, and seed (>= 0, as numpy requires) seeds
+    them.  max_iters, n_restarts and seed are integers, no bool.
     """
 
     eps: float = 1e-9
@@ -142,6 +143,8 @@ class OptimOptions:
             raise ValueError("eps must be positive and finite")
         if self.max_iters < 1 or self.n_restarts < 1:
             raise ValueError("max_iters and n_restarts must be >= 1")
+        if self.seed < 0:
+            raise ValueError(f"seed must be >= 0, got {self.seed}")
 
 
 @dataclass(frozen=True)
@@ -598,17 +601,13 @@ def _descend(
 ) -> DesignResult:
     """design at each weight of rungs in turn, from init, then from the previous rung's quantizer.
 
-    The rungs share the restart's opts.max_iters accepted steps: each gets what
-    the earlier ones left, less one step kept back for the last rung, and a
-    rung left no step is skipped.  iterations and evals sum the rungs; the
-    rest of the result is the last rung's.
+    Every rung runs with opts, so each may take opts.max_iters accepted
+    steps.  iterations and evals sum the rungs; the rest of the result is
+    the last rung's.
     """
     iterations = evals = 0
     for k, weight in enumerate(rungs):
-        budget = opts.max_iters - iterations - (k < len(rungs) - 1)
-        if budget < 1:
-            continue
-        result = design(source, grid, M, weight, replace(opts, max_iters=budget), init=init)
+        result = design(source, grid, M, weight, opts, init=init)
         iterations += result.iterations
         evals += result.evals
         logger.debug(
@@ -627,14 +626,9 @@ def _winner(
     rng = np.random.default_rng(opts.seed)
     starts = [(random_monotone_quantizer(source, grid, M, rng), _rungs(lam))
               for _ in range(opts.n_restarts)]
-    if M == 1:
-        starts = starts[:1]
-    else:
-        starts.append((lloyd_max_quantizer(source, M, grid), [lam]))
+    starts.append((lloyd_max_quantizer(source, M, grid), [lam]))
     results = [(replace(_descend(source, grid, M, rungs, opts, init), restart_index=idx), rungs)
                for idx, (init, rungs) in enumerate(starts)]
-    if M == 1:
-        return results[0]
     *randoms, lloyd = results
     best = min(randoms, key=lambda entry: (entry[0].f, entry[0].restart_index))
     return lloyd if lloyd[0].f <= best[0].f + _ROUNDING * max(1.0, abs(best[0].f)) else best
@@ -676,20 +670,20 @@ def multistart(
     best coarse result is lifted to grid (_lift) and descended there once
     through its start's rungs, a polish a few steps long; the polish is the
     result, whatever its stop reason.  Its restart_index is the coarse index
-    of its start, and its iterations and evals sum both levels.  The levels
-    share opts.max_iters as rungs do: the coarse descents get max_iters - 1
-    steps, and the polish what its start left.  At max_iters = 1 the coarse
-    level has no step, and the starts descend on grid directly, as they do
-    at M = 1 and on coarse grids.
+    of its start, and its iterations and evals sum both levels.  On a grid
+    of at most _COARSE_NODES nodes the starts descend on grid itself.
+
+    At M = 1 there are no variables, so every start gives the same
+    quantizer: the result is one design call at lam, with restart_index 0.
     """
     _check_lam(lam)
-    if M == 1 or grid.n_nodes <= _COARSE_NODES or opts.max_iters == 1:
+    if M == 1:
+        return replace(design(source, grid, 1, lam, opts), restart_index=0)
+    if grid.n_nodes <= _COARSE_NODES:
         return _winner(source, grid, M, lam, opts)[0]
     coarse = make_theta_grid(source, _COARSE_NODES)
-    start, rungs = _winner(source, coarse, M, lam, replace(opts, max_iters=opts.max_iters - 1))
-    polish = _descend(source, grid, M, rungs,
-                      replace(opts, max_iters=opts.max_iters - start.iterations),
-                      _lift(start.quantizer, coarse, grid))
+    start, rungs = _winner(source, coarse, M, lam, opts)
+    polish = _descend(source, grid, M, rungs, opts, _lift(start.quantizer, coarse, grid))
     logger.debug(
         "polish of restart %d on %d nodes: iters=%d evals=%d stop=%s f=%.12g",
         start.restart_index, grid.n_nodes, polish.iterations, polish.evals,

@@ -473,9 +473,15 @@ class TestCommandLine:
         ["sweep", "--lambdas", "log:a:1:2"],
         ["sweep", "--sigma-x", "-1"],
         ["sweep", "--rho", "nan"],
+        # numpy's generators take no negative seed
+        ["sweep", "--seed", "-1"],
+        # quantizer rows need a spread of X given theta
+        ["sweep", "--rho", "-1"],
         ["design", "--lambda", "1", "--eps", "-1"],
         ["design", "--lambda", "nan"],
         ["design", "--lambda", "1", "--rho", "2"],
+        ["design", "--lambda", "1", "--seed", "-1"],
+        ["design", "--lambda", "1", "--rho", "1"],
         ["design", "--lambda", "1", "--m", "0"],
         ["linear", "--lambda", "nan"],
         ["linear", "--lambda", "-1"],
@@ -500,6 +506,16 @@ class TestCommandLine:
         out, err = capsys.readouterr()
         assert out == ""
         assert len(err.splitlines()) == 1 and err.startswith("config error: ")
+
+    def test_mixed_sweep_at_rho_one_fails_only_its_quantizer_rows(self, capsys):
+        # the linear stage is defined at |rho| = 1, so its rows are still written
+        argv = ["sweep", "--m", "0,2", "--lambdas", "1", "--rho", "1", "--theta-nodes", "3",
+                "--n-restarts", "1"]
+        assert main(argv) == 3
+        out, err = capsys.readouterr()
+        assert out.splitlines()[1:] == ["1,0,1,1,0,0,,-0,,,,0", "1,2,,,,,,,,false,,1"]
+        assert err.startswith("sweep row lambda=1 M=2 failed: ValueError: ")
+        assert main(["linear", "--lambda", "1", "--rho", "1"]) == 0
 
     @pytest.mark.parametrize("field,value", [
         ("theta_nodes", "3"),

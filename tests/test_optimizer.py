@@ -558,6 +558,9 @@ class TestDesign:
             OptimOptions(eps=-1.0)
         with pytest.raises(ValueError):
             OptimOptions(n_restarts=0)
+        # numpy's generators take no negative seed
+        with pytest.raises(ValueError, match="^seed must be >= 0"):
+            OptimOptions(seed=-1)
 
     @pytest.mark.parametrize("field, value", [
         ("max_iters", 2.5), ("n_restarts", 2.5), ("seed", 1.5), ("seed", math.inf),
@@ -688,13 +691,13 @@ class TestMultistart:
 
 
 def _recording_design(monkeypatch):
-    """Patch optimizer.design to record (lam, max_iters, result) of every call."""
+    """Patch optimizer.design to record (lam, opts, result) of every call."""
     calls = []
     real_design = optimizer.design
 
-    def recording(source, grid, M, lam, opts, init):
+    def recording(source, grid, M, lam, opts, init=None):
         result = real_design(source, grid, M, lam, opts, init=init)
-        calls.append((lam, opts.max_iters, result))
+        calls.append((lam, opts, result))
         return result
 
     monkeypatch.setattr(optimizer, "design", recording)
@@ -763,21 +766,20 @@ class TestLadder:
 
     @pytest.mark.parametrize("max_iters", [1, 2, 7, 30])
     def test_rungs_share_the_restart_cap(self, unit_source, monkeypatch, max_iters):
+        # every rung runs with the restart's options, so each may take max_iters steps
         grid = make_theta_grid(unit_source, 5, "gauss-hermite")
         init = random_monotone_quantizer(unit_source, grid, 4, np.random.default_rng(5))
         calls = _recording_design(monkeypatch)
-        res = _descend(unit_source, grid, 4, _rungs(1e7), OptimOptions(max_iters=max_iters),
-                       init)
-        assert res.iterations <= max_iters
+        opts = OptimOptions(max_iters=max_iters)
+        res = _descend(unit_source, grid, 4, _rungs(1e7), opts, init)
+        assert [call[0] for call in calls] == _rungs(1e7)
+        for _, rung_opts, rung in calls:
+            assert rung_opts is opts and rung.iterations <= max_iters
+        assert res.iterations == sum(rung.iterations for *_, rung in calls)
         assert res.stop_reason in ("max_iters", "tolerance")
-        assert calls[-1][0] == 1e7
-        # each rung gets what the earlier ones left, the last rung keeping one step
-        spent = 0
-        for k, (_, budget, rung) in enumerate(calls):
-            assert budget == max_iters - spent - (k < len(calls) - 1)
-            spent += rung.iterations
         if max_iters == 1:
-            assert len(calls) == 1
+            # no rung is skipped: one step on each
+            assert res.iterations == len(calls)
 
     def test_correlated_source_winner_meets_the_tolerance(self):
         # descended at 1e7 directly, every random start here stalls or takes
@@ -912,7 +914,7 @@ class TestCoarseToFine:
         start = coarse_runs[winner]
         np.testing.assert_array_equal(init.boundaries,
                                       _lift(start.quantizer, coarse, grid17).boundaries)
-        assert budget == opts.max_iters - start.iterations
+        assert budget == opts.max_iters
         stop, f = script[0]
         assert (res.stop_reason, res.converged, res.f) == (stop, stop == "tolerance", f)
         np.testing.assert_array_equal(res.quantizer.boundaries, polish.quantizer.boundaries)
@@ -920,24 +922,40 @@ class TestCoarseToFine:
         assert res.iterations == start.iterations + 1
         assert res.evals == start.evals + 2
 
-    def test_m_one(self, unit_source, grid17):
-        res = multistart(unit_source, grid17, 1, 2.0, OptimOptions(seed=0, n_restarts=2))
-        assert res.converged and res.iterations == 0 and res.restart_index == 0
-        assert res.quantizer.n_theta == 17
-        assert res.report.d_d == pytest.approx(1.0, abs=1e-12)
+    def test_m_one(self, unit_source, grid17, monkeypatch):
+        # no variables: every start gives one quantizer, so the row is one
+        # descent at lam, on the fine grid, even above the ladder threshold
+        calls = _recording_design(monkeypatch)
+        opts = OptimOptions(seed=0, n_restarts=2)
+        for lam in (2.0, 1e5):
+            calls.clear()
+            res = multistart(unit_source, grid17, 1, lam, opts)
+            assert [call[:2] for call in calls] == [(lam, opts)], lam
+            assert res.converged and res.iterations == 0 and res.restart_index == 0
+            assert res.evals == 1
+            assert res.quantizer.n_theta == 17
+            assert res.report.d_d == pytest.approx(1.0, abs=1e-12)
 
     @pytest.mark.parametrize("max_iters", [1, 2, 7, 30])
     def test_levels_share_the_restart_cap(self, unit_source, grid17, monkeypatch, max_iters):
+        # the coarse descents and the polish each get the caller's max_iters,
+        # and at max_iters = 1 the starts still descend on the coarse grid
         calls = _recording_design(monkeypatch)
-        res = multistart(unit_source, grid17, 4, 1e5, OptimOptions(seed=5, n_restarts=2,
-                                                                  max_iters=max_iters))
-        assert res.iterations <= max_iters
-        if max_iters == 1:
-            # no step left for the coarse level: the starts descend on the fine grid
-            assert all(call[2].quantizer.n_theta == 17 for call in calls)
-        else:
-            coarse = [call for call in calls if call[2].quantizer.n_theta == 5]
-            assert coarse and all(call[1] <= max_iters - 1 for call in coarse)
+        opts = OptimOptions(seed=5, n_restarts=2, max_iters=max_iters)
+        res = multistart(unit_source, grid17, 4, 1e5, opts)
+        for _, call_opts, result in calls:
+            assert call_opts is opts and result.iterations <= max_iters
+        ladder = _rungs(1e5)
+        n_coarse = 2 * len(ladder) + 1
+        assert all(call[2].quantizer.n_theta == 5 for call in calls[:n_coarse])
+        polish = calls[n_coarse:]
+        assert polish and all(call[2].quantizer.n_theta == 17 for call in polish)
+        # the row's steps are its start's on the coarse grid plus the polish's
+        k = res.restart_index
+        start = (calls[k * len(ladder):(k + 1) * len(ladder)] if k < 2
+                 else calls[n_coarse - 1:n_coarse])
+        assert res.iterations == sum(call[2].iterations for call in start + polish)
+        assert res.evals == sum(call[2].evals for call in start + polish)
 
     @pytest.mark.parametrize("seed", [0, 1])
     def test_roadmap_targets_on_correlated_sources(self, seed):
