@@ -53,6 +53,8 @@ logger = logging.getLogger(__name__)
 
 MODES = ("linear", "quantizer", "sweep")
 LINEAR_M_SENTINEL = 0
+# the lambda that "inf" in a lambda list stands for
+_LAMBDA_INF = 1e7
 # the values a SweepConfig string field may take, for its flag and its check
 _CHOICES = {"mode": MODES, "format": ("csv", "json"), "theta_scheme": GRID_SCHEMES}
 
@@ -73,7 +75,6 @@ class SweepConfig:
     rho: float = 0.0
     theta_nodes: int = 17
     theta_scheme: str = "gauss-hermite"
-    eps: float = OptimOptions.eps
     max_iters: int = OptimOptions.max_iters
     n_restarts: int = OptimOptions.n_restarts
     seed: int = OptimOptions.seed
@@ -81,7 +82,6 @@ class SweepConfig:
     format: str = "csv"
     verify: bool = False
     mc_samples: int = 1_000_000
-    lambda_max: float = 1e7
 
 
 @dataclass
@@ -142,8 +142,8 @@ def _lambda_number(value) -> float:
     return float(value)
 
 
-def resolve_lambdas(spec, lambda_max: float) -> list[float]:
-    """Explicit list (with "inf" capped at lambda_max) or log-range dict."""
+def resolve_lambdas(spec) -> list[float]:
+    """Explicit list (with "inf" standing for 1e7) or log-range dict."""
     if isinstance(spec, dict):
         extra = set(spec) - {"start", "stop", "points"}
         if extra:
@@ -163,12 +163,12 @@ def resolve_lambdas(spec, lambda_max: float) -> list[float]:
         values = [_lambda_number(v) for v in spec]
     except (TypeError, ValueError) as exc:
         raise ConfigError(f"lambdas must be numbers: {exc}") from exc
-    values = [float(lambda_max) if v == math.inf else v for v in values]
+    values = [_LAMBDA_INF if v == math.inf else v for v in values]
     if not values:
         raise ConfigError("lambdas must be nonempty")
     # NaN fails both comparisons, so it is rejected too
     if not all(0 <= v < math.inf for v in values):
-        raise ConfigError("lambdas must be nonnegative and finite (inf means lambda_max)")
+        raise ConfigError("lambdas must be nonnegative and finite (inf means 1e7)")
     return values
 
 
@@ -205,7 +205,7 @@ def _check_field_types(cfg: SweepConfig) -> None:
 
 
 def _optim_options(cfg: SweepConfig, seed: int) -> OptimOptions:
-    return OptimOptions(eps=cfg.eps, max_iters=cfg.max_iters, n_restarts=cfg.n_restarts, seed=seed)
+    return OptimOptions(max_iters=cfg.max_iters, n_restarts=cfg.n_restarts, seed=seed)
 
 
 def validate_config(cfg: SweepConfig) -> list[float]:
@@ -233,7 +233,7 @@ def validate_config(cfg: SweepConfig) -> list[float]:
     # quantizer rows need a spread of X given theta; a mixed sweep fails them row by row
     if cfg.mode == "quantizer" and source.conditional_params(0.0)[1] == 0.0:
         raise ConfigError(f"quantizer mode requires |rho| < 1, got {cfg.rho}")
-    return resolve_lambdas(cfg.lambdas, cfg.lambda_max)
+    return resolve_lambdas(cfg.lambdas)
 
 
 def _quantizer_row(
@@ -425,10 +425,10 @@ class _Parser(argparse.ArgumentParser):
 # "-" for "_"; --lambdas, --m and --verify are written out in _build_parser
 _FLAGS = {
     "sweep": ("mode", "seed", "out", "format", "sigma_x", "r", "rho", "theta_nodes",
-              "theta_scheme", "eps", "max_iters", "n_restarts", "mc_samples", "lambda_max"),
+              "theta_scheme", "max_iters", "n_restarts", "mc_samples"),
     "linear": ("rho", "r", "sigma_x"),
-    "design": ("sigma_x", "r", "rho", "theta_nodes", "theta_scheme", "seed", "eps",
-               "max_iters", "n_restarts"),
+    "design": ("sigma_x", "r", "rho", "theta_nodes", "theta_scheme", "seed", "max_iters",
+               "n_restarts"),
 }
 _PARSE = {"float": float, "int": int, "str": str}
 
@@ -513,7 +513,7 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
 
 def _cmd_linear(args: argparse.Namespace) -> int:
     cfg = config_from_dict({**_flag_fields(args), "mode": "linear", "lambdas": [args.lam]})
-    lam = resolve_lambdas(cfg.lambdas, cfg.lambda_max)[0]
+    lam = resolve_lambdas(cfg.lambdas)[0]
     source = make_source(cfg.sigma_x, cfg.r, cfg.rho)
     eq = linear.solve_equilibrium(source, lam)
     print(json.dumps({"lambda": lam, "alpha": eq.alpha, "kappa": eq.kappa, "nu": eq.nu,
@@ -524,7 +524,7 @@ def _cmd_linear(args: argparse.Namespace) -> int:
 def _cmd_design(args: argparse.Namespace) -> int:
     cfg = config_from_dict({**_flag_fields(args), "mode": "quantizer", "m_values": [args.m],
                             "lambdas": [args.lam], "out": args.out})
-    lam = resolve_lambdas(cfg.lambdas, cfg.lambda_max)[0]
+    lam = resolve_lambdas(cfg.lambdas)[0]
     source = make_source(cfg.sigma_x, cfg.r, cfg.rho)
     grid = make_theta_grid(source, cfg.theta_nodes, cfg.theta_scheme)
     result = multistart(source, grid, args.m, lam, _optim_options(cfg, cfg.seed))

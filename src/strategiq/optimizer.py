@@ -36,7 +36,7 @@ point costs one moment pass, the one evaluate uses: Phi and phi at its
 boundaries, evaluated once, give both responses, f, the gradient and the
 Hessian.  The landscape is nonconvex; multistart adds a fully-revealing
 Lloyd-Max start to seeded random starts and keeps the lowest f.  A descent
-stops by tolerance at a projected gradient of eps * max(1, f), or of the
+stops by tolerance at a projected gradient of 1e-9 * max(1, f), or of the
 gradient's rounding at lam where that is larger (Conn, Gould & Toint, 2000).
 
 Every start is a quantizer and its rungs, the weights at which design runs
@@ -68,7 +68,6 @@ stop reason.
 from __future__ import annotations
 
 import logging
-import math
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -94,6 +93,8 @@ logger = logging.getLogger(__name__)
 #: short of the tolerance) or "max_iters" (opts.max_iters accepted steps, short
 #: of the tolerance)
 STOP_REASONS = ("tolerance", "stalled", "max_iters")
+# the stopping bound on the projected gradient, relative to max(1, f)
+_EPS = 1e-9
 _FD_STEP = 1e-5
 _SECULAR_ITERS = 50  # Newton steps on the trust-region boundary equation
 _SECULAR_RTOL = 1e-3  # relative overshoot of the radius the step may keep
@@ -121,17 +122,14 @@ _COARSE_NODES = 5
 
 @dataclass(frozen=True)
 class OptimOptions:
-    """Stopping rule and restart budget of the descent.
+    """Step cap and restart budget of the descent.
 
-    eps bounds the projected gradient at a "tolerance" stop, relative to
-    max(1, d_e + lam * E[theta^2]), unless the gradient's rounding at lam is
-    larger (see design); max_iters caps the accepted steps of each design
-    call; n_restarts is the number of seeded random starts that multistart
-    adds to its Lloyd-Max start, and seed (>= 0, as numpy requires) seeds
-    them.  max_iters, n_restarts and seed are integers, no bool.
+    max_iters caps the accepted steps of each design call; n_restarts is
+    the number of seeded random starts that multistart adds to its
+    Lloyd-Max start, and seed (>= 0, as numpy requires) seeds them.
+    max_iters, n_restarts and seed are integers, no bool.
     """
 
-    eps: float = 1e-9
     max_iters: int = 20_000
     n_restarts: int = 8
     seed: int = 0
@@ -139,8 +137,6 @@ class OptimOptions:
     def __post_init__(self) -> None:
         for name in ("max_iters", "n_restarts", "seed"):
             object.__setattr__(self, name, _as_integer(name, getattr(self, name)))
-        if isinstance(self.eps, bool) or not 0.0 < self.eps < math.inf:
-            raise ValueError("eps must be positive and finite")
         if self.max_iters < 1 or self.n_restarts < 1:
             raise ValueError("max_iters and n_restarts must be >= 1")
         if self.seed < 0:
@@ -197,9 +193,7 @@ def _analytic_gradient(
     return grid.weights[:, None] * density * (direct + chain)
 
 
-def _fd_gradient(
-    q: Quantizer, source: SourceSpec, grid: ThetaGrid, lam: float, step: float = _FD_STEP
-) -> np.ndarray:
+def _fd_gradient(q: Quantizer, source: SourceSpec, grid: ThetaGrid, lam: float) -> np.ndarray:
     """Central finite differences of d_e, best responses recomputed per probe.
 
     Probes shrink near coincident boundaries to stay inside the monotone cone;
@@ -213,7 +207,7 @@ def _fd_gradient(
         for c in range(1, q.M):
             gap_lo = b[j, c] - b[j, c - 1]
             gap_hi = b[j, c + 1] - b[j, c]
-            h = min(step, gap_lo / 2.0, gap_hi / 2.0)
+            h = min(_FD_STEP, gap_lo / 2.0, gap_hi / 2.0)
             if h <= 0.0:
                 continue
             grad[j, c - 1] = (
@@ -458,8 +452,8 @@ def design(
     a step is accepted when it shrinks the projected gradient and leaves f
     within that rounding of the lowest f so far; so no accepted f is above an
     earlier one, init's included, by more than f's rounding.  Once the
-    inf-norm of the projected gradient is at most tol = max(opts.eps * max(1,
-    f), 4 eps_mach lam E_grid[theta^2]), the latter the gradient's rounding,
+    inf-norm of the projected gradient is at most tol = max(1e-9 * max(1, f),
+    4 eps_mach lam E_grid[theta^2]), the latter the gradient's rounding,
     the descent stops when the model promises a decrease of at most
     1e-3 * tol (or below f's rounding).  stop_reason is "tolerance" for every
     stop with the gradient at most tol; otherwise it is "stalled" when the
@@ -528,7 +522,7 @@ def design(
         rounding = _ROUNDING * max(1.0, abs(f_low))
         unseen = predicted <= rounding
         # at M = 1 there are no variables, and the residual 0 stops at once
-        tolerance = max(opts.eps * max(1.0, f), gradient_rounding)
+        tolerance = max(_EPS * max(1.0, f), gradient_rounding)
         if kkt_residual <= tolerance and predicted <= max(_PROMISE * tolerance, rounding):
             stop_reason = "tolerance"
             break

@@ -45,6 +45,7 @@ from .optimizer import DesignResult
 from .quantizer_core import BestResponses, DistortionReport, Quantizer, _check_lam, evaluate
 
 _MAX_ENUMERATION = 100_000_000
+_SPAN_SIGMAS = 3.0  # make_oracle_grid's candidates span +-this many sigma_x
 _CHUNK = 8_192  # boundary assignments per brute-force block; its six sums fit in L2
 _MC_CHUNK = 32_768  # Monte Carlo samples per chunk
 _BUCKETS = 4_096  # guide-table buckets for node indices; a power of two
@@ -78,9 +79,9 @@ class MonteCarloReport:
     n_samples: int
 
 
-def make_oracle_grid(source: SourceSpec, n_points: int = 41, span_sigmas: float = 3.0) -> OracleGrid:
-    """Equispaced candidates on [-span, +span] sigma_x (default 41 on +-3 sigma)."""
-    half = span_sigmas * source.sigma_x
+def make_oracle_grid(source: SourceSpec, n_points: int = 41) -> OracleGrid:
+    """n_points equispaced candidates on [-3, +3] sigma_x."""
+    half = _SPAN_SIGMAS * source.sigma_x
     return OracleGrid(candidates=np.linspace(-half, half, n_points))
 
 
@@ -102,12 +103,10 @@ def brute_force_design(
     _check_lam(lam)
     n_rows = grid.n_nodes
     cands = ogrid.candidates
-    if M == 1:
-        choice_idx = np.zeros((1, 0), dtype=int)
-    else:
-        choice_idx = np.array(
-            list(itertools.combinations_with_replacement(range(cands.size), M - 1)), dtype=int
-        )
+    # at M = 1 the one choice is the empty tuple, a (1, 0) array
+    choice_idx = np.array(
+        list(itertools.combinations_with_replacement(range(cands.size), M - 1)), dtype=int
+    )
     n_choices = choice_idx.shape[0]
     total = int(n_choices) ** n_rows  # Python ints: no overflow before the cap check
     if total > _MAX_ENUMERATION:

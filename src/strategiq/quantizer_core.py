@@ -108,6 +108,8 @@ def _check_lam(lam: float) -> None:
     """The privacy weight's domain, shared by every function that takes lam."""
     if not lam >= 0:
         raise ValueError("lam must be nonnegative")
+    if lam == math.inf:
+        raise ValueError("lam must be finite")
 
 
 # _moment_pass's constants: the mu_c column, sigma_c, the -inf/+inf columns, w,

@@ -109,34 +109,34 @@ class TestConfig:
     def test_subcommand_defaults_are_sweep_config_defaults(self):
         cfg = SweepConfig()
         opts = OptimOptions()
-        assert (cfg.eps, cfg.max_iters, cfg.n_restarts, cfg.seed) == (
-            opts.eps, opts.max_iters, opts.n_restarts, opts.seed)
+        assert (cfg.max_iters, cfg.n_restarts, cfg.seed) == (
+            opts.max_iters, opts.n_restarts, opts.seed)
         parser = _build_parser()
         design = parser.parse_args(["design", "--m", "2", "--lambda", "1", "--out", "x"])
         linear = parser.parse_args(["linear", "--lambda", "1"])
         for name in ("sigma_x", "r", "rho", "theta_nodes", "theta_scheme",
-                     "seed", "eps", "max_iters", "n_restarts"):
+                     "seed", "max_iters", "n_restarts"):
             assert getattr(design, name) == getattr(cfg, name), name
         for name in ("sigma_x", "r", "rho"):
             assert getattr(linear, name) == getattr(cfg, name), name
 
     def test_lambda_log_range(self):
-        lams = resolve_lambdas({"start": 0.01, "stop": 100.0, "points": 5}, 1e7)
+        lams = resolve_lambdas({"start": 0.01, "stop": 100.0, "points": 5})
         assert len(lams) == 5
         assert lams[0] == pytest.approx(0.01)
         assert lams[-1] == pytest.approx(100.0)
         # integral numbers and the command line's numeric strings give the same range
-        assert resolve_lambdas({"start": "0.01", "stop": "1e2", "points": "5"}, 1e7) == lams
-        assert resolve_lambdas({"start": 0.01, "stop": 100, "points": 5.0}, 1e7) == lams
+        assert resolve_lambdas({"start": "0.01", "stop": "1e2", "points": "5"}) == lams
+        assert resolve_lambdas({"start": 0.01, "stop": 100, "points": 5.0}) == lams
 
     def test_lambda_inf_capped(self):
-        assert resolve_lambdas([0.0, "inf"], 1e7) == [0.0, 1e7]
+        assert resolve_lambdas([0.0, "inf"]) == [0.0, 1e7]
 
     def test_lambda_rejects_negative_and_empty(self):
         with pytest.raises(ConfigError):
-            resolve_lambdas([-1.0], 1e7)
+            resolve_lambdas([-1.0])
         with pytest.raises(ConfigError):
-            resolve_lambdas([], 1e7)
+            resolve_lambdas([])
 
     @pytest.mark.parametrize("lambdas", [
         ["abc"],
@@ -372,6 +372,10 @@ class TestEmit:
             rows.append(SweepRow(**{"lam": None, "M": None, **values}))
         assert _emitted_csv(rows).encode() == _reference_csv(rows).encode()
 
+    def test_unknown_format_is_config_error(self):
+        with pytest.raises(ConfigError, match="format"):
+            emit([], "xml")
+
     def test_io_error_carries_path(self, tmp_path):
         with pytest.raises(OSError, match="no/such"):
             emit([], "csv", str(tmp_path / "no" / "such" / "file.csv"))
@@ -456,28 +460,47 @@ class TestCommandLine:
         assert "mystery" in capsys.readouterr().err
 
     def test_removed_workers_field_is_exit_1(self, tmp_path, capsys):
-        # rows always run serially; the old thread-pool knob is an unknown field
+        # removed knobs are unknown fields: rows always run serially, the
+        # stopping bound is the optimizer's constant and "inf" always means 1e7
         cfg_path = tmp_path / "cfg.json"
-        cfg_path.write_text(json.dumps({"mode": "linear", "workers": 2}))
+        for field, value in (("workers", 2), ("eps", 1e-9), ("lambda_max", 1e7)):
+            cfg_path.write_text(json.dumps({"mode": "linear", field: value}))
+            assert main(["sweep", "--config", str(cfg_path)]) == 1
+            assert field in capsys.readouterr().err
+
+    @pytest.mark.parametrize("config", [
+        [{"mode": "linear"}],
+        {"mode": "linear", "lambdas": {"start": 1, "stop": 10, "points": 2, "base": 2}},
+        {"mode": "linear", "lambdas": {"start": 1, "stop": 10}},
+        {"mode": "sweep", "m_values": []},
+    ], ids=json.dumps)
+    def test_bad_config_file_is_config_error(self, config, tmp_path, capsys):
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps(config))
         assert main(["sweep", "--config", str(cfg_path)]) == 1
-        assert "workers" in capsys.readouterr().err
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert len(err.splitlines()) == 1 and err.startswith("config error: ")
 
     @pytest.mark.parametrize("argv", [
-        ["sweep", "--eps", "-1"],
-        ["sweep", "--eps", "inf"],
         ["sweep", "--max-iters", "0"],
         ["sweep", "--n-restarts", "0"],
+        ["sweep", "--theta-nodes", "0"],
+        ["sweep", "--m", "-1"],
+        ["sweep", "--m", "2,x"],
+        ["sweep", "--mc-samples", "0"],
         ["sweep", "--lambdas", "nan"],
         ["sweep", "--lambdas=-inf"],
         ["sweep", "--lambdas", "abc"],
         ["sweep", "--lambdas", "log:a:1:2"],
+        ["sweep", "--lambdas", "log:1:2"],
+        ["sweep", "--config", "no-such-dir/cfg.json"],
         ["sweep", "--sigma-x", "-1"],
         ["sweep", "--rho", "nan"],
         # numpy's generators take no negative seed
         ["sweep", "--seed", "-1"],
         # quantizer rows need a spread of X given theta
         ["sweep", "--rho", "-1"],
-        ["design", "--lambda", "1", "--eps", "-1"],
         ["design", "--lambda", "nan"],
         ["design", "--lambda", "1", "--rho", "2"],
         ["design", "--lambda", "1", "--seed", "-1"],
@@ -492,6 +515,10 @@ class TestCommandLine:
         ["design", "--lambda", "1", "--m", "x"],
         ["linear"],
         ["sweep", "--bogus", "1"],
+        # the stopping bound is a constant, so --eps is an unknown flag
+        ["sweep", "--eps", "-1"],
+        ["sweep", "--eps", "inf"],
+        ["design", "--lambda", "1", "--eps", "-1"],
         ["frobnicate"],
     ], ids=" ".join)
     def test_bad_input_is_config_error(self, argv, tmp_path, capsys):

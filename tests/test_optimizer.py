@@ -555,8 +555,6 @@ class TestDesign:
 
     def test_options_validated(self):
         with pytest.raises(ValueError):
-            OptimOptions(eps=-1.0)
-        with pytest.raises(ValueError):
             OptimOptions(n_restarts=0)
         # numpy's generators take no negative seed
         with pytest.raises(ValueError, match="^seed must be >= 0"):
@@ -565,7 +563,6 @@ class TestDesign:
     @pytest.mark.parametrize("field, value", [
         ("max_iters", 2.5), ("n_restarts", 2.5), ("seed", 1.5), ("seed", math.inf),
         ("max_iters", True), ("n_restarts", True), ("seed", True), ("seed", "3"),
-        ("eps", True),
     ])
     def test_options_reject_non_integers_and_bools(self, field, value):
         # n_restarts=2.5 and seed=1.5 used to fail late, inside the descent, and
@@ -578,21 +575,23 @@ class TestDesign:
         assert (opts.max_iters, opts.n_restarts, opts.seed) == (30, 2, 7)
         assert all(type(v) is int for v in (opts.max_iters, opts.n_restarts, opts.seed))
 
-    def test_never_above_init_and_stop_reason_consistent(self, unit_source, rng):
+    def test_never_above_init_and_stop_reason_consistent(self, unit_source, rng, monkeypatch):
         grid = make_theta_grid(unit_source, 5, "gauss-hermite")
         reasons = set()
         terms = _grid_terms(unit_source, grid, grid.n_nodes)
-        # eps = 1e-300 is out of reach at lam = 0, so that run ends when f stops
-        # resolving progress; at lam = 1 the bound is the gradient's rounding,
+        # a stopping bound of _EPS = 1e-300 (the optimizer's is 1e-9) is out
+        # of reach at lam = 0, so that run ends when f stops resolving
+        # progress; at lam = 1 the bound is the gradient's rounding,
         # 4 eps lam E_grid[theta^2] = 4.4e-16, which the run may reach
         cases = ((2, 0.0, 20_000, 1e-9), (3, 1.0, 20_000, 1e-9), (4, 5.0, 3, 1e-9),
                  (4, 1e5, 20_000, 1e-9), (4, 1e7, 20_000, 1e-9), (3, 1.0, 20_000, 1e-300),
                  (3, 0.0, 20_000, 1e-300))
         for M, lam, max_iters, eps in cases:
+            monkeypatch.setattr(optimizer, "_EPS", eps)
             inits = [random_monotone_quantizer(unit_source, grid, M, rng),
                      lloyd_max_quantizer(unit_source, M, grid)]
             for init in inits:
-                opts = OptimOptions(eps=eps, max_iters=max_iters)
+                opts = OptimOptions(max_iters=max_iters)
                 res = design(unit_source, grid, M, lam, opts, init=init)
                 init_rep = evaluate(init, unit_source, grid, lam)[1]
                 # f = d_e + lam E[theta^2] is what the descent lowers; d_e's
@@ -612,9 +611,10 @@ class TestDesign:
                 assert res.stop_reason in STOP_REASONS
                 assert res.converged == (res.stop_reason == "tolerance")
                 assert 0.0 <= res.kkt_residual < math.inf
-                # the stopping bound: eps relative to f, or the gradient's
+                # the stopping bound: _EPS relative to f, or the gradient's
                 # rounding at lam where that is larger
-                bound = max(opts.eps * max(1.0, f), 4 * np.finfo(float).eps * lam * terms.wt2.sum())
+                bound = max(optimizer._EPS * max(1.0, f),
+                            4 * np.finfo(float).eps * lam * terms.wt2.sum())
                 if res.converged:
                     assert res.kkt_residual <= bound
                 else:

@@ -284,10 +284,17 @@ _LAM_ENTRY_POINTS = {
 }
 
 
-@pytest.mark.parametrize("lam", [math.nan, -1.0])
+@pytest.mark.parametrize("lam, message", [
+    (math.nan, "nonnegative"),
+    (-1.0, "nonnegative"),
+    # at +inf design and multistart would fail in eigh and the others return d_e = -inf
+    (math.inf, "finite"),
+], ids=["nan", "-1.0", "inf"])
 @pytest.mark.parametrize("entry", list(_LAM_ENTRY_POINTS))
-def test_every_lam_entry_point_rejects_a_lam_outside_the_domain(unit_source, grid3, entry, lam):
-    with pytest.raises(ValueError, match="^lam must be nonnegative$"):
+def test_every_lam_entry_point_rejects_a_lam_outside_the_domain(
+    unit_source, grid3, entry, lam, message
+):
+    with pytest.raises(ValueError, match=f"^lam must be {message}$"):
         _LAM_ENTRY_POINTS[entry](unit_source, grid3, lam)
 
 
