@@ -17,27 +17,27 @@ boundary takes the followers' dependence into account:
 The descent minimizes f = d_e + lam * E_grid[theta^2], written as a constant
 minus one term per cell so that no lam-sized total is cancelled.  It works on
 each row's first interior boundary plus increments d >= 0, so the monotone
-cone is a box and a skipped message is d = 0.  Each step minimizes the
-quadratic model with the exact Hessian inside a Euclidean trust region, on
-the variables off their bound (Lin & More, 1999; the step is More &
-Sorensen's, 1983); a variable at its bound that the step would push out is
-held there.  One eigendecomposition of the Hessian on the free variables
-gives every step from that point: the interior step, the step on the
-region's boundary (a scalar equation in the shift sigma of the eigenvalues),
-the hard case, and (H + sigma I)^-1 for the correction below.  A step is
-accepted when f falls below every earlier f (or, once the model promises
-less than f's rounding, when it stays within that rounding of them and
-shrinks the projected gradient); the radius shrinks when the model
-predicted poorly and grows, up to sigma_c, when the model was
-good and the step reached it.  At lam > 0 a poorly predicted step also gets
-a second-order correction (Fletcher's), which moves theta_hat back to where
-the linear model put it, and the better of the two points is kept.  A trial
-point costs one moment pass, the one evaluate uses: Phi and phi at its
-boundaries, evaluated once, give both responses, f, the gradient and the
-Hessian.  The landscape is nonconvex; multistart adds a fully-revealing
-Lloyd-Max start to seeded random starts and keeps the lowest f.  A descent
-stops by tolerance at a projected gradient of 1e-9 * max(1, f), or of the
-gradient's rounding at lam where that is larger (Conn, Gould & Toint, 2000).
+cone is a box and a skipped message is d = 0.  Each step minimizes a quadratic
+model inside a Euclidean trust region, on the variables off their bound
+(Lin & More, 1999; the step is More & Sorensen's, 1983); a variable at its
+bound that the step would push out is held there.  The model's Hessian leaves
+out the density slope's term, zero at a stationary point (_hessian).  One
+eigendecomposition of it on the free variables gives every step from that
+point: the interior step, the step on the region's boundary (a scalar equation
+in the shift sigma of the eigenvalues), the hard case, and (H + sigma I)^-1
+for the correction below.  A step is accepted when f falls below every earlier
+f (or, once the model promises less than f's rounding, when it stays within
+that rounding of them and shrinks the projected gradient); the radius shrinks
+when the model predicted poorly and grows, up to sigma_c, when the model was
+good and the step reached it.  At lam > 0 a poorly predicted step also gets a
+second-order correction (Fletcher's), which moves theta_hat back to where the
+linear model put it, and the better of the two points is kept.  A trial point
+costs one moment pass, the one evaluate uses: Phi and phi at its boundaries,
+evaluated once, give both responses, f, the gradient and the model Hessian.
+The landscape is nonconvex; multistart adds a fully-revealing Lloyd-Max start
+to seeded random starts and keeps the lowest f.  A descent stops by tolerance
+at a projected gradient of 1e-9 * max(1, f), or of the gradient's rounding at
+lam where that is larger (Conn, Gould & Toint, 2000).
 
 Every start is a quantizer and its rungs, the weights at which design runs
 in turn, each from the quantizer the previous rung reached; one loop
@@ -285,32 +285,31 @@ def _kkt_residual(x: np.ndarray, g: np.ndarray, lower: np.ndarray) -> float:
     return float(np.abs(x - np.maximum(x - g, lower)).max(initial=0.0))
 
 
-def _hessian(
-    b: np.ndarray, grid: ThetaGrid, lam: float, terms: tuple, trial: tuple, grad: np.ndarray
-) -> tuple[np.ndarray, np.ndarray]:
-    """Exact Hessian of d_e in the increments of the interior boundaries b, and its rows.
+def _hessian(b: np.ndarray, grid: ThetaGrid, lam: float,
+             trial: tuple) -> tuple[np.ndarray, np.ndarray]:
+    """Model Hessian of d_e in the increments of the interior boundaries b, and its rows.
 
-    trial is _moment_pass's output at b and grad the analytic gradient there.
-    Per cell, Phi = N ((y + theta_hat)^2 - (1 + lam) theta_hat^2), so in the
-    boundaries H = diag(D) - sum_m (2/N_m) (a_m a_m^T - (1 + lam) t_m t_m^T)
-    with a_m = N_m grad(y_m + theta_hat_m) and t_m = N_m grad(theta_hat_m):
-    the Jacobian of the pooled (A, T, N) against the Hessian of Phi in them.
-    Boundary c is the upper edge of cell c and the lower edge of cell c + 1;
-    it enters their rows as +-w f (b + theta - y - theta_hat) and
-    +-w f (theta - theta_hat).  D is the second derivative of each boundary's
-    own term, through the density slope f' = -(b - mu) f / sigma_c^2.  A
-    cell below MASS_FLOOR contributes no rows.  In the increments, with L
-    the per-row cumulative sum, the Hessian is L^T H L: the rows become
-    a L and t L, and diag(D) a block per row.  Returns L^T H L, shape (P, P)
-    with P = b.size, and the rows, shape (2, M, n_rows, M-1): a L, then t L.
+    trial is _moment_pass's output at b.  Per cell, with N its mass,
+    Phi = N ((y + theta_hat)^2 - (1 + lam) theta_hat^2), and in the boundaries
+    H = diag(D) - sum_m (2/N_m) (a_m a_m^T - (1 + lam) t_m t_m^T) with
+    a_m = N_m grad(y_m + theta_hat_m) and t_m = N_m grad(theta_hat_m): the
+    Jacobian of the pooled (A, T, N) against the Hessian of Phi in them.
+    Boundary c, the upper edge of cell c and the lower edge of cell c + 1,
+    enters their rows as +-w f (b + theta - y - theta_hat) and
+    +-w f (theta - theta_hat).  D is each boundary's own second derivative at
+    a fixed density f; the exact one adds -(b - mu) / sigma_c^2 times the
+    boundary's gradient, from f's slope, which is zero at a stationary point
+    (Dennis & More, 1977) and would cut Newton steps in Gaussian tails short.  A
+    cell below MASS_FLOOR contributes no rows.  In the increments, with L the
+    per-row cumulative sum, the Hessian is L^T H L: the rows become a L and
+    t L, and diag(D) a block per row.  Returns L^T H L, shape (P, P) with
+    P = b.size, and the rows, shape (2, M, n_rows, M-1): a L, then t L.
     """
-    mu, sigma = terms.mu, terms.sigma
     sums, y, theta_hat, _, density, _ = trial
     n_rows, k = b.shape
     theta = grid.nodes[:, None]
     wf = grid.weights[:, None] * density
-    diag = -(b - mu) / (sigma * sigma) * grad
-    diag += 2.0 * wf * ((y[1:] - y[:-1]) + (theta_hat[1:] - theta_hat[:-1]))
+    diag = 2.0 * wf * ((y[1:] - y[:-1]) + (theta_hat[1:] - theta_hat[:-1]))
 
     t_lo, t_hi = wf * (theta - theta_hat[:-1]), wf * (theta - theta_hat[1:])
     rows = np.zeros((2, k + 1, n_rows, k))
@@ -445,21 +444,22 @@ def design(
 ) -> DesignResult:
     """Single projected trust-region Newton run from init (or a seeded random start).
 
-    The objective f = d_e + lam * E[theta^2] stays O(1) at every lam, is
-    formed without cancellation, and is the result's f at its end.  A step is
-    accepted when it lowers f below every f accepted before.  Once the model
-    promises a decrease below f's rounding, which no evaluation can confirm,
-    a step is accepted when it shrinks the projected gradient and leaves f
-    within that rounding of the lowest f so far; so no accepted f is above an
-    earlier one, init's included, by more than f's rounding.  Once the
-    inf-norm of the projected gradient is at most tol = max(1e-9 * max(1, f),
-    4 eps_mach lam E_grid[theta^2]), the latter the gradient's rounding,
-    the descent stops when the model promises a decrease of at most
-    1e-3 * tol (or below f's rounding).  stop_reason is "tolerance" for every
-    stop with the gradient at most tol; otherwise it is "stalled" when the
-    trust region has shrunk until the model promises no decrease f could
-    resolve, and "max_iters" after opts.max_iters accepted steps.  converged
-    is True only for "tolerance".
+    The objective f = d_e + lam * E[theta^2] stays O(1) at every lam, is formed
+    without cancellation, and is the result's f at its end.  Steps minimize
+    _hessian's model, which drops the density slope's term, zero with the
+    gradient; f and its exact gradient judge them.  A step is accepted when it
+    lowers f below every f accepted before.  Once the model promises a decrease
+    below f's rounding, which no evaluation can confirm, a step is accepted when
+    it shrinks the projected gradient and leaves f within that rounding of the
+    lowest f so far; so no accepted f is above an earlier one, init's included,
+    by more than f's rounding.  Once the inf-norm of the projected gradient is
+    at most tol = max(1e-9 * max(1, f), 4 eps_mach lam E_grid[theta^2]), the
+    latter the gradient's rounding, the descent stops when the model promises a
+    decrease of at most 1e-3 * tol (or below f's rounding).  stop_reason is
+    "tolerance" for every stop with the gradient at most tol; otherwise it is
+    "stalled" when the trust region has shrunk until the model promises no
+    decrease f could resolve, and "max_iters" after opts.max_iters accepted
+    steps.  converged is True only for "tolerance".
     """
     if M < 1:
         raise ValueError("M must be >= 1")
@@ -479,8 +479,8 @@ def design(
     lower = np.zeros_like(x)
     lower[:, :1] = -np.inf
     f = state.f
-    grad = _analytic_gradient(b, grid, lam, state.y, state.theta_hat, state.density)
-    g = _increment_gradient(grad).ravel()
+    g = _increment_gradient(
+        _analytic_gradient(b, grid, lam, state.y, state.theta_hat, state.density)).ravel()
     # sigma_c, the scale of a boundary move, is also the largest radius: the
     # model of a row of small weight can call for moves of many sigma_c
     # that f, dominated by the other rows, would accept blindly
@@ -503,16 +503,16 @@ def design(
         # the projected gradient
         if not (f_try < f_low or (unseen and f_try <= f_low + rounding)):
             return None, trial
-        grad_try = _analytic_gradient(b_try, grid, lam, trial.y, trial.theta_hat, trial.density)
-        g_try = _increment_gradient(grad_try).ravel()
+        g_try = _increment_gradient(
+            _analytic_gradient(b_try, grid, lam, trial.y, trial.theta_hat, trial.density)).ravel()
         if f_try < f_low or _kkt_residual(x_try, g_try.reshape(x.shape), lower) < kkt_residual:
-            return (x_try, f_try, g_try, b_try, grad_try, trial), trial
+            return (x_try, f_try, g_try, b_try, trial), trial
         return None, trial
 
     while True:
         kkt_residual = _kkt_residual(x, g.reshape(x.shape), lower)
         if H is None:
-            H, rows = _hessian(b, grid, lam, terms, state, grad)
+            H, rows = _hessian(b, grid, lam, state)
             caches = {}
             # N_m times the gradient of theta_hat_m in the increments
             n_theta_jac = rows[1].reshape(M, -1)
@@ -552,7 +552,7 @@ def design(
                 delta = 0.25 * s_norm
             elif ratio > 0.75 and reached:
                 delta = min(2.0 * delta, delta_max)
-            x, f, g, b, grad, state = accepted
+            x, f, g, b, state = accepted
             f_low = min(f_low, f)
             H = None
             trajectory.append(state.dist[0])

@@ -299,7 +299,17 @@ class TestHessian:
         trial = _moment_pass(b, terms, lam)
         full = trial[0][0] >= MASS_FLOOR
         grad = _analytic_gradient(b, grid, lam, trial[1], trial[2], trial[4])
-        H, _ = _hessian(b, grid, lam, terms, trial, grad)
+        model, _ = _hessian(b, grid, lam, trial)
+        np.testing.assert_array_equal(model, model.T)
+        # the model leaves out the density slope's term of each boundary's
+        # second derivative, -(b - mu) / sigma_c^2 times its gradient; added
+        # back, as a block per row in the increments, it gives the exact Hessian
+        slope = -(b - terms.mu) / terms.sigma**2 * grad
+        n_rows, k = b.shape
+        every, within = np.arange(n_rows), np.arange(k)
+        H = model.copy()
+        H.reshape(n_rows, k, n_rows, k)[every, :, every, :] += _increment_gradient(slope)[
+            :, np.maximum.outer(within, within)]
 
         # columns whose probes change which cells are below MASS_FLOOR have no
         # derivative; nor do rows that sum a boundary next to an empty
@@ -356,7 +366,6 @@ class TestHessian:
             # (entries near the subnormal range keep only a few digits)
             floor = (1e-13 + resolution) * size[q] / h + 1e8 * np.finfo(float).tiny
             assert np.abs(H[q, cols] - fd[q, cols]).max(initial=0.0) <= 1e-6 * scale + floor, q
-        np.testing.assert_array_equal(H, H.T)
 
 
 @st.composite
@@ -538,6 +547,17 @@ class TestDesign:
         assert res.report.d_d == pytest.approx(0.3634, abs=1e-2)
         spread = float(np.ptp(res.quantizer.interior(), axis=0).max())
         assert spread < 1e-3  # rows nearly identical across theta
+
+    def test_start_through_a_near_empty_cell_meets_the_tolerance(self):
+        # on the way a cell's mass falls to about 1e-12, and its 2/N-weighted
+        # Hessian terms once stalled this descent at f = 7.996, where
+        # multistart reaches 0.27087
+        source = make_source(1.0, 1.3, -0.8)
+        grid = make_theta_grid(source, 3, "gauss-hermite")
+        init = random_monotone_quantizer(source, grid, 6, np.random.default_rng(1))
+        res = design(source, grid, 6, 1e5, init=init)
+        assert res.stop_reason == "tolerance", (res.f, res.kkt_residual)
+        assert _f(res, source, grid, 1e5) <= 0.275
 
     def test_m_one_trivial(self, unit_source, grid3):
         res = design(unit_source, grid3, 1, 2.0, OptimOptions(seed=0))
@@ -813,9 +833,10 @@ class TestCoarseToFine:
     """multistart on more than _COARSE_NODES nodes: coarse starts, then a fine polish."""
 
     # a random start wins the first case and climbs the ladder again on 17
-    # nodes; the Lloyd-Max start wins the second
+    # nodes; the Lloyd-Max start wins the other two, each on a tie with the
+    # random starts within f's rounding, which goes to it by rule
     @pytest.mark.parametrize("r, rho, lam, seed, winner", [
-        (0.5, 0.9, 1e4, 1, 0), (1.0, 0.0, 1e5, 3, 2),
+        (0.5, 0.9, 1e5, 0, 0), (0.5, 0.9, 1e4, 1, 2), (1.0, 0.0, 1e5, 3, 2),
     ])
     def test_starts_descend_coarse_and_the_winner_is_polished_fine(self, monkeypatch, r, rho,
                                                                  lam, seed, winner):
