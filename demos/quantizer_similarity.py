@@ -9,7 +9,7 @@ D -> 0 means one shared quantizer, i.e. nothing about theta in the message.
 from strategiq import OptimOptions, make_source, make_theta_grid, max_kl, multistart
 
 source = make_source(1.0, 1.0, 0.0)
-grid = make_theta_grid(source, 5, "gauss-hermite")
+grid = make_theta_grid(source, 5)
 opts = OptimOptions(seed=0, n_restarts=3, max_iters=4000)
 
 print(f"{'lambda':>10} {'M':>3} {'D (nats)':>12} {'d_theta':>10}")

@@ -14,7 +14,7 @@ import numpy as np
 from strategiq import OptimOptions, lloyd_max, make_source, make_theta_grid, max_kl, multistart
 
 source = make_source(1.0, 1.0, 0.0)
-grid = make_theta_grid(source, 9, "gauss-hermite")
+grid = make_theta_grid(source, 9)
 opts = OptimOptions(seed=0, n_restarts=4, max_iters=6000)
 M = 2
 

@@ -23,7 +23,7 @@ from strategiq import (
 )
 
 source = make_source(1.0, 1.0, 0.0)
-grid = make_theta_grid(source, 3, "gauss-hermite")
+grid = make_theta_grid(source, 3)
 rng = np.random.default_rng(0)
 lam = 1.0
 

@@ -43,11 +43,11 @@ from dataclasses import MISSING, asdict, dataclass, field, fields, replace
 import numpy as np
 
 from . import linear_equilibrium as linear
-from .gaussian_model import GRID_SCHEMES, SourceSpec, ThetaGrid, make_source, make_theta_grid
+from .gaussian_model import SourceSpec, ThetaGrid, make_source, make_theta_grid
 from .metrics import max_kl
 from .optimizer import OptimOptions, design_result_to_dict, multistart
 from .oracle import monte_carlo_distortions
-from .quantizer_core import _float_from_json, _json_float
+from .quantizer_core import _check_lam, _float_from_json, _json_float
 
 logger = logging.getLogger(__name__)
 
@@ -56,7 +56,7 @@ LINEAR_M_SENTINEL = 0
 # the lambda that "inf" in a lambda list stands for
 _LAMBDA_INF = 1e7
 # the values a SweepConfig string field may take, for its flag and its check
-_CHOICES = {"mode": MODES, "format": ("csv", "json"), "theta_scheme": GRID_SCHEMES}
+_CHOICES = {"mode": MODES, "format": ("csv", "json")}
 
 
 class ConfigError(ValueError):
@@ -74,7 +74,6 @@ class SweepConfig:
     r: float = 1.0
     rho: float = 0.0
     theta_nodes: int = 17
-    theta_scheme: str = "gauss-hermite"
     max_iters: int = OptimOptions.max_iters
     n_restarts: int = OptimOptions.n_restarts
     seed: int = OptimOptions.seed
@@ -166,9 +165,11 @@ def resolve_lambdas(spec) -> list[float]:
     values = [_LAMBDA_INF if v == math.inf else v for v in values]
     if not values:
         raise ConfigError("lambdas must be nonempty")
-    # NaN fails both comparisons, so it is rejected too
-    if not all(0 <= v < math.inf for v in values):
-        raise ConfigError("lambdas must be nonnegative and finite (inf means 1e7)")
+    try:
+        for v in values:
+            _check_lam(v)
+    except ValueError as exc:
+        raise ConfigError(f"lambdas: {exc}") from exc
     return values
 
 
@@ -283,7 +284,7 @@ def run_sweep(cfg: SweepConfig) -> list[SweepRow]:
     requested = [LINEAR_M_SENTINEL] if cfg.mode == "linear" else cfg.m_values
     m_values = sorted({int(m) for m in requested})
     needs_grid = any(m >= 1 for m in m_values)
-    grid = make_theta_grid(source, cfg.theta_nodes, cfg.theta_scheme) if needs_grid else None
+    grid = make_theta_grid(source, cfg.theta_nodes) if needs_grid else None
 
     if LINEAR_M_SENTINEL in m_values:
         # the whole linear stage in one pass: alpha*, its certificate, distortions
@@ -425,10 +426,9 @@ class _Parser(argparse.ArgumentParser):
 # "-" for "_"; --lambdas, --m and --verify are written out in _build_parser
 _FLAGS = {
     "sweep": ("mode", "seed", "out", "format", "sigma_x", "r", "rho", "theta_nodes",
-              "theta_scheme", "max_iters", "n_restarts", "mc_samples"),
+              "max_iters", "n_restarts", "mc_samples"),
     "linear": ("rho", "r", "sigma_x"),
-    "design": ("sigma_x", "r", "rho", "theta_nodes", "theta_scheme", "seed", "max_iters",
-               "n_restarts"),
+    "design": ("sigma_x", "r", "rho", "theta_nodes", "seed", "max_iters", "n_restarts"),
 }
 _PARSE = {"float": float, "int": int, "str": str}
 
@@ -526,7 +526,7 @@ def _cmd_design(args: argparse.Namespace) -> int:
                             "lambdas": [args.lam], "out": args.out})
     lam = resolve_lambdas(cfg.lambdas)[0]
     source = make_source(cfg.sigma_x, cfg.r, cfg.rho)
-    grid = make_theta_grid(source, cfg.theta_nodes, cfg.theta_scheme)
+    grid = make_theta_grid(source, cfg.theta_nodes)
     result = multistart(source, grid, args.m, lam, _optim_options(cfg, cfg.seed))
     _write(json.dumps(design_result_to_dict(result, grid), indent=2) + "\n", cfg.out, "design")
     print(

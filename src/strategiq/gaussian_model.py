@@ -23,9 +23,8 @@ alpha = (a - mu_c)/sigma_c, beta = (b - mu_c)/sigma_c:
 outermost quantizer cells need no special casing.
 
 The continuous theta marginal N(0, sigma_theta^2) is discretized by a
-ThetaGrid: either Gauss-Hermite nodes/weights (exact for polynomial moments up
-to degree 2n-1) or equispaced midpoints on [-5 sigma_theta, 5 sigma_theta]
-with cell-probability weights (tail mass folded into the edge cells).
+ThetaGrid of Gauss-Hermite nodes and weights, exact for polynomial moments up
+to degree 2n-1 (so E[theta^2] is exact from 2 nodes on).
 
 Phi and its inverse come from scipy.special, which ndtr and ndtri import in
 their body on first use, not at module level: loading it takes longer than
@@ -50,9 +49,6 @@ _SQRT2PI = math.sqrt(2.0 * math.pi)
 
 #: probability below which a quantizer cell is treated as empty
 MASS_FLOOR = 1e-12
-
-GRID_SCHEMES = ("gauss-hermite", "uniform-truncated")
-_UNIFORM_TRUNCATION_SIGMAS = 5.0
 
 
 @dataclass(frozen=True)
@@ -141,30 +137,18 @@ def make_source(sigma_x: float, r: float, rho: float) -> SourceSpec:
 
 
 def make_theta_grid(source: SourceSpec, n_nodes: int, scheme: str = "gauss-hermite") -> ThetaGrid:
-    """Discretize the theta marginal N(0, sigma_theta^2) into n_nodes atoms.
+    """Discretize the theta marginal N(0, sigma_theta^2) into n_nodes Gauss-Hermite atoms.
 
-    gauss-hermite: Hermite nodes rescaled by sqrt(2)*sigma_theta, weights
-    normalized to sum to 1.  uniform-truncated: equispaced midpoints on
-    [-5, 5] sigma_theta with cell probabilities as weights; tail mass is
-    folded into the two edge cells.
+    The Hermite nodes are rescaled by sqrt(2)*sigma_theta and the weights
+    normalized to sum to 1.  scheme must be "gauss-hermite", the only one.
     """
     if n_nodes < 1:
         raise ValueError("n_nodes must be >= 1")
-    st = source.sigma_theta
-    if scheme == "gauss-hermite":
-        x, w = np.polynomial.hermite.hermgauss(n_nodes)
-        nodes = math.sqrt(2.0) * st * x
-        weights = w / w.sum()
-    elif scheme == "uniform-truncated":
-        edges = np.linspace(-_UNIFORM_TRUNCATION_SIGMAS * st, _UNIFORM_TRUNCATION_SIGMAS * st, n_nodes + 1)
-        nodes = 0.5 * (edges[:-1] + edges[1:])
-        cdf = ndtr(edges / st)
-        weights = np.diff(cdf)
-        weights[0] += cdf[0]
-        weights[-1] += 1.0 - cdf[-1]
-        weights = weights / weights.sum()
-    else:
-        raise ValueError(f"unsupported grid scheme {scheme!r}; expected one of {GRID_SCHEMES}")
+    if scheme != "gauss-hermite":
+        raise ValueError(f"unsupported grid scheme {scheme!r}; expected 'gauss-hermite'")
+    x, w = np.polynomial.hermite.hermgauss(n_nodes)
+    nodes = math.sqrt(2.0) * source.sigma_theta * x
+    weights = w / w.sum()
     return ThetaGrid(nodes=nodes, weights=weights)
 
 

@@ -114,8 +114,7 @@ class TestConfig:
         parser = _build_parser()
         design = parser.parse_args(["design", "--m", "2", "--lambda", "1", "--out", "x"])
         linear = parser.parse_args(["linear", "--lambda", "1"])
-        for name in ("sigma_x", "r", "rho", "theta_nodes", "theta_scheme",
-                     "seed", "max_iters", "n_restarts"):
+        for name in ("sigma_x", "r", "rho", "theta_nodes", "seed", "max_iters", "n_restarts"):
             assert getattr(design, name) == getattr(cfg, name), name
         for name in ("sigma_x", "r", "rho"):
             assert getattr(linear, name) == getattr(cfg, name), name
@@ -461,9 +460,11 @@ class TestCommandLine:
 
     def test_removed_workers_field_is_exit_1(self, tmp_path, capsys):
         # removed knobs are unknown fields: rows always run serially, the
-        # stopping bound is the optimizer's constant and "inf" always means 1e7
+        # stopping bound is the optimizer's constant, "inf" always means 1e7
+        # and theta is always on the Gauss-Hermite grid
         cfg_path = tmp_path / "cfg.json"
-        for field, value in (("workers", 2), ("eps", 1e-9), ("lambda_max", 1e7)):
+        for field, value in (("workers", 2), ("eps", 1e-9), ("lambda_max", 1e7),
+                             ("theta_scheme", "gauss-hermite")):
             cfg_path.write_text(json.dumps({"mode": "linear", field: value}))
             assert main(["sweep", "--config", str(cfg_path)]) == 1
             assert field in capsys.readouterr().err
@@ -519,6 +520,8 @@ class TestCommandLine:
         ["sweep", "--eps", "-1"],
         ["sweep", "--eps", "inf"],
         ["design", "--lambda", "1", "--eps", "-1"],
+        # Gauss-Hermite is the only theta grid, so --theta-scheme is an unknown flag
+        ["sweep", "--theta-scheme", "gauss-hermite"],
         ["frobnicate"],
     ], ids=" ".join)
     def test_bad_input_is_config_error(self, argv, tmp_path, capsys):

@@ -82,8 +82,8 @@ class TestMakeSource:
 
 
 class TestMakeThetaGrid:
-    def test_single_node_uniform(self, unit_source):
-        grid = make_theta_grid(unit_source, 1, "uniform-truncated")
+    def test_single_node_gauss_hermite(self, unit_source):
+        grid = make_theta_grid(unit_source, 1)
         np.testing.assert_allclose(grid.nodes, [0.0], atol=1e-15)
         np.testing.assert_allclose(grid.weights, [1.0])
 
@@ -93,8 +93,8 @@ class TestMakeThetaGrid:
         np.testing.assert_allclose(grid.nodes, [-1.0, 1.0], atol=1e-14)
         np.testing.assert_allclose(grid.weights, [0.5, 0.5], atol=1e-14)
 
-    def test_uniform_33_sums_and_symmetry(self, unit_source):
-        grid = make_theta_grid(unit_source, 33, "uniform-truncated")
+    def test_gauss_hermite_33_sums_and_symmetry(self, unit_source):
+        grid = make_theta_grid(unit_source, 33, "gauss-hermite")
         assert abs(grid.weights.sum() - 1.0) <= 1e-12
         np.testing.assert_allclose(grid.weights, grid.weights[::-1], atol=1e-15)
         np.testing.assert_allclose(grid.nodes, -grid.nodes[::-1], atol=1e-12)
@@ -103,9 +103,14 @@ class TestMakeThetaGrid:
         grid = make_theta_grid(unit_source, 17, "gauss-hermite")
         assert abs(grid.second_moment() - 1.0) < 0.01
 
+    def test_zero_nodes_rejected(self, unit_source):
+        with pytest.raises(ValueError, match="n_nodes must be >= 1"):
+            make_theta_grid(unit_source, 0)
+
     def test_unknown_scheme_rejected(self, unit_source):
-        with pytest.raises(ValueError):
-            make_theta_grid(unit_source, 5, "chebyshev")
+        for scheme in ("chebyshev", "uniform-truncated"):
+            with pytest.raises(ValueError):
+                make_theta_grid(unit_source, 5, scheme)
 
     def test_scaled_source_grid_matches_marginal(self):
         src = make_source(2.0, 1.5, 0.3)
@@ -121,6 +126,10 @@ class TestMakeThetaGrid:
             ThetaGrid(nodes=np.array([0.0, 1.0]), weights=np.array([0.6, 0.5]))
         with pytest.raises(ValueError):
             ThetaGrid(nodes=np.array([0.0, 1.0]), weights=np.array([1.1, -0.1]))
+        with pytest.raises(ValueError, match="1-D"):
+            ThetaGrid(nodes=np.array([[0.0, 1.0]]), weights=np.array([[0.5, 0.5]]))
+        with pytest.raises(ValueError, match="at least one node"):
+            ThetaGrid(nodes=np.array([]), weights=np.array([]))
 
     def test_nan_weights_rejected(self):
         # the Monte Carlo oracle samples the weights without a check of its own
@@ -188,12 +197,12 @@ class TestPartialMoments:
 class TestConditionalDensity:
     # the conditional density the descent's gradient takes from the moment pass
     def test_standard_normal_at_zero(self, unit_source):
-        grid = make_theta_grid(unit_source, 1, "uniform-truncated")
+        grid = make_theta_grid(unit_source, 1)
         density = _density(unit_source, grid, np.array([[0.0]]))
         assert density[0, 0] == pytest.approx(0.398942, abs=1e-6)
 
     def test_far_tail(self, unit_source):
-        grid = make_theta_grid(unit_source, 1, "uniform-truncated")
+        grid = make_theta_grid(unit_source, 1)
         assert _density(unit_source, grid, np.array([[10.0]]))[0, 0] < 1e-20
 
     def test_correlated_case(self):

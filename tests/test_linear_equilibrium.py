@@ -325,6 +325,11 @@ class TestLinearDistortions:
         with pytest.raises(ValueError, match="^alpha must be finite$"):
             linear_distortions(make_source(1.0, 1.0, 0.3), alpha, 1.0)
 
+    def test_degenerate_encoder_raises(self):
+        # at rho = 1 and r = 1, Z = X + alpha * theta vanishes for alpha = -1
+        with pytest.raises(ValueError, match=r"E\[Z\^2\] must be positive"):
+            linear_distortions(make_source(1.0, 1.0, 1.0), -1.0, 1.0)
+
 
 class TestSolveEquilibrium:
     def test_coefficients_are_consistent(self, rng):

@@ -113,6 +113,11 @@ class TestMaxKl:
             assert report.d_max == expected.max()
         assert math.isinf(max_kl(cases[-1], unit_source, grid17).d_max)
 
+    def test_rows_must_match_grid(self, unit_source):
+        q = Quantizer(M=2, boundaries=np.tile([-INF, 0.0, INF], (3, 1)))
+        with pytest.raises(ValueError, match="rows must match the theta grid"):
+            max_kl(q, unit_source, make_theta_grid(unit_source, 5))
+
     def test_identical_rows(self, unit_source, grid3):
         q = Quantizer(M=2, boundaries=np.tile([-INF, 0.1, INF], (3, 1)))
         report = max_kl(q, unit_source, grid3)
@@ -143,6 +148,10 @@ class TestLloydMax:
         lm = lloyd_max(unit_source, 1)
         assert lm.distortion == pytest.approx(1.0)
         np.testing.assert_allclose(lm.levels, [0.0])
+
+    def test_zero_levels_rejected(self, unit_source):
+        with pytest.raises(ValueError, match="M must be >= 1"):
+            lloyd_max(unit_source, 0)
 
     def test_two_levels(self, unit_source):
         lm = lloyd_max(unit_source, 2)

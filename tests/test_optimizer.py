@@ -109,7 +109,7 @@ def _separated_random_quantizer(rng, n_rows, M, min_gap=0.05):
 
 class TestGradient:
     def test_symmetric_split_single_node_is_stationary(self, unit_source):
-        grid = make_theta_grid(unit_source, 1, "uniform-truncated")
+        grid = make_theta_grid(unit_source, 1)
         q = Quantizer(M=2, boundaries=np.array([[-INF, 0.0, INF]]))
         g = boundary_gradient(q, unit_source, grid, 0.0)
         np.testing.assert_allclose(g, 0.0, atol=1e-14)
@@ -184,7 +184,7 @@ class TestGradient:
 
     def test_lloyd_max_is_stationary_for_single_node(self, unit_source):
         # lam=0 with theta pinned at 0 reduces to the classical one-player design
-        grid = make_theta_grid(unit_source, 1, "uniform-truncated")
+        grid = make_theta_grid(unit_source, 1)
         for M in (2, 4, 8):
             lm = lloyd_max(unit_source, M)
             q = Quantizer(M=M, boundaries=lm.boundaries[None, :])
@@ -201,6 +201,29 @@ class TestGradient:
         q = Quantizer(M=3, boundaries=np.tile([-INF, 0.4, 0.4, INF], (3, 1)))
         g = boundary_gradient(q, unit_source, grid3, 1.0)
         np.testing.assert_array_equal(g, np.zeros_like(g))
+
+    def test_finite_differences_zero_at_coincident_boundaries(self):
+        # the referee skips a probe with no room on one side, so it follows the
+        # analytic convention there and agrees with it everywhere else
+        src = make_source(1.0, 1.0, 0.3)
+        grid = make_theta_grid(src, 3)
+        interior = np.array([[-0.8, 0.1, 0.1, 0.9], [-0.5, 0.2, 0.7, 1.2], [-0.3, 0.4, 0.4, 0.4]])
+        q = Quantizer(M=5, boundaries=np.hstack([np.full((3, 1), -INF), interior,
+                                                 np.full((3, 1), INF)]))
+        b = q.boundaries
+        coincident = (b[:, 1:-1] == b[:, :-2]) | (b[:, 1:-1] == b[:, 2:])
+        assert coincident.sum() == 5
+        for lam in (0.0, 2.0):
+            ga = boundary_gradient(q, src, grid, lam, "analytic")
+            gf = boundary_gradient(q, src, grid, lam, "finite-difference")
+            assert np.all(ga[coincident] == 0.0) and np.all(gf[coincident] == 0.0)
+            error = np.max(np.abs(ga - gf)[~coincident])
+            assert error / max(float(np.max(np.abs(gf))), 1e-10) < 1e-5
+
+    def test_unknown_mode_rejected(self, unit_source, grid3):
+        q = Quantizer(M=2, boundaries=np.tile([-INF, 0.0, INF], (3, 1)))
+        with pytest.raises(ValueError, match="unknown gradient mode 'bogus'"):
+            boundary_gradient(q, unit_source, grid3, 1.0, mode="bogus")
 
 
 class TestIncrements:
@@ -680,7 +703,7 @@ class TestMultistart:
 
     def test_lam_zero_single_node_reduces_to_lloyd_max(self, unit_source):
         # independent oracle: the classical fixed-point iteration
-        grid = make_theta_grid(unit_source, 1, "uniform-truncated")
+        grid = make_theta_grid(unit_source, 1)
         for M in (2, 4, 8):
             res = multistart(unit_source, grid, M, 0.0, OptimOptions(seed=0, n_restarts=2))
             assert abs(res.report.d_d - lloyd_max(unit_source, M).distortion) < 1e-8

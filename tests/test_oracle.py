@@ -134,6 +134,10 @@ class TestOracleGrid:
         with pytest.raises(ValueError):
             OracleGrid(candidates=np.array([0.0, 0.0, 1.0]))
 
+    def test_rejects_empty(self):
+        with pytest.raises(ValueError, match="nonempty"):
+            OracleGrid(np.array([]))
+
 
 class TestBruteForce:
     def test_single_message(self, unit_source, grid3):
@@ -144,11 +148,16 @@ class TestBruteForce:
         assert res.report.d_e == pytest.approx(expected, abs=1e-10)
 
     def test_two_level_single_node_recovers_lloyd_max(self, unit_source):
-        grid = make_theta_grid(unit_source, 1, "uniform-truncated")
+        grid = make_theta_grid(unit_source, 1)
         og = make_oracle_grid(unit_source)  # includes 0.0 exactly
         res = brute_force_design(unit_source, grid, 2, 0.0, og)
         assert res.quantizer.boundaries[0, 1] == pytest.approx(0.0, abs=1e-12)
         assert res.report.d_d == pytest.approx(0.363380, abs=1e-6)
+
+    def test_zero_messages_rejected(self, unit_source, grid3):
+        og = make_oracle_grid(unit_source, n_points=5)
+        with pytest.raises(ValueError, match="M must be >= 1"):
+            brute_force_design(unit_source, grid3, 0, 1.0, og)
 
     def test_enumeration_cap(self, unit_source, grid17):
         og = make_oracle_grid(unit_source)

@@ -180,6 +180,11 @@ class TestDistortions:
         assert rep.d_d == pytest.approx(lloyd_max(unit_source, 8).distortion, abs=1e-10)
         assert rep.d_d == pytest.approx(0.0345, abs=1e-3)
 
+    def test_rows_must_match_grid(self, unit_source):
+        q = Quantizer(M=2, boundaries=np.tile([-INF, 0.0, INF], (3, 1)))
+        with pytest.raises(ValueError, match="one row per theta node"):
+            evaluate(q, unit_source, make_theta_grid(unit_source, 5), 1.0)
+
     def test_lagrangian_identity_and_negative_lam(self, unit_source, grid17, rng):
         q = _random_quantizer(rng, 17, 3)
         br, rep = evaluate(q, unit_source, grid17, 2.5)
