@@ -10,7 +10,7 @@ from strategiq import OptimOptions, make_source, make_theta_grid, max_kl, multis
 
 source = make_source(1.0, 1.0, 0.0)
 grid = make_theta_grid(source, 5)
-opts = OptimOptions(seed=0, n_restarts=3, max_iters=4000)
+opts = OptimOptions(seed=0, max_iters=4000)
 
 print(f"{'lambda':>10} {'M':>3} {'D (nats)':>12} {'d_theta':>10}")
 for M in (2, 4):

@@ -43,7 +43,7 @@ from dataclasses import MISSING, asdict, dataclass, field, fields, replace
 import numpy as np
 
 from . import linear_equilibrium as linear
-from .gaussian_model import SourceSpec, ThetaGrid, make_source, make_theta_grid
+from .gaussian_model import MAX_THETA_NODES, SourceSpec, ThetaGrid, make_source, make_theta_grid
 from .metrics import max_kl
 from .optimizer import OptimOptions, design_result_to_dict, multistart
 from .oracle import monte_carlo_distortions
@@ -215,8 +215,8 @@ def validate_config(cfg: SweepConfig) -> list[float]:
     for name, allowed in _CHOICES.items():
         if getattr(cfg, name) not in allowed:
             raise ConfigError(f"{name} must be one of {allowed}, got {getattr(cfg, name)!r}")
-    if cfg.theta_nodes < 1:
-        raise ConfigError("theta_nodes must be >= 1")
+    if not 1 <= cfg.theta_nodes <= MAX_THETA_NODES:
+        raise ConfigError(f"theta_nodes must lie in [1, {MAX_THETA_NODES}], got {cfg.theta_nodes}")
     if not cfg.m_values:
         raise ConfigError("m_values must be nonempty")
     for m in cfg.m_values:

@@ -49,6 +49,9 @@ _SQRT2PI = math.sqrt(2.0 * math.pi)
 
 #: probability below which a quantizer cell is treated as empty
 MASS_FLOOR = 1e-12
+#: the most theta nodes make_theta_grid builds: numpy's hermgauss returns
+#: weights that overflow to 0 or NaN from 371 nodes on
+MAX_THETA_NODES = 370
 
 
 @dataclass(frozen=True)
@@ -141,9 +144,12 @@ def make_theta_grid(source: SourceSpec, n_nodes: int, scheme: str = "gauss-hermi
 
     The Hermite nodes are rescaled by sqrt(2)*sigma_theta and the weights
     normalized to sum to 1.  scheme must be "gauss-hermite", the only one.
+    n_nodes runs from 1 to MAX_THETA_NODES.
     """
     if n_nodes < 1:
         raise ValueError("n_nodes must be >= 1")
+    if n_nodes > MAX_THETA_NODES:
+        raise ValueError(f"n_nodes must be <= {MAX_THETA_NODES}, got {n_nodes}")
     if scheme != "gauss-hermite":
         raise ValueError(f"unsupported grid scheme {scheme!r}; expected 'gauss-hermite'")
     x, w = np.polynomial.hermite.hermgauss(n_nodes)

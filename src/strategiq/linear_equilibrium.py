@@ -29,8 +29,10 @@ other root.  optimal_alpha raises ArithmeticError (ValueError for E[Z^2] <= 0)
 if any part fails.
 
 The formulas live in two vectorized kernels: _terms (moments and distortions
-at an array of alpha) and _linear_stage (alpha*, its certificate, kappa, nu
-and the distortions at an array of lam, one numpy pass for a whole sweep).
+at an array of alpha) and _linear_stage (alpha*, its certificate, E[Z^2],
+kappa, nu and the distortions at an array of lam, one numpy pass for a whole
+sweep).  The M-message design starts from the stage too: its optimum is the
+Lloyd-Max quantizer of Z at alpha* (see optimizer.multistart).
 The public functions evaluate the same kernels at one point and return
 floats, so a sweep row and the scalar API agree bit for bit:
 solve_equilibrium gives the whole equilibrium at one lam from one stage
@@ -113,6 +115,7 @@ class _Stage(NamedTuple):
 
     alpha: np.ndarray
     certified: np.ndarray  # bool: alpha* passed every part of the certificate
+    v: np.ndarray  # E[Z^2] at alpha*
     kappa: np.ndarray
     nu: np.ndarray
     d_e: np.ndarray
@@ -135,7 +138,7 @@ class _Stage(NamedTuple):
 
 
 def _linear_stage(source: SourceSpec, lam) -> _Stage:
-    """alpha*, its certificate and its distortions at every nonnegative lam.
+    """alpha*, its certificate, E[Z^2] and the distortions at every nonnegative lam.
 
     Elementwise in lam, an array or a numpy scalar.
     """
@@ -173,7 +176,7 @@ def _linear_stage(source: SourceSpec, lam) -> _Stage:
         )
     certified = ~(failed[0] | failed[1] | failed[2] | failed[3] | failed[4])
     quoted = {"alpha": alpha, "disc": disc, "residual": residual, "other": other}
-    return _Stage(alpha, certified, terms.kappa, terms.nu, terms.d_e, terms.fidelity,
+    return _Stage(alpha, certified, terms.v, terms.kappa, terms.nu, terms.d_e, terms.fidelity,
                   terms.d_d, terms.d_theta, failed, quoted)
 
 

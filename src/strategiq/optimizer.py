@@ -34,46 +34,34 @@ second-order correction (Fletcher's), which moves theta_hat back to where the
 linear model put it, and the better of the two points is kept.  A trial point
 costs one moment pass, the one evaluate uses: Phi and phi at its boundaries,
 evaluated once, give both responses, f, the gradient and the model Hessian.
-The landscape is nonconvex; multistart adds a fully-revealing Lloyd-Max start
-to seeded random starts and keeps the lowest f.  A descent stops by tolerance
-at a projected gradient of 1e-9 * max(1, f), or of the gradient's rounding at
-lam where that is larger (Conn, Gould & Toint, 2000).
+A descent stops by tolerance at a projected gradient of 1e-9 * max(1, f), or
+of the gradient's rounding at lam where that is larger (Conn, Gould & Toint,
+2000).
 
-Every start is a quantizer and its rungs, the weights at which design runs
-in turn, each from the quantizer the previous rung reached; one loop
-descends them all, and the last rung is lam.  At large lam the model of f
-holds only for short steps, and a random start descended at lam directly
-takes hundreds to thousands of steps.  Above lam_c = 1e3 a random start's
-rungs are therefore the ladder 0, 10, 1e3, 1e5, ... (x100) below lam, then
-lam: continuation in the penalty weight (Fiacco & McCormick, 1968; Nocedal
-& Wright, 2006, sec. 17.1).  lam_c is where the ladder breaks even on
-uncorrelated sources; on correlated ones it pays from lam = 10 on.  The
-restart's iterations and evals count every rung, each rung may take
-max_iters accepted steps, and its f, stop reason, KKT residual and
-trajectory are the last rung's.  The Lloyd-Max start, a few steps from its
-optimum at large lam on uncorrelated sources, has lam as its one rung, as
-has every start at lam <= lam_c.
-
-A step's eigendecomposition is cubic in the number of boundaries,
-n_nodes * (M - 1), so on a grid of more than five theta nodes multistart
-descends every start on the five-node Gauss-Hermite grid instead.  The law
-of X given theta is smooth in theta, so the best coarse design, each
-boundary interpolated linearly in theta to the fine nodes, lies a few steps
-from a fine-grid optimum: the prolongation of multilevel optimization
-(Nash, 2000; Gratton, Sartenaer & Toint, 2008).  That lifted start is
-descended on the fine grid through its start's rungs, once, whatever its
-stop reason.
+The landscape is nonconvex, but the paper's continuous game has its optimum
+over every M-message encoder in closed form: the Lloyd-Max quantizer (Max,
+1960; Lloyd, 1982) of the linear stage's output Z = X + alpha* theta, with
+boundaries b_k(theta) = sqrt(v) l_k - alpha* theta, where v = E[Z^2] and l_k
+are the Lloyd-Max thresholds of N(0, 1).  Whitened, d_e is a constant minus
+a quadratic form in E[(X, theta) | m] with one positive and one nonpositive
+eigenvalue; no M-valued estimate of a standard normal has an MSE below the
+Lloyd-Max distortion, and the cells of Z, along the positive eigenvector,
+reach it.  multistart descends that quantizer at lam on the grid itself;
+on a Gauss-Hermite grid it is stationary or a few steps from the grid's
+optimum.
 """
 
 from __future__ import annotations
 
 import logging
+import math
 from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .gaussian_model import MASS_FLOOR, SourceSpec, ThetaGrid, make_theta_grid
-from .metrics import lloyd_max_quantizer
+from .gaussian_model import MASS_FLOOR, SourceSpec, ThetaGrid
+from .linear_equilibrium import _linear_stage
+from .metrics import _lloyd_max_row
 from .quantizer_core import (
     BestResponses,
     DistortionReport,
@@ -111,23 +99,17 @@ _GRADIENT_ROUNDING = 4 * float(np.finfo(float).eps)
 # of f above this fraction of it: rows of small weight meet the gradient bound
 # before they are converged
 _PROMISE = 1e-3
-# a random start at lam > _LADDER_FROM descends through the weights
-# 0, 10, 10 * _LADDER_STEP, ... below lam, then lam itself; else through lam alone
-_LADDER_FROM = 1e3
-_LADDER_STEP = 100.0
-# multistart on a grid of more nodes descends its starts on a Gauss-Hermite
-# grid of this many, and polishes the best on the fine grid
-_COARSE_NODES = 5
 
 
 @dataclass(frozen=True)
 class OptimOptions:
-    """Step cap and restart budget of the descent.
+    """Step cap, start label and seed of the descent.
 
-    max_iters caps the accepted steps of each design call; n_restarts is
-    the number of seeded random starts that multistart adds to its
-    Lloyd-Max start, and seed (>= 0, as numpy requires) seeds them.
-    max_iters, n_restarts and seed are integers, no bool.
+    max_iters caps the accepted steps of each design call.  seed (>= 0, as
+    numpy requires) seeds design's random start when it is given no init.
+    n_restarts is only a label: multistart descends one deterministic start
+    and reports n_restarts as its restart_index at M >= 2.  All three are
+    integers, no bool; max_iters and n_restarts are >= 1.
     """
 
     max_iters: int = 20_000
@@ -151,11 +133,7 @@ class DesignResult:
     stop_reason (one of STOP_REASONS), kkt_residual (the inf-norm of the
     projected gradient in the increment variables at the result) and evals
     (the objective evaluations the run spent, the start's included) are None
-    for the exhaustive oracle.  For a restart descended through several
-    rungs, iterations and evals sum every rung; f, stop_reason, converged,
-    kkt_residual and trajectory are the last rung's, the one at the target
-    lam, since earlier rungs rank a different objective.  A multistart
-    result polished on a fine grid also counts its start's coarse steps.
+    for the exhaustive oracle.
     """
 
     quantizer: Quantizer
@@ -578,66 +556,24 @@ def design(
     )
 
 
-def _rungs(lam: float) -> list[float]:
-    """The weights a random start descends through in turn at lam (see _LADDER_FROM)."""
-    if lam <= _LADDER_FROM:
-        return [lam]
-    rungs, weight = [0.0], 10.0
-    while weight < lam:
-        rungs.append(weight)
-        weight *= _LADDER_STEP
-    rungs.append(lam)
-    return rungs
+def _closed_form_start(
+    source: SourceSpec, grid: ThetaGrid, M: int, lam: float
+) -> tuple[Quantizer, float, float]:
+    """The Lloyd-Max quantizer of Z = X + alpha* theta on grid, with alpha* and sqrt(E[Z^2]).
 
-
-def _descend(
-    source: SourceSpec, grid: ThetaGrid, M: int, rungs: list, opts: OptimOptions, init: Quantizer
-) -> DesignResult:
-    """design at each weight of rungs in turn, from init, then from the previous rung's quantizer.
-
-    Every rung runs with opts, so each may take opts.max_iters accepted
-    steps.  iterations and evals sum the rungs; the rest of the result is
-    the last rung's.
+    Row j's boundaries are sqrt(v) l_k - alpha* theta_j, with alpha* and
+    v = E[Z^2] from the linear stage at lam and l_k the Lloyd-Max
+    thresholds of N(0, 1); the optimum of the continuous game at every M
+    (module docstring).  Raises the linear stage's error if alpha* fails
+    its certificate.
     """
-    iterations = evals = 0
-    for k, weight in enumerate(rungs):
-        result = design(source, grid, M, weight, opts, init=init)
-        iterations += result.iterations
-        evals += result.evals
-        logger.debug(
-            "rung %d/%d lam=%g: iters=%d evals=%d stop=%s f=%.12g",
-            k + 1, len(rungs), weight, result.iterations, result.evals, result.stop_reason,
-            result.f,
-        )
-        init = result.quantizer
-    return replace(result, iterations=iterations, evals=evals)
-
-
-def _winner(
-    source: SourceSpec, grid: ThetaGrid, M: int, lam: float, opts: OptimOptions
-) -> tuple[DesignResult, list]:
-    """multistart's winning start descended on grid, as a (result, rungs) pair."""
-    rng = np.random.default_rng(opts.seed)
-    starts = [(random_monotone_quantizer(source, grid, M, rng), _rungs(lam))
-              for _ in range(opts.n_restarts)]
-    starts.append((lloyd_max_quantizer(source, M, grid), [lam]))
-    results = [(replace(_descend(source, grid, M, rungs, opts, init), restart_index=idx), rungs)
-               for idx, (init, rungs) in enumerate(starts)]
-    *randoms, lloyd = results
-    best = min(randoms, key=lambda entry: (entry[0].f, entry[0].restart_index))
-    return lloyd if lloyd[0].f <= best[0].f + _ROUNDING * max(1.0, abs(best[0].f)) else best
-
-
-def _lift(q: Quantizer, coarse: ThetaGrid, grid: ThetaGrid) -> Quantizer:
-    """q, designed on the coarse grid, with each boundary interpolated in theta to grid's nodes.
-
-    np.interp clamps beyond the coarse end nodes, so the lifted rows are
-    convex combinations of q's rows; the running maximum undoes what
-    rounding may reverse between nearly equal boundaries.
-    """
-    lifted = np.column_stack([np.interp(grid.nodes, coarse.nodes, column)
-                              for column in q.interior().T])
-    return _with_edges(np.maximum.accumulate(lifted, axis=1))
+    stage = _linear_stage(source, np.float64(lam))
+    error = stage.error()
+    if error is not None:
+        raise error
+    alpha, scale = float(stage.alpha), math.sqrt(float(stage.v))
+    interior = scale * _lloyd_max_row(1.0, M)[1:-1] - alpha * grid.nodes[:, None]
+    return _with_edges(interior), alpha, scale
 
 
 def multistart(
@@ -647,45 +583,31 @@ def multistart(
     lam: float,
     opts: OptimOptions = OptimOptions(),
 ) -> DesignResult:
-    """Best of n_restarts seeded random starts plus one Lloyd-Max start.
+    """One design at lam on grid, from the closed-form equilibrium quantizer.
 
-    Restarts are ranked by their f = d_e + lam * E[theta^2], whose rounding
-    does not grow with lam.  A random start beats the Lloyd-Max start only
-    by more than that rounding, so a tie in the last digits goes to the
-    start that does not depend on the seed; among random starts, ties break
-    toward the lowest restart index.  Every start is a (quantizer, rungs)
-    pair run through _descend: a random start climbs _rungs(lam); the
-    Lloyd-Max start, which on uncorrelated sources is a few steps from its
-    optimum at large lam, is descended at lam directly.
-
-    At M > 1 on a grid of more than _COARSE_NODES nodes, the starts are
-    built, descended and ranked on the Gauss-Hermite grid of _COARSE_NODES
-    nodes instead, where a step's eigendecomposition is far cheaper.  The
-    best coarse result is lifted to grid (_lift) and descended there once
-    through its start's rungs, a polish a few steps long; the polish is the
-    result, whatever its stop reason.  Its restart_index is the coarse index
-    of its start, and its iterations and evals sum both levels.  On a grid
-    of at most _COARSE_NODES nodes the starts descend on grid itself.
-
-    At M = 1 there are no variables, so every start gives the same
-    quantizer: the result is one design call at lam, with restart_index 0.
+    At M >= 2 the start is _closed_form_start, the optimum of the continuous
+    game, and the result is design's from it with opts.  Its restart_index
+    is opts.n_restarts, the only effect n_restarts has, so that a sweep's
+    restart_winner column keeps the value this start had when seeded random
+    starts ran beside it.  At M = 1 there are no variables: the result is
+    design's at lam, with restart_index 0.  One DEBUG line per call gives
+    alpha*, sqrt(v), the start's f and the descent's steps, stop reason and
+    KKT residual.
     """
     _check_lam(lam)
     if M == 1:
         return replace(design(source, grid, 1, lam, opts), restart_index=0)
-    if grid.n_nodes <= _COARSE_NODES:
-        return _winner(source, grid, M, lam, opts)[0]
-    coarse = make_theta_grid(source, _COARSE_NODES)
-    start, rungs = _winner(source, coarse, M, lam, opts)
-    polish = _descend(source, grid, M, rungs, opts, _lift(start.quantizer, coarse, grid))
-    logger.debug(
-        "polish of restart %d on %d nodes: iters=%d evals=%d stop=%s f=%.12g",
-        start.restart_index, grid.n_nodes, polish.iterations, polish.evals,
-        polish.stop_reason, polish.f,
-    )
-    return replace(polish, restart_index=start.restart_index,
-                   iterations=start.iterations + polish.iterations,
-                   evals=start.evals + polish.evals)
+    init, alpha, scale = _closed_form_start(source, grid, M, lam)
+    result = design(source, grid, M, lam, opts, init=init)
+    if logger.isEnabledFor(logging.DEBUG):
+        start = _moment_pass(init.interior(), _grid_terms(source, grid, grid.n_nodes), lam)
+        logger.debug(
+            "multistart M=%d lam=%g: alpha*=%.12g sqrt(v)=%.12g start f=%.12g -> iters=%d "
+            "stop=%s kkt_residual=%.3g f=%.12g",
+            M, lam, alpha, scale, start.f, result.iterations, result.stop_reason,
+            result.kkt_residual, result.f,
+        )
+    return replace(result, restart_index=opts.n_restarts)
 
 
 def design_result_to_dict(result: DesignResult, grid: ThetaGrid) -> dict:

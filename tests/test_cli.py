@@ -487,6 +487,9 @@ class TestCommandLine:
         ["sweep", "--max-iters", "0"],
         ["sweep", "--n-restarts", "0"],
         ["sweep", "--theta-nodes", "0"],
+        # numpy's Gauss-Hermite weights overflow from 371 nodes on
+        ["sweep", "--theta-nodes", "400"],
+        ["design", "--lambda", "1", "--theta-nodes", "371"],
         ["sweep", "--m", "-1"],
         ["sweep", "--m", "2,x"],
         ["sweep", "--mc-samples", "0"],

@@ -107,6 +107,15 @@ class TestMakeThetaGrid:
         with pytest.raises(ValueError, match="n_nodes must be >= 1"):
             make_theta_grid(unit_source, 0)
 
+    def test_node_count_limit(self, unit_source):
+        # numpy's hermgauss returns weights that overflow to 0 or NaN from 371
+        # nodes on; the limit is named instead of an unrelated weight error
+        grid = make_theta_grid(unit_source, 370)
+        assert np.all(np.isfinite(grid.weights)) and abs(grid.weights.sum() - 1.0) <= 1e-12
+        for n in (371, 400):
+            with pytest.raises(ValueError, match="^n_nodes must be <= 370, got "):
+                make_theta_grid(unit_source, n)
+
     def test_unknown_scheme_rejected(self, unit_source):
         for scheme in ("chebyshev", "uniform-truncated"):
             with pytest.raises(ValueError):

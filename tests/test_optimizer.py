@@ -1,9 +1,9 @@
 """Gradient and Hessian correctness, the objective, the increments, and the descent loop."""
 
+import functools
 import json
 import logging
 import math
-from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -25,21 +25,18 @@ from strategiq import (
     max_kl,
     multistart,
     random_monotone_quantizer,
+    solve_equilibrium,
 )
 from strategiq import optimizer
 from strategiq.optimizer import (
-    _COARSE_NODES,
-    _LADDER_FROM,
     _RESOLUTION,
     _SECULAR_RTOL,
     STOP_REASONS,
     _analytic_gradient,
     _bounded_step,
-    _descend,
+    _closed_form_start,
     _hessian,
     _increment_gradient,
-    _lift,
-    _rungs,
     _to_boundaries,
     _to_increments,
     _with_edges,
@@ -498,8 +495,6 @@ class TestObjective:
         init = random_monotone_quantizer(unit_source, grid, 4, np.random.default_rng(3))
         direct = design(unit_source, grid, 4, 2.0, init=init)
         assert direct.f == _f(direct, unit_source, grid, 2.0)
-        laddered = _descend(unit_source, grid, 4, _rungs(1e5), OptimOptions(), init)
-        assert laddered.f == _f(laddered, unit_source, grid, 1e5)
         for lam in (2.0, 1e7):
             res = multistart(unit_source, grid, 3, lam, OptimOptions(seed=1, n_restarts=2))
             assert res.f == _f(res, unit_source, grid, lam)
@@ -537,7 +532,8 @@ class TestStopping:
         assert res.stop_reason == "tolerance" and res.kkt_residual <= 1e-9
 
     def test_seed_one_picks_lloyd_max(self, unit_source, grid17):
-        # every restart lands on the same quantizer, to the last digits of f
+        # the one deterministic start keeps the index it had after the
+        # n_restarts random starts that multistart once ran, whatever the seed
         res = multistart(unit_source, grid17, 2, 1e7, OptimOptions(seed=1))
         assert res.restart_index == OptimOptions().n_restarts
 
@@ -689,6 +685,20 @@ class TestDesign:
         assert design_result_to_dict(res, grid)["evals"] == res.evals
 
 
+def _recording_design(monkeypatch):
+    """Patch optimizer.design to record (lam, opts, result) of every call."""
+    calls = []
+    real_design = optimizer.design
+
+    def recording(source, grid, M, lam, opts, init=None):
+        result = real_design(source, grid, M, lam, opts, init=init)
+        calls.append((lam, opts, result))
+        return result
+
+    monkeypatch.setattr(optimizer, "design", recording)
+    return calls
+
+
 class TestMultistart:
     def test_deterministic(self, unit_source, grid3):
         a = multistart(unit_source, grid3, 2, 1.0, OptimOptions(seed=3, n_restarts=2, max_iters=400))
@@ -719,11 +729,11 @@ class TestMultistart:
         assert max(values) - min(values) < 0.01, values
 
     def test_nan_lam_raises_before_any_descent(self, unit_source, grid3, monkeypatch):
-        # _rungs(nan) is [0.0, nan]: unchecked, a whole lam=0 descent ran first
+        # a lam=nan once reached a whole lam=0 descent before any check
         def no_descent(*args, **kwargs):
             raise AssertionError("multistart descended at lam=nan")
 
-        monkeypatch.setattr(optimizer, "_descend", no_descent)
+        monkeypatch.setattr(optimizer, "design", no_descent)
         with pytest.raises(ValueError, match="^lam must be nonnegative$"):
             multistart(unit_source, grid3, 2, math.nan, OptimOptions(n_restarts=2))
 
@@ -732,102 +742,10 @@ class TestMultistart:
         g = boundary_gradient(res.quantizer, unit_source, grid3, 0.5)
         print(f"projected gradient norm at convergence: {float(np.linalg.norm(g)):.3g}")
 
-
-def _recording_design(monkeypatch):
-    """Patch optimizer.design to record (lam, opts, result) of every call."""
-    calls = []
-    real_design = optimizer.design
-
-    def recording(source, grid, M, lam, opts, init=None):
-        result = real_design(source, grid, M, lam, opts, init=init)
-        calls.append((lam, opts, result))
-        return result
-
-    monkeypatch.setattr(optimizer, "design", recording)
-    return calls
-
-
-class TestLadder:
-    @pytest.mark.parametrize("lam", [0.0, 2.0, _LADDER_FROM])
-    def test_rows_at_or_below_the_threshold_descend_directly(self, unit_source, monkeypatch, lam):
-        grid = make_theta_grid(unit_source, 5, "gauss-hermite")
-        opts = OptimOptions(seed=4, n_restarts=3)
-        rng = np.random.default_rng(opts.seed)
-        inits = [random_monotone_quantizer(unit_source, grid, 3, rng) for _ in range(3)]
-        inits.append(lloyd_max_quantizer(unit_source, 3, grid))
-        direct = [design(unit_source, grid, 3, lam, opts, init=init) for init in inits]
-        # the lowest f among the random starts, and the Lloyd-Max start on a tie
-        f = [_f(res, unit_source, grid, lam) for res in direct]
-        best = min(range(3), key=lambda idx: (f[idx], idx))
-        if f[3] <= f[best] + 16 * np.finfo(float).eps * max(1.0, abs(f[best])):
-            best = 3
-        calls = _recording_design(monkeypatch)
-        res = multistart(unit_source, grid, 3, lam, opts)
-        assert _rungs(lam) == [lam]
-        assert [call[0] for call in calls] == [lam] * 4
-        np.testing.assert_array_equal(res.quantizer.boundaries, direct[best].quantizer.boundaries)
-        assert res.report == direct[best].report
-        assert (res.iterations, res.evals, res.restart_index) == (
-            direct[best].iterations, direct[best].evals, best)
-
-    def test_random_starts_climb_the_ladder(self, unit_source, monkeypatch):
-        grid = make_theta_grid(unit_source, 5, "gauss-hermite")
-        calls = _recording_design(monkeypatch)
-        multistart(unit_source, grid, 3, 1e7, OptimOptions(seed=2, n_restarts=2))
-        ladder = [0.0, 10.0, 1e3, 1e5, 1e7]
-        assert _rungs(1e7) == ladder
-        # the Lloyd-Max start is descended at the target directly
-        assert [call[0] for call in calls] == ladder + ladder + [1e7]
-        calls.clear()
-        multistart(unit_source, grid, 3, 2e3, OptimOptions(seed=2, n_restarts=1))
-        assert _rungs(2e3) == [0.0, 10.0, 1e3, 2e3]
-        assert [call[0] for call in calls] == [0.0, 10.0, 1e3, 2e3, 2e3]
-
-    def test_rungs_sum_into_the_restart(self, unit_source, monkeypatch, caplog):
-        grid = make_theta_grid(unit_source, 5, "gauss-hermite")
-        init = random_monotone_quantizer(unit_source, grid, 4, np.random.default_rng(3))
-        calls = _recording_design(monkeypatch)
-        caplog.set_level(logging.DEBUG, logger="strategiq.optimizer")
-        res = _descend(unit_source, grid, 4, _rungs(1e5), OptimOptions(), init)
-        rungs = [call[2] for call in calls]
-        assert [call[0] for call in calls] == [0.0, 10.0, 1e3, 1e5]
-        assert res.iterations == sum(rung.iterations for rung in rungs)
-        assert res.evals == sum(rung.evals for rung in rungs)
-        last = rungs[-1]
-        assert (res.stop_reason, res.converged, res.kkt_residual) == (
-            last.stop_reason, last.converged, last.kkt_residual)
-        np.testing.assert_array_equal(res.trajectory, last.trajectory)
-        np.testing.assert_array_equal(res.quantizer.boundaries, last.quantizer.boundaries)
-        # each rung starts from the quantizer the previous one reached
-        for k in range(1, len(calls)):
-            start = evaluate(rungs[k - 1].quantizer, unit_source, grid, calls[k][0])[1]
-            assert rungs[k].trajectory[0] == start.d_e
-        for k, (lam, _, rung) in enumerate(calls):
-            line = (f"rung {k + 1}/4 lam={lam:g}: iters={rung.iterations} evals={rung.evals} "
-                    f"stop={rung.stop_reason} f={_f(rung, unit_source, grid, lam):.12g}")
-            assert line in caplog.text
-
-    @pytest.mark.parametrize("max_iters", [1, 2, 7, 30])
-    def test_rungs_share_the_restart_cap(self, unit_source, monkeypatch, max_iters):
-        # every rung runs with the restart's options, so each may take max_iters steps
-        grid = make_theta_grid(unit_source, 5, "gauss-hermite")
-        init = random_monotone_quantizer(unit_source, grid, 4, np.random.default_rng(5))
-        calls = _recording_design(monkeypatch)
-        opts = OptimOptions(max_iters=max_iters)
-        res = _descend(unit_source, grid, 4, _rungs(1e7), opts, init)
-        assert [call[0] for call in calls] == _rungs(1e7)
-        for _, rung_opts, rung in calls:
-            assert rung_opts is opts and rung.iterations <= max_iters
-        assert res.iterations == sum(rung.iterations for *_, rung in calls)
-        assert res.stop_reason in ("max_iters", "tolerance")
-        if max_iters == 1:
-            # no rung is skipped: one step on each
-            assert res.iterations == len(calls)
-
     def test_correlated_source_winner_meets_the_tolerance(self):
         # descended at 1e7 directly, every random start here stalls or takes
-        # thousands of steps, and the winner stopped "stalled"; at M = 8 the
-        # polished winner stalled at a residual of 1.7e-9 against eps * max(1, f)
+        # thousands of steps; the closed-form start meets the tolerance and
+        # the targets that the best of the random starts once reached
         source = make_source(1.0, 1.3, -0.8)
         grid = make_theta_grid(source, 9, "gauss-hermite")
         for M, n_restarts, f_max in ((6, 4, 0.2708719522), (8, 2, 0.2624371888)):
@@ -851,124 +769,8 @@ class TestLadder:
             res = design(source, grid, 6, 1e7, init=init)
             assert (res.stop_reason, res.iterations) == ("tolerance", 0), res.kkt_residual
 
-
-class TestCoarseToFine:
-    """multistart on more than _COARSE_NODES nodes: coarse starts, then a fine polish."""
-
-    # a random start wins the first case and climbs the ladder again on 17
-    # nodes; the Lloyd-Max start wins the other two, each on a tie with the
-    # random starts within f's rounding, which goes to it by rule
-    @pytest.mark.parametrize("r, rho, lam, seed, winner", [
-        (0.5, 0.9, 1e5, 0, 0), (0.5, 0.9, 1e4, 1, 2), (1.0, 0.0, 1e5, 3, 2),
-    ])
-    def test_starts_descend_coarse_and_the_winner_is_polished_fine(self, monkeypatch, r, rho,
-                                                                 lam, seed, winner):
-        source = make_source(1.0, r, rho)
-        grid = make_theta_grid(source, 17, "gauss-hermite")
-        coarse = make_theta_grid(source, _COARSE_NODES, "gauss-hermite")
-        ladder = _rungs(lam)
-        calls = _recording_design(monkeypatch)
-        res = multistart(source, grid, 4, lam, OptimOptions(seed=seed, n_restarts=2))
-        n_coarse = 2 * len(ladder) + 1
-        assert [call[0] for call in calls[:n_coarse]] == ladder + ladder + [lam]
-        assert all(call[2].quantizer.n_theta == 5 for call in calls[:n_coarse])
-        polish = calls[n_coarse:]
-        assert all(call[2].quantizer.n_theta == 17 for call in polish)
-        # one polish, through the rungs of the start it lifts; restart_index
-        # is that start's index on the coarse grid
-        assert res.converged and res.restart_index == winner
-        assert [call[0] for call in polish] == (ladder if winner < 2 else [lam])
-        start = (calls[winner * len(ladder):(winner + 1) * len(ladder)] if winner < 2
-                 else calls[n_coarse - 1:n_coarse])
-        lifted = _lift(start[-1][2].quantizer, coarse, grid)
-        assert polish[0][2].trajectory[0] == evaluate(lifted, source, grid, polish[0][0])[1].d_e
-        np.testing.assert_array_equal(res.quantizer.boundaries, polish[-1][2].quantizer.boundaries)
-        assert res.iterations == sum(call[2].iterations for call in start + polish)
-        assert res.evals == sum(call[2].evals for call in start + polish)
-
-    def test_lift_interpolates_each_boundary_in_theta(self, unit_source, grid17, rng):
-        coarse = make_theta_grid(unit_source, _COARSE_NODES, "gauss-hermite")
-        interior = np.sort(rng.standard_normal((5, 6)), axis=1)
-        interior[:, 3] = interior[:, 2]  # a skipped message stays skipped
-        lifted = _lift(_with_edges(interior), coarse, grid17).interior()
-        assert lifted.shape == (17, 6)
-        assert np.all(np.diff(lifted, axis=1) >= 0.0)
-        np.testing.assert_array_equal(lifted[:, 3], lifted[:, 2])
-        for c in range(6):
-            np.testing.assert_array_equal(
-                lifted[:, c], np.interp(grid17.nodes, coarse.nodes, interior[:, c]))
-        # clamped beyond the coarse end nodes
-        assert np.all(lifted[grid17.nodes < coarse.nodes[0]] == interior[0])
-        assert np.all(lifted[grid17.nodes > coarse.nodes[-1]] == interior[-1])
-
-    def test_lift_keeps_rows_monotone_where_interpolation_rounds(self, unit_source, grid17):
-        coarse = make_theta_grid(unit_source, _COARSE_NODES, "gauss-hermite")
-        rng = np.random.default_rng(0)
-        pairs = np.sort(rng.standard_normal((5, 200)), axis=1)
-        interior = np.repeat(pairs, 2, axis=1)
-        # each pair 0, 1 or 2 ulps apart, differently at each node
-        interior[:, 1::2] += rng.integers(0, 3, pairs.shape) * np.abs(np.spacing(pairs))
-        raw = np.column_stack([np.interp(grid17.nodes, coarse.nodes, column)
-                               for column in interior.T])
-        assert np.any(np.diff(raw, axis=1) < 0.0)  # rounding reversed some pair
-        lifted = _lift(_with_edges(interior), coarse, grid17)
-        assert np.all(np.diff(lifted.interior(), axis=1) >= 0.0)
-
-    # each script lists the (stop reason, f) a fine-grid polish reports, in
-    # rank order; only the first runs: the coarse winner is polished once and
-    # that polish is the row, even when it stalls and a later one would converge
-    @pytest.mark.parametrize("script, seed", [
-        ((("stalled", 1.0), ("stalled", 0.5), ("tolerance", 0.5 + 0.5 * ROUNDING)), 2),
-        ((("stalled", 1.0), ("stalled", 0.5), ("tolerance", 0.5 + 4.0 * ROUNDING)), 1),
-        ((("max_iters", 0.7), ("tolerance", 0.3), None), 1),
-        ((("tolerance", 0.9), None, None), 0),
-        ((("stalled", 0.9), ("max_iters", 0.4), ("stalled", 0.6)), 1),
-    ])
-    def test_polishes_run_in_rank_order_until_one_converges(self, unit_source, grid17,
-                                                            monkeypatch, script, seed):
-        coarse = make_theta_grid(unit_source, _COARSE_NODES, "gauss-hermite")
-        real_descend = optimizer._descend
-        coarse_runs, polishes = [], []
-
-        def scripted(source, grid, M, rungs, opts, init):
-            if grid.n_nodes == _COARSE_NODES:
-                result = real_descend(source, grid, M, rungs, opts, init)
-                coarse_runs.append(result)
-                return result
-            stop, f = script[len(polishes)]
-            result = replace(design(source, grid, M, rungs[-1], OptimOptions(max_iters=1),
-                                    init=init),
-                             f=f, stop_reason=stop, converged=stop == "tolerance",
-                             iterations=1, evals=2)
-            polishes.append((init, opts.max_iters, result))
-            return result
-
-        monkeypatch.setattr(optimizer, "_descend", scripted)
-        opts = OptimOptions(seed=seed, n_restarts=2, max_iters=500)
-        res = multistart(unit_source, grid17, 3, 2.0, opts)
-        # the coarse winner: lowest f, ties to the lowest index, and the
-        # Lloyd-Max start when it is within f's rounding of the best
-        winner = min(range(2), key=lambda k: (coarse_runs[k].f, k))
-        f_best = coarse_runs[winner].f
-        if coarse_runs[2].f <= f_best + ROUNDING * max(1.0, f_best):
-            winner = 2
-        # one fine-grid descent, whatever its stop reason
-        assert len(coarse_runs) == 3 and len(polishes) == 1
-        (init, budget, polish), = polishes
-        start = coarse_runs[winner]
-        np.testing.assert_array_equal(init.boundaries,
-                                      _lift(start.quantizer, coarse, grid17).boundaries)
-        assert budget == opts.max_iters
-        stop, f = script[0]
-        assert (res.stop_reason, res.converged, res.f) == (stop, stop == "tolerance", f)
-        np.testing.assert_array_equal(res.quantizer.boundaries, polish.quantizer.boundaries)
-        assert res.restart_index == winner
-        assert res.iterations == start.iterations + 1
-        assert res.evals == start.evals + 2
-
     def test_m_one(self, unit_source, grid17, monkeypatch):
-        # no variables: every start gives one quantizer, so the row is one
-        # descent at lam, on the fine grid, even above the ladder threshold
+        # no variables, so no start to build: the row is one descent at lam
         calls = _recording_design(monkeypatch)
         opts = OptimOptions(seed=0, n_restarts=2)
         for lam in (2.0, 1e5):
@@ -979,27 +781,6 @@ class TestCoarseToFine:
             assert res.evals == 1
             assert res.quantizer.n_theta == 17
             assert res.report.d_d == pytest.approx(1.0, abs=1e-12)
-
-    @pytest.mark.parametrize("max_iters", [1, 2, 7, 30])
-    def test_levels_share_the_restart_cap(self, unit_source, grid17, monkeypatch, max_iters):
-        # the coarse descents and the polish each get the caller's max_iters,
-        # and at max_iters = 1 the starts still descend on the coarse grid
-        calls = _recording_design(monkeypatch)
-        opts = OptimOptions(seed=5, n_restarts=2, max_iters=max_iters)
-        res = multistart(unit_source, grid17, 4, 1e5, opts)
-        for _, call_opts, result in calls:
-            assert call_opts is opts and result.iterations <= max_iters
-        ladder = _rungs(1e5)
-        n_coarse = 2 * len(ladder) + 1
-        assert all(call[2].quantizer.n_theta == 5 for call in calls[:n_coarse])
-        polish = calls[n_coarse:]
-        assert polish and all(call[2].quantizer.n_theta == 17 for call in polish)
-        # the row's steps are its start's on the coarse grid plus the polish's
-        k = res.restart_index
-        start = (calls[k * len(ladder):(k + 1) * len(ladder)] if k < 2
-                 else calls[n_coarse - 1:n_coarse])
-        assert res.iterations == sum(call[2].iterations for call in start + polish)
-        assert res.evals == sum(call[2].evals for call in start + polish)
 
     @pytest.mark.parametrize("seed", [0, 1])
     def test_roadmap_targets_on_correlated_sources(self, seed):
@@ -1021,6 +802,112 @@ class TestCoarseToFine:
         ]
         assert all(math.isfinite(v) for v in values), values
         assert max(values) - min(values) < 0.01, values
+
+    def test_one_design_from_the_closed_form_start(self, monkeypatch):
+        source = make_source(1.0, 0.5, 0.9)
+        grid = make_theta_grid(source, 9)
+        opts = OptimOptions(seed=4, n_restarts=3, max_iters=50)
+        init = _closed_form_start(source, grid, 4, 2.0)[0]
+        direct = design(source, grid, 4, 2.0, opts, init=init)
+        calls = _recording_design(monkeypatch)
+        res = multistart(source, grid, 4, 2.0, opts)
+        # one descent, with the caller's options, from the closed-form start
+        ((lam, call_opts, result),) = calls
+        assert lam == 2.0 and call_opts is opts
+        assert result.trajectory[0] == evaluate(init, source, grid, 2.0)[1].d_e
+        np.testing.assert_array_equal(res.quantizer.boundaries, direct.quantizer.boundaries)
+        assert (res.report, res.f, res.iterations, res.evals, res.stop_reason) == (
+            direct.report, direct.f, direct.iterations, direct.evals, direct.stop_reason)
+        # n_restarts only labels the start
+        assert res.restart_index == 3
+
+    def test_correlated_row_reaches_the_closed_form(self):
+        # random starts, the lam ladder and a 5-node search ended this row at
+        # d_e = -16895.1155977, 4.5e-3 above in f, with d_kl_max = inf, while
+        # reporting converged; -16895.1377265 is the closed form
+        source = make_source(1.0, 1.3, 0.9)
+        grid = make_theta_grid(source, 17)
+        res = multistart(source, grid, 4, 1e4)
+        best = design(source, grid, 4, 1e4, init=_closed_form_start(source, grid, 4, 1e4)[0])
+        assert res.converged
+        assert res.f <= best.f + ROUNDING * max(1.0, abs(best.f))
+        assert res.report.d_e <= -16895.13772
+        assert math.isfinite(max_kl(res.quantizer, source, grid).d_max)
+
+    def test_one_debug_line_per_row(self, caplog):
+        source = make_source(1.0, 1.3, -0.8)
+        grid = make_theta_grid(source, 5)
+        caplog.set_level(logging.DEBUG, logger="strategiq.optimizer")
+        res = multistart(source, grid, 3, 2.0)
+        init, alpha, scale = _closed_form_start(source, grid, 3, 2.0)
+        start = _moment_pass(init.interior(), _grid_terms(source, grid, 5), 2.0)
+        (line,) = [r.getMessage() for r in caplog.records if r.getMessage().startswith("multistart")]
+        assert line == (f"multistart M=3 lam=2: alpha*={alpha:.12g} sqrt(v)={scale:.12g} "
+                        f"start f={start.f:.12g} -> iters={res.iterations} "
+                        f"stop={res.stop_reason} kkt_residual={res.kkt_residual:.3g} "
+                        f"f={res.f:.12g}")
+
+
+def _z_moments(source, alpha):
+    """E[Z^2], E[XZ] and E[theta Z] of Z = X + alpha theta."""
+    sx, s_t, rho = source.sigma_x, source.sigma_theta, source.rho
+    e_xz = sx * sx + alpha * rho * sx * s_t
+    e_tz = rho * sx * s_t + alpha * s_t * s_t
+    return e_xz + alpha * e_tz, e_xz, e_tz
+
+
+@functools.cache
+def _unit_lloyd_max(M):
+    return lloyd_max(make_source(1.0, 1.0, 0.0), M)
+
+
+def _closed_form_distortions(source, lam, M):
+    """(d_e, fidelity, d_d, d_theta) of the continuous game's M-message optimum.
+
+    With the linear stage's alpha*, v = E[Z^2], D_M the Lloyd-Max distortion
+    of N(0, 1), s = v (1 - D_M), a = E[XZ] / v and c = E[theta Z] / v:
+    d_e = C + (1 - D_M)(d_e^lin - C) with C = E[(X + theta)^2] - lam sigma_theta^2,
+    fidelity = E[(X + theta)^2] - (a^2 + 2ac) s, d_d = sigma_x^2 - a^2 s and
+    d_theta = sigma_theta^2 - c^2 s.
+    """
+    sx, s_t, rho = source.sigma_x, source.sigma_theta, source.rho
+    eq = solve_equilibrium(source, lam)
+    v, e_xz, e_tz = _z_moments(source, eq.alpha)
+    d_m = _unit_lloyd_max(M).distortion
+    s, a, c = v * (1.0 - d_m), e_xz / v, e_tz / v
+    e_xt2 = sx * sx + 2.0 * rho * sx * s_t + s_t * s_t
+    babbling = e_xt2 - lam * s_t * s_t
+    return (babbling + (1.0 - d_m) * (eq.report.d_e - babbling),
+            e_xt2 - (a * a + 2.0 * a * c) * s, sx * sx - a * a * s, s_t * s_t - c * c * s)
+
+
+class TestClosedFormStart:
+    def test_rows_are_the_lloyd_max_quantizer_of_z(self):
+        source = make_source(2.0, 0.5, 0.9)
+        grid = make_theta_grid(source, 9)
+        q, alpha, scale = _closed_form_start(source, grid, 4, 2.0)
+        assert alpha == solve_equilibrium(source, 2.0).alpha
+        assert scale == pytest.approx(math.sqrt(_z_moments(source, alpha)[0]), rel=1e-15)
+        # every row cuts Z = X + alpha* theta at sqrt(v) times N(0, 1)'s thresholds
+        z_cuts = q.interior() + alpha * grid.nodes[:, None]
+        expected = np.tile(scale * _unit_lloyd_max(4).boundaries[1:-1], (9, 1))
+        np.testing.assert_allclose(z_cuts, expected, rtol=0, atol=1e-14)
+
+    # the 129-node grid matches the continuous game wherever Z given theta is
+    # wide against the spread of E[Z | theta]; at rho = 0.9, r = 2 and lam = 0
+    # its own error is 2.2e-8, so rho stays within 0.85 (at most 2.2e-12 there)
+    @settings(max_examples=150, deadline=None, derandomize=True)
+    @given(sigma_x=st.floats(0.5, 2.0), r=st.floats(0.5, 2.0), rho=st.floats(-0.85, 0.85),
+           lam=st.one_of(st.just(0.0), st.floats(0.0, 1e5)), M=st.sampled_from([2, 3, 8, 16]))
+    def test_evaluates_to_the_closed_form_on_129_nodes(self, sigma_x, r, rho, lam, M):
+        source = make_source(sigma_x, r, rho)
+        grid = make_theta_grid(source, 129)
+        q = _closed_form_start(source, grid, M, lam)[0]
+        report = evaluate(q, source, grid, lam)[1]
+        got = (report.d_e, report.fidelity, report.d_d, report.d_theta)
+        for name, value, exact in zip(("d_e", "fidelity", "d_d", "d_theta"), got,
+                                      _closed_form_distortions(source, lam, M)):
+            assert abs(value - exact) <= 1e-9 * abs(exact), (name, value, exact)
 
 
 class TestSerialization:
