@@ -27,6 +27,7 @@ from strategiq import (
     random_monotone_quantizer,
     solve_equilibrium,
 )
+from strategiq import linear_equilibrium as linear_module
 from strategiq import optimizer
 from strategiq.optimizer import (
     _RESOLUTION,
@@ -846,6 +847,74 @@ class TestMultistart:
                         f"start f={start.f:.12g} -> iters={res.iterations} "
                         f"stop={res.stop_reason} kkt_residual={res.kkt_residual:.3g} "
                         f"f={res.f:.12g}")
+
+    # 1e3 was the old ladder threshold: above it, random starts climbed a lam
+    # ladder and the row was searched on 5 nodes first
+    @pytest.mark.parametrize("lam", [0.0, 2.0, 1000.0, 2000.0, 1e5, 1e7])
+    def test_every_row_descends_directly(self, unit_source, monkeypatch, lam):
+        grid = make_theta_grid(unit_source, 9)
+        opts = OptimOptions(seed=4, n_restarts=3)
+        init = _closed_form_start(unit_source, grid, 3, lam)[0]
+        direct = design(unit_source, grid, 3, lam, opts, init=init)
+        calls = _recording_design(monkeypatch)
+        res = multistart(unit_source, grid, 3, lam, opts)
+        assert [call[:2] for call in calls] == [(lam, opts)]
+        assert calls[0][2].quantizer.n_theta == 9
+        assert calls[0][2].trajectory[0] == evaluate(init, unit_source, grid, lam)[1].d_e
+        np.testing.assert_array_equal(res.quantizer.boundaries, direct.quantizer.boundaries)
+        assert (res.report, res.iterations, res.evals) == (
+            direct.report, direct.iterations, direct.evals)
+
+    @pytest.mark.parametrize("max_iters", [1, 2, 7, 30])
+    def test_the_descent_keeps_the_caller_cap(self, monkeypatch, max_iters):
+        # from the closed-form start this 5-node row takes 10 steps uncapped
+        source = make_source(1.0, 1.3, 0.9)
+        grid = make_theta_grid(source, 5)
+        full = multistart(source, grid, 8, 0.0)
+        assert (full.iterations, full.stop_reason) == (10, "tolerance")
+        calls = _recording_design(monkeypatch)
+        opts = OptimOptions(max_iters=max_iters)
+        res = multistart(source, grid, 8, 0.0, opts)
+        ((_, call_opts, result),) = calls
+        assert call_opts is opts and result.iterations <= max_iters
+        assert res.iterations == min(max_iters, full.iterations)
+        assert res.stop_reason == ("tolerance" if max_iters >= full.iterations else "max_iters")
+        if max_iters >= full.iterations:
+            np.testing.assert_array_equal(res.quantizer.boundaries, full.quantizer.boundaries)
+
+    @pytest.mark.parametrize("n_restarts", [1, 2, 7, 30])
+    def test_n_restarts_only_sets_the_label(self, n_restarts):
+        source = make_source(1.0, 0.5, 0.9)
+        grid = make_theta_grid(source, 9)
+        base = multistart(source, grid, 4, 2.0, OptimOptions(n_restarts=1))
+        res = multistart(source, grid, 4, 2.0, OptimOptions(n_restarts=n_restarts))
+        np.testing.assert_array_equal(res.quantizer.boundaries, base.quantizer.boundaries)
+        assert (res.report, res.f, res.iterations, res.evals, res.stop_reason) == (
+            base.report, base.f, base.iterations, base.evals, base.stop_reason)
+        assert res.restart_index == n_restarts
+
+    @pytest.mark.parametrize("M", [2, 8])
+    def test_the_row_is_seed_free(self, M):
+        # seed only seeds design's default random start, which multistart never uses
+        source = make_source(1.0, 1.3, -0.8)
+        grid = make_theta_grid(source, 9)
+        rows = [multistart(source, grid, M, 2.0, OptimOptions(seed=seed)) for seed in range(4)]
+        for row in rows[1:]:
+            np.testing.assert_array_equal(row.quantizer.boundaries, rows[0].quantizer.boundaries)
+            assert row.report == rows[0].report
+
+    def test_uncertified_linear_stage_raises_before_any_descent(self, unit_source, grid3,
+                                                                monkeypatch):
+        # a sign slip in the stage's square root returns the maximizing root,
+        # which fails the certificate; no descent may start from it
+        def no_descent(*args, **kwargs):
+            raise AssertionError("multistart descended from an uncertified alpha*")
+
+        monkeypatch.setattr(optimizer, "design", no_descent)
+        sqrt = np.sqrt
+        monkeypatch.setattr(linear_module.np, "sqrt", lambda x: -sqrt(x))
+        with pytest.raises(ArithmeticError):
+            multistart(make_source(1.0, 1.0, 0.3), grid3, 2, 2.0)
 
 
 def _z_moments(source, alpha):
