@@ -25,18 +25,20 @@ out the density slope's term, zero at a stationary point (_hessian).  One
 eigendecomposition of it on the free variables gives every step from that
 point: the interior step, the step on the region's boundary (a scalar equation
 in the shift sigma of the eigenvalues), the hard case, and (H + sigma I)^-1
-for the correction below.  A step is accepted when f falls below every earlier
-f (or, once the model promises less than f's rounding, when it stays within
-that rounding of them and shrinks the projected gradient); the radius shrinks
-when the model predicted poorly and grows, up to sigma_c, when the model was
-good and the step reached it.  At lam > 0 a poorly predicted step also gets a
-second-order correction (Fletcher's), which moves theta_hat back to where the
-linear model put it, and the better of the two points is kept.  A trial point
-costs one moment pass, the one evaluate uses: Phi and phi at its boundaries,
-evaluated once, give both responses, f, the gradient and the model Hessian.
-A descent stops by tolerance at a projected gradient of 1e-9 * max(1, f), or
-of the gradient's rounding at lam where that is larger (Conn, Gould & Toint,
-2000).
+for the correction below.  Only steps pay for it: the stop is certified by a
+Cholesky factor L of the same matrix, since no step on the free variables
+promises a decrease above |L^-1 g|^2 / 2.  A step is accepted when f falls
+below every earlier f (or, once the model promises less than f's rounding,
+when it stays within that rounding of them and shrinks the projected
+gradient); the radius shrinks when the model predicted poorly and grows, up
+to sigma_c, when the model was good and the step reached it.  At lam > 0 a
+poorly predicted step also gets a second-order correction (Fletcher's), which
+moves theta_hat back to where the linear model put it, and the better of the
+two points is kept.  A trial point costs one moment pass, the one evaluate
+uses: Phi and phi at its boundaries, evaluated once, give both responses, f,
+the gradient and the model Hessian.  A descent stops by tolerance at a
+projected gradient of 1e-9 * max(1, f), or of the gradient's rounding at lam
+where that is larger (Conn, Gould & Toint, 2000).
 
 The landscape is nonconvex, but the paper's continuous game has its optimum
 over every M-message encoder in closed form: the Lloyd-Max quantizer (Max,
@@ -368,6 +370,29 @@ def _shifted_solve(eig: tuple, sigma: float, rhs: np.ndarray) -> np.ndarray:
     )
 
 
+def _free_set(H: np.ndarray, g: np.ndarray, x: np.ndarray, lower: np.ndarray):
+    """Which increments are at their bound, and the free set a step from x starts from."""
+    at_bound = (x == lower).ravel()
+    return at_bound, (~at_bound | (g <= 0.0)) & (H != 0.0).any(axis=1)
+
+
+def _stop_bound(H: np.ndarray, g: np.ndarray, x: np.ndarray, lower: np.ndarray) -> float:
+    """An upper bound on the model decrease -(g.s + s.H.s/2) of any step _bounded_step takes.
+
+    Its steps and corrections move only the free set F it starts from (later
+    free sets are subsets of F).  If H_FF has a Cholesky factor L, no step on
+    F lowers the model by more than g_F.H_FF^-1 g_F / 2 = |L^-1 g_F|^2 / 2;
+    otherwise the bound is inf.
+    """
+    free = _free_set(H, g, x, lower)[1]
+    try:
+        chol = np.linalg.cholesky(H[np.ix_(free, free)])
+    except np.linalg.LinAlgError:
+        return math.inf
+    z = np.linalg.solve(chol, g[free])
+    return 0.5 * float(z @ z)
+
+
 def _bounded_step(
     H: np.ndarray, g: np.ndarray, x: np.ndarray, lower: np.ndarray, delta: float, caches: dict
 ):
@@ -383,8 +408,7 @@ def _bounded_step(
     new point by -(H + sigma I)^-1 r on the same free variables, projected
     again.
     """
-    at_bound = (x == lower).ravel()
-    free = (~at_bound | (g <= 0.0)) & (H != 0.0).any(axis=1)
+    at_bound, free = _free_set(H, g, x, lower)
     step, sigma, reached, eig = np.zeros(x.size), 0.0, False, None
     while free.any():
         key = free.tobytes()
@@ -433,7 +457,9 @@ def design(
     by more than f's rounding.  Once the inf-norm of the projected gradient is
     at most tol = max(1e-9 * max(1, f), 4 eps_mach lam E_grid[theta^2]), the
     latter the gradient's rounding, the descent stops when the model promises a
-    decrease of at most 1e-3 * tol (or below f's rounding).  stop_reason is
+    decrease of at most 1e-3 * tol (or below f's rounding); a Cholesky bound on
+    every step's promise (_stop_bound) decides this stop before any step is
+    solved, so a stationary start pays no eigendecomposition.  stop_reason is
     "tolerance" for every stop with the gradient at most tol; otherwise it is
     "stalled" when the trust region has shrunk until the model promises no
     decrease f could resolve, and "max_iters" after opts.max_iters accepted
@@ -464,7 +490,7 @@ def design(
     # that f, dominated by the other rows, would accept blindly
     delta = delta_max = terms.sigma
     gradient_rounding = _GRADIENT_ROUNDING * lam * terms.wt2.sum()
-    H = caches = None
+    H, caches, eighs = None, {}, 0
     iterations, evals = 0, 1
 
     f_low = f  # the lowest f accepted so far
@@ -489,19 +515,25 @@ def design(
 
     while True:
         kkt_residual = _kkt_residual(x, g.reshape(x.shape), lower)
+        rounding = _ROUNDING * max(1.0, abs(f_low))
+        # at M = 1 there are no variables, and the residual 0 stops at once
+        tolerance = max(_EPS * max(1.0, f), gradient_rounding)
+        promise = max(_PROMISE * tolerance, rounding)
         if H is None:
             H, rows = _hessian(b, grid, lam, state)
-            caches = {}
+            eighs, caches = eighs + len(caches), {}
             # N_m times the gradient of theta_hat_m in the increments
             n_theta_jac = rows[1].reshape(M, -1)
+            # the stop below, certified without eigh; a rejected step changes
+            # none of its inputs, so it is decided once per point
+            if kkt_residual <= tolerance and _stop_bound(H, g, x, lower) <= promise:
+                stop_reason = "tolerance"
+                break
         x_new, reached, correct = _bounded_step(H, g, x, lower, delta, caches)
         s = (x_new - x).ravel()
         predicted = -(g @ s + 0.5 * s @ (H @ s))
-        rounding = _ROUNDING * max(1.0, abs(f_low))
         unseen = predicted <= rounding
-        # at M = 1 there are no variables, and the residual 0 stops at once
-        tolerance = max(_EPS * max(1.0, f), gradient_rounding)
-        if kkt_residual <= tolerance and predicted <= max(_PROMISE * tolerance, rounding):
+        if kkt_residual <= tolerance and predicted <= promise:
             stop_reason = "tolerance"
             break
         if iterations == opts.max_iters:
@@ -545,8 +577,8 @@ def design(
         stop_reason = "tolerance"
 
     logger.debug(
-        "design M=%d lam=%g: iters=%d evals=%d stop=%s d_e=%.9g kkt_residual=%.3g",
-        M, lam, iterations, evals, stop_reason, state.dist[0], kkt_residual,
+        "design M=%d lam=%g: iters=%d evals=%d eigh=%d stop=%s d_e=%.9g kkt_residual=%.3g",
+        M, lam, iterations, evals, eighs + len(caches), stop_reason, state.dist[0], kkt_residual,
     )
     return DesignResult(
         _with_edges(b), BestResponses(state.y, state.theta_hat, state.sums[0]),

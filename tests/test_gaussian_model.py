@@ -116,6 +116,22 @@ class TestMakeThetaGrid:
             with pytest.raises(ValueError, match="^n_nodes must be <= 370, got "):
                 make_theta_grid(unit_source, n)
 
+    def test_repeated_grids_are_equal_and_own_their_arrays(self, unit_source):
+        # the Hermite rule is computed once per node count; grids copy it
+        a, b = make_theta_grid(unit_source, 17), make_theta_grid(unit_source, 17)
+        x, w = np.polynomial.hermite.hermgauss(17)
+        for grid in (a, b):
+            np.testing.assert_array_equal(grid.nodes, math.sqrt(2.0) * x)
+            np.testing.assert_array_equal(grid.weights, w / w.sum())
+        cached = gaussian_model._hermite_rule(17)
+        assert not any(c.flags.writeable for c in cached)
+        for array in (a.nodes, a.weights):
+            others = (*cached, b.nodes, b.weights)
+            assert not any(np.shares_memory(array, other) for other in others)
+        # a float count is still refused once the integer one is cached
+        with pytest.raises(TypeError):
+            make_theta_grid(unit_source, 17.0)
+
     def test_unknown_scheme_rejected(self, unit_source):
         for scheme in ("chebyshev", "uniform-truncated"):
             with pytest.raises(ValueError):

@@ -36,8 +36,10 @@ from strategiq.optimizer import (
     _analytic_gradient,
     _bounded_step,
     _closed_form_start,
+    _free_set,
     _hessian,
     _increment_gradient,
+    _stop_bound,
     _to_boundaries,
     _to_increments,
     _with_edges,
@@ -459,6 +461,111 @@ class TestTrustRegionStep:
                                            atol=1e-12 * norm)
 
 
+@st.composite
+def _boxed_subproblems(draw):
+    """A model (H, g) on the increment box, a point x, a radius delta and a correction's rhs.
+
+    x has 1..3 rows of 1..4 increments: each row's first is unbounded, each
+    later one at its bound 0 or above it.  H is symmetric, its eigenvalues
+    of magnitude over six decades, positive unless "indefinite" negates
+    some; "dead" zeroes one variable's row and column, as an empty cell does.
+    """
+    n_rows, k = draw(st.integers(1, 3), label="rows"), draw(st.integers(1, 4), label="k")
+    n = n_rows * k
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1), label="seed"))
+    lower = np.zeros((n_rows, k))
+    lower[:, :1] = -INF
+    x = rng.standard_normal((n_rows, k))
+    x[:, 1:] = np.where(rng.random((n_rows, k - 1)) < 0.5, 0.0, np.abs(x[:, 1:]))
+    basis = np.linalg.qr(rng.standard_normal((n, n)))[0]
+    eigvals = 10.0 ** rng.uniform(-3.0, 3.0, n)
+    if draw(st.booleans(), label="indefinite"):
+        eigvals[: rng.integers(1, n + 1)] *= -1.0
+    H = (basis * eigvals) @ basis.T
+    H = 0.5 * (H + H.T)
+    if n > 1 and draw(st.booleans(), label="dead"):
+        dead = rng.integers(n)
+        H[dead, :] = H[:, dead] = 0.0
+    g = rng.standard_normal(n) * 10.0 ** rng.uniform(-3.0, 3.0)
+    delta = 10.0 ** draw(st.floats(-4.0, 4.0), label="log10 delta")
+    return H, g, x, lower, delta, rng.standard_normal(n) * 1e-3 * np.linalg.norm(g)
+
+
+def _counting_eig(monkeypatch):
+    """Patch optimizer._eig to append to the returned list once per eigendecomposition."""
+    calls = []
+    real_eig = optimizer._eig
+    monkeypatch.setattr(optimizer, "_eig", lambda *args: calls.append(1) or real_eig(*args))
+    return calls
+
+
+class TestStopCertificate:
+    # the descent stops without eigh when _stop_bound, which bounds the model
+    # decrease of every step _bounded_step can take, is under the promise
+    @settings(max_examples=400, deadline=None, derandomize=True)
+    @given(case=_boxed_subproblems())
+    def test_bounds_the_step_and_its_correction(self, case):
+        H, g, x, lower, delta, r = case
+        bound = _stop_bound(H, g, x, lower)
+        free = _free_set(H, g, x, lower)[1]
+        eigvals = np.linalg.eigvalsh(H[np.ix_(free, free)])
+        scale = float(np.abs(eigvals).max(initial=1.0))
+        if eigvals.size and eigvals[0] < -1e-9 * scale:
+            # Cholesky fails on an indefinite H_FF
+            assert bound == INF
+            return
+        assume(eigvals.size == 0 or eigvals[0] > 1e-9 * scale)
+        x_new, _, correct = _bounded_step(H, g, x, lower, delta, {})
+        for point in (x_new, correct(r)):
+            if point is None:
+                continue
+            s = (point - x).ravel()
+            decrease = -(g @ s + 0.5 * s @ (H @ s))
+            assert decrease <= bound + 1e-9 * (bound + abs(g @ s) + abs(s @ (H @ s)))
+
+    def test_results_are_those_of_eighs_stop_test(self, monkeypatch):
+        # with the certificate forced to fall through, every stop is decided
+        # by the step's own model decrease, as before the certificate
+        eighs = _counting_eig(monkeypatch)
+
+        def census():
+            cases = [(params, n_nodes, M, lam) for params in ((1.0, 1.0, 0.0), (1.0, 1.3, 0.9))
+                     for n_nodes in (5, 17) for M in (2, 4, 8) for lam in (0.0, 2.0, 1e5)]
+            # a certificate 10 times looser stops this row one step early
+            cases.append(((1.0, 1.3, 0.9), 3, 4, 0.5))
+            rows = []
+            for params, n_nodes, M, lam in cases:
+                source = make_source(*params)
+                res = multistart(source, make_theta_grid(source, n_nodes), M, lam)
+                rows.append((res.quantizer.boundaries.tobytes(), res.report, res.f,
+                             res.iterations, res.evals, res.stop_reason, res.kkt_residual,
+                             res.trajectory.tobytes()))
+            return rows
+
+        certified = census()
+        certified_eighs = len(eighs)
+        monkeypatch.setattr(optimizer, "_stop_bound", lambda *args: INF)
+        eighs.clear()
+        assert census() == certified
+        assert certified_eighs < len(eighs)
+
+    def test_debug_line_counts_the_eigendecompositions(self, unit_source, grid17, monkeypatch,
+                                                       caplog):
+        eighs = _counting_eig(monkeypatch)
+        caplog.set_level(logging.DEBUG, logger="strategiq.optimizer")
+        stepping = make_source(1.0, 1.3, 0.9)
+        # a stationary start pays no eigh; this 5-node row takes 10 steps
+        for source, grid, steps in ((unit_source, grid17, 0),
+                                    (stepping, make_theta_grid(stepping, 5), 10)):
+            eighs.clear()
+            caplog.clear()
+            res = multistart(source, grid, 8, 0.0)
+            assert res.iterations == steps
+            (line,) = [m for m in caplog.messages if m.startswith("design")]
+            assert f" eigh={len(eighs)} " in line
+            assert (len(eighs) == 0) == (steps == 0)
+
+
 class TestObjective:
     @settings(max_examples=200, deadline=None, derandomize=True)
     @given(data=st.data())
@@ -771,14 +878,20 @@ class TestMultistart:
             assert (res.stop_reason, res.iterations) == ("tolerance", 0), res.kkt_residual
 
     def test_m_one(self, unit_source, grid17, monkeypatch):
-        # no variables, so no start to build: the row is one descent at lam
+        # no variables, so no start to build: the row is one descent at lam,
+        # whose stop the certificate decides before any step is solved
+        def no_step(*args):
+            raise AssertionError("a step was solved with no variables")
+
+        monkeypatch.setattr(optimizer, "_bounded_step", no_step)
         calls = _recording_design(monkeypatch)
         opts = OptimOptions(seed=0, n_restarts=2)
         for lam in (2.0, 1e5):
             calls.clear()
             res = multistart(unit_source, grid17, 1, lam, opts)
             assert [call[:2] for call in calls] == [(lam, opts)], lam
-            assert res.converged and res.iterations == 0 and res.restart_index == 0
+            assert res.stop_reason == "tolerance" and res.iterations == 0
+            assert res.restart_index == 0
             assert res.evals == 1
             assert res.quantizer.n_theta == 17
             assert res.report.d_d == pytest.approx(1.0, abs=1e-12)
