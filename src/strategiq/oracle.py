@@ -30,19 +30,36 @@ variance", 1983), so memory is O(_MC_CHUNK) whatever n_samples is.  The
 samples are the ones whole-array sampling draws; only the order of summation
 differs, so the reported means and standard errors can differ from releases
 that summed whole arrays in the last few digits.
+
+Lookahead: each call draws the stream one chunk ahead on one worker thread,
+which draws chunk i + 1 while the calling thread folds chunk i (numpy fills
+both PCG64 streams with the GIL released).  Only the worker advances the
+stream, one chunk per request, and the chunks are folded in stream order, so
+the samples and the results do not depend on how the two threads are
+scheduled.  At most two chunks are held at a time, so memory stays
+O(_MC_CHUNK); the thread is joined before the call returns or raises, and
+there is nothing to configure.
 """
 
 from __future__ import annotations
 
 import itertools
 import math
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
 
 from .gaussian_model import MASS_FLOOR, SourceSpec, ThetaGrid, interval_moments
 from .optimizer import DesignResult
-from .quantizer_core import BestResponses, DistortionReport, Quantizer, _check_lam, evaluate
+from .quantizer_core import (
+    BestResponses,
+    DistortionReport,
+    Quantizer,
+    _as_integer,
+    _check_lam,
+    evaluate,
+)
 
 _MAX_ENUMERATION = 100_000_000
 _SPAN_SIGMAS = 3.0  # make_oracle_grid's candidates span +-this many sigma_x
@@ -82,7 +99,7 @@ class MonteCarloReport:
 def make_oracle_grid(source: SourceSpec, n_points: int = 41) -> OracleGrid:
     """n_points equispaced candidates on [-3, +3] sigma_x."""
     half = _SPAN_SIGMAS * source.sigma_x
-    return OracleGrid(candidates=np.linspace(-half, half, n_points))
+    return OracleGrid(candidates=np.linspace(-half, half, _as_integer("n_points", n_points)))
 
 
 def brute_force_design(
@@ -98,6 +115,7 @@ def brute_force_design(
     scanned in order, candidates ascending).  Raises if the enumeration count
     exceeds the feasibility cap, reporting the count.
     """
+    M = _as_integer("M", M)
     if M < 1:
         raise ValueError("M must be >= 1")
     _check_lam(lam)
@@ -221,12 +239,22 @@ def monte_carlo_distortions(
 
     Streams the samples of the module docstring in chunks of _MC_CHUNK and
     folds each chunk's means and squared deviations into running totals
-    (Chan, Golub & LeVeque), so memory does not grow with n_samples.
+    (Chan, Golub & LeVeque), so memory does not grow with n_samples.  One
+    worker thread draws chunk i + 1 while this thread folds chunk i (the
+    module docstring's lookahead).
     Standard errors use ddof=1 and are inf for a single sample.
     """
+    n_samples = _as_integer("n_samples", n_samples)
     if n_samples < 1:
         raise ValueError("n_samples must be >= 1")
     _check_lam(lam)
+    if q.n_theta != grid.n_nodes:
+        raise ValueError("boundaries must have one row per theta node")
+    if len(br.y) != q.M or len(br.theta_hat) != q.M:
+        raise ValueError(
+            f"responses have {len(br.y)} reconstructions and {len(br.theta_hat)} "
+            f"eavesdropper estimates for M={q.M}"
+        )
     mu_nodes, sigma_c = source.conditional_params(grid.nodes)
     columns = [np.ascontiguousarray(c) for c in q.interior().T]
 
@@ -234,34 +262,40 @@ def monte_carlo_distortions(
     mean = np.zeros(4)  # fidelity, d_d, d_theta, d_e
     m2 = np.zeros(4)
     block = np.empty((4, min(n_samples, _MC_CHUNK)))
-    for j_idx, normals in _draws(grid, n_samples, seed):
-        k = j_idx.size
-        theta = grid.nodes[j_idx]
-        x = mu_nodes[j_idx]
-        x += sigma_c * normals
-        msg = np.zeros(k, dtype=np.intp)
-        for col in columns:
-            msg += x > col[j_idx]
-        y = br.y[msg]
+    draws = _draws(grid, n_samples, seed)
+    # leaving the block joins the worker, also when the fold below raises
+    with ThreadPoolExecutor(max_workers=1) as pool:
+        ahead = pool.submit(next, draws, None)
+        while (chunk := ahead.result()) is not None:
+            j_idx, normals = chunk  # releases chunk i - 1 before chunk i + 1 is drawn
+            ahead = pool.submit(next, draws, None)
+            k = j_idx.size
+            theta = grid.nodes[j_idx]
+            x = mu_nodes[j_idx]
+            x += sigma_c * normals
+            msg = np.zeros(k, dtype=np.intp)
+            for col in columns:
+                msg += x > col[j_idx]
+            y = br.y[msg]
 
-        rows = block[:, :k]
-        fid, dd, dth, de = rows
-        np.add(x, theta, out=fid)
-        fid -= y
-        np.subtract(x, y, out=dd)
-        np.subtract(theta, br.theta_hat[msg], out=dth)
-        np.square(rows[:3], out=rows[:3])
-        np.multiply(dth, lam, out=de)
-        np.subtract(fid, de, out=de)
+            rows = block[:, :k]
+            fid, dd, dth, de = rows
+            np.add(x, theta, out=fid)
+            fid -= y
+            np.subtract(x, y, out=dd)
+            np.subtract(theta, br.theta_hat[msg], out=dth)
+            np.square(rows[:3], out=rows[:3])
+            np.multiply(dth, lam, out=de)
+            np.subtract(fid, de, out=de)
 
-        chunk_mean = rows.mean(axis=1)
-        rows -= chunk_mean[:, None]
-        chunk_m2 = np.einsum("ij,ij->i", rows, rows)
-        total = count + k
-        delta = chunk_mean - mean
-        mean += delta * (k / total)
-        m2 += chunk_m2 + delta**2 * (count * k / total)
-        count = total
+            chunk_mean = rows.mean(axis=1)
+            rows -= chunk_mean[:, None]
+            chunk_m2 = np.einsum("ij,ij->i", rows, rows)
+            total = count + k
+            delta = chunk_mean - mean
+            mean += delta * (k / total)
+            m2 += chunk_m2 + delta**2 * (count * k / total)
+            count = total
 
     if n_samples > 1:
         se = np.sqrt(m2 / (n_samples - 1)) / math.sqrt(n_samples)

@@ -2,6 +2,7 @@
 
 import itertools
 import math
+import threading
 import tracemalloc
 
 import numpy as np
@@ -138,6 +139,11 @@ class TestOracleGrid:
         with pytest.raises(ValueError, match="nonempty"):
             OracleGrid(np.array([]))
 
+    @pytest.mark.parametrize("n_points", [2.5, True])
+    def test_rejects_non_integer_point_count(self, unit_source, n_points):
+        with pytest.raises(ValueError, match="n_points must be an integer"):
+            make_oracle_grid(unit_source, n_points=n_points)
+
 
 class TestBruteForce:
     def test_single_message(self, unit_source, grid3):
@@ -158,6 +164,20 @@ class TestBruteForce:
         og = make_oracle_grid(unit_source, n_points=5)
         with pytest.raises(ValueError, match="M must be >= 1"):
             brute_force_design(unit_source, grid3, 0, 1.0, og)
+
+    @pytest.mark.parametrize("M", [2.5, True])
+    def test_rejects_non_integer_message_count(self, unit_source, grid3, M):
+        og = make_oracle_grid(unit_source, n_points=5)
+        with pytest.raises(ValueError, match="M must be an integer"):
+            brute_force_design(unit_source, grid3, M, 1.0, og)
+
+    def test_integral_float_message_count(self, unit_source, grid3):
+        og = make_oracle_grid(unit_source, n_points=5)
+        res = brute_force_design(unit_source, grid3, 2.0, 1.0, og)
+        want = brute_force_design(unit_source, grid3, 2, 1.0, og)
+        assert res.quantizer.M == 2 and type(res.quantizer.M) is int
+        assert res.quantizer.boundaries.tobytes() == want.quantizer.boundaries.tobytes()
+        assert res.report == want.report
 
     def test_enumeration_cap(self, unit_source, grid17):
         og = make_oracle_grid(unit_source)
@@ -286,6 +306,81 @@ class TestMonteCarlo:
         br, _ = evaluate(q, unit_source, grid3, 0.0)
         with pytest.raises(ValueError):
             monte_carlo_distortions(q, br, unit_source, grid3, 0.0, 0, seed=1)
+
+    @pytest.mark.parametrize("n_samples", [2.5, True])
+    def test_rejects_non_integer_sample_count(self, unit_source, grid3, n_samples):
+        q = Quantizer(M=1, boundaries=np.tile([-INF, INF], (3, 1)))
+        br, _ = evaluate(q, unit_source, grid3, 0.0)
+        with pytest.raises(ValueError, match="n_samples must be an integer"):
+            monte_carlo_distortions(q, br, unit_source, grid3, 0.0, n_samples, seed=1)
+
+    def test_integral_float_sample_count(self, unit_source, grid3):
+        q = Quantizer(M=2, boundaries=np.tile([-INF, 0.3, INF], (3, 1)))
+        br, _ = evaluate(q, unit_source, grid3, 1.0)
+        mc = monte_carlo_distortions(q, br, unit_source, grid3, 1.0, 1e4, seed=4)
+        assert mc.n_samples == 10_000 and type(mc.n_samples) is int
+        assert mc == monte_carlo_distortions(q, br, unit_source, grid3, 1.0, 10_000, seed=4)
+
+    def test_rejects_rows_that_do_not_match_the_grid(self, unit_source, grid17):
+        q = Quantizer(M=2, boundaries=np.tile([-INF, 0.0, INF], (17, 1)))
+        br, _ = evaluate(q, unit_source, grid17, 1.0)
+        grid5 = make_theta_grid(unit_source, 5, "gauss-hermite")
+        with pytest.raises(ValueError, match="one row per theta node"):
+            monte_carlo_distortions(q, br, unit_source, grid5, 1.0, 1000, seed=1)
+
+    def test_rejects_responses_of_another_message_count(self, unit_source, grid3):
+        q2 = Quantizer(M=2, boundaries=np.tile([-INF, 0.0, INF], (3, 1)))
+        q4 = Quantizer(M=4, boundaries=np.tile([-INF, -0.7, 0.0, 0.7, INF], (3, 1)))
+        br4, _ = evaluate(q4, unit_source, grid3, 1.0)
+        with pytest.raises(ValueError, match="M=2"):
+            monte_carlo_distortions(q2, br4, unit_source, grid3, 1.0, 1000, seed=1)
+
+    def test_worker_thread_ends_with_each_call(self, unit_source, grid3):
+        # the lookahead's worker is joined before the call returns, and the
+        # results do not depend on how it was scheduled against this thread
+        q = Quantizer(M=2, boundaries=np.tile([-INF, 0.2, INF], (3, 1)))
+        br, _ = evaluate(q, unit_source, grid3, 1.0)
+        n = 3 * oracle_module._MC_CHUNK + 17
+        before = threading.active_count()
+        first = monte_carlo_distortions(q, br, unit_source, grid3, 1.0, n, seed=8)
+        for _ in range(4):
+            assert threading.active_count() == before
+            assert monte_carlo_distortions(q, br, unit_source, grid3, 1.0, n, seed=8) == first
+        assert threading.active_count() == before
+
+    def test_stream_error_reaches_the_caller(self, monkeypatch, unit_source, grid3):
+        real_draws = oracle_module._draws
+
+        def failing_draws(grid, n_samples, seed):
+            for i, chunk in enumerate(real_draws(grid, n_samples, seed)):
+                if i == 2:
+                    raise RuntimeError("stream failed on its third chunk")
+                yield chunk
+
+        monkeypatch.setattr(oracle_module, "_draws", failing_draws)
+        q = Quantizer(M=2, boundaries=np.tile([-INF, 0.2, INF], (3, 1)))
+        br, _ = evaluate(q, unit_source, grid3, 1.0)
+        before = threading.active_count()
+        with pytest.raises(RuntimeError, match="third chunk"):
+            monte_carlo_distortions(q, br, unit_source, grid3, 1.0, 5 * oracle_module._MC_CHUNK, 8)
+        assert threading.active_count() == before
+
+    def test_fold_error_joins_the_worker(self, monkeypatch, unit_source, grid3):
+        # a chunk the fold cannot use raises in this thread while the worker
+        # is drawing the next one; the call still ends with no worker left
+        real_draws = oracle_module._draws
+
+        def short_normals(grid, n_samples, seed):
+            for i, (j_idx, normals) in enumerate(real_draws(grid, n_samples, seed)):
+                yield j_idx, normals[:-1] if i == 2 else normals
+
+        monkeypatch.setattr(oracle_module, "_draws", short_normals)
+        q = Quantizer(M=2, boundaries=np.tile([-INF, 0.2, INF], (3, 1)))
+        br, _ = evaluate(q, unit_source, grid3, 1.0)
+        before = threading.active_count()
+        with pytest.raises(ValueError, match="broadcast"):
+            monte_carlo_distortions(q, br, unit_source, grid3, 1.0, 5 * oracle_module._MC_CHUNK, 8)
+        assert threading.active_count() == before
 
     def test_lagrangian_combination(self, unit_source, grid3, rng):
         q = Quantizer(M=3, boundaries=np.hstack([
