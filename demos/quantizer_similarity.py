@@ -6,16 +6,15 @@ means the encoder treats different theta values very differently (leaky);
 D -> 0 means one shared quantizer, i.e. nothing about theta in the message.
 """
 
-from strategiq import OptimOptions, make_source, make_theta_grid, max_kl, multistart
+from strategiq import make_source, make_theta_grid, max_kl, multistart
 
 source = make_source(1.0, 1.0, 0.0)
 grid = make_theta_grid(source, 5)
-opts = OptimOptions(seed=0, max_iters=4000)
 
 print(f"{'lambda':>10} {'M':>3} {'D (nats)':>12} {'d_theta':>10}")
 for M in (2, 4):
     for lam in (0.0, 1.0, 10.0, 1e3, 1e7):
-        res = multistart(source, grid, M, lam, opts)
+        res = multistart(source, grid, M, lam)
         sim = max_kl(res.quantizer, source, grid)
         print(f"{lam:10.4g} {M:3d} {sim.d_max:12.4g} {res.report.d_theta:10.6f}")
     print()

@@ -12,11 +12,10 @@ runs in seconds; the acceptance suite covers the full 17-node configuration.
 
 import numpy as np
 
-from strategiq import OptimOptions, lloyd_max, make_source, make_theta_grid, max_kl, multistart
+from strategiq import lloyd_max, make_source, make_theta_grid, max_kl, multistart
 
 source = make_source(1.0, 1.0, 0.0)
 grid = make_theta_grid(source, 9)
-opts = OptimOptions(seed=0, max_iters=6000)
 M = 2
 
 lm = lloyd_max(source, M)
@@ -24,7 +23,7 @@ print(f"Lloyd-Max baseline (M={M}): boundary {lm.boundaries[1]:+.4f}, "
       f"distortion {lm.distortion:.6f}\n")
 
 for lam in (0.0, 1.0, 1e7):
-    res = multistart(source, grid, M, lam, opts)
+    res = multistart(source, grid, M, lam)
     sim = max_kl(res.quantizer, source, grid)
     print(f"lam = {lam:g}  ({res.iterations} iterations from the closed-form start, "
           f"stop={res.stop_reason}, "

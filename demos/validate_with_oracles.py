@@ -11,7 +11,6 @@
 import numpy as np
 
 from strategiq import (
-    OptimOptions,
     Quantizer,
     brute_force_design,
     evaluate,
@@ -44,7 +43,7 @@ print()
 print("-- exhaustive search vs gradient descent (M=2, 3 theta nodes) --")
 ogrid = make_oracle_grid(source)  # 41 candidates on [-3, 3]
 bf = brute_force_design(source, grid, 2, lam, ogrid)
-ms = multistart(source, grid, 2, lam, OptimOptions(seed=0))
+ms = multistart(source, grid, 2, lam)
 print(f"  enumerated {bf.iterations} assignments")
 print(f"  grid optimum d_e      = {bf.report.d_e:.6f}  "
       f"boundaries {bf.quantizer.interior().ravel()}")

@@ -32,7 +32,6 @@ from .metrics import (
 )
 from .optimizer import (
     DesignResult,
-    OptimOptions,
     boundary_gradient,
     design,
     design_result_to_dict,
@@ -74,7 +73,6 @@ __all__ = [
     "lloyd_max_quantizer",
     "max_kl",
     "DesignResult",
-    "OptimOptions",
     "boundary_gradient",
     "design",
     "design_result_to_dict",

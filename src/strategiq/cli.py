@@ -2,12 +2,14 @@
 
 A sweep evaluates one row per (lambda, M) pair: M = 0 is the sentinel for the
 rate-unconstrained linear stage (closed form, computed for the whole lambda
-grid in one vectorized pass), M >= 1 runs the multistart quantizer design
-plus the similarity metric.  Rows run one after another
-on the calling thread in (lambda, M) order with deterministic per-row seeds,
-so identical configs produce byte-identical files.  A failed row does not
-abort the sweep: it is recorded with converged=false and the exception text
-in its `error` field, and its traceback is logged at DEBUG level.
+grid in one vectorized pass), M >= 1 runs the quantizer design (one descent
+from the closed-form start, optimizer.multistart) plus the similarity metric.
+Rows run one after another on the calling thread in (lambda, M) order with
+deterministic per-row seeds (seed + row index, which also seed --verify's
+samples), so identical configs produce byte-identical files.  A failed row
+does not abort the sweep: it is recorded with converged=false and the
+exception text in its `error` field, and its traceback is logged at DEBUG
+level.
 
 CSV schema (fixed order, floats at 12 significant digits, infinities as
 "inf", absent fields empty):
@@ -20,7 +22,8 @@ the row failed).  Without --out the rows go to stdout, in --format.
 
 Every subcommand's flags are SweepConfig fields (see _FLAGS) and every
 subcommand checks them through validate_config, so a value is rejected the
-same way whichever subcommand or config file gives it.
+same way whichever subcommand or config file gives it.  n_restarts changes
+no number: it fills the restart_winner column of M >= 2 rows.
 
 Exit codes: 0 success, 1 config error (including a malformed flag or an
 unknown subcommand), 2 I/O error, 3 at least one sweep row failed (every row
@@ -45,7 +48,7 @@ import numpy as np
 from . import linear_equilibrium as linear
 from .gaussian_model import MAX_THETA_NODES, SourceSpec, ThetaGrid, make_source, make_theta_grid
 from .metrics import max_kl
-from .optimizer import OptimOptions, design_result_to_dict, multistart
+from .optimizer import design_result_to_dict, multistart
 from .oracle import monte_carlo_distortions
 from .quantizer_core import _check_lam, _float_from_json, _json_float
 
@@ -74,9 +77,8 @@ class SweepConfig:
     r: float = 1.0
     rho: float = 0.0
     theta_nodes: int = 17
-    max_iters: int = OptimOptions.max_iters
-    n_restarts: int = OptimOptions.n_restarts
-    seed: int = OptimOptions.seed
+    n_restarts: int = 8
+    seed: int = 0
     out: str | None = None
     format: str = "csv"
     verify: bool = False
@@ -205,10 +207,6 @@ def _check_field_types(cfg: SweepConfig) -> None:
             raise ConfigError(f"{f.name} must be {' or '.join(kinds)}, got {value!r}")
 
 
-def _optim_options(cfg: SweepConfig, seed: int) -> OptimOptions:
-    return OptimOptions(max_iters=cfg.max_iters, n_restarts=cfg.n_restarts, seed=seed)
-
-
 def validate_config(cfg: SweepConfig) -> list[float]:
     """ConfigError unless run_sweep can run cfg; returns cfg's resolved lambdas."""
     _check_field_types(cfg)
@@ -226,8 +224,11 @@ def validate_config(cfg: SweepConfig) -> list[float]:
         raise ConfigError("quantizer mode requires m_values >= 1 (0 is the linear sentinel)")
     if cfg.mc_samples < 1:
         raise ConfigError("mc_samples must be >= 1")
+    if cfg.n_restarts < 1:
+        raise ConfigError(f"n_restarts must be >= 1, got {cfg.n_restarts}")
+    if cfg.seed < 0:
+        raise ConfigError(f"seed must be >= 0, got {cfg.seed}")
     try:
-        _optim_options(cfg, cfg.seed)
         source = make_source(cfg.sigma_x, cfg.r, cfg.rho)
     except (TypeError, ValueError) as exc:
         raise ConfigError(str(exc)) from exc
@@ -245,7 +246,7 @@ def _quantizer_row(
     m: int,
     seed: int,
 ) -> SweepRow:
-    result = multistart(source, grid, m, lam, _optim_options(cfg, seed))
+    result = multistart(source, grid, m, lam)
     similarity = max_kl(result.quantizer, source, grid)
     row = SweepRow(
         lam=lam,
@@ -257,7 +258,8 @@ def _quantizer_row(
         d_kl_max=similarity.d_max,
         iterations=result.iterations,
         converged=result.converged,
-        restart_winner=result.restart_index,
+        # the label the closed-form start had beside n_restarts random ones
+        restart_winner=cfg.n_restarts if m >= 2 else 0,
         seed=seed,
     )
     if cfg.verify:
@@ -426,9 +428,9 @@ class _Parser(argparse.ArgumentParser):
 # "-" for "_"; --lambdas, --m and --verify are written out in _build_parser
 _FLAGS = {
     "sweep": ("mode", "seed", "out", "format", "sigma_x", "r", "rho", "theta_nodes",
-              "max_iters", "n_restarts", "mc_samples"),
+              "n_restarts", "mc_samples"),
     "linear": ("rho", "r", "sigma_x"),
-    "design": ("sigma_x", "r", "rho", "theta_nodes", "seed", "max_iters", "n_restarts"),
+    "design": ("sigma_x", "r", "rho", "theta_nodes"),
 }
 _PARSE = {"float": float, "int": int, "str": str}
 
@@ -527,7 +529,7 @@ def _cmd_design(args: argparse.Namespace) -> int:
     lam = resolve_lambdas(cfg.lambdas)[0]
     source = make_source(cfg.sigma_x, cfg.r, cfg.rho)
     grid = make_theta_grid(source, cfg.theta_nodes)
-    result = multistart(source, grid, args.m, lam, _optim_options(cfg, cfg.seed))
+    result = multistart(source, grid, args.m, lam)
     _write(json.dumps(design_result_to_dict(result, grid), indent=2) + "\n", cfg.out, "design")
     print(
         f"designed M={args.m} quantizer at lambda={lam:g}: "

@@ -42,6 +42,7 @@ from __future__ import annotations
 
 import functools
 import math
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -113,6 +114,14 @@ class ThetaGrid:
         return float(np.dot(self.weights, self.nodes**2))
 
 
+def _as_integer(name: str, value) -> int:
+    """value as an int; ValueError unless it is an integer (no bool, no fraction)."""
+    if isinstance(value, bool) or not (isinstance(value, numbers.Real)
+                                       and float(value).is_integer()):
+        raise ValueError(f"{name} must be an integer, got {value!r}")
+    return int(value)
+
+
 def ndtr(x: np.ndarray | float) -> np.ndarray:
     """Standard normal CDF Phi, elementwise: scipy.special.ndtr, loaded on first use."""
     from scipy import special
@@ -145,8 +154,9 @@ def make_theta_grid(source: SourceSpec, n_nodes: int, scheme: str = "gauss-hermi
 
     The Hermite nodes are rescaled by sqrt(2)*sigma_theta and the weights
     normalized to sum to 1.  scheme must be "gauss-hermite", the only one.
-    n_nodes runs from 1 to MAX_THETA_NODES.
+    n_nodes is an integer from 1 to MAX_THETA_NODES.
     """
+    n_nodes = _as_integer("n_nodes", n_nodes)
     if n_nodes < 1:
         raise ValueError("n_nodes must be >= 1")
     if n_nodes > MAX_THETA_NODES:
@@ -159,8 +169,7 @@ def make_theta_grid(source: SourceSpec, n_nodes: int, scheme: str = "gauss-hermi
     return ThetaGrid(nodes=nodes, weights=weights)
 
 
-# typed, so that 5.0 does not reuse 5's entry: hermgauss rejects a float
-@functools.lru_cache(maxsize=None, typed=True)
+@functools.lru_cache(maxsize=None)
 def _hermite_rule(n_nodes: int) -> tuple[np.ndarray, np.ndarray]:
     """numpy's Gauss-Hermite nodes and weights, computed once per node count, read-only."""
     x, w = np.polynomial.hermite.hermgauss(n_nodes)

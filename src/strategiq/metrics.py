@@ -23,7 +23,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .gaussian_model import MASS_FLOOR, SourceSpec, ThetaGrid, interval_moments, ndtr, ndtri
+from .gaussian_model import (
+    MASS_FLOOR, SourceSpec, ThetaGrid, _as_integer, interval_moments, ndtr, ndtri,
+)
 from .quantizer_core import Quantizer
 
 # lloyd_max stops once the distortion changes by less than this
@@ -81,8 +83,9 @@ def lloyd_max(source: SourceSpec, M: int) -> LloydMaxResult:
     """Classical centroid/midpoint fixed point for the marginal N(0, sigma_x^2).
 
     Iterates until the distortion changes by less than _LLOYD_TOL and the
-    boundaries by less than 1e-11 sigma_x.
+    boundaries by less than 1e-11 sigma_x.  M is an integer >= 1.
     """
+    M = _as_integer("M", M)
     if M < 1:
         raise ValueError("M must be >= 1")
     sx = source.sigma_x

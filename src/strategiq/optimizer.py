@@ -61,14 +61,13 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .gaussian_model import MASS_FLOOR, SourceSpec, ThetaGrid
+from .gaussian_model import MASS_FLOOR, SourceSpec, ThetaGrid, _as_integer
 from .linear_equilibrium import _linear_stage
 from .metrics import _lloyd_max_row
 from .quantizer_core import (
     BestResponses,
     DistortionReport,
     Quantizer,
-    _as_integer,
     _check_lam,
     _grid_terms,
     _moment_pass,
@@ -80,9 +79,13 @@ logger = logging.getLogger(__name__)
 
 #: why a descent stopped: "tolerance" (stationary to the stopping bound), "stalled" (the
 #: trust region shrank until the model promised no decrease f could resolve,
-#: short of the tolerance) or "max_iters" (opts.max_iters accepted steps, short
-#: of the tolerance)
+#: short of the tolerance) or "max_iters" (_MAX_ITERS accepted steps, short of
+#: the tolerance)
 STOP_REASONS = ("tolerance", "stalled", "max_iters")
+# accepted steps of one descent, a guard against a runaway loop: from the
+# closed-form start none of 2,240 rows (3-17 nodes, 20 sources, M = 2-8,
+# lam = 0-1e7) took more than 60
+_MAX_ITERS = 20_000
 # the stopping bound on the projected gradient, relative to max(1, f)
 _EPS = 1e-9
 _FD_STEP = 1e-5
@@ -101,30 +104,6 @@ _GRADIENT_ROUNDING = 4 * float(np.finfo(float).eps)
 # of f above this fraction of it: rows of small weight meet the gradient bound
 # before they are converged
 _PROMISE = 1e-3
-
-
-@dataclass(frozen=True)
-class OptimOptions:
-    """Step cap, start label and seed of the descent.
-
-    max_iters caps the accepted steps of each design call.  seed (>= 0, as
-    numpy requires) seeds design's random start when it is given no init.
-    n_restarts is only a label: multistart descends one deterministic start
-    and reports n_restarts as its restart_index at M >= 2.  All three are
-    integers, no bool; max_iters and n_restarts are >= 1.
-    """
-
-    max_iters: int = 20_000
-    n_restarts: int = 8
-    seed: int = 0
-
-    def __post_init__(self) -> None:
-        for name in ("max_iters", "n_restarts", "seed"):
-            object.__setattr__(self, name, _as_integer(name, getattr(self, name)))
-        if self.max_iters < 1 or self.n_restarts < 1:
-            raise ValueError("max_iters and n_restarts must be >= 1")
-        if self.seed < 0:
-            raise ValueError(f"seed must be >= 0, got {self.seed}")
 
 
 @dataclass(frozen=True)
@@ -441,10 +420,9 @@ def design(
     grid: ThetaGrid,
     M: int,
     lam: float,
-    opts: OptimOptions = OptimOptions(),
-    init: Quantizer | None = None,
+    init: Quantizer,
 ) -> DesignResult:
-    """Single projected trust-region Newton run from init (or a seeded random start).
+    """Single projected trust-region Newton run from init.
 
     The objective f = d_e + lam * E[theta^2] stays O(1) at every lam, is formed
     without cancellation, and is the result's f at its end.  Steps minimize
@@ -462,14 +440,13 @@ def design(
     solved, so a stationary start pays no eigendecomposition.  stop_reason is
     "tolerance" for every stop with the gradient at most tol; otherwise it is
     "stalled" when the trust region has shrunk until the model promises no
-    decrease f could resolve, and "max_iters" after opts.max_iters accepted
+    decrease f could resolve, and "max_iters" after _MAX_ITERS accepted
     steps.  converged is True only for "tolerance".
     """
+    M = _as_integer("M", M)
     if M < 1:
         raise ValueError("M must be >= 1")
     _check_lam(lam)
-    if init is None:
-        init = random_monotone_quantizer(source, grid, M, np.random.default_rng(opts.seed))
     if init.M != M or init.n_theta != grid.n_nodes:
         raise ValueError("init quantizer shape does not match (grid, M)")
 
@@ -536,7 +513,7 @@ def design(
         if kkt_residual <= tolerance and predicted <= promise:
             stop_reason = "tolerance"
             break
-        if iterations == opts.max_iters:
+        if iterations == _MAX_ITERS:
             stop_reason = "max_iters"
             break
         s_norm = float(np.sqrt(s @ s))
@@ -608,29 +585,19 @@ def _closed_form_start(
     return _with_edges(interior), alpha, scale
 
 
-def multistart(
-    source: SourceSpec,
-    grid: ThetaGrid,
-    M: int,
-    lam: float,
-    opts: OptimOptions = OptimOptions(),
-) -> DesignResult:
+def multistart(source: SourceSpec, grid: ThetaGrid, M: int, lam: float) -> DesignResult:
     """One design at lam on grid, from the closed-form equilibrium quantizer.
 
-    At M >= 2 the start is _closed_form_start, the optimum of the continuous
-    game, and the result is design's from it with opts.  Its restart_index
-    is opts.n_restarts, the only effect n_restarts has, so that a sweep's
-    restart_winner column keeps the value this start had when seeded random
-    starts ran beside it.  At M = 1 there are no variables: the result is
-    design's at lam, with restart_index 0.  One DEBUG line per call gives
-    alpha*, sqrt(v), the start's f and the descent's steps, stop reason and
-    KKT residual.
+    The start is _closed_form_start, the optimum of the continuous game (at
+    M = 1 the one-cell quantizer), and the result is design's from it, with
+    restart_index 0, the index of its one start.  One DEBUG line per call
+    gives alpha*, sqrt(v), the start's f and the descent's steps, stop
+    reason and KKT residual.
     """
+    M = _as_integer("M", M)
     _check_lam(lam)
-    if M == 1:
-        return replace(design(source, grid, 1, lam, opts), restart_index=0)
     init, alpha, scale = _closed_form_start(source, grid, M, lam)
-    result = design(source, grid, M, lam, opts, init=init)
+    result = design(source, grid, M, lam, init)
     if logger.isEnabledFor(logging.DEBUG):
         start = _moment_pass(init.interior(), _grid_terms(source, grid, grid.n_nodes), lam)
         logger.debug(
@@ -639,7 +606,7 @@ def multistart(
             M, lam, alpha, scale, start.f, result.iterations, result.stop_reason,
             result.kkt_residual, result.f,
         )
-    return replace(result, restart_index=opts.n_restarts)
+    return replace(result, restart_index=0)
 
 
 def design_result_to_dict(result: DesignResult, grid: ThetaGrid) -> dict:

@@ -45,21 +45,13 @@ from __future__ import annotations
 
 import itertools
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
 
-from .gaussian_model import MASS_FLOOR, SourceSpec, ThetaGrid, interval_moments
+from .gaussian_model import MASS_FLOOR, SourceSpec, ThetaGrid, _as_integer, interval_moments
 from .optimizer import DesignResult
-from .quantizer_core import (
-    BestResponses,
-    DistortionReport,
-    Quantizer,
-    _as_integer,
-    _check_lam,
-    evaluate,
-)
+from .quantizer_core import BestResponses, DistortionReport, Quantizer, _check_lam, evaluate
 
 _MAX_ENUMERATION = 100_000_000
 _SPAN_SIGMAS = 3.0  # make_oracle_grid's candidates span +-this many sigma_x
@@ -244,6 +236,10 @@ def monte_carlo_distortions(
     module docstring's lookahead).
     Standard errors use ddof=1 and are inf for a single sample.
     """
+    # imported here, not at module level, so that importing the package does
+    # not load concurrent.futures for callers that never sample
+    from concurrent.futures import ThreadPoolExecutor
+
     n_samples = _as_integer("n_samples", n_samples)
     if n_samples < 1:
         raise ValueError("n_samples must be >= 1")

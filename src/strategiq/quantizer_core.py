@@ -23,13 +23,12 @@ reconstructions (boundary-span midpoint for y, prior mean for theta_hat).
 from __future__ import annotations
 
 import math
-import numbers
 from collections import namedtuple
 from dataclasses import dataclass
 
 import numpy as np
 
-from .gaussian_model import MASS_FLOOR, SourceSpec, ThetaGrid, _standardized_moments
+from .gaussian_model import MASS_FLOOR, SourceSpec, ThetaGrid, _as_integer, _standardized_moments
 
 
 @dataclass(frozen=True)
@@ -94,14 +93,6 @@ class DistortionReport:
     fidelity: float
     d_d: float
     d_theta: float
-
-
-def _as_integer(name: str, value) -> int:
-    """value as an int; ValueError unless it is an integer (no bool, no fraction)."""
-    if isinstance(value, bool) or not (isinstance(value, numbers.Real)
-                                       and float(value).is_integer()):
-        raise ValueError(f"{name} must be an integer, got {value!r}")
-    return int(value)
 
 
 def _check_lam(lam: float) -> None:

@@ -13,7 +13,6 @@ import numpy as np
 import pytest
 
 from strategiq import (
-    OptimOptions,
     Quantizer,
     boundary_gradient,
     brute_force_design,
@@ -55,7 +54,7 @@ def grid3(source):
 
 def _timed_multistart(source, grid, M, lam):
     t0 = time.perf_counter()
-    result = multistart(source, grid, M, lam, OptimOptions(seed=0))
+    result = multistart(source, grid, M, lam)
     return result, time.perf_counter() - t0
 
 
@@ -207,7 +206,7 @@ def test_criterion_06_oracle_equivalence(source, grid3):
     ogrid = make_oracle_grid(source)
     gaps = {}
     for lam in (0.0, 0.5, 1.0, 5.0):
-        ms = multistart(source, grid3, 2, lam, OptimOptions(seed=0))
+        ms = multistart(source, grid3, 2, lam)
         bf = brute_force_design(source, grid3, 2, lam, ogrid)
         gaps[lam] = ms.report.d_e - bf.report.d_e
     elapsed = time.perf_counter() - t0

@@ -13,7 +13,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import strategiq.linear_equilibrium as linear_module
-from strategiq import OptimOptions, make_source, optimal_alpha, solve_equilibrium
+from strategiq import make_source, optimal_alpha, solve_equilibrium
 from strategiq.cli import (
     _ATTR_OF,
     _COLUMN_OF,
@@ -39,7 +39,6 @@ FAST_QUANTIZER = dict(
     m_values=[2],
     theta_nodes=3,
     n_restarts=2,
-    max_iters=800,
 )
 
 # the per-cell CSV formatter emit used before it formatted runs of rows, one
@@ -108,13 +107,10 @@ class TestConfig:
 
     def test_subcommand_defaults_are_sweep_config_defaults(self):
         cfg = SweepConfig()
-        opts = OptimOptions()
-        assert (cfg.max_iters, cfg.n_restarts, cfg.seed) == (
-            opts.max_iters, opts.n_restarts, opts.seed)
         parser = _build_parser()
         design = parser.parse_args(["design", "--m", "2", "--lambda", "1", "--out", "x"])
         linear = parser.parse_args(["linear", "--lambda", "1"])
-        for name in ("sigma_x", "r", "rho", "theta_nodes", "seed", "max_iters", "n_restarts"):
+        for name in ("sigma_x", "r", "rho", "theta_nodes"):
             assert getattr(design, name) == getattr(cfg, name), name
         for name in ("sigma_x", "r", "rho"):
             assert getattr(linear, name) == getattr(cfg, name), name
@@ -182,7 +178,6 @@ class TestRunSweep:
             m_values=[2, 0],
             theta_nodes=3,
             n_restarts=1,
-            max_iters=400,
         )
         rows = run_sweep(cfg)
         assert [(row.lam, row.M) for row in rows] == [(0.0, 0), (0.0, 2), (1.0, 0), (1.0, 2)]
@@ -203,10 +198,10 @@ class TestRunSweep:
 
         real = cli_mod.multistart
 
-        def flaky(source, grid, m, lam, opts):
+        def flaky(source, grid, m, lam):
             if lam == 1.0:
                 raise RuntimeError("forced failure")
-            return real(source, grid, m, lam, opts)
+            return real(source, grid, m, lam)
 
         monkeypatch.setattr(cli_mod, "multistart", flaky)
         cfg = SweepConfig(lambdas=[0.0, 1.0], **FAST_QUANTIZER)
@@ -218,7 +213,7 @@ class TestRunSweep:
 
         args = [
             "sweep", "--mode", "quantizer", "--lambdas", "0,1", "--m", "2",
-            "--theta-nodes", "3", "--n-restarts", "2", "--max-iters", "800",
+            "--theta-nodes", "3", "--n-restarts", "2",
         ]
         out_json, out_csv = tmp_path / "rows.json", tmp_path / "rows.csv"
         assert main(args + ["--out", str(out_json), "--format", "json"]) == 3
@@ -326,14 +321,14 @@ class TestEmit:
                                        lambdas={"start": 1e-2, "stop": 1e7, "points": 1000}))
         # linear and quantizer rows alternate, so every run has length 1
         mixed = run_sweep(SweepConfig(mode="sweep", lambdas=[0.5, 2.0], m_values=[0, 2],
-                                      theta_nodes=5, n_restarts=1, max_iters=400))
+                                      theta_nodes=5, n_restarts=1))
         quantizer = [row for row in mixed if row.M == 2]
         quantizer += [replace(quantizer[0], converged=not quantizer[0].converged),
                       replace(quantizer[0], restart_winner=0, d_kl_max=math.inf),
                       replace(quantizer[1], restart_winner=None, d_kl_max=-math.inf)]
         verified = run_sweep(SweepConfig(mode="sweep", lambdas=[1.0], m_values=[0, 2],
                                          verify=True, mc_samples=20_000, theta_nodes=3,
-                                         n_restarts=1, max_iters=400))
+                                         n_restarts=1))
         hand_built = [
             SweepRow(lam=2, M=0, d_e=-0.0, fidelity=math.nan, d_d=5e-324, d_theta=1e300,
                      alpha=-1e-300, seed=0),
@@ -426,7 +421,7 @@ class TestCommandLine:
         out = tmp_path / "sweep.csv"
         code = main([
             "sweep", "--mode", "quantizer", "--lambdas", "0.5", "--m", "2",
-            "--theta-nodes", "3", "--n-restarts", "1", "--max-iters", "300",
+            "--theta-nodes", "3", "--n-restarts", "1",
             "--out", str(out), "--format", "csv",
         ])
         assert code == 0
@@ -484,7 +479,6 @@ class TestCommandLine:
         assert len(err.splitlines()) == 1 and err.startswith("config error: ")
 
     @pytest.mark.parametrize("argv", [
-        ["sweep", "--max-iters", "0"],
         ["sweep", "--n-restarts", "0"],
         ["sweep", "--theta-nodes", "0"],
         # numpy's Gauss-Hermite weights overflow from 371 nodes on
@@ -507,7 +501,6 @@ class TestCommandLine:
         ["sweep", "--rho", "-1"],
         ["design", "--lambda", "nan"],
         ["design", "--lambda", "1", "--rho", "2"],
-        ["design", "--lambda", "1", "--seed", "-1"],
         ["design", "--lambda", "1", "--rho", "1"],
         ["design", "--lambda", "1", "--m", "0"],
         ["linear", "--lambda", "nan"],
@@ -530,15 +523,42 @@ class TestCommandLine:
     def test_bad_input_is_config_error(self, argv, tmp_path, capsys):
         # one "config error:" line and exit 1: no traceback, no failed rows
         # a fast quantizer run, unless the case's own flags (given last) override it
-        fast = ["--m", "2", "--theta-nodes", "3", "--n-restarts", "1", "--max-iters", "50"]
+        fast = ["--m", "2", "--theta-nodes", "3"]
         if argv[0] == "sweep":
-            argv = [argv[0], "--mode", "quantizer", *fast, *argv[1:]]
+            argv = [argv[0], "--mode", "quantizer", *fast, "--n-restarts", "1", *argv[1:]]
         elif argv[0] == "design":
             argv = [argv[0], "--out", str(tmp_path / "q.json"), *fast, *argv[1:]]
         assert main(argv) == 1
         out, err = capsys.readouterr()
         assert out == ""
         assert len(err.splitlines()) == 1 and err.startswith("config error: ")
+
+    @pytest.mark.parametrize("argv, config, named", [
+        (["sweep", "--max-iters", "5"], None, "--max-iters"),
+        (["design", "--m", "2", "--lambda", "1", "--seed", "1"], None, "--seed"),
+        (["design", "--m", "2", "--lambda", "1", "--n-restarts", "2"], None, "--n-restarts"),
+        (["sweep"], {"mode": "linear", "max_iters": 20000}, "max_iters"),
+    ], ids=["sweep --max-iters", "design --seed", "design --n-restarts", "config max_iters"])
+    def test_removed_descent_options_are_config_errors(self, argv, config, named, tmp_path,
+                                                       capsys):
+        # no option changes the one descent from the closed-form start, so
+        # the cap, design's seed and design's restart count are gone
+        if config is not None:
+            (tmp_path / "cfg.json").write_text(json.dumps(config))
+            argv = [*argv, "--config", str(tmp_path / "cfg.json")]
+        if argv[0] == "design":
+            argv = [*argv, "--out", str(tmp_path / "q.json")]
+        assert main(argv) == 1
+        out, err = capsys.readouterr()
+        assert out == "" and not (tmp_path / "q.json").exists()
+        assert len(err.splitlines()) == 1 and err.startswith("config error: ")
+        assert named in err
+
+    def test_restart_winner_is_n_restarts_from_m_two(self):
+        # the label the closed-form start had beside n_restarts random starts
+        cfg = SweepConfig(mode="quantizer", lambdas=[0.5], m_values=[1, 2, 8], theta_nodes=3,
+                          n_restarts=5)
+        assert [(row.M, row.restart_winner) for row in run_sweep(cfg)] == [(1, 0), (2, 5), (8, 5)]
 
     def test_mixed_sweep_at_rho_one_fails_only_its_quantizer_rows(self, capsys):
         # the linear stage is defined at |rho| = 1, so its rows are still written
@@ -556,7 +576,7 @@ class TestCommandLine:
         ("m_values", 2),
         ("theta_nodes", 2.5),
         ("seed", "7"),
-        ("max_iters", 2.5),
+        ("n_restarts", 2.5),
     ])
     def test_wrongly_typed_config_field_is_config_error(self, field, value, tmp_path, capsys):
         cfg_path = tmp_path / "cfg.json"
@@ -577,7 +597,7 @@ class TestCommandLine:
         out = tmp_path / "q.json"
         code = main([
             "design", "--m", "2", "--lambda", "1.0", "--out", str(out),
-            "--theta-nodes", "3", "--n-restarts", "1", "--max-iters", "300",
+            "--theta-nodes", "3",
         ])
         assert code == 0
         payload = json.loads(out.read_text())
@@ -592,7 +612,7 @@ class TestCommandLine:
     def test_byte_identical_sweeps(self, tmp_path):
         args = [
             "sweep", "--mode", "quantizer", "--lambdas", "0,1", "--m", "2",
-            "--theta-nodes", "3", "--n-restarts", "2", "--max-iters", "500",
+            "--theta-nodes", "3", "--n-restarts", "2",
             "--seed", "11", "--format", "csv",
         ]
         out_a, out_b = tmp_path / "a.csv", tmp_path / "b.csv"

@@ -10,7 +10,18 @@ from scipy import special
 from scipy.integrate import quad
 from scipy.stats import norm
 
-from strategiq import Quantizer, ThetaGrid, evaluate, gaussian_model, make_source, make_theta_grid
+from strategiq import (
+    Quantizer,
+    ThetaGrid,
+    design,
+    evaluate,
+    gaussian_model,
+    lloyd_max,
+    lloyd_max_quantizer,
+    make_source,
+    make_theta_grid,
+    multistart,
+)
 from strategiq.gaussian_model import interval_moments
 from strategiq.quantizer_core import _grid_terms, _moment_pass
 
@@ -128,9 +139,8 @@ class TestMakeThetaGrid:
         for array in (a.nodes, a.weights):
             others = (*cached, b.nodes, b.weights)
             assert not any(np.shares_memory(array, other) for other in others)
-        # a float count is still refused once the integer one is cached
-        with pytest.raises(TypeError):
-            make_theta_grid(unit_source, 17.0)
+        # an integral float is the same count, and reads the same cached rule
+        np.testing.assert_array_equal(make_theta_grid(unit_source, 17.0).nodes, a.nodes)
 
     def test_unknown_scheme_rejected(self, unit_source):
         for scheme in ("chebyshev", "uniform-truncated"):
@@ -170,6 +180,25 @@ class TestMakeThetaGrid:
         weights = np.full(len(nodes), 1.0 / len(nodes))
         with pytest.raises(ValueError, match="finite"):
             ThetaGrid(nodes=np.array(nodes), weights=weights)
+
+
+# each count, whichever function takes it, follows the one rule of Quantizer's M:
+# an integer (an integral float too), no bool, no fraction
+_COUNT_CALLS = {
+    "make_theta_grid": ("n_nodes", lambda s, n: make_theta_grid(s, n)),
+    "lloyd_max": ("M", lambda s, n: lloyd_max(s, n)),
+    "multistart": ("M", lambda s, n: multistart(s, make_theta_grid(s, 3), n, 1.0)),
+    "design": ("M", lambda s, n: design(s, make_theta_grid(s, 3), n, 1.0,
+                                        lloyd_max_quantizer(s, 2, make_theta_grid(s, 3)))),
+}
+
+
+@pytest.mark.parametrize("call", sorted(_COUNT_CALLS))
+@pytest.mark.parametrize("value", [2.5, True, "3", math.nan])
+def test_counts_are_integers(unit_source, call, value):
+    name, run = _COUNT_CALLS[call]
+    with pytest.raises(ValueError, match=f"^{name} must be an integer, got "):
+        run(unit_source, value)
 
 
 class TestPhi:

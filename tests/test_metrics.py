@@ -7,7 +7,6 @@ import pytest
 from scipy.special import ndtr
 
 from strategiq import (
-    OptimOptions,
     Quantizer,
     linear_distortions,
     lloyd_max,
@@ -135,9 +134,8 @@ class TestMaxKl:
         assert report.d_max > 0.0  # distinct mass vectors have positive divergence
 
     def test_similarity_increases_with_privacy_weight(self, unit_source, grid3):
-        opts = OptimOptions(seed=0, n_restarts=2, max_iters=2000)
-        free = multistart(unit_source, grid3, 2, 0.0, opts)
-        constrained = multistart(unit_source, grid3, 2, 1e6, opts)
+        free = multistart(unit_source, grid3, 2, 0.0)
+        constrained = multistart(unit_source, grid3, 2, 1e6)
         d_free = max_kl(free.quantizer, unit_source, grid3).d_max
         d_constrained = max_kl(constrained.quantizer, unit_source, grid3).d_max
         assert d_constrained < d_free
@@ -201,11 +199,11 @@ class TestLimitIdentities:
         assert self._residual(rep, unit_source) == pytest.approx(0.0, abs=1e-12)
 
     def test_design_at_large_lam_small_residual(self, unit_source, grid3):
-        res = multistart(unit_source, grid3, 2, 1e7, OptimOptions(seed=0, n_restarts=2))
+        res = multistart(unit_source, grid3, 2, 1e7)
         assert self._residual(res.report, unit_source) < 1e-2
 
     def test_identity_fails_away_from_limit(self, unit_source, grid3):
-        res = multistart(unit_source, grid3, 2, 0.0, OptimOptions(seed=0, n_restarts=2))
+        res = multistart(unit_source, grid3, 2, 0.0)
         assert self._residual(res.report, unit_source) > 0.1
 
     def test_linear_equilibrium_large_lam(self, unit_source):

@@ -12,7 +12,6 @@ from hypothesis import strategies as st
 
 from strategiq import (
     MASS_FLOOR,
-    OptimOptions,
     Quantizer,
     boundary_gradient,
     design,
@@ -604,7 +603,7 @@ class TestObjective:
         direct = design(unit_source, grid, 4, 2.0, init=init)
         assert direct.f == _f(direct, unit_source, grid, 2.0)
         for lam in (2.0, 1e7):
-            res = multistart(unit_source, grid, 3, lam, OptimOptions(seed=1, n_restarts=2))
+            res = multistart(unit_source, grid, 3, lam)
             assert res.f == _f(res, unit_source, grid, lam)
 
 
@@ -628,28 +627,28 @@ class TestStopping:
             inits = [random_monotone_quantizer(unit_source, grid17, 8, rng) for _ in range(2)]
             inits.append(lloyd_max_quantizer(unit_source, 8, grid17))
             for init in inits:
-                res = design(unit_source, grid17, 8, lam, OptimOptions(seed=seed), init=init)
+                res = design(unit_source, grid17, 8, lam, init=init)
                 assert res.stop_reason == "tolerance", (seed, res.stop_reason)
 
-    def test_cap_under_the_bound_is_a_stop_by_tolerance(self, unit_source, grid17):
+    def test_cap_under_the_bound_is_a_stop_by_tolerance(self, unit_source, grid17, monkeypatch):
         # the cap ends this run with the gradient under the bound, while the
         # model still promises a decrease that the full run goes on to take
         init = lloyd_max_quantizer(unit_source, 3, grid17)
-        res = design(unit_source, grid17, 3, 2.0, OptimOptions(max_iters=9), init=init)
-        assert res.iterations == 9 < design(unit_source, grid17, 3, 2.0, init=init).iterations
+        full = design(unit_source, grid17, 3, 2.0, init=init)
+        monkeypatch.setattr(optimizer, "_MAX_ITERS", 9)
+        res = design(unit_source, grid17, 3, 2.0, init=init)
+        assert res.iterations == 9 < full.iterations
         assert res.stop_reason == "tolerance" and res.kkt_residual <= 1e-9
 
-    def test_seed_one_picks_lloyd_max(self, unit_source, grid17):
-        # the one deterministic start keeps the index it had after the
-        # n_restarts random starts that multistart once ran, whatever the seed
-        res = multistart(unit_source, grid17, 2, 1e7, OptimOptions(seed=1))
-        assert res.restart_index == OptimOptions().n_restarts
+    @pytest.mark.parametrize("M", [1, 2, 8])
+    def test_the_one_start_has_index_zero(self, unit_source, grid17, M):
+        assert multistart(unit_source, grid17, M, 1e7).restart_index == 0
 
 
 class TestDesign:
     def test_two_level_symmetric_start(self, unit_source, grid3):
         init = Quantizer(M=2, boundaries=np.tile([-INF, 0.0, INF], (3, 1)))
-        res = design(unit_source, grid3, 2, 0.0, OptimOptions(seed=0), init=init)
+        res = design(unit_source, grid3, 2, 0.0, init=init)
         assert res.converged and res.stop_reason == "tolerance"
         # at lam=0 the encoder pools theta into its target: it can only do
         # at least as well as the fully-revealing Lloyd-Max baseline on d_e
@@ -658,19 +657,23 @@ class TestDesign:
         assert res.report.d_e <= lm_rep.d_e + 1e-12
 
     def test_trajectory_monotone(self, unit_source, grid3, rng):
-        res = design(unit_source, grid3, 3, 1.0, OptimOptions(seed=4, max_iters=2000))
+        init = random_monotone_quantizer(unit_source, grid3, 3, np.random.default_rng(4))
+        res = design(unit_source, grid3, 3, 1.0, init=init)
         assert np.all(np.diff(res.trajectory) <= 1e-12)
         assert len(res.trajectory) == res.iterations + 1
 
     def test_deterministic_given_seed(self, unit_source, grid3):
-        a = design(unit_source, grid3, 2, 1.0, OptimOptions(seed=9, max_iters=500))
-        b = design(unit_source, grid3, 2, 1.0, OptimOptions(seed=9, max_iters=500))
+        def run():
+            init = random_monotone_quantizer(unit_source, grid3, 2, np.random.default_rng(9))
+            return design(unit_source, grid3, 2, 1.0, init)
+
+        a, b = run(), run()
         np.testing.assert_array_equal(a.quantizer.boundaries, b.quantizer.boundaries)
         assert a.report.d_e == b.report.d_e
         assert a.iterations == b.iterations
 
     def test_large_lam_approaches_lloyd_max(self, unit_source, grid17):
-        res = multistart(unit_source, grid17, 2, 1e7, OptimOptions(seed=0))
+        res = multistart(unit_source, grid17, 2, 1e7)
         assert res.report.d_d == pytest.approx(0.3634, abs=1e-2)
         spread = float(np.ptp(res.quantizer.interior(), axis=0).max())
         assert spread < 1e-3  # rows nearly identical across theta
@@ -687,40 +690,20 @@ class TestDesign:
         assert _f(res, source, grid, 1e5) <= 0.275
 
     def test_m_one_trivial(self, unit_source, grid3):
-        res = design(unit_source, grid3, 1, 2.0, OptimOptions(seed=0))
+        init = random_monotone_quantizer(unit_source, grid3, 1, np.random.default_rng(0))
+        res = design(unit_source, grid3, 1, 2.0, init)
         assert res.converged and res.iterations == 0
         assert res.report.d_d == pytest.approx(1.0, abs=1e-12)
 
     def test_rejects_bad_inputs(self, unit_source, grid3):
+        init = Quantizer(M=2, boundaries=np.tile([-INF, 0.0, INF], (3, 1)))
         with pytest.raises(ValueError):
-            design(unit_source, grid3, 0, 1.0)
+            design(unit_source, grid3, 0, 1.0, init)
         with pytest.raises(ValueError):
-            design(unit_source, grid3, 2, -1.0)
+            design(unit_source, grid3, 2, -1.0, init)
         bad = Quantizer(M=2, boundaries=np.tile([-INF, 0.0, INF], (2, 1)))
         with pytest.raises(ValueError):
             design(unit_source, grid3, 2, 1.0, init=bad)
-
-    def test_options_validated(self):
-        with pytest.raises(ValueError):
-            OptimOptions(n_restarts=0)
-        # numpy's generators take no negative seed
-        with pytest.raises(ValueError, match="^seed must be >= 0"):
-            OptimOptions(seed=-1)
-
-    @pytest.mark.parametrize("field, value", [
-        ("max_iters", 2.5), ("n_restarts", 2.5), ("seed", 1.5), ("seed", math.inf),
-        ("max_iters", True), ("n_restarts", True), ("seed", True), ("seed", "3"),
-    ])
-    def test_options_reject_non_integers_and_bools(self, field, value):
-        # n_restarts=2.5 and seed=1.5 used to fail late, inside the descent, and
-        # the others were accepted
-        with pytest.raises(ValueError, match=f"^{field} must be"):
-            OptimOptions(**{field: value})
-
-    def test_options_keep_integers_as_int(self):
-        opts = OptimOptions(max_iters=30.0, n_restarts=np.int64(2), seed=np.int32(7))
-        assert (opts.max_iters, opts.n_restarts, opts.seed) == (30, 2, 7)
-        assert all(type(v) is int for v in (opts.max_iters, opts.n_restarts, opts.seed))
 
     def test_never_above_init_and_stop_reason_consistent(self, unit_source, rng, monkeypatch):
         grid = make_theta_grid(unit_source, 5, "gauss-hermite")
@@ -735,11 +718,11 @@ class TestDesign:
                  (3, 0.0, 20_000, 1e-300))
         for M, lam, max_iters, eps in cases:
             monkeypatch.setattr(optimizer, "_EPS", eps)
+            monkeypatch.setattr(optimizer, "_MAX_ITERS", max_iters)
             inits = [random_monotone_quantizer(unit_source, grid, M, rng),
                      lloyd_max_quantizer(unit_source, M, grid)]
             for init in inits:
-                opts = OptimOptions(max_iters=max_iters)
-                res = design(unit_source, grid, M, lam, opts, init=init)
+                res = design(unit_source, grid, M, lam, init=init)
                 init_rep = evaluate(init, unit_source, grid, lam)[1]
                 # f = d_e + lam E[theta^2] is what the descent lowers; d_e's
                 # rounding grows with lam
@@ -786,7 +769,9 @@ class TestDesign:
         for M, lam, max_iters in cases:
             passes.clear()
             caplog.clear()
-            res = design(unit_source, grid, M, lam, OptimOptions(seed=M, max_iters=max_iters))
+            monkeypatch.setattr(optimizer, "_MAX_ITERS", max_iters)
+            init = random_monotone_quantizer(unit_source, grid, M, np.random.default_rng(M))
+            res = design(unit_source, grid, M, lam, init)
             assert res.evals == len(passes)
             assert res.evals >= res.iterations + 1
             assert f"iters={res.iterations} evals={res.evals} " in caplog.text
@@ -794,13 +779,13 @@ class TestDesign:
 
 
 def _recording_design(monkeypatch):
-    """Patch optimizer.design to record (lam, opts, result) of every call."""
+    """Patch optimizer.design to record (lam, result) of every call."""
     calls = []
     real_design = optimizer.design
 
-    def recording(source, grid, M, lam, opts, init=None):
-        result = real_design(source, grid, M, lam, opts, init=init)
-        calls.append((lam, opts, result))
+    def recording(source, grid, M, lam, init):
+        result = real_design(source, grid, M, lam, init)
+        calls.append((lam, result))
         return result
 
     monkeypatch.setattr(optimizer, "design", recording)
@@ -809,32 +794,17 @@ def _recording_design(monkeypatch):
 
 class TestMultistart:
     def test_deterministic(self, unit_source, grid3):
-        a = multistart(unit_source, grid3, 2, 1.0, OptimOptions(seed=3, n_restarts=2, max_iters=400))
-        b = multistart(unit_source, grid3, 2, 1.0, OptimOptions(seed=3, n_restarts=2, max_iters=400))
+        a = multistart(unit_source, grid3, 2, 1.0)
+        b = multistart(unit_source, grid3, 2, 1.0)
         np.testing.assert_array_equal(a.quantizer.boundaries, b.quantizer.boundaries)
         assert a.restart_index == b.restart_index
-
-    def test_more_restarts_never_worse(self, unit_source, grid3):
-        one = multistart(unit_source, grid3, 2, 1.0, OptimOptions(seed=6, n_restarts=1, max_iters=400))
-        eight = multistart(unit_source, grid3, 2, 1.0, OptimOptions(seed=6, n_restarts=8, max_iters=400))
-        assert eight.report.d_e <= one.report.d_e + 1e-15
 
     def test_lam_zero_single_node_reduces_to_lloyd_max(self, unit_source):
         # independent oracle: the classical fixed-point iteration
         grid = make_theta_grid(unit_source, 1)
         for M in (2, 4, 8):
-            res = multistart(unit_source, grid, M, 0.0, OptimOptions(seed=0, n_restarts=2))
+            res = multistart(unit_source, grid, M, 0.0)
             assert abs(res.report.d_d - lloyd_max(unit_source, M).distortion) < 1e-8
-
-    def test_d_kl_max_stable_across_seeds(self, unit_source, grid17):
-        # tail rows weigh ~1e-11 in d_e but count fully in d_kl_max, so the
-        # metric is seed noise unless the descent converges on them too
-        values = [
-            max_kl(multistart(unit_source, grid17, 2, 10.0, OptimOptions(seed=seed)).quantizer,
-                   unit_source, grid17).d_max
-            for seed in range(4)
-        ]
-        assert max(values) - min(values) < 0.01, values
 
     def test_nan_lam_raises_before_any_descent(self, unit_source, grid3, monkeypatch):
         # a lam=nan once reached a whole lam=0 descent before any check
@@ -843,10 +813,10 @@ class TestMultistart:
 
         monkeypatch.setattr(optimizer, "design", no_descent)
         with pytest.raises(ValueError, match="^lam must be nonnegative$"):
-            multistart(unit_source, grid3, 2, math.nan, OptimOptions(n_restarts=2))
+            multistart(unit_source, grid3, 2, math.nan)
 
     def test_stationarity_logged(self, unit_source, grid3):
-        res = multistart(unit_source, grid3, 2, 0.5, OptimOptions(seed=1, n_restarts=2))
+        res = multistart(unit_source, grid3, 2, 0.5)
         g = boundary_gradient(res.quantizer, unit_source, grid3, 0.5)
         print(f"projected gradient norm at convergence: {float(np.linalg.norm(g)):.3g}")
 
@@ -856,8 +826,8 @@ class TestMultistart:
         # the targets that the best of the random starts once reached
         source = make_source(1.0, 1.3, -0.8)
         grid = make_theta_grid(source, 9, "gauss-hermite")
-        for M, n_restarts, f_max in ((6, 4, 0.2708719522), (8, 2, 0.2624371888)):
-            res = multistart(source, grid, M, 1e7, OptimOptions(seed=0, n_restarts=n_restarts))
+        for M, f_max in ((6, 0.2708719522), (8, 0.2624371888)):
+            res = multistart(source, grid, M, 1e7)
             assert res.stop_reason == "tolerance", M
             assert _f(res, source, grid, 1e7) <= f_max, M
 
@@ -867,7 +837,7 @@ class TestMultistart:
         # stopped at once
         source = make_source(1.0, 1.3, -0.8)
         grid = make_theta_grid(source, 9, "gauss-hermite")
-        winner = multistart(source, grid, 6, 1e7, OptimOptions(seed=0, n_restarts=4))
+        winner = multistart(source, grid, 6, 1e7)
         assert winner.converged
         b = winner.quantizer.interior()
         rng = np.random.default_rng(0)
@@ -878,62 +848,54 @@ class TestMultistart:
             assert (res.stop_reason, res.iterations) == ("tolerance", 0), res.kkt_residual
 
     def test_m_one(self, unit_source, grid17, monkeypatch):
-        # no variables, so no start to build: the row is one descent at lam,
-        # whose stop the certificate decides before any step is solved
+        # the closed-form start is the one-cell quantizer, with no variables:
+        # the row is one descent at lam, whose stop the certificate decides
+        # before any step is solved
         def no_step(*args):
             raise AssertionError("a step was solved with no variables")
 
         monkeypatch.setattr(optimizer, "_bounded_step", no_step)
         calls = _recording_design(monkeypatch)
-        opts = OptimOptions(seed=0, n_restarts=2)
         for lam in (2.0, 1e5):
             calls.clear()
-            res = multistart(unit_source, grid17, 1, lam, opts)
-            assert [call[:2] for call in calls] == [(lam, opts)], lam
+            res = multistart(unit_source, grid17, 1, lam)
+            assert [call[0] for call in calls] == [lam], lam
             assert res.stop_reason == "tolerance" and res.iterations == 0
             assert res.restart_index == 0
             assert res.evals == 1
             assert res.quantizer.n_theta == 17
             assert res.report.d_d == pytest.approx(1.0, abs=1e-12)
 
-    @pytest.mark.parametrize("seed", [0, 1])
-    def test_roadmap_targets_on_correlated_sources(self, seed):
-        # the direct 17-node multistart reached 1.953373, and 0.270530 at seed 1
-        opts = OptimOptions(seed=seed, n_restarts=2)
+    def test_roadmap_targets_on_correlated_sources(self):
+        # the direct 17-node multistart from random starts reached 1.953373,
+        # and 0.270530 at seed 1
         for (r, rho, lam, target) in ((0.5, 0.9, 100.0, 1.9513), (1.3, -0.8, 1e5, 0.262437)):
             source = make_source(1.0, r, rho)
             grid = make_theta_grid(source, 17, "gauss-hermite")
-            res = multistart(source, grid, 8, lam, opts)
+            res = multistart(source, grid, 8, lam)
             assert _f(res, source, grid, lam) <= target, (r, rho, res.f)
 
     @pytest.mark.parametrize("lam", [0.0, 2.0])
-    def test_m8_d_kl_max_is_finite_and_seed_free(self, unit_source, grid17, lam):
-        values = [
-            max_kl(multistart(unit_source, grid17, 8, lam,
-                              OptimOptions(seed=seed, n_restarts=2)).quantizer,
-                   unit_source, grid17).d_max
-            for seed in range(4)
-        ]
-        assert all(math.isfinite(v) for v in values), values
-        assert max(values) - min(values) < 0.01, values
+    def test_m8_d_kl_max_is_finite(self, unit_source, grid17, lam):
+        # tail rows weigh ~1e-11 in d_e but count fully in d_kl_max
+        value = max_kl(multistart(unit_source, grid17, 8, lam).quantizer, unit_source, grid17).d_max
+        assert math.isfinite(value), value
 
     def test_one_design_from_the_closed_form_start(self, monkeypatch):
         source = make_source(1.0, 0.5, 0.9)
         grid = make_theta_grid(source, 9)
-        opts = OptimOptions(seed=4, n_restarts=3, max_iters=50)
         init = _closed_form_start(source, grid, 4, 2.0)[0]
-        direct = design(source, grid, 4, 2.0, opts, init=init)
+        direct = design(source, grid, 4, 2.0, init)
         calls = _recording_design(monkeypatch)
-        res = multistart(source, grid, 4, 2.0, opts)
-        # one descent, with the caller's options, from the closed-form start
-        ((lam, call_opts, result),) = calls
-        assert lam == 2.0 and call_opts is opts
+        res = multistart(source, grid, 4, 2.0)
+        # one descent, from the closed-form start
+        ((lam, result),) = calls
+        assert lam == 2.0
         assert result.trajectory[0] == evaluate(init, source, grid, 2.0)[1].d_e
         np.testing.assert_array_equal(res.quantizer.boundaries, direct.quantizer.boundaries)
         assert (res.report, res.f, res.iterations, res.evals, res.stop_reason) == (
             direct.report, direct.f, direct.iterations, direct.evals, direct.stop_reason)
-        # n_restarts only labels the start
-        assert res.restart_index == 3
+        assert res.restart_index == 0
 
     def test_correlated_row_reaches_the_closed_form(self):
         # random starts, the lam ladder and a 5-node search ended this row at
@@ -966,55 +928,30 @@ class TestMultistart:
     @pytest.mark.parametrize("lam", [0.0, 2.0, 1000.0, 2000.0, 1e5, 1e7])
     def test_every_row_descends_directly(self, unit_source, monkeypatch, lam):
         grid = make_theta_grid(unit_source, 9)
-        opts = OptimOptions(seed=4, n_restarts=3)
         init = _closed_form_start(unit_source, grid, 3, lam)[0]
-        direct = design(unit_source, grid, 3, lam, opts, init=init)
+        direct = design(unit_source, grid, 3, lam, init)
         calls = _recording_design(monkeypatch)
-        res = multistart(unit_source, grid, 3, lam, opts)
-        assert [call[:2] for call in calls] == [(lam, opts)]
-        assert calls[0][2].quantizer.n_theta == 9
-        assert calls[0][2].trajectory[0] == evaluate(init, unit_source, grid, lam)[1].d_e
+        res = multistart(unit_source, grid, 3, lam)
+        assert [call[0] for call in calls] == [lam]
+        assert calls[0][1].quantizer.n_theta == 9
+        assert calls[0][1].trajectory[0] == evaluate(init, unit_source, grid, lam)[1].d_e
         np.testing.assert_array_equal(res.quantizer.boundaries, direct.quantizer.boundaries)
         assert (res.report, res.iterations, res.evals) == (
             direct.report, direct.iterations, direct.evals)
 
     @pytest.mark.parametrize("max_iters", [1, 2, 7, 30])
-    def test_the_descent_keeps_the_caller_cap(self, monkeypatch, max_iters):
+    def test_the_descent_keeps_the_cap(self, monkeypatch, max_iters):
         # from the closed-form start this 5-node row takes 10 steps uncapped
         source = make_source(1.0, 1.3, 0.9)
         grid = make_theta_grid(source, 5)
         full = multistart(source, grid, 8, 0.0)
         assert (full.iterations, full.stop_reason) == (10, "tolerance")
-        calls = _recording_design(monkeypatch)
-        opts = OptimOptions(max_iters=max_iters)
-        res = multistart(source, grid, 8, 0.0, opts)
-        ((_, call_opts, result),) = calls
-        assert call_opts is opts and result.iterations <= max_iters
+        monkeypatch.setattr(optimizer, "_MAX_ITERS", max_iters)
+        res = multistart(source, grid, 8, 0.0)
         assert res.iterations == min(max_iters, full.iterations)
         assert res.stop_reason == ("tolerance" if max_iters >= full.iterations else "max_iters")
         if max_iters >= full.iterations:
             np.testing.assert_array_equal(res.quantizer.boundaries, full.quantizer.boundaries)
-
-    @pytest.mark.parametrize("n_restarts", [1, 2, 7, 30])
-    def test_n_restarts_only_sets_the_label(self, n_restarts):
-        source = make_source(1.0, 0.5, 0.9)
-        grid = make_theta_grid(source, 9)
-        base = multistart(source, grid, 4, 2.0, OptimOptions(n_restarts=1))
-        res = multistart(source, grid, 4, 2.0, OptimOptions(n_restarts=n_restarts))
-        np.testing.assert_array_equal(res.quantizer.boundaries, base.quantizer.boundaries)
-        assert (res.report, res.f, res.iterations, res.evals, res.stop_reason) == (
-            base.report, base.f, base.iterations, base.evals, base.stop_reason)
-        assert res.restart_index == n_restarts
-
-    @pytest.mark.parametrize("M", [2, 8])
-    def test_the_row_is_seed_free(self, M):
-        # seed only seeds design's default random start, which multistart never uses
-        source = make_source(1.0, 1.3, -0.8)
-        grid = make_theta_grid(source, 9)
-        rows = [multistart(source, grid, M, 2.0, OptimOptions(seed=seed)) for seed in range(4)]
-        for row in rows[1:]:
-            np.testing.assert_array_equal(row.quantizer.boundaries, rows[0].quantizer.boundaries)
-            assert row.report == rows[0].report
 
     def test_uncertified_linear_stage_raises_before_any_descent(self, unit_source, grid3,
                                                                 monkeypatch):
@@ -1094,7 +1031,8 @@ class TestClosedFormStart:
 
 class TestSerialization:
     def test_design_result_dict_schema(self, unit_source, grid3):
-        res = design(unit_source, grid3, 2, 0.5, OptimOptions(seed=0, max_iters=300))
+        init = random_monotone_quantizer(unit_source, grid3, 2, np.random.default_rng(0))
+        res = design(unit_source, grid3, 2, 0.5, init)
         data = design_result_to_dict(res, grid3)
         assert set(data) == {"M", "theta_nodes", "boundaries", "y", "theta_hat",
                              "d_e", "fidelity", "d_d", "d_theta", "iterations", "converged",

@@ -11,7 +11,6 @@ from strategiq import (
     MASS_FLOOR,
     BestResponses,
     DistortionReport,
-    OptimOptions,
     Quantizer,
     boundary_gradient,
     brute_force_design,
@@ -272,14 +271,13 @@ def _lloyd_max_pair(source, grid):
     return q, evaluate(q, source, grid, 0.0)[0]
 
 
-_FEW_STEPS = OptimOptions(n_restarts=1, max_iters=5)
 # every public function that takes lam, called on a small valid input
 _LAM_ENTRY_POINTS = {
     "evaluate": lambda s, g, lam: evaluate(_lloyd_max_pair(s, g)[0], s, g, lam),
     "distortions": lambda s, g, lam: distortions(*_lloyd_max_pair(s, g), s, g, lam),
     "boundary_gradient": lambda s, g, lam: boundary_gradient(_lloyd_max_pair(s, g)[0], s, g, lam),
-    "design": lambda s, g, lam: design(s, g, 2, lam, _FEW_STEPS),
-    "multistart": lambda s, g, lam: multistart(s, g, 2, lam, _FEW_STEPS),
+    "design": lambda s, g, lam: design(s, g, 2, lam, _lloyd_max_pair(s, g)[0]),
+    "multistart": lambda s, g, lam: multistart(s, g, 2, lam),
     "brute_force_design":
         lambda s, g, lam: brute_force_design(s, g, 2, lam, make_oracle_grid(s, 3)),
     "monte_carlo_distortions":
