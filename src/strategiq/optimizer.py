@@ -25,8 +25,9 @@ out the density slope's term, zero at a stationary point (_hessian).  One
 eigendecomposition of it on the free variables gives every step from that
 point: the interior step, the step on the region's boundary (a scalar equation
 in the shift sigma of the eigenvalues), the hard case, and (H + sigma I)^-1
-for the correction below.  Only steps pay for it: the stop is certified by a
-Cholesky factor L of the same matrix, since no step on the free variables
+for the correction below.  Only steps pay for it: the stop is certified by
+one Cholesky factorization of the same matrix bordered by g, whose last pivot
+holds |L^-1 g|^2, L the matrix's factor; no step on the free variables
 promises a decrease above |L^-1 g|^2 / 2.  A step is accepted when f falls
 below every earlier f (or, once the model promises less than f's rounding,
 when it stays within that rounding of them and shrinks the projected
@@ -355,21 +356,24 @@ def _free_set(H: np.ndarray, g: np.ndarray, x: np.ndarray, lower: np.ndarray):
     return at_bound, (~at_bound | (g <= 0.0)) & (H != 0.0).any(axis=1)
 
 
-def _stop_bound(H: np.ndarray, g: np.ndarray, x: np.ndarray, lower: np.ndarray) -> float:
-    """An upper bound on the model decrease -(g.s + s.H.s/2) of any step _bounded_step takes.
+def _stop_certified(H: np.ndarray, g: np.ndarray, x: np.ndarray, lower: np.ndarray,
+                    promise: float) -> bool:
+    """Whether no step _bounded_step takes lowers the model g.s + s.H.s/2 by promise or more.
 
     Its steps and corrections move only the free set F it starts from (later
-    free sets are subsets of F).  If H_FF has a Cholesky factor L, no step on
-    F lowers the model by more than g_F.H_FF^-1 g_F / 2 = |L^-1 g_F|^2 / 2;
-    otherwise the bound is inf.
+    free sets are subsets of F).  If H_FF has a Cholesky factor L, none lowers
+    the model by more than |L^-1 g_F|^2 / 2, and the factor of
+    [[H_FF, g_F], [g_F^T, 2 promise]] has the corner sqrt(2 promise - |L^-1 g_F|^2)
+    (the bordering method).  A NaN gives a NaN corner, not always a raise.
     """
-    free = _free_set(H, g, x, lower)[1]
+    free = np.append(_free_set(H, g, x, lower)[1], True)
+    K = np.empty((free.size, free.size))
+    K[:-1, :-1], K[-1, -1] = H, 2.0 * promise
+    K[-1, :-1] = K[:-1, -1] = g
     try:
-        chol = np.linalg.cholesky(H[np.ix_(free, free)])
+        return bool(np.linalg.cholesky(K if free.all() else K[free][:, free])[-1, -1] > 0.0)
     except np.linalg.LinAlgError:
-        return math.inf
-    z = np.linalg.solve(chol, g[free])
-    return 0.5 * float(z @ z)
+        return False
 
 
 def _bounded_step(
@@ -435,8 +439,8 @@ def design(
     by more than f's rounding.  Once the inf-norm of the projected gradient is
     at most tol = max(1e-9 * max(1, f), 4 eps_mach lam E_grid[theta^2]), the
     latter the gradient's rounding, the descent stops when the model promises a
-    decrease of at most 1e-3 * tol (or below f's rounding); a Cholesky bound on
-    every step's promise (_stop_bound) decides this stop before any step is
+    decrease of at most 1e-3 * tol (or below f's rounding); a bordered Cholesky
+    factorization (_stop_certified) certifies this stop before any step is
     solved, so a stationary start pays no eigendecomposition.  stop_reason is
     "tolerance" for every stop with the gradient at most tol; otherwise it is
     "stalled" when the trust region has shrunk until the model promises no
@@ -503,7 +507,7 @@ def design(
             n_theta_jac = rows[1].reshape(M, -1)
             # the stop below, certified without eigh; a rejected step changes
             # none of its inputs, so it is decided once per point
-            if kkt_residual <= tolerance and _stop_bound(H, g, x, lower) <= promise:
+            if kkt_residual <= tolerance and _stop_certified(H, g, x, lower, promise):
                 stop_reason = "tolerance"
                 break
         x_new, reached, correct = _bounded_step(H, g, x, lower, delta, caches)
@@ -557,8 +561,10 @@ def design(
         "design M=%d lam=%g: iters=%d evals=%d eigh=%d stop=%s d_e=%.9g kkt_residual=%.3g",
         M, lam, iterations, evals, eighs + len(caches), stop_reason, state.dist[0], kkt_residual,
     )
+    # with no step accepted b is init's, and so is the quantizer
     return DesignResult(
-        _with_edges(b), BestResponses(state.y, state.theta_hat, state.sums[0]),
+        init if iterations == 0 else _with_edges(b),
+        BestResponses(state.y, state.theta_hat, state.sums[0]),
         DistortionReport(*state.dist), iterations=iterations,
         converged=stop_reason == "tolerance", trajectory=np.array(trajectory),
         stop_reason=stop_reason, kkt_residual=kkt_residual, evals=evals, f=f,

@@ -38,7 +38,7 @@ from strategiq.optimizer import (
     _free_set,
     _hessian,
     _increment_gradient,
-    _stop_bound,
+    _stop_certified,
     _to_boundaries,
     _to_increments,
     _with_edges,
@@ -498,29 +498,77 @@ def _counting_eig(monkeypatch):
     return calls
 
 
+def _model_bound(H, g, x, lower):
+    """g_F.H_FF^-1 g_F / 2 on _bounded_step's free set F, from eigh, and H_FF's eigenvalues.
+
+    The bound is None unless H_FF is positive definite.
+    """
+    free = _free_set(H, g, x, lower)[1]
+    eigvals, vecs = np.linalg.eigh(H[np.ix_(free, free)])
+    if eigvals.size and eigvals[0] <= 0.0:
+        return None, eigvals
+    coefficients = vecs.T @ g[free]
+    return 0.5 * float(coefficients @ (coefficients / eigvals)), eigvals
+
+
+# promises around a model bound v: v itself, within 1e-6 of it, and decades away
+_PROMISE_FACTORS = (1.0, 1.0 - 1e-6, 1.0 + 1e-6, *10.0 ** np.arange(-3.0, 3.5, 0.5))
+
+
 class TestStopCertificate:
-    # the descent stops without eigh when _stop_bound, which bounds the model
-    # decrease of every step _bounded_step can take, is under the promise
+    # the descent stops without eigh when _stop_certified says that no step
+    # _bounded_step can take lowers the model by more than the promise
     @settings(max_examples=400, deadline=None, derandomize=True)
     @given(case=_boxed_subproblems())
-    def test_bounds_the_step_and_its_correction(self, case):
+    def test_a_certified_stop_bounds_the_step_and_its_correction(self, case):
         H, g, x, lower, delta, r = case
-        bound = _stop_bound(H, g, x, lower)
-        free = _free_set(H, g, x, lower)[1]
-        eigvals = np.linalg.eigvalsh(H[np.ix_(free, free)])
+        bound, eigvals = _model_bound(H, g, x, lower)
         scale = float(np.abs(eigvals).max(initial=1.0))
+        v = bound if bound is not None else 0.5 * float(g @ g) / scale
+        promises = [v * factor for factor in _PROMISE_FACTORS]
         if eigvals.size and eigvals[0] < -1e-9 * scale:
-            # Cholesky fails on an indefinite H_FF
-            assert bound == INF
+            # an indefinite H_FF has no Cholesky factor, bordered or not
+            assert not any(_stop_certified(H, g, x, lower, p) for p in promises)
             return
-        assume(eigvals.size == 0 or eigvals[0] > 1e-9 * scale)
         x_new, _, correct = _bounded_step(H, g, x, lower, delta, {})
+        decreases = []
         for point in (x_new, correct(r)):
-            if point is None:
-                continue
-            s = (point - x).ravel()
-            decrease = -(g @ s + 0.5 * s @ (H @ s))
-            assert decrease <= bound + 1e-9 * (bound + abs(g @ s) + abs(s @ (H @ s)))
+            if point is not None:
+                s = (point - x).ravel()
+                decreases.append((-(g @ s + 0.5 * s @ (H @ s)), abs(g @ s) + abs(s @ (H @ s))))
+        for promise in promises:
+            if _stop_certified(H, g, x, lower, promise):
+                for decrease, size in decreases:
+                    assert decrease <= promise + 1e-9 * (promise + size)
+
+    @settings(max_examples=400, deadline=None, derandomize=True)
+    @given(case=_boxed_subproblems())
+    def test_agrees_with_the_bound_away_from_its_rounding(self, case):
+        H, g, x, lower = case[:4]
+        bound, eigvals = _model_bound(H, g, x, lower)
+        assume(bound is not None and (eigvals.size == 0 or eigvals[0] > 1e-9 * eigvals[-1]))
+        for factor in _PROMISE_FACTORS:
+            promise = bound * factor if bound > 0.0 else factor
+            if abs(promise - bound) > 1e-7 * bound:
+                assert _stop_certified(H, g, x, lower, promise) == (bound < promise), factor
+
+    @pytest.mark.parametrize("n", [1, 2, 5])
+    def test_a_nan_never_certifies(self, n):
+        # numpy's Cholesky may return NaNs instead of raising: the corner is read
+        rng = np.random.default_rng(n)
+        basis = np.linalg.qr(rng.standard_normal((n, n)))[0]
+        H = (basis * 10.0 ** rng.uniform(-1.0, 1.0, n)) @ basis.T
+        H = 0.5 * (H + H.T)
+        g, x, lower = rng.standard_normal(n), np.zeros((1, n)), np.full((1, n), -INF)
+        assert _stop_certified(H, g, x, lower, 1e300)
+        for i in range(n):
+            for j in range(i + 1):
+                broken = H.copy()
+                broken[i, j] = broken[j, i] = np.nan
+                assert not _stop_certified(broken, g, x, lower, 1e300), (i, j)
+            broken = g.copy()
+            broken[i] = np.nan
+            assert not _stop_certified(H, broken, x, lower, 1e300), i
 
     def test_results_are_those_of_eighs_stop_test(self, monkeypatch):
         # with the certificate forced to fall through, every stop is decided
@@ -543,7 +591,7 @@ class TestStopCertificate:
 
         certified = census()
         certified_eighs = len(eighs)
-        monkeypatch.setattr(optimizer, "_stop_bound", lambda *args: INF)
+        monkeypatch.setattr(optimizer, "_stop_certified", lambda *args: False)
         eighs.clear()
         assert census() == certified
         assert certified_eighs < len(eighs)
@@ -694,6 +742,16 @@ class TestDesign:
         res = design(unit_source, grid3, 1, 2.0, init)
         assert res.converged and res.iterations == 0
         assert res.report.d_d == pytest.approx(1.0, abs=1e-12)
+
+    @pytest.mark.parametrize("lam", [0.0, 2.0, 1e5])
+    def test_a_stationary_start_is_the_result(self, unit_source, grid17, lam):
+        # a descent that accepts no step returns init, boundaries bit for bit
+        init = _closed_form_start(unit_source, grid17, 8, lam)[0]
+        res = design(unit_source, grid17, 8, lam, init)
+        assert res.iterations == 0 and res.quantizer is init
+        row = multistart(unit_source, grid17, 8, lam)
+        assert row.iterations == 0
+        assert row.quantizer.boundaries.tobytes() == init.boundaries.tobytes()
 
     def test_rejects_bad_inputs(self, unit_source, grid3):
         init = Quantizer(M=2, boundaries=np.tile([-INF, 0.0, INF], (3, 1)))
