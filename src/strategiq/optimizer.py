@@ -21,17 +21,18 @@ cone is a box and a skipped message is d = 0.  Each step minimizes a quadratic
 model inside a Euclidean trust region, on the variables off their bound
 (Lin & More, 1999; the step is More & Sorensen's, 1983); a variable at its
 bound that the step would push out is held there.  The model's Hessian leaves
-out the density slope's term, zero at a stationary point (_hessian).  One
+out the density slope's term, zero at a stationary point (_hessian_parts).  One
 eigendecomposition of it on the free variables gives every step from that
 point: the interior step, the step on the region's boundary (a scalar equation
 in the shift sigma of the eigenvalues), the hard case, and (H + sigma I)^-1
-for the correction below.  Only steps pay for it: the stop is certified by
-one Cholesky factorization of the same matrix bordered by g, whose last pivot
-holds |L^-1 g|^2, L the matrix's factor; no step on the free variables
-promises a decrease above |L^-1 g|^2 / 2.  A step is accepted when f falls
-below every earlier f (or, once the model promises less than f's rounding,
-when it stays within that rounding of them and shrinks the projected
-gradient); the radius shrinks when the model predicted poorly and grows, up
+for the correction below.  Only steps pay for it, or for the dense Hessian:
+in the boundaries the Hessian is a diagonal plus a rank-2M term,
+diag(D) + U^T C U, and the stop is certified from one 2M x 2M capacitance
+matrix (Haynsworth's inertia additivity, 1968, for positive definiteness;
+Woodbury's identity, 1950, for g^T H^-1 g / 2, the most any step on the free
+variables can promise).  A step is accepted when f falls below every
+earlier f (or, once the model promises less than f's rounding, when it stays
+within that rounding of them and shrinks the projected gradient); the radius shrinks when the model predicted poorly and grows, up
 to sigma_c, when the model was good and the step reached it.  At lam > 0 a
 poorly predicted step also gets a second-order correction (Fletcher's), which
 moves theta_hat back to where the linear model put it, and the better of the
@@ -245,13 +246,12 @@ def _kkt_residual(x: np.ndarray, g: np.ndarray, lower: np.ndarray) -> float:
     return float(np.abs(x - np.maximum(x - g, lower)).max(initial=0.0))
 
 
-def _hessian(b: np.ndarray, grid: ThetaGrid, lam: float,
-             trial: tuple) -> tuple[np.ndarray, np.ndarray]:
-    """Model Hessian of d_e in the increments of the interior boundaries b, and its rows.
+def _hessian_parts(b: np.ndarray, grid: ThetaGrid, lam: float, trial: tuple) -> tuple:
+    """Model Hessian of d_e in the interior boundaries b, as diag(D) + t^T t - a^T a.
 
     trial is _moment_pass's output at b.  Per cell, with N its mass,
-    Phi = N ((y + theta_hat)^2 - (1 + lam) theta_hat^2), and in the boundaries
-    H = diag(D) - sum_m (2/N_m) (a_m a_m^T - (1 + lam) t_m t_m^T) with
+    Phi = N ((y + theta_hat)^2 - (1 + lam) theta_hat^2), and
+    H_b = diag(D) - sum_m (2/N_m) (a_m a_m^T - (1 + lam) t_m t_m^T) with
     a_m = N_m grad(y_m + theta_hat_m) and t_m = N_m grad(theta_hat_m): the
     Jacobian of the pooled (A, T, N) against the Hessian of Phi in them.
     Boundary c, the upper edge of cell c and the lower edge of cell c + 1,
@@ -260,10 +260,10 @@ def _hessian(b: np.ndarray, grid: ThetaGrid, lam: float,
     a fixed density f; the exact one adds -(b - mu) / sigma_c^2 times the
     boundary's gradient, from f's slope, which is zero at a stationary point
     (Dennis & More, 1977) and would cut Newton steps in Gaussian tails short.  A
-    cell below MASS_FLOOR contributes no rows.  In the increments, with L the
-    per-row cumulative sum, the Hessian is L^T H L: the rows become a L and
-    t L, and diag(D) a block per row.  Returns L^T H L, shape (P, P) with
-    P = b.size, and the rows, shape (2, M, n_rows, M-1): a L, then t L.
+    cell below MASS_FLOOR contributes no rows.  Returns D, shape (n_rows, M-1);
+    the rows a_m, t_m, shape (2, M, n_rows, M-1); and their scales
+    sqrt(2/N_m) and sqrt((1 + lam) 2/N_m), shape (2, M, 1).  D, every row
+    entry and the gradient at boundary c all carry its w f.
     """
     sums, y, theta_hat, _, density, _ = trial
     n_rows, k = b.shape
@@ -278,13 +278,27 @@ def _hessian(b: np.ndarray, grid: ThetaGrid, lam: float,
     rows[0, cols + 1, :, cols] = -(wf * (b - y[1:]) + t_hi).T
     rows[1, cols, :, cols] = t_lo.T
     rows[1, cols + 1, :, cols] = -t_hi.T
-    rows = _increment_gradient(rows)
     n = sums[0]
     weight = np.sqrt(np.divide(2.0, n, out=np.zeros_like(n), where=n >= MASS_FLOOR))[:, None]
-    a = rows[0].reshape(k + 1, -1) * weight
-    t = rows[1].reshape(k + 1, -1) * (np.sqrt(1.0 + lam) * weight)
+    return diag, rows, np.stack([weight, np.sqrt(1.0 + lam) * weight])
+
+
+def _hessian(parts: tuple) -> tuple[np.ndarray, np.ndarray]:
+    """The dense model Hessian in the increments, from _hessian_parts, and its rows.
+
+    With L the per-row cumulative sum, the Hessian in the increments is
+    L^T H_b L: the rows become a L and t L, and diag(D) a block per row.
+    Returns L^T H_b L, shape (P, P) with P = D.size, and the rows, shape
+    (2, M, n_rows, M-1): a L, then t L.
+    """
+    diag, rows, scale = parts
+    n_rows, k = diag.shape
+    rows = _increment_gradient(rows)
+    a = rows[0].reshape(k + 1, -1) * scale[0]
+    t = rows[1].reshape(k + 1, -1) * scale[1]
     H = t.T @ t - a.T @ a  # symmetric products, so H is exactly symmetric
     # (L^T diag(D) L)_{ik} = sum of D from boundary max(i, k) on, per row
+    cols = np.arange(k)
     tail = _increment_gradient(diag)[:, np.maximum.outer(cols, cols)]
     every = np.arange(n_rows)
     H.reshape(n_rows, k, n_rows, k)[every, :, every, :] += tail
@@ -356,24 +370,47 @@ def _free_set(H: np.ndarray, g: np.ndarray, x: np.ndarray, lower: np.ndarray):
     return at_bound, (~at_bound | (g <= 0.0)) & (H != 0.0).any(axis=1)
 
 
-def _stop_certified(H: np.ndarray, g: np.ndarray, x: np.ndarray, lower: np.ndarray,
-                    promise: float) -> bool:
+def _certify_stop(parts: tuple, grad: np.ndarray, x: np.ndarray, lower: np.ndarray,
+                  promise: float) -> bool:
     """Whether no step _bounded_step takes lowers the model g.s + s.H.s/2 by promise or more.
 
-    Its steps and corrections move only the free set F it starts from (later
-    free sets are subsets of F).  If H_FF has a Cholesky factor L, none lowers
-    the model by more than |L^-1 g_F|^2 / 2, and the factor of
-    [[H_FF, g_F], [g_F^T, 2 promise]] has the corner sqrt(2 promise - |L^-1 g_F|^2)
-    (the bordering method).  A NaN gives a NaN corner, not always a raise.
+    parts is _hessian_parts(b, ...) and grad the boundary gradient at b; H and g
+    are _hessian(parts)'s and grad's in the increments.  _bounded_step's steps
+    and corrections move only the free set F it starts from (later free sets
+    are subsets of F), which lies in the increments off their bound or with
+    g <= 0.  Holding an increment ties its two boundaries, so on F the
+    boundary Hessian is diag(D) + U^T C U again, with D, the columns of
+    U = [a; t] and grad summed over each tied group and C = diag(-I, I).  With
+    every D > 0, it is positive definite exactly when the capacitance
+    C + U D^-1 U^T has M positive and M negative eigenvalues (Haynsworth's
+    inertia additivity), and then no step on F lowers the model by more than
+    g_F.H_FF^-1 g_F / 2 = (grad.D^-1 grad - r.Cap^-1 r) / 2, r = U D^-1 grad,
+    in the groups as well as in the increments (Woodbury's identity).  As
+    every column of U and entry of grad carries its D's w f, u^2 / D stays at
+    the scale of w f where D underflows towards 1e-300.  A D <= 0, a
+    capacitance eigenvalue within eigh's resolution of 0, the wrong inertia
+    or a NaN answers no.
     """
-    free = np.append(_free_set(H, g, x, lower)[1], True)
-    K = np.empty((free.size, free.size))
-    K[:-1, :-1], K[-1, -1] = H, 2.0 * promise
-    K[-1, :-1] = K[:-1, -1] = g
+    diag, rows, scale = parts
+    M = scale.shape[1]
+    starts = np.flatnonzero((x != lower).ravel() | (_increment_gradient(grad).ravel() <= 0.0))
+    d = np.add.reduceat(diag.ravel(), starts)
+    if not (d > 0.0).all():
+        return False
+    u = np.add.reduceat((rows.reshape(2, M, -1) * scale).reshape(2 * M, -1), starts, axis=1)
+    grad = np.add.reduceat(grad.ravel(), starts)
+    v = u / d
+    capacitance = v @ u.T
+    capacitance.flat[:: 2 * M + 1] += np.repeat([-1.0, 1.0], M)
     try:
-        return bool(np.linalg.cholesky(K if free.all() else K[free][:, free])[-1, -1] > 0.0)
+        eigvals, vecs = np.linalg.eigh(capacitance)
     except np.linalg.LinAlgError:
         return False
+    resolution = _RESOLUTION * np.abs(eigvals).max()
+    if not (np.abs(eigvals) > resolution).all() or (eigvals > 0.0).sum() != M:
+        return False
+    r = vecs.T @ (v @ grad)
+    return bool(grad @ (grad / d) - r @ (r / eigvals) < 2.0 * promise)
 
 
 def _bounded_step(
@@ -439,13 +476,14 @@ def design(
     by more than f's rounding.  Once the inf-norm of the projected gradient is
     at most tol = max(1e-9 * max(1, f), 4 eps_mach lam E_grid[theta^2]), the
     latter the gradient's rounding, the descent stops when the model promises a
-    decrease of at most 1e-3 * tol (or below f's rounding); a bordered Cholesky
-    factorization (_stop_certified) certifies this stop before any step is
-    solved, so a stationary start pays no eigendecomposition.  stop_reason is
-    "tolerance" for every stop with the gradient at most tol; otherwise it is
-    "stalled" when the trust region has shrunk until the model promises no
-    decrease f could resolve, and "max_iters" after _MAX_ITERS accepted
-    steps.  converged is True only for "tolerance".
+    decrease of at most 1e-3 * tol (or below f's rounding).  _certify_stop
+    decides this stop from the Hessian's diagonal-plus-rank-2M parts in the
+    boundaries before the dense Hessian is built or any step solved, so a
+    stationary start pays for neither.  stop_reason is "tolerance" for every
+    stop with the gradient at most tol; otherwise it is "stalled" when the
+    trust region has shrunk until the model promises no decrease f could
+    resolve, and "max_iters" after _MAX_ITERS accepted steps.  converged is
+    True only for "tolerance".
     """
     M = _as_integer("M", M)
     if M < 1:
@@ -464,8 +502,8 @@ def design(
     lower = np.zeros_like(x)
     lower[:, :1] = -np.inf
     f = state.f
-    g = _increment_gradient(
-        _analytic_gradient(b, grid, lam, state.y, state.theta_hat, state.density)).ravel()
+    grad = _analytic_gradient(b, grid, lam, state.y, state.theta_hat, state.density)
+    g = _increment_gradient(grad).ravel()
     # sigma_c, the scale of a boundary move, is also the largest radius: the
     # model of a row of small weight can call for moves of many sigma_c
     # that f, dominated by the other rows, would accept blindly
@@ -488,10 +526,10 @@ def design(
         # the projected gradient
         if not (f_try < f_low or (unseen and f_try <= f_low + rounding)):
             return None, trial
-        g_try = _increment_gradient(
-            _analytic_gradient(b_try, grid, lam, trial.y, trial.theta_hat, trial.density)).ravel()
+        grad_try = _analytic_gradient(b_try, grid, lam, trial.y, trial.theta_hat, trial.density)
+        g_try = _increment_gradient(grad_try).ravel()
         if f_try < f_low or _kkt_residual(x_try, g_try.reshape(x.shape), lower) < kkt_residual:
-            return (x_try, f_try, g_try, b_try, trial), trial
+            return (x_try, f_try, g_try, grad_try, b_try, trial), trial
         return None, trial
 
     while True:
@@ -501,15 +539,16 @@ def design(
         tolerance = max(_EPS * max(1.0, f), gradient_rounding)
         promise = max(_PROMISE * tolerance, rounding)
         if H is None:
-            H, rows = _hessian(b, grid, lam, state)
+            parts = _hessian_parts(b, grid, lam, state)
+            # the stop below, certified without H or eigh; a rejected step
+            # changes none of its inputs, so it is decided once per point
+            if kkt_residual <= tolerance and _certify_stop(parts, grad, x, lower, promise):
+                stop_reason = "tolerance"
+                break
+            H, rows = _hessian(parts)
             eighs, caches = eighs + len(caches), {}
             # N_m times the gradient of theta_hat_m in the increments
             n_theta_jac = rows[1].reshape(M, -1)
-            # the stop below, certified without eigh; a rejected step changes
-            # none of its inputs, so it is decided once per point
-            if kkt_residual <= tolerance and _stop_certified(H, g, x, lower, promise):
-                stop_reason = "tolerance"
-                break
         x_new, reached, correct = _bounded_step(H, g, x, lower, delta, caches)
         s = (x_new - x).ravel()
         predicted = -(g @ s + 0.5 * s @ (H @ s))
@@ -543,7 +582,7 @@ def design(
                 delta = 0.25 * s_norm
             elif ratio > 0.75 and reached:
                 delta = min(2.0 * delta, delta_max)
-            x, f, g, b, state = accepted
+            x, f, g, grad, b, state = accepted
             f_low = min(f_low, f)
             H = None
             trajectory.append(state.dist[0])

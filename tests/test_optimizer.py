@@ -36,9 +36,10 @@ from strategiq.optimizer import (
     _bounded_step,
     _closed_form_start,
     _free_set,
+    _certify_stop,
     _hessian,
+    _hessian_parts,
     _increment_gradient,
-    _stop_certified,
     _to_boundaries,
     _to_increments,
     _with_edges,
@@ -321,7 +322,7 @@ class TestHessian:
         trial = _moment_pass(b, terms, lam)
         full = trial[0][0] >= MASS_FLOOR
         grad = _analytic_gradient(b, grid, lam, trial[1], trial[2], trial[4])
-        model, _ = _hessian(b, grid, lam, trial)
+        model, _ = _hessian(_hessian_parts(b, grid, lam, trial))
         np.testing.assert_array_equal(model, model.T)
         # the model leaves out the density slope's term of each boundary's
         # second derivative, -(b - mu) / sigma_c^2 times its gradient; added
@@ -389,6 +390,59 @@ class TestHessian:
             floor = (1e-13 + resolution) * size[q] / h + 1e8 * np.finfo(float).tiny
             assert np.abs(H[q, cols] - fd[q, cols]).max(initial=0.0) <= 1e-6 * scale + floor, q
 
+
+    def test_assembly_from_the_parts_is_the_one_pass_assembly_bit_for_bit(self, monkeypatch):
+        # every step is solved on _hessian's matrix: from the shared parts it
+        # must be the one-pass assembly's, bit for bit, at every point a
+        # descent visits, so that every step stays the same
+        visited = []
+        real_parts = optimizer._hessian_parts
+        monkeypatch.setattr(optimizer, "_hessian_parts",
+                            lambda *args: visited.append(args) or real_parts(*args))
+        cases = [(params, n_nodes, M, lam) for params in ((1.0, 1.0, 0.0), (1.0, 1.3, 0.9))
+                 for n_nodes in (17, 33) for M in (2, 8) for lam in (0.0, 2.0, 1e5)]
+        # rows that take steps, so the points after each step are checked too
+        cases += [((1.0, 1.3, 0.9), 5, 8, 0.0), ((1.0, 1.3, 0.9), 3, 4, 0.5),
+                  ((1.0, 1.3, -0.8), 9, 6, 1e7)]
+        for params, n_nodes, M, lam in cases:
+            source = make_source(*params)
+            multistart(source, make_theta_grid(source, n_nodes), M, lam)
+        assert len(visited) > len(cases)
+        for b, grid, lam, trial in visited:
+            H, rows = _hessian(real_parts(b, grid, lam, trial))
+            expected_H, expected_rows = _one_pass_hessian(b, grid, lam, trial)
+            assert H.tobytes() == expected_H.tobytes()
+            assert rows.tobytes() == expected_rows.tobytes()
+
+
+def _one_pass_hessian(b, grid, lam, trial):
+    """The reference for _hessian: its formulas in one function, from b and the moment pass.
+
+    The cell rows are mapped to the increments before they are scaled, and
+    the matrix is L^T H_b L, L the per-row cumulative sum.
+    """
+    sums, y, theta_hat, _, density, _ = trial
+    n_rows, k = b.shape
+    theta = grid.nodes[:, None]
+    wf = grid.weights[:, None] * density
+    diag = 2.0 * wf * ((y[1:] - y[:-1]) + (theta_hat[1:] - theta_hat[:-1]))
+    t_lo, t_hi = wf * (theta - theta_hat[:-1]), wf * (theta - theta_hat[1:])
+    rows = np.zeros((2, k + 1, n_rows, k))
+    cols = np.arange(k)
+    rows[0, cols, :, cols] = (wf * (b - y[:-1]) + t_lo).T
+    rows[0, cols + 1, :, cols] = -(wf * (b - y[1:]) + t_hi).T
+    rows[1, cols, :, cols] = t_lo.T
+    rows[1, cols + 1, :, cols] = -t_hi.T
+    rows = _increment_gradient(rows)
+    n = sums[0]
+    weight = np.sqrt(np.divide(2.0, n, out=np.zeros_like(n), where=n >= MASS_FLOOR))[:, None]
+    a = rows[0].reshape(k + 1, -1) * weight
+    t = rows[1].reshape(k + 1, -1) * (np.sqrt(1.0 + lam) * weight)
+    H = t.T @ t - a.T @ a
+    tail = _increment_gradient(diag)[:, np.maximum.outer(cols, cols)]
+    every = np.arange(n_rows)
+    H.reshape(n_rows, k, n_rows, k)[every, :, every, :] += tail
+    return H, rows
 
 @st.composite
 def _subproblems(draw):
@@ -461,33 +515,38 @@ class TestTrustRegionStep:
 
 
 @st.composite
-def _boxed_subproblems(draw):
-    """A model (H, g) on the increment box, a point x, a radius delta and a correction's rhs.
+def _boxed_parts(draw):
+    """_hessian_parts' output, a boundary gradient, a point x on the increment box, a radius
+    delta and a correction's rhs.
 
     x has 1..3 rows of 1..4 increments: each row's first is unbounded, each
-    later one at its bound 0 or above it.  H is symmetric, its eigenvalues
-    of magnitude over six decades, positive unless "indefinite" negates
-    some; "dead" zeroes one variable's row and column, as an empty cell does.
+    later one at its bound 0 or above it.  D > 0 spans six decades.  The cell
+    rows are sqrt(D) times normal draws of one size s, so that
+    H_b = D^1/2 (I + W^T C W) D^1/2 with W of size s: positive definite for
+    most small s, indefinite for most large s.  "empty" zeroes one cell's
+    scales, as a cell below MASS_FLOOR has them; "dead" zeroes D, the rows
+    and the gradient at a row's first or last boundary, as a density that
+    underflows in a tail does.
     """
     n_rows, k = draw(st.integers(1, 3), label="rows"), draw(st.integers(1, 4), label="k")
-    n = n_rows * k
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1), label="seed"))
+    D = 10.0 ** rng.uniform(-3.0, 3.0, (n_rows, k))
+    size = 10.0 ** draw(st.floats(-2.0, 1.0), label="log10 s")
+    rows = rng.standard_normal((2, k + 1, n_rows, k)) * np.sqrt(D) * size
+    scale = rng.uniform(0.5, 2.0, (2, k + 1, 1))
+    if draw(st.booleans(), label="empty"):
+        scale[:, rng.integers(k + 1)] = 0.0
+    grad = rng.standard_normal((n_rows, k)) * np.sqrt(D) * 10.0 ** rng.uniform(-3.0, 3.0)
+    if draw(st.booleans(), label="dead"):
+        j, c = rng.integers(n_rows), rng.choice([0, k - 1])
+        D[j, c] = rows[:, :, j, c] = grad[j, c] = 0.0
     lower = np.zeros((n_rows, k))
     lower[:, :1] = -INF
     x = rng.standard_normal((n_rows, k))
     x[:, 1:] = np.where(rng.random((n_rows, k - 1)) < 0.5, 0.0, np.abs(x[:, 1:]))
-    basis = np.linalg.qr(rng.standard_normal((n, n)))[0]
-    eigvals = 10.0 ** rng.uniform(-3.0, 3.0, n)
-    if draw(st.booleans(), label="indefinite"):
-        eigvals[: rng.integers(1, n + 1)] *= -1.0
-    H = (basis * eigvals) @ basis.T
-    H = 0.5 * (H + H.T)
-    if n > 1 and draw(st.booleans(), label="dead"):
-        dead = rng.integers(n)
-        H[dead, :] = H[:, dead] = 0.0
-    g = rng.standard_normal(n) * 10.0 ** rng.uniform(-3.0, 3.0)
     delta = 10.0 ** draw(st.floats(-4.0, 4.0), label="log10 delta")
-    return H, g, x, lower, delta, rng.standard_normal(n) * 1e-3 * np.linalg.norm(g)
+    r = rng.standard_normal(n_rows * k) * 1e-3 * np.linalg.norm(_increment_gradient(grad))
+    return (D, rows, scale), grad, x, lower, delta, r
 
 
 def _counting_eig(monkeypatch):
@@ -511,24 +570,51 @@ def _model_bound(H, g, x, lower):
     return 0.5 * float(coefficients @ (coefficients / eigvals)), eigvals
 
 
+def _grouped_model_bound(parts, grad, x, lower):
+    """g_F.H_FF^-1 g_F / 2 on _bounded_step's free set F, from eigh on groups of boundaries.
+
+    A held increment ties its two boundaries, so F moves the boundaries by
+    groups; with G the P x |F| matrix of their indicators, the model on F is
+    that of G^T H_b G = diag(d) + V^T C V, d = G^T D and V = U G.  Scaled by
+    d, S = I + W^T C W with W = V d^-1/2, and the bound is q.S^-1 q / 2 with
+    q = d^-1/2 G^T grad.  Unlike H_FF in the increments, which adds a row's D
+    from each boundary on, no D of 1e-300 is added to one of 1.  None unless
+    S is positive definite; every D must be > 0.
+    """
+    D, rows, scale = parts
+    M = scale.shape[1]
+    free = _free_set(_hessian(parts)[0], _increment_gradient(grad).ravel(), x, lower)[1]
+    assert free.reshape(D.shape)[:, 0].all()  # each row starts a group
+    G = np.eye(free.sum())[np.cumsum(free) - 1]
+    root = np.sqrt(D.ravel() @ G)
+    W = (rows.reshape(2, M, -1) * scale).reshape(2 * M, -1) @ G / root
+    S = np.eye(root.size) + W.T @ (np.repeat([-1.0, 1.0], M)[:, None] * W)
+    eigvals, vecs = np.linalg.eigh(S)
+    if eigvals[0] <= 0.0:
+        return None
+    coefficients = vecs.T @ (grad.ravel() @ G / root)
+    return 0.5 * float(coefficients @ (coefficients / eigvals))
+
+
 # promises around a model bound v: v itself, within 1e-6 of it, and decades away
 _PROMISE_FACTORS = (1.0, 1.0 - 1e-6, 1.0 + 1e-6, *10.0 ** np.arange(-3.0, 3.5, 0.5))
 
 
 class TestStopCertificate:
-    # the descent stops without eigh when _stop_certified says that no step
-    # _bounded_step can take lowers the model by more than the promise
+    # the descent stops without H or eigh when _certify_stop says that no
+    # step _bounded_step can take lowers the model by more than the promise
     @settings(max_examples=400, deadline=None, derandomize=True)
-    @given(case=_boxed_subproblems())
+    @given(case=_boxed_parts())
     def test_a_certified_stop_bounds_the_step_and_its_correction(self, case):
-        H, g, x, lower, delta, r = case
+        parts, grad, x, lower, delta, r = case
+        H, g = _hessian(parts)[0], _increment_gradient(grad).ravel()
         bound, eigvals = _model_bound(H, g, x, lower)
         scale = float(np.abs(eigvals).max(initial=1.0))
         v = bound if bound is not None else 0.5 * float(g @ g) / scale
         promises = [v * factor for factor in _PROMISE_FACTORS]
         if eigvals.size and eigvals[0] < -1e-9 * scale:
-            # an indefinite H_FF has no Cholesky factor, bordered or not
-            assert not any(_stop_certified(H, g, x, lower, p) for p in promises)
+            # an indefinite H_FF bounds no step
+            assert not any(_certify_stop(parts, grad, x, lower, p) for p in promises)
             return
         x_new, _, correct = _bounded_step(H, g, x, lower, delta, {})
         decreases = []
@@ -537,38 +623,96 @@ class TestStopCertificate:
                 s = (point - x).ravel()
                 decreases.append((-(g @ s + 0.5 * s @ (H @ s)), abs(g @ s) + abs(s @ (H @ s))))
         for promise in promises:
-            if _stop_certified(H, g, x, lower, promise):
+            if _certify_stop(parts, grad, x, lower, promise):
                 for decrease, size in decreases:
                     assert decrease <= promise + 1e-9 * (promise + size)
 
     @settings(max_examples=400, deadline=None, derandomize=True)
-    @given(case=_boxed_subproblems())
+    @given(case=_boxed_parts())
     def test_agrees_with_the_bound_away_from_its_rounding(self, case):
-        H, g, x, lower = case[:4]
+        parts, grad, x, lower = case[:4]
+        H, g = _hessian(parts)[0], _increment_gradient(grad).ravel()
         bound, eigvals = _model_bound(H, g, x, lower)
         assume(bound is not None and (eigvals.size == 0 or eigvals[0] > 1e-9 * eigvals[-1]))
+        assume((parts[0] > 0.0).all())  # a group with D = 0 falls through to eigh
         for factor in _PROMISE_FACTORS:
             promise = bound * factor if bound > 0.0 else factor
             if abs(promise - bound) > 1e-7 * bound:
-                assert _stop_certified(H, g, x, lower, promise) == (bound < promise), factor
+                assert _certify_stop(parts, grad, x, lower, promise) == (bound < promise), factor
 
-    @pytest.mark.parametrize("n", [1, 2, 5])
-    def test_a_nan_never_certifies(self, n):
-        # numpy's Cholesky may return NaNs instead of raising: the corner is read
-        rng = np.random.default_rng(n)
-        basis = np.linalg.qr(rng.standard_normal((n, n)))[0]
-        H = (basis * 10.0 ** rng.uniform(-1.0, 1.0, n)) @ basis.T
-        H = 0.5 * (H + H.T)
-        g, x, lower = rng.standard_normal(n), np.zeros((1, n)), np.full((1, n), -INF)
-        assert _stop_certified(H, g, x, lower, 1e300)
-        for i in range(n):
-            for j in range(i + 1):
-                broken = H.copy()
-                broken[i, j] = broken[j, i] = np.nan
-                assert not _stop_certified(broken, g, x, lower, 1e300), (i, j)
-            broken = g.copy()
-            broken[i] = np.nan
-            assert not _stop_certified(H, broken, x, lower, 1e300), i
+    def test_agrees_with_the_bound_at_the_descents_points(self, monkeypatch):
+        # at these points tail rows have D down to 1e-200 and H_FF in the
+        # increments is singular to rounding, so the bound is taken on the
+        # boundaries' groups (_grouped_model_bound)
+        points = []
+        real_certify = optimizer._certify_stop
+        monkeypatch.setattr(optimizer, "_certify_stop",
+                            lambda *args: points.append(args[:4]) or real_certify(*args))
+        for params in ((1.0, 1.0, 0.0), (1.0, 1.3, 0.9)):
+            source = make_source(*params)
+            for n_nodes in (17, 33):
+                grid = make_theta_grid(source, n_nodes)
+                for M in (2, 8):
+                    for lam in (0.0, 2.0, 1e5):
+                        multistart(source, grid, M, lam)
+        compared = 0
+        for parts, grad, x, lower in points:
+            if not (parts[0] > 0.0).all():
+                continue  # a group with D = 0 falls through to eigh
+            bound = _grouped_model_bound(parts, grad, x, lower)
+            assert bound is not None
+            compared += 1
+            for factor in _PROMISE_FACTORS:
+                promise = bound * factor
+                if abs(promise - bound) > 1e-7 * bound:
+                    assert real_certify(parts, grad, x, lower, promise) == (bound < promise)
+        assert compared >= 20
+
+    @pytest.mark.parametrize("k", [1, 2, 5])
+    def test_a_nan_or_a_nonpositive_d_never_certifies(self, k):
+        # with a D < 0, M positive eigenvalues of the capacitance would leave
+        # H_b one negative eigenvalue: the inertia count needs every D > 0
+        rng = np.random.default_rng(k)
+        D = 10.0 ** rng.uniform(-1.0, 1.0, (1, k))
+        rows = rng.standard_normal((2, k + 1, 1, k)) * 1e-2
+        scale = rng.uniform(0.5, 2.0, (2, k + 1, 1))
+        grad, x, lower = rng.standard_normal((1, k)), np.zeros((1, k)), np.full((1, k), -INF)
+        parts = [D, rows, scale, grad]
+        assert _certify_stop(tuple(parts[:3]), grad, x, lower, 1e300)
+        for which, array in enumerate(parts):
+            for i in range(array.size):
+                broken = list(parts)
+                broken[which] = array.copy()
+                broken[which].flat[i] = np.nan
+                assert not _certify_stop(tuple(broken[:3]), broken[3], x, lower, 1e300), (which, i)
+        for i in range(k):
+            for value in (0.0, -D.flat[i]):
+                broken = D.copy()
+                broken.flat[i] = value
+                assert not _certify_stop((broken, rows, scale), grad, x, lower, 1e300), (i, value)
+
+    @pytest.mark.parametrize("D", [1.0, 3.0, 0.7, 1e-300, 5e300])
+    def test_a_model_singular_to_rounding_never_certifies(self, D):
+        # H_b = D - a^2 with a = sqrt(D) is 0 or an ulp of D, and the
+        # capacitance's eigenvalue -1 + a^2 / D is 0 or an ulp of 1
+        rows = np.zeros((2, 2, 1, 1))
+        rows[0, 0] = math.sqrt(D)
+        parts = (np.array([[D]]), rows, np.ones((2, 2, 1)))
+        x, lower = np.zeros((1, 1)), np.full((1, 1), -INF)
+        for g in (1.0, 1e-150, 0.0):
+            for promise in (1e-300, 1.0, 1e300):
+                assert not _certify_stop(parts, np.array([[g * D]]), x, lower, promise), (g, promise)
+
+    @pytest.mark.parametrize("params, n_nodes, M, lam", [
+        ((1.0, 1.3, 0.9), 33, 8, 2.0), ((1.0, 1.3, 0.9), 65, 16, 2.0), ((1.0, 1.0, 0.0), 65, 32, 0.0),
+    ])
+    def test_a_stationary_start_on_a_fine_grid_pays_no_eigh(self, monkeypatch, params, n_nodes,
+                                                           M, lam):
+        # H_FF is singular to rounding at these starts: D falls to 1e-300 in tail rows
+        eighs = _counting_eig(monkeypatch)
+        source = make_source(*params)
+        res = multistart(source, make_theta_grid(source, n_nodes), M, lam)
+        assert (res.iterations, res.stop_reason, len(eighs)) == (0, "tolerance", 0)
 
     def test_results_are_those_of_eighs_stop_test(self, monkeypatch):
         # with the certificate forced to fall through, every stop is decided
@@ -591,7 +735,7 @@ class TestStopCertificate:
 
         certified = census()
         certified_eighs = len(eighs)
-        monkeypatch.setattr(optimizer, "_stop_certified", lambda *args: False)
+        monkeypatch.setattr(optimizer, "_certify_stop", lambda *args: False)
         eighs.clear()
         assert census() == certified
         assert certified_eighs < len(eighs)
