@@ -27,7 +27,8 @@ no number: it fills the restart_winner column of M >= 2 rows.
 
 Exit codes: 0 success, 1 config error (including a malformed flag or an
 unknown subcommand), 2 I/O error, 3 at least one sweep row failed (every row
-is still written, and each failed row gets one line on stderr).
+is still written, and each failed row gets one line on stderr) or the one
+equilibrium of `linear` or `design` raised (one such line, and no output).
 """
 
 from __future__ import annotations
@@ -207,8 +208,8 @@ def _check_field_types(cfg: SweepConfig) -> None:
             raise ConfigError(f"{f.name} must be {' or '.join(kinds)}, got {value!r}")
 
 
-def validate_config(cfg: SweepConfig) -> list[float]:
-    """ConfigError unless run_sweep can run cfg; returns cfg's resolved lambdas."""
+def validate_config(cfg: SweepConfig) -> tuple[SourceSpec, list[float]]:
+    """ConfigError unless run_sweep can run cfg; returns cfg's source and resolved lambdas."""
     _check_field_types(cfg)
     for name, allowed in _CHOICES.items():
         if getattr(cfg, name) not in allowed:
@@ -235,7 +236,7 @@ def validate_config(cfg: SweepConfig) -> list[float]:
     # quantizer rows need a spread of X given theta; a mixed sweep fails them row by row
     if cfg.mode == "quantizer" and source.conditional_params(0.0)[1] == 0.0:
         raise ConfigError(f"quantizer mode requires |rho| < 1, got {cfg.rho}")
-    return resolve_lambdas(cfg.lambdas)
+    return source, resolve_lambdas(cfg.lambdas)
 
 
 def _quantizer_row(
@@ -281,8 +282,8 @@ def _quantizer_row(
 
 def run_sweep(cfg: SweepConfig) -> list[SweepRow]:
     """All (lambda, M) rows of a sweep, ordered by (lambda, M)."""
-    lambdas = sorted(validate_config(cfg))
-    source = make_source(cfg.sigma_x, cfg.r, cfg.rho)
+    source, lambdas = validate_config(cfg)
+    lambdas = sorted(lambdas)
     requested = [LINEAR_M_SENTINEL] if cfg.mode == "linear" else cfg.m_values
     m_values = sorted({int(m) for m in requested})
     needs_grid = any(m >= 1 for m in m_values)
@@ -292,8 +293,9 @@ def run_sweep(cfg: SweepConfig) -> list[SweepRow]:
         # the whole linear stage in one pass: alpha*, its certificate, distortions
         stage = linear._linear_stage(source, np.array(lambdas))
         certified = stage.certified.tolist()
+        t = stage.terms
         linear_values = list(zip(*(a.tolist() for a in (
-            stage.d_e, stage.fidelity, stage.d_d, stage.d_theta, stage.alpha))))
+            t.d_e, t.fidelity, t.d_d, t.d_theta, stage.alpha))))
 
     rows = []
     for index, (lam, m) in enumerate(itertools.product(lambdas, m_values)):
@@ -311,10 +313,14 @@ def run_sweep(cfg: SweepConfig) -> list[SweepRow]:
                                None, None, None, seed)
         except Exception as exc:
             logger.debug("sweep row (lambda=%g, M=%d) failed", lam, m, exc_info=True)
-            row = SweepRow(lam=lam, M=m, converged=False, seed=seed,
-                           error=f"{type(exc).__name__}: {exc}")
+            row = SweepRow(lam=lam, M=m, converged=False, seed=seed, error=_error_text(exc))
         rows.append(row)
     return rows
+
+
+def _error_text(exc: Exception) -> str:
+    """A failed row's error field, and the text after "failed: " on its stderr line."""
+    return f"{type(exc).__name__}: {exc}"
 
 
 def _row_columns(rows: list[SweepRow]) -> tuple[str, ...]:
@@ -513,23 +519,34 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
     return 3 if failed else 0
 
 
+def _failed(what: str, exc: Exception) -> int:
+    """One stderr line for a linear or design run that raised, as for a sweep row; exit code 3."""
+    logger.debug("%s failed", what, exc_info=exc)
+    print(f"{what} failed: {_error_text(exc)}", file=sys.stderr)
+    return 3
+
+
 def _cmd_linear(args: argparse.Namespace) -> int:
-    cfg = config_from_dict({**_flag_fields(args), "mode": "linear", "lambdas": [args.lam]})
-    lam = resolve_lambdas(cfg.lambdas)[0]
-    source = make_source(cfg.sigma_x, cfg.r, cfg.rho)
-    eq = linear.solve_equilibrium(source, lam)
+    cfg = SweepConfig(**_flag_fields(args), mode="linear", lambdas=[args.lam])
+    source, (lam,) = validate_config(cfg)
+    try:
+        eq = linear.solve_equilibrium(source, lam)
+    except Exception as exc:
+        return _failed(f"linear lambda={lam:g}", exc)
     print(json.dumps({"lambda": lam, "alpha": eq.alpha, "kappa": eq.kappa, "nu": eq.nu,
                       **asdict(eq.report)}, indent=2))
     return 0
 
 
 def _cmd_design(args: argparse.Namespace) -> int:
-    cfg = config_from_dict({**_flag_fields(args), "mode": "quantizer", "m_values": [args.m],
-                            "lambdas": [args.lam], "out": args.out})
-    lam = resolve_lambdas(cfg.lambdas)[0]
-    source = make_source(cfg.sigma_x, cfg.r, cfg.rho)
+    cfg = SweepConfig(**_flag_fields(args), mode="quantizer", m_values=[args.m],
+                      lambdas=[args.lam], out=args.out)
+    source, (lam,) = validate_config(cfg)
     grid = make_theta_grid(source, cfg.theta_nodes)
-    result = multistart(source, grid, args.m, lam)
+    try:
+        result = multistart(source, grid, args.m, lam)
+    except Exception as exc:
+        return _failed(f"design lambda={lam:g} M={args.m}", exc)
     _write(json.dumps(design_result_to_dict(result, grid), indent=2) + "\n", cfg.out, "design")
     print(
         f"designed M={args.m} quantizer at lambda={lam:g}: "

@@ -114,12 +114,15 @@ class ThetaGrid:
         return float(np.dot(self.weights, self.nodes**2))
 
 
-def _as_integer(name: str, value) -> int:
-    """value as an int; ValueError unless it is an integer (no bool, no fraction)."""
+def _as_count(name: str, value) -> int:
+    """value as an int; ValueError unless it is an integer (no bool, no fraction) >= 1."""
     if isinstance(value, bool) or not (isinstance(value, numbers.Real)
                                        and float(value).is_integer()):
         raise ValueError(f"{name} must be an integer, got {value!r}")
-    return int(value)
+    count = int(value)
+    if count < 1:
+        raise ValueError(f"{name} must be >= 1, got {count}")
+    return count
 
 
 def ndtr(x: np.ndarray | float) -> np.ndarray:
@@ -156,9 +159,7 @@ def make_theta_grid(source: SourceSpec, n_nodes: int, scheme: str = "gauss-hermi
     normalized to sum to 1.  scheme must be "gauss-hermite", the only one.
     n_nodes is an integer from 1 to MAX_THETA_NODES.
     """
-    n_nodes = _as_integer("n_nodes", n_nodes)
-    if n_nodes < 1:
-        raise ValueError("n_nodes must be >= 1")
+    n_nodes = _as_count("n_nodes", n_nodes)
     if n_nodes > MAX_THETA_NODES:
         raise ValueError(f"n_nodes must be <= {MAX_THETA_NODES}, got {n_nodes}")
     if scheme != "gauss-hermite":

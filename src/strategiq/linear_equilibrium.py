@@ -115,13 +115,7 @@ class _Stage(NamedTuple):
 
     alpha: np.ndarray
     certified: np.ndarray  # bool: alpha* passed every part of the certificate
-    v: np.ndarray  # E[Z^2] at alpha*
-    kappa: np.ndarray
-    nu: np.ndarray
-    d_e: np.ndarray
-    fidelity: np.ndarray
-    d_d: np.ndarray
-    d_theta: np.ndarray
+    terms: _Terms  # at alpha*
     failed: tuple  # one bool array per entry of _FAILURES
     quoted: dict  # alpha, disc, residual, other (None where there is no such root)
 
@@ -176,8 +170,7 @@ def _linear_stage(source: SourceSpec, lam) -> _Stage:
         )
     certified = ~(failed[0] | failed[1] | failed[2] | failed[3] | failed[4])
     quoted = {"alpha": alpha, "disc": disc, "residual": residual, "other": other}
-    return _Stage(alpha, certified, terms.v, terms.kappa, terms.nu, terms.d_e, terms.fidelity,
-                  terms.d_d, terms.d_theta, failed, quoted)
+    return _Stage(alpha, certified, terms, failed, quoted)
 
 
 def solve_equilibrium(source: SourceSpec, lam: float) -> LinearEquilibrium:
@@ -193,9 +186,9 @@ def solve_equilibrium(source: SourceSpec, lam: float) -> LinearEquilibrium:
     error = stage.error()
     if error is not None:
         raise error
-    report = DistortionReport(float(stage.d_e), float(stage.fidelity), float(stage.d_d),
-                              float(stage.d_theta))
-    return LinearEquilibrium(float(stage.alpha), float(stage.kappa), float(stage.nu), report)
+    t = stage.terms
+    report = DistortionReport(float(t.d_e), float(t.fidelity), float(t.d_d), float(t.d_theta))
+    return LinearEquilibrium(float(stage.alpha), float(t.kappa), float(t.nu), report)
 
 
 def optimal_alpha(source: SourceSpec, lam: float) -> float:

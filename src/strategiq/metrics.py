@@ -24,7 +24,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .gaussian_model import (
-    MASS_FLOOR, SourceSpec, ThetaGrid, _as_integer, interval_moments, ndtr, ndtri,
+    MASS_FLOOR, SourceSpec, ThetaGrid, _as_count, interval_moments, ndtr, ndtri,
 )
 from .quantizer_core import Quantizer
 
@@ -85,9 +85,7 @@ def lloyd_max(source: SourceSpec, M: int) -> LloydMaxResult:
     Iterates until the distortion changes by less than _LLOYD_TOL and the
     boundaries by less than 1e-11 sigma_x.  M is an integer >= 1.
     """
-    M = _as_integer("M", M)
-    if M < 1:
-        raise ValueError("M must be >= 1")
+    M = _as_count("M", M)
     sx = source.sigma_x
     if M == 1:
         return LloydMaxResult(

@@ -63,7 +63,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .gaussian_model import MASS_FLOOR, SourceSpec, ThetaGrid, _as_integer
+from .gaussian_model import MASS_FLOOR, SourceSpec, ThetaGrid, _as_count
 from .linear_equilibrium import _linear_stage
 from .metrics import _lloyd_max_row
 from .quantizer_core import (
@@ -212,6 +212,7 @@ def random_monotone_quantizer(
     source: SourceSpec, grid: ThetaGrid, M: int, rng: np.random.Generator
 ) -> Quantizer:
     """Random initialization: per-row sorted standard-normal draws scaled by sigma_x."""
+    M = _as_count("M", M)
     interior = np.sort(rng.standard_normal((grid.n_nodes, M - 1)), axis=1) * source.sigma_x
     return _with_edges(interior)
 
@@ -387,18 +388,21 @@ def _certify_stop(parts: tuple, grad: np.ndarray, x: np.ndarray, lower: np.ndarr
     g_F.H_FF^-1 g_F / 2 = (grad.D^-1 grad - r.Cap^-1 r) / 2, r = U D^-1 grad,
     in the groups as well as in the increments (Woodbury's identity).  As
     every column of U and entry of grad carries its D's w f, u^2 / D stays at
-    the scale of w f where D underflows towards 1e-300.  A D <= 0, a
-    capacitance eigenvalue within eigh's resolution of 0, the wrong inertia
-    or a NaN answers no.
+    the scale of w f where D underflows towards 1e-300.  A group whose D, U
+    column and grad are all exactly 0, as where w f underflows to 0, adds
+    nothing to the model and is dropped.  A D <= 0, a capacitance eigenvalue
+    within eigh's resolution of 0, the wrong inertia or a NaN answers no.
     """
     diag, rows, scale = parts
     M = scale.shape[1]
     starts = np.flatnonzero((x != lower).ravel() | (_increment_gradient(grad).ravel() <= 0.0))
     d = np.add.reduceat(diag.ravel(), starts)
-    if not (d > 0.0).all():
-        return False
     u = np.add.reduceat((rows.reshape(2, M, -1) * scale).reshape(2 * M, -1), starts, axis=1)
     grad = np.add.reduceat(grad.ravel(), starts)
+    live = (d != 0.0) | (u != 0.0).any(axis=0) | (grad != 0.0)
+    d, u, grad = d[live], u[:, live], grad[live]
+    if not (d > 0.0).all():
+        return False
     v = u / d
     capacitance = v @ u.T
     capacitance.flat[:: 2 * M + 1] += np.repeat([-1.0, 1.0], M)
@@ -456,14 +460,8 @@ def _bounded_step(
     return x_new, reached, correct
 
 
-def design(
-    source: SourceSpec,
-    grid: ThetaGrid,
-    M: int,
-    lam: float,
-    init: Quantizer,
-) -> DesignResult:
-    """Single projected trust-region Newton run from init.
+def design(source: SourceSpec, grid: ThetaGrid, lam: float, init: Quantizer) -> DesignResult:
+    """Single projected trust-region Newton run from init, which has one row per grid node.
 
     The objective f = d_e + lam * E[theta^2] stays O(1) at every lam, is formed
     without cancellation, and is the result's f at its end.  Steps minimize
@@ -483,25 +481,21 @@ def design(
     stop with the gradient at most tol; otherwise it is "stalled" when the
     trust region has shrunk until the model promises no decrease f could
     resolve, and "max_iters" after _MAX_ITERS accepted steps.  converged is
-    True only for "tolerance".
+    True only for "tolerance".  One DEBUG line gives the start's and the result's
+    f, the steps, evaluations and eigendecompositions, the stop reason, d_e and
+    the KKT residual.
     """
-    M = _as_integer("M", M)
-    if M < 1:
-        raise ValueError("M must be >= 1")
     _check_lam(lam)
-    if init.M != M or init.n_theta != grid.n_nodes:
-        raise ValueError("init quantizer shape does not match (grid, M)")
-
     # the loop calls the moment pass itself; responses, report and quantizer
     # are built once, for the result
-    terms = _grid_terms(source, grid, grid.n_nodes)
+    terms = _grid_terms(source, grid, init.n_theta)
     b = init.interior()
     state = _moment_pass(b, terms, lam)
     trajectory = [state.dist[0]]
     x = _to_increments(b)
     lower = np.zeros_like(x)
     lower[:, :1] = -np.inf
-    f = state.f
+    f = f_start = state.f
     grad = _analytic_gradient(b, grid, lam, state.y, state.theta_hat, state.density)
     g = _increment_gradient(grad).ravel()
     # sigma_c, the scale of a boundary move, is also the largest radius: the
@@ -548,7 +542,7 @@ def design(
             H, rows = _hessian(parts)
             eighs, caches = eighs + len(caches), {}
             # N_m times the gradient of theta_hat_m in the increments
-            n_theta_jac = rows[1].reshape(M, -1)
+            n_theta_jac = rows[1].reshape(init.M, -1)
         x_new, reached, correct = _bounded_step(H, g, x, lower, delta, caches)
         s = (x_new - x).ravel()
         predicted = -(g @ s + 0.5 * s @ (H @ s))
@@ -597,8 +591,9 @@ def design(
         stop_reason = "tolerance"
 
     logger.debug(
-        "design M=%d lam=%g: iters=%d evals=%d eigh=%d stop=%s d_e=%.9g kkt_residual=%.3g",
-        M, lam, iterations, evals, eighs + len(caches), stop_reason, state.dist[0], kkt_residual,
+        "design M=%d lam=%g: f=%.12g -> %.12g iters=%d evals=%d eigh=%d stop=%s d_e=%.9g "
+        "kkt_residual=%.3g", init.M, lam, f_start, f, iterations, evals, eighs + len(caches),
+        stop_reason, state.dist[0], kkt_residual,
     )
     # with no step accepted b is init's, and so is the quantizer
     return DesignResult(
@@ -625,7 +620,7 @@ def _closed_form_start(
     error = stage.error()
     if error is not None:
         raise error
-    alpha, scale = float(stage.alpha), math.sqrt(float(stage.v))
+    alpha, scale = float(stage.alpha), math.sqrt(float(stage.terms.v))
     interior = scale * _lloyd_max_row(1.0, M)[1:-1] - alpha * grid.nodes[:, None]
     return _with_edges(interior), alpha, scale
 
@@ -636,22 +631,13 @@ def multistart(source: SourceSpec, grid: ThetaGrid, M: int, lam: float) -> Desig
     The start is _closed_form_start, the optimum of the continuous game (at
     M = 1 the one-cell quantizer), and the result is design's from it, with
     restart_index 0, the index of its one start.  One DEBUG line per call
-    gives alpha*, sqrt(v), the start's f and the descent's steps, stop
-    reason and KKT residual.
+    gives alpha* and sqrt(v); design's own line follows it.
     """
-    M = _as_integer("M", M)
+    M = _as_count("M", M)
     _check_lam(lam)
     init, alpha, scale = _closed_form_start(source, grid, M, lam)
-    result = design(source, grid, M, lam, init)
-    if logger.isEnabledFor(logging.DEBUG):
-        start = _moment_pass(init.interior(), _grid_terms(source, grid, grid.n_nodes), lam)
-        logger.debug(
-            "multistart M=%d lam=%g: alpha*=%.12g sqrt(v)=%.12g start f=%.12g -> iters=%d "
-            "stop=%s kkt_residual=%.3g f=%.12g",
-            M, lam, alpha, scale, start.f, result.iterations, result.stop_reason,
-            result.kkt_residual, result.f,
-        )
-    return replace(result, restart_index=0)
+    logger.debug("multistart M=%d lam=%g: alpha*=%.12g sqrt(v)=%.12g", M, lam, alpha, scale)
+    return replace(design(source, grid, lam, init), restart_index=0)
 
 
 def design_result_to_dict(result: DesignResult, grid: ThetaGrid) -> dict:

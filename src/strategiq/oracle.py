@@ -49,7 +49,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .gaussian_model import MASS_FLOOR, SourceSpec, ThetaGrid, _as_integer, interval_moments
+from .gaussian_model import MASS_FLOOR, SourceSpec, ThetaGrid, _as_count, interval_moments
 from .optimizer import DesignResult
 from .quantizer_core import BestResponses, DistortionReport, Quantizer, _check_lam, evaluate
 
@@ -91,7 +91,7 @@ class MonteCarloReport:
 def make_oracle_grid(source: SourceSpec, n_points: int = 41) -> OracleGrid:
     """n_points equispaced candidates on [-3, +3] sigma_x."""
     half = _SPAN_SIGMAS * source.sigma_x
-    return OracleGrid(candidates=np.linspace(-half, half, _as_integer("n_points", n_points)))
+    return OracleGrid(candidates=np.linspace(-half, half, _as_count("n_points", n_points)))
 
 
 def brute_force_design(
@@ -107,9 +107,7 @@ def brute_force_design(
     scanned in order, candidates ascending).  Raises if the enumeration count
     exceeds the feasibility cap, reporting the count.
     """
-    M = _as_integer("M", M)
-    if M < 1:
-        raise ValueError("M must be >= 1")
+    M = _as_count("M", M)
     _check_lam(lam)
     n_rows = grid.n_nodes
     cands = ogrid.candidates
@@ -240,9 +238,7 @@ def monte_carlo_distortions(
     # not load concurrent.futures for callers that never sample
     from concurrent.futures import ThreadPoolExecutor
 
-    n_samples = _as_integer("n_samples", n_samples)
-    if n_samples < 1:
-        raise ValueError("n_samples must be >= 1")
+    n_samples = _as_count("n_samples", n_samples)
     _check_lam(lam)
     if q.n_theta != grid.n_nodes:
         raise ValueError("boundaries must have one row per theta node")

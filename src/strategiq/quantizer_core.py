@@ -28,7 +28,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .gaussian_model import MASS_FLOOR, SourceSpec, ThetaGrid, _as_integer, _standardized_moments
+from .gaussian_model import MASS_FLOOR, SourceSpec, ThetaGrid, _as_count, _standardized_moments
 
 
 @dataclass(frozen=True)
@@ -47,9 +47,7 @@ class Quantizer:
         b = np.array(self.boundaries, dtype=float)
         b.flags.writeable = False
         object.__setattr__(self, "boundaries", b)
-        object.__setattr__(self, "M", _as_integer("M", self.M))
-        if self.M < 1:
-            raise ValueError(f"M must be >= 1, got {self.M}")
+        object.__setattr__(self, "M", _as_count("M", self.M))
         if b.ndim != 2 or b.shape[1] != self.M + 1:
             raise ValueError(
                 f"boundaries shape {b.shape} does not match (n_theta, M+1) for M={self.M}"

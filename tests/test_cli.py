@@ -13,6 +13,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import strategiq.linear_equilibrium as linear_module
+import strategiq.optimizer as optimizer_module
 from strategiq import make_source, optimal_alpha, solve_equilibrium
 from strategiq.cli import (
     _ATTR_OF,
@@ -585,6 +586,35 @@ class TestCommandLine:
         out, err = capsys.readouterr()
         assert out == ""
         assert err.startswith(f"config error: {field} must be ") and len(err.splitlines()) == 1
+
+    def test_a_failed_linear_is_reported_like_its_sweep_row(self, capsys):
+        # at rho = -1 and r = 1, E[Z^2] is 0 at alpha*
+        source = ["--rho", "-1", "--r", "1"]
+        assert main(["sweep", "--mode", "linear", "--lambdas", "2", *source]) == 3
+        row_error = capsys.readouterr().err.split(" failed: ", 1)[1]
+        assert row_error.startswith("ValueError: E[Z^2] must be positive")
+        assert main(["linear", "--lambda", "2", *source]) == 3
+        assert capsys.readouterr() == ("", f"linear lambda=2 failed: {row_error}")
+
+    def test_a_failed_design_is_one_line_and_exit_3(self, monkeypatch, tmp_path, capsys):
+        # a sign slip in the stage's square root fails alpha*'s certificate
+        # (test_uncertified_linear_stage_raises_before_any_descent)
+        real_stage, sqrt = linear_module._linear_stage, np.sqrt
+
+        def slipped_stage(source, lam):
+            with monkeypatch.context() as patch:
+                patch.setattr(linear_module.np, "sqrt", lambda x: -sqrt(x))
+                return real_stage(source, lam)
+
+        monkeypatch.setattr(optimizer_module, "_linear_stage", slipped_stage)
+        error = slipped_stage(make_source(1.0, 1.0, 0.3), np.float64(2.0)).error()
+        out = tmp_path / "q.json"
+        argv = ["design", "--m", "2", "--lambda", "2", "--rho", "0.3", "--theta-nodes", "3",
+                "--out", str(out)]
+        assert main(argv) == 3
+        assert capsys.readouterr() == (
+            "", f"design lambda=2 M=2 failed: ArithmeticError: {error}\n")
+        assert not out.exists()
 
     def test_unwritable_output_is_exit_2(self, tmp_path):
         code = main([

@@ -11,16 +11,20 @@ from scipy.integrate import quad
 from scipy.stats import norm
 
 from strategiq import (
+    BestResponses,
     Quantizer,
     ThetaGrid,
+    brute_force_design,
     design,
     evaluate,
     gaussian_model,
     lloyd_max,
-    lloyd_max_quantizer,
+    make_oracle_grid,
     make_source,
     make_theta_grid,
+    monte_carlo_distortions,
     multistart,
+    random_monotone_quantizer,
 )
 from strategiq.gaussian_model import interval_moments
 from strategiq.quantizer_core import _grid_terms, _moment_pass
@@ -182,22 +186,37 @@ class TestMakeThetaGrid:
             ThetaGrid(nodes=np.array(nodes), weights=weights)
 
 
+def _quantizer(M):
+    """Quantizer(M, ...) of 3 two-cell rows: M is checked before the rows' shape."""
+    return Quantizer(M=M, boundaries=np.tile([-math.inf, 0.0, math.inf], (3, 1)))
+
+
 # each count, whichever function takes it, follows the one rule of Quantizer's M:
-# an integer (an integral float too), no bool, no fraction
+# an integer (an integral float too), no bool, no fraction, and at least 1
 _COUNT_CALLS = {
+    "Quantizer": ("M", lambda s, n: _quantizer(n)),
     "make_theta_grid": ("n_nodes", lambda s, n: make_theta_grid(s, n)),
     "lloyd_max": ("M", lambda s, n: lloyd_max(s, n)),
     "multistart": ("M", lambda s, n: multistart(s, make_theta_grid(s, 3), n, 1.0)),
-    "design": ("M", lambda s, n: design(s, make_theta_grid(s, 3), n, 1.0,
-                                        lloyd_max_quantizer(s, 2, make_theta_grid(s, 3)))),
+    # design takes M from its start, so the start's constructor checks it
+    "design": ("M", lambda s, n: design(s, make_theta_grid(s, 3), 1.0, _quantizer(n))),
+    "brute_force_design": ("M", lambda s, n: brute_force_design(
+        s, make_theta_grid(s, 1), n, 1.0, make_oracle_grid(s, 3))),
+    "make_oracle_grid": ("n_points", lambda s, n: make_oracle_grid(s, n)),
+    "random_monotone_quantizer": ("M", lambda s, n: random_monotone_quantizer(
+        s, make_theta_grid(s, 3), n, np.random.default_rng(0))),
+    "monte_carlo_distortions": ("n_samples", lambda s, n: monte_carlo_distortions(
+        _quantizer(2), BestResponses(np.zeros(2), np.zeros(2), np.ones(2)), s,
+        make_theta_grid(s, 3), 1.0, n, 0)),
 }
 
 
 @pytest.mark.parametrize("call", sorted(_COUNT_CALLS))
-@pytest.mark.parametrize("value", [2.5, True, "3", math.nan])
+@pytest.mark.parametrize("value", [2.5, True, "3", math.nan, 0, -1])
 def test_counts_are_integers(unit_source, call, value):
     name, run = _COUNT_CALLS[call]
-    with pytest.raises(ValueError, match=f"^{name} must be an integer, got "):
+    expected = f"must be >= 1, got {value}$" if value in (0, -1) else "must be an integer, got "
+    with pytest.raises(ValueError, match=f"^{name} {expected}"):
         run(unit_source, value)
 
 

@@ -634,7 +634,6 @@ class TestStopCertificate:
         H, g = _hessian(parts)[0], _increment_gradient(grad).ravel()
         bound, eigvals = _model_bound(H, g, x, lower)
         assume(bound is not None and (eigvals.size == 0 or eigvals[0] > 1e-9 * eigvals[-1]))
-        assume((parts[0] > 0.0).all())  # a group with D = 0 falls through to eigh
         for factor in _PROMISE_FACTORS:
             promise = bound * factor if bound > 0.0 else factor
             if abs(promise - bound) > 1e-7 * bound:
@@ -658,7 +657,7 @@ class TestStopCertificate:
         compared = 0
         for parts, grad, x, lower in points:
             if not (parts[0] > 0.0).all():
-                continue  # a group with D = 0 falls through to eigh
+                continue  # _grouped_model_bound scales by every group's D
             bound = _grouped_model_bound(parts, grad, x, lower)
             assert bound is not None
             compared += 1
@@ -667,6 +666,24 @@ class TestStopCertificate:
                 if abs(promise - bound) > 1e-7 * bound:
                     assert real_certify(parts, grad, x, lower, promise) == (bound < promise)
         assert compared >= 20
+
+    @settings(max_examples=200, deadline=None, derandomize=True)
+    @given(case=_boxed_parts())
+    def test_boundaries_that_carry_nothing_change_no_answer(self, case):
+        # a theta row whose w f underflows to 0, as in a fine grid's tails, has
+        # D, its U columns and its gradient exactly 0: it adds nothing to the model
+        parts, grad, x, lower = case[:4]
+        D, rows, scale = parts
+        H, g = _hessian(parts)[0], _increment_gradient(grad).ravel()
+        bound, eigvals = _model_bound(H, g, x, lower)
+        v = bound if bound is not None else 0.5 * float(g @ g) / float(
+            np.abs(eigvals).max(initial=1.0))
+        padded = ((np.insert(D, 0, 0.0, axis=0), np.insert(rows, 0, 0.0, axis=2), scale),
+                  np.insert(grad, 0, 0.0, axis=0), np.insert(x, 0, x[-1], axis=0),
+                  np.insert(lower, 0, lower[-1], axis=0))
+        for factor in _PROMISE_FACTORS:
+            assert (_certify_stop(*padded, v * factor)
+                    == _certify_stop(parts, grad, x, lower, v * factor)), factor
 
     @pytest.mark.parametrize("k", [1, 2, 5])
     def test_a_nan_or_a_nonpositive_d_never_certifies(self, k):
@@ -792,7 +809,7 @@ class TestObjective:
     def test_result_f_is_the_referee(self, unit_source):
         grid = make_theta_grid(unit_source, 5, "gauss-hermite")
         init = random_monotone_quantizer(unit_source, grid, 4, np.random.default_rng(3))
-        direct = design(unit_source, grid, 4, 2.0, init=init)
+        direct = design(unit_source, grid, 2.0, init=init)
         assert direct.f == _f(direct, unit_source, grid, 2.0)
         for lam in (2.0, 1e7):
             res = multistart(unit_source, grid, 3, lam)
@@ -807,9 +824,9 @@ class TestStopping:
             inits = [random_monotone_quantizer(unit_source, grid17, M, rng) for _ in range(4)]
             inits.append(lloyd_max_quantizer(unit_source, M, grid17))
             for init in inits:
-                res = design(unit_source, grid17, M, lam, init=init)
+                res = design(unit_source, grid17, lam, init=init)
                 assert res.kkt_residual <= 1e-8, (M, res.stop_reason)
-        res = design(unit_source, grid17, 8, lam, init=lloyd_max_quantizer(unit_source, 8, grid17))
+        res = design(unit_source, grid17, lam, init=lloyd_max_quantizer(unit_source, 8, grid17))
         assert res.converged and res.kkt_residual <= 1e-8
 
     @pytest.mark.parametrize("lam", [0.0, 2.0])
@@ -819,16 +836,16 @@ class TestStopping:
             inits = [random_monotone_quantizer(unit_source, grid17, 8, rng) for _ in range(2)]
             inits.append(lloyd_max_quantizer(unit_source, 8, grid17))
             for init in inits:
-                res = design(unit_source, grid17, 8, lam, init=init)
+                res = design(unit_source, grid17, lam, init=init)
                 assert res.stop_reason == "tolerance", (seed, res.stop_reason)
 
     def test_cap_under_the_bound_is_a_stop_by_tolerance(self, unit_source, grid17, monkeypatch):
         # the cap ends this run with the gradient under the bound, while the
         # model still promises a decrease that the full run goes on to take
         init = lloyd_max_quantizer(unit_source, 3, grid17)
-        full = design(unit_source, grid17, 3, 2.0, init=init)
+        full = design(unit_source, grid17, 2.0, init=init)
         monkeypatch.setattr(optimizer, "_MAX_ITERS", 9)
-        res = design(unit_source, grid17, 3, 2.0, init=init)
+        res = design(unit_source, grid17, 2.0, init=init)
         assert res.iterations == 9 < full.iterations
         assert res.stop_reason == "tolerance" and res.kkt_residual <= 1e-9
 
@@ -840,7 +857,7 @@ class TestStopping:
 class TestDesign:
     def test_two_level_symmetric_start(self, unit_source, grid3):
         init = Quantizer(M=2, boundaries=np.tile([-INF, 0.0, INF], (3, 1)))
-        res = design(unit_source, grid3, 2, 0.0, init=init)
+        res = design(unit_source, grid3, 0.0, init=init)
         assert res.converged and res.stop_reason == "tolerance"
         # at lam=0 the encoder pools theta into its target: it can only do
         # at least as well as the fully-revealing Lloyd-Max baseline on d_e
@@ -850,14 +867,14 @@ class TestDesign:
 
     def test_trajectory_monotone(self, unit_source, grid3, rng):
         init = random_monotone_quantizer(unit_source, grid3, 3, np.random.default_rng(4))
-        res = design(unit_source, grid3, 3, 1.0, init=init)
+        res = design(unit_source, grid3, 1.0, init=init)
         assert np.all(np.diff(res.trajectory) <= 1e-12)
         assert len(res.trajectory) == res.iterations + 1
 
     def test_deterministic_given_seed(self, unit_source, grid3):
         def run():
             init = random_monotone_quantizer(unit_source, grid3, 2, np.random.default_rng(9))
-            return design(unit_source, grid3, 2, 1.0, init)
+            return design(unit_source, grid3, 1.0, init)
 
         a, b = run(), run()
         np.testing.assert_array_equal(a.quantizer.boundaries, b.quantizer.boundaries)
@@ -877,13 +894,13 @@ class TestDesign:
         source = make_source(1.0, 1.3, -0.8)
         grid = make_theta_grid(source, 3, "gauss-hermite")
         init = random_monotone_quantizer(source, grid, 6, np.random.default_rng(1))
-        res = design(source, grid, 6, 1e5, init=init)
+        res = design(source, grid, 1e5, init=init)
         assert res.stop_reason == "tolerance", (res.f, res.kkt_residual)
         assert _f(res, source, grid, 1e5) <= 0.275
 
     def test_m_one_trivial(self, unit_source, grid3):
         init = random_monotone_quantizer(unit_source, grid3, 1, np.random.default_rng(0))
-        res = design(unit_source, grid3, 1, 2.0, init)
+        res = design(unit_source, grid3, 2.0, init)
         assert res.converged and res.iterations == 0
         assert res.report.d_d == pytest.approx(1.0, abs=1e-12)
 
@@ -891,21 +908,20 @@ class TestDesign:
     def test_a_stationary_start_is_the_result(self, unit_source, grid17, lam):
         # a descent that accepts no step returns init, boundaries bit for bit
         init = _closed_form_start(unit_source, grid17, 8, lam)[0]
-        res = design(unit_source, grid17, 8, lam, init)
+        res = design(unit_source, grid17, lam, init)
         assert res.iterations == 0 and res.quantizer is init
         row = multistart(unit_source, grid17, 8, lam)
         assert row.iterations == 0
         assert row.quantizer.boundaries.tobytes() == init.boundaries.tobytes()
 
     def test_rejects_bad_inputs(self, unit_source, grid3):
+        # M comes from init, whose constructor checks it (test_counts_are_integers)
         init = Quantizer(M=2, boundaries=np.tile([-INF, 0.0, INF], (3, 1)))
         with pytest.raises(ValueError):
-            design(unit_source, grid3, 0, 1.0, init)
-        with pytest.raises(ValueError):
-            design(unit_source, grid3, 2, -1.0, init)
+            design(unit_source, grid3, -1.0, init)
         bad = Quantizer(M=2, boundaries=np.tile([-INF, 0.0, INF], (2, 1)))
-        with pytest.raises(ValueError):
-            design(unit_source, grid3, 2, 1.0, init=bad)
+        with pytest.raises(ValueError, match="^boundaries must have one row per theta node$"):
+            design(unit_source, grid3, 1.0, init=bad)
 
     def test_never_above_init_and_stop_reason_consistent(self, unit_source, rng, monkeypatch):
         grid = make_theta_grid(unit_source, 5, "gauss-hermite")
@@ -924,7 +940,7 @@ class TestDesign:
             inits = [random_monotone_quantizer(unit_source, grid, M, rng),
                      lloyd_max_quantizer(unit_source, M, grid)]
             for init in inits:
-                res = design(unit_source, grid, M, lam, init=init)
+                res = design(unit_source, grid, lam, init=init)
                 init_rep = evaluate(init, unit_source, grid, lam)[1]
                 # f = d_e + lam E[theta^2] is what the descent lowers; d_e's
                 # rounding grows with lam
@@ -973,7 +989,7 @@ class TestDesign:
             caplog.clear()
             monkeypatch.setattr(optimizer, "_MAX_ITERS", max_iters)
             init = random_monotone_quantizer(unit_source, grid, M, np.random.default_rng(M))
-            res = design(unit_source, grid, M, lam, init)
+            res = design(unit_source, grid, lam, init)
             assert res.evals == len(passes)
             assert res.evals >= res.iterations + 1
             assert f"iters={res.iterations} evals={res.evals} " in caplog.text
@@ -985,8 +1001,8 @@ def _recording_design(monkeypatch):
     calls = []
     real_design = optimizer.design
 
-    def recording(source, grid, M, lam, init):
-        result = real_design(source, grid, M, lam, init)
+    def recording(source, grid, lam, init):
+        result = real_design(source, grid, lam, init)
         calls.append((lam, result))
         return result
 
@@ -1046,7 +1062,7 @@ class TestMultistart:
         for _ in range(100):
             moved = np.nextafter(b, rng.choice([-INF, INF], b.shape))
             init = _with_edges(np.maximum.accumulate(moved, axis=1))
-            res = design(source, grid, 6, 1e7, init=init)
+            res = design(source, grid, 1e7, init=init)
             assert (res.stop_reason, res.iterations) == ("tolerance", 0), res.kkt_residual
 
     def test_m_one(self, unit_source, grid17, monkeypatch):
@@ -1087,7 +1103,7 @@ class TestMultistart:
         source = make_source(1.0, 0.5, 0.9)
         grid = make_theta_grid(source, 9)
         init = _closed_form_start(source, grid, 4, 2.0)[0]
-        direct = design(source, grid, 4, 2.0, init)
+        direct = design(source, grid, 2.0, init)
         calls = _recording_design(monkeypatch)
         res = multistart(source, grid, 4, 2.0)
         # one descent, from the closed-form start
@@ -1106,7 +1122,7 @@ class TestMultistart:
         source = make_source(1.0, 1.3, 0.9)
         grid = make_theta_grid(source, 17)
         res = multistart(source, grid, 4, 1e4)
-        best = design(source, grid, 4, 1e4, init=_closed_form_start(source, grid, 4, 1e4)[0])
+        best = design(source, grid, 1e4, init=_closed_form_start(source, grid, 4, 1e4)[0])
         assert res.converged
         assert res.f <= best.f + ROUNDING * max(1.0, abs(best.f))
         assert res.report.d_e <= -16895.13772
@@ -1119,11 +1135,14 @@ class TestMultistart:
         res = multistart(source, grid, 3, 2.0)
         init, alpha, scale = _closed_form_start(source, grid, 3, 2.0)
         start = _moment_pass(init.interior(), _grid_terms(source, grid, 5), 2.0)
-        (line,) = [r.getMessage() for r in caplog.records if r.getMessage().startswith("multistart")]
-        assert line == (f"multistart M=3 lam=2: alpha*={alpha:.12g} sqrt(v)={scale:.12g} "
-                        f"start f={start.f:.12g} -> iters={res.iterations} "
-                        f"stop={res.stop_reason} kkt_residual={res.kkt_residual:.3g} "
-                        f"f={res.f:.12g}")
+        # the row's line, then its one descent's, which alone evaluates the
+        # start; the start is stationary, so the descent pays no eigh
+        row, descent = caplog.messages
+        assert row == f"multistart M=3 lam=2: alpha*={alpha:.12g} sqrt(v)={scale:.12g}"
+        assert descent == (f"design M=3 lam=2: f={start.f:.12g} -> {res.f:.12g} "
+                           f"iters={res.iterations} evals={res.evals} eigh=0 "
+                           f"stop={res.stop_reason} d_e={res.report.d_e:.9g} "
+                           f"kkt_residual={res.kkt_residual:.3g}")
 
     # 1e3 was the old ladder threshold: above it, random starts climbed a lam
     # ladder and the row was searched on 5 nodes first
@@ -1131,7 +1150,7 @@ class TestMultistart:
     def test_every_row_descends_directly(self, unit_source, monkeypatch, lam):
         grid = make_theta_grid(unit_source, 9)
         init = _closed_form_start(unit_source, grid, 3, lam)[0]
-        direct = design(unit_source, grid, 3, lam, init)
+        direct = design(unit_source, grid, lam, init)
         calls = _recording_design(monkeypatch)
         res = multistart(unit_source, grid, 3, lam)
         assert [call[0] for call in calls] == [lam]
@@ -1234,7 +1253,7 @@ class TestClosedFormStart:
 class TestSerialization:
     def test_design_result_dict_schema(self, unit_source, grid3):
         init = random_monotone_quantizer(unit_source, grid3, 2, np.random.default_rng(0))
-        res = design(unit_source, grid3, 2, 0.5, init)
+        res = design(unit_source, grid3, 0.5, init)
         data = design_result_to_dict(res, grid3)
         assert set(data) == {"M", "theta_nodes", "boundaries", "y", "theta_hat",
                              "d_e", "fidelity", "d_d", "d_theta", "iterations", "converged",

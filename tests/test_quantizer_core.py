@@ -276,7 +276,7 @@ _LAM_ENTRY_POINTS = {
     "evaluate": lambda s, g, lam: evaluate(_lloyd_max_pair(s, g)[0], s, g, lam),
     "distortions": lambda s, g, lam: distortions(*_lloyd_max_pair(s, g), s, g, lam),
     "boundary_gradient": lambda s, g, lam: boundary_gradient(_lloyd_max_pair(s, g)[0], s, g, lam),
-    "design": lambda s, g, lam: design(s, g, 2, lam, _lloyd_max_pair(s, g)[0]),
+    "design": lambda s, g, lam: design(s, g, lam, _lloyd_max_pair(s, g)[0]),
     "multistart": lambda s, g, lam: multistart(s, g, 2, lam),
     "brute_force_design":
         lambda s, g, lam: brute_force_design(s, g, 2, lam, make_oracle_grid(s, 3)),
