@@ -20,9 +20,10 @@ CSV schema (fixed order, floats at 12 significant digits, infinities as
 JSON output carries the same keys per row object plus `error` (null unless
 the row failed).  Without --out the rows go to stdout, in --format.
 
-Every subcommand's flags are SweepConfig fields (see _FLAGS) and every
-subcommand checks them through validate_config, so a value is rejected the
-same way whichever subcommand or config file gives it.  n_restarts changes
+Every subcommand's flags are SweepConfig fields (see _FLAGS).  A config is
+checked in one place, validate_config, which run_sweep runs on every config
+and `linear` and `design` on the one their flags build, so a value is rejected
+the same way whichever subcommand or config file gives it.  n_restarts changes
 no number: it fills the restart_winner column of M >= 2 rows.
 
 Exit codes: 0 success, 1 config error (including a malformed flag or an
@@ -177,14 +178,12 @@ def resolve_lambdas(spec) -> list[float]:
 
 
 def config_from_dict(data: dict) -> SweepConfig:
-    """Build a SweepConfig from parsed JSON, naming any offending field."""
+    """Build a SweepConfig from parsed JSON, naming any unknown field; run_sweep checks it."""
     known = {f.name for f in fields(SweepConfig)}
     unknown = set(data) - known
     if unknown:
         raise ConfigError(f"unknown config fields: {sorted(unknown)}")
-    cfg = SweepConfig(**data)
-    validate_config(cfg)
-    return cfg
+    return SweepConfig(**data)
 
 
 # what a SweepConfig field of each annotated type accepts; bool is no number here
@@ -444,8 +443,8 @@ _PARSE = {"float": float, "int": int, "str": str}
 def _add_config_flags(parser: argparse.ArgumentParser, command: str) -> None:
     """One flag per field of _FLAGS[command], typed by the field's annotation.
 
-    sweep's flags default to None, so that the values of a --config file stand
-    unless a flag is given; the other subcommands default to SweepConfig's.
+    Every flag defaults to argparse's None, which _flag_fields drops: a value
+    that no flag gives comes from the --config file or SweepConfig's default.
     """
     config_fields = {f.name: f for f in fields(SweepConfig)}
     for name in _FLAGS[command]:
@@ -454,7 +453,6 @@ def _add_config_flags(parser: argparse.ArgumentParser, command: str) -> None:
             "--" + name.replace("_", "-"),
             type=_PARSE[f.type.split(" | ")[0]],
             choices=_CHOICES.get(name),
-            default=None if command == "sweep" else f.default,
             help="output path (default: stdout)" if name == "out" else None,
         )
 

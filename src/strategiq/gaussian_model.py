@@ -28,14 +28,11 @@ to degree 2n-1 (so E[theta^2] is exact from 2 nodes on).
 
 Phi and its inverse come from scipy.special, which ndtr and ndtri import in
 their body on first use, not at module level: loading it takes longer than
-numpy and the rest of the package together, and ``import strategiq`` and the
-closed-form linear stage never evaluate Phi.  From spawn to exit on a 2-CPU
-machine (Python 3.11, numpy 2.4, scipy 1.17; medians of 7 runs),
-``python -c "import strategiq"`` takes 0.22 s, numpy about 0.15 s of it,
-against 0.49 s with scipy.special imported at module level, and
-``strategiq linear --lambda 2.0`` takes 0.23 s against 0.54 s.  The first
-quantizer evaluation or Lloyd-Max solve pays the load once; after it the
-import is a sys.modules lookup, 0.4-0.9 us on a 2 us ndtr call.
+numpy and the rest of the package together (README's Install section gives
+the times), and ``import strategiq`` and the closed-form linear stage never
+evaluate Phi.  The first quantizer evaluation or Lloyd-Max solve pays the
+load once; after it the import is a sys.modules lookup, 0.4-0.9 us on a 2 us
+ndtr call.
 """
 
 from __future__ import annotations
@@ -58,11 +55,27 @@ MAX_THETA_NODES = 370
 
 @dataclass(frozen=True)
 class SourceSpec:
-    """Validated parameters of the jointly Gaussian (X, theta) source."""
+    """Parameters of the jointly Gaussian (X, theta) source, stored as floats.
+
+    ValueError unless sigma_x and r are positive and finite and |rho| <= 1.
+    """
 
     sigma_x: float
     r: float
     rho: float
+
+    def __post_init__(self) -> None:
+        sigma_x, r, rho = self.sigma_x, self.r, self.rho
+        if not (math.isfinite(sigma_x) and math.isfinite(r) and math.isfinite(rho)):
+            raise ValueError("source parameters must be finite")
+        if sigma_x <= 0:
+            raise ValueError(f"sigma_x must be positive, got {sigma_x}")
+        if r <= 0:
+            raise ValueError(f"r must be positive, got {r}")
+        if abs(rho) > 1:
+            raise ValueError(f"rho must lie in [-1, 1], got {rho}")
+        for name in ("sigma_x", "r", "rho"):
+            object.__setattr__(self, name, float(getattr(self, name)))
 
     @property
     def sigma_theta(self) -> float:
@@ -140,16 +153,8 @@ def ndtri(p: np.ndarray | float) -> np.ndarray:
 
 
 def make_source(sigma_x: float, r: float, rho: float) -> SourceSpec:
-    """Validate and build a SourceSpec; sigma_theta is derived as r * sigma_x."""
-    if not (math.isfinite(sigma_x) and math.isfinite(r) and math.isfinite(rho)):
-        raise ValueError("source parameters must be finite")
-    if sigma_x <= 0:
-        raise ValueError(f"sigma_x must be positive, got {sigma_x}")
-    if r <= 0:
-        raise ValueError(f"r must be positive, got {r}")
-    if abs(rho) > 1:
-        raise ValueError(f"rho must lie in [-1, 1], got {rho}")
-    return SourceSpec(sigma_x=float(sigma_x), r=float(r), rho=float(rho))
+    """SourceSpec(sigma_x, r, rho), which checks them; sigma_theta is derived as r * sigma_x."""
+    return SourceSpec(sigma_x=sigma_x, r=r, rho=rho)
 
 
 def make_theta_grid(source: SourceSpec, n_nodes: int, scheme: str = "gauss-hermite") -> ThetaGrid:

@@ -114,7 +114,7 @@ def lloyd_max(source: SourceSpec, M: int) -> LloydMaxResult:
 
 def _lloyd_step(b: np.ndarray, sx: float) -> tuple[np.ndarray, float]:
     mass, first, second = interval_moments(0.0, sx, b)
-    levels = np.where(mass > MASS_FLOOR, first / np.where(mass > 0, mass, 1.0), 0.0)
+    levels = np.divide(first, mass, out=np.zeros_like(mass), where=mass >= MASS_FLOOR)
     dist = float(np.sum(second - 2.0 * levels * first + levels**2 * mass))
     return levels, dist
 

@@ -157,6 +157,7 @@ def _analytic_gradient(
 def _fd_gradient(q: Quantizer, source: SourceSpec, grid: ThetaGrid, lam: float) -> np.ndarray:
     """Central finite differences of d_e, best responses recomputed per probe.
 
+    The tests' referee for boundary_gradient; nothing in the package calls it.
     Probes shrink near coincident boundaries to stay inside the monotone cone;
     fully collapsed directions get 0, matching the analytic convention.
     """
@@ -184,28 +185,18 @@ def _probe_d_e(interior: np.ndarray, terms: tuple, lam: float, j: int, k: int, h
     return _moment_pass(perturbed, terms, lam).dist[0]
 
 
-def boundary_gradient(
-    q: Quantizer,
-    source: SourceSpec,
-    grid: ThetaGrid,
-    lam: float,
-    mode: str = "analytic",
-) -> np.ndarray:
+def boundary_gradient(q: Quantizer, source: SourceSpec, grid: ThetaGrid, lam: float) -> np.ndarray:
     """Total derivative of d_e w.r.t. each interior boundary, shape (n_theta, M-1).
 
-    Coincident boundaries get subgradient 0 in both modes.
+    Coincident boundaries get subgradient 0, as _fd_gradient gives them.
     """
     _check_lam(lam)
-    if mode == "analytic":
-        interior = q.interior()
-        state = _moment_pass(interior, _grid_terms(source, grid, q.n_theta), lam)
-        grad = _analytic_gradient(interior, grid, lam, state.y, state.theta_hat, state.density)
-        b = q.boundaries
-        grad[(b[:, 1:-1] == b[:, :-2]) | (b[:, 1:-1] == b[:, 2:])] = 0.0
-        return grad
-    if mode == "finite-difference":
-        return _fd_gradient(q, source, grid, lam)
-    raise ValueError(f"unknown gradient mode {mode!r}")
+    interior = q.interior()
+    state = _moment_pass(interior, _grid_terms(source, grid, q.n_theta), lam)
+    grad = _analytic_gradient(interior, grid, lam, state.y, state.theta_hat, state.density)
+    b = q.boundaries
+    grad[(b[:, 1:-1] == b[:, :-2]) | (b[:, 1:-1] == b[:, 2:])] = 0.0
+    return grad
 
 
 def random_monotone_quantizer(

@@ -139,18 +139,15 @@ def _moment_pass(interior: np.ndarray, terms: _GridTerms, lam: float) -> _Moment
     mass, first, second, pdf = _standardized_moments(mu, sigma, z)
     sums = (w @ mass, w @ first, w @ second, wt @ mass, wt @ first, wt2 @ mass)
     n, a, t = sums[0], sums[1], sums[3]
-
-    if n.min() >= MASS_FLOOR:
-        y, theta_hat = a / n, t / n
-    else:
-        full = n >= MASS_FLOOR
-        y = np.divide(a, n, out=np.zeros_like(n), where=full)
-        theta_hat = np.divide(t, n, out=np.zeros_like(n), where=full)
-        for m in np.flatnonzero(~full):
-            y[m] = _empty_cell_y(interior, m)
+    # a full cell divides by its own N; an empty one's quotients are overwritten
+    empty = np.flatnonzero(~(n >= MASS_FLOOR))
+    safe_n = np.maximum(n, MASS_FLOOR)
+    y, theta_hat = a / safe_n, t / safe_n
+    theta_hat[empty] = 0.0
+    for m in empty:
+        y[m] = _empty_cell_y(interior, m)
     phi = n * (y * (y + 2.0 * theta_hat) - lam * theta_hat * theta_hat)
-    if n.min() < MASS_FLOOR:
-        phi = np.where(n >= MASS_FLOOR, phi, 0.0)
+    phi[empty] = 0.0
     return _MomentPass(sums, y, theta_hat, _distortions(sums, y, theta_hat, lam),
                        pdf[:, 1:-1] / sigma, c1 - float(phi.sum()))
 

@@ -12,6 +12,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import strategiq.cli as cli_module
 import strategiq.linear_equilibrium as linear_module
 import strategiq.optimizer as optimizer_module
 from strategiq import make_source, optimal_alpha, solve_equilibrium
@@ -24,6 +25,7 @@ from strategiq.cli import (
     SweepConfig,
     SweepRow,
     _build_parser,
+    _flag_fields,
     _row_columns,
     config_from_dict,
     emit,
@@ -31,6 +33,7 @@ from strategiq.cli import (
     main,
     resolve_lambdas,
     run_sweep,
+    validate_config,
 )
 
 EXPECTED_HEADER = "lambda,M,d_e,fidelity,d_d,d_theta,d_kl_max,alpha,iterations,converged,restart_winner,seed"
@@ -99,22 +102,21 @@ class TestConfig:
             config_from_dict({"bogus": 1})
 
     def test_mode_checked(self):
+        # config_from_dict only builds the config; validate_config checks it
+        cfg = config_from_dict({"mode": "banana"})
         with pytest.raises(ConfigError, match="mode"):
-            config_from_dict({"mode": "banana"})
+            validate_config(cfg)
 
     def test_quantizer_mode_rejects_linear_sentinel(self):
         with pytest.raises(ConfigError):
-            config_from_dict({"mode": "quantizer", "m_values": [0, 2]})
+            validate_config(config_from_dict({"mode": "quantizer", "m_values": [0, 2]}))
 
     def test_subcommand_defaults_are_sweep_config_defaults(self):
-        cfg = SweepConfig()
+        # a flag that is not given sets no field, so SweepConfig's default stands
         parser = _build_parser()
-        design = parser.parse_args(["design", "--m", "2", "--lambda", "1", "--out", "x"])
-        linear = parser.parse_args(["linear", "--lambda", "1"])
-        for name in ("sigma_x", "r", "rho", "theta_nodes"):
-            assert getattr(design, name) == getattr(cfg, name), name
-        for name in ("sigma_x", "r", "rho"):
-            assert getattr(linear, name) == getattr(cfg, name), name
+        for argv in (["design", "--m", "2", "--lambda", "1", "--out", "x"],
+                     ["linear", "--lambda", "1"], ["sweep"]):
+            assert _flag_fields(parser.parse_args(argv)) == {}, argv[0]
 
     def test_lambda_log_range(self):
         lams = resolve_lambdas({"start": 0.01, "stop": 100.0, "points": 5})
@@ -148,7 +150,7 @@ class TestConfig:
     def test_config_rejects_bad_lambdas(self, lambdas):
         # a config that validates is one run_sweep runs
         with pytest.raises(ConfigError, match="lambdas"):
-            config_from_dict({"mode": "linear", "lambdas": lambdas})
+            validate_config(config_from_dict({"mode": "linear", "lambdas": lambdas}))
 
 
 class TestRunSweep:
@@ -470,6 +472,7 @@ class TestCommandLine:
         {"mode": "linear", "lambdas": {"start": 1, "stop": 10, "points": 2, "base": 2}},
         {"mode": "linear", "lambdas": {"start": 1, "stop": 10}},
         {"mode": "sweep", "m_values": []},
+        {"mode": "linear", "format": "xml"},
     ], ids=json.dumps)
     def test_bad_config_file_is_config_error(self, config, tmp_path, capsys):
         cfg_path = tmp_path / "cfg.json"
@@ -554,6 +557,17 @@ class TestCommandLine:
         assert out == "" and not (tmp_path / "q.json").exists()
         assert len(err.splitlines()) == 1 and err.startswith("config error: ")
         assert named in err
+
+    def test_a_sweep_checks_its_config_once(self, monkeypatch, tmp_path):
+        # run_sweep is the one check: building the config from flags checks nothing
+        calls = []
+        validate = cli_module.validate_config
+        monkeypatch.setattr(cli_module, "validate_config",
+                            lambda cfg: calls.append(cfg) or validate(cfg))
+        argv = ["sweep", "--lambdas", "log:0.01:1e7:20", "--m", "0,2,8",
+                "--out", str(tmp_path / "sweep.csv")]
+        assert main(argv) == 0
+        assert len(calls) == 1
 
     def test_restart_winner_is_n_restarts_from_m_two(self):
         # the label the closed-form start had beside n_restarts random starts

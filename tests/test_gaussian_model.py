@@ -1,6 +1,7 @@
 """Source model: validation, grids, and exactness of the partial moments."""
 
 import math
+import re
 
 import numpy as np
 import pytest
@@ -13,6 +14,7 @@ from scipy.stats import norm
 from strategiq import (
     BestResponses,
     Quantizer,
+    SourceSpec,
     ThetaGrid,
     brute_force_design,
     design,
@@ -81,6 +83,24 @@ class TestMakeSource:
     def test_correlation_out_of_range_rejected(self):
         with pytest.raises(ValueError):
             make_source(1.0, 1.0, 1.5)
+
+    @pytest.mark.parametrize("args, message", [
+        ((math.nan, 1.0, 0.0), "source parameters must be finite"),
+        ((1.0, math.inf, 0.0), "source parameters must be finite"),
+        ((-1.0, 1.0, 0.0), "sigma_x must be positive, got -1.0"),
+        ((1.0, -2.0, 0.0), "r must be positive, got -2.0"),
+        ((1.0, 1.0, -1.5), "rho must lie in [-1, 1], got -1.5"),
+    ], ids=repr)
+    def test_a_source_built_directly_checks_itself(self, args, message):
+        # SourceSpec checks itself, so make_source and a direct build fail alike
+        for build in (SourceSpec, make_source):
+            with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+                build(*args)
+
+    def test_a_source_built_directly_stores_floats(self):
+        src = SourceSpec(2, 1, 0)
+        assert all(type(v) is float for v in (src.sigma_x, src.r, src.rho))
+        assert src == make_source(2.0, 1.0, 0.0)
 
     def test_sigma_theta_scales_with_r(self):
         src = make_source(2.0, 3.0, 0.1)

@@ -13,7 +13,6 @@ from hypothesis import strategies as st
 
 import strategiq.linear_equilibrium as linear_module
 from strategiq import (
-    SourceSpec,
     linear_distortions,
     make_source,
     optimal_alpha,
@@ -151,9 +150,12 @@ class TestOptimalAlpha:
             assert linear_module._terms(src, np.float64(alpha), 0.0).v > 0.0
 
     def test_negative_discriminant_is_value_error(self):
-        # |rho| > 1 is no valid source; only then can the discriminant go negative
+        # in exact arithmetic the discriminant is negative only for |rho| > 1,
+        # which SourceSpec refuses to build, so the field is overwritten
+        src = make_source(1.0, 1.0, 0.0)
+        object.__setattr__(src, "rho", -3.0)
         with pytest.raises(ValueError, match="discriminant"):
-            optimal_alpha(SourceSpec(sigma_x=1.0, r=1.0, rho=-3.0), 1.0)
+            optimal_alpha(src, 1.0)
 
     def test_certificate_rejects_the_maximizing_root(self, monkeypatch):
         # a sign slip in the kernel's square root returns the other root, where q' < 0

@@ -35,6 +35,7 @@ from strategiq.optimizer import (
     _analytic_gradient,
     _bounded_step,
     _closed_form_start,
+    _fd_gradient,
     _free_set,
     _certify_stop,
     _hessian,
@@ -128,8 +129,8 @@ class TestGradient:
                 grid = make_theta_grid(unit_source, n_nodes, "gauss-hermite")
                 for lam in (0.0, 1.0, 5.0):
                     q = _separated_random_quantizer(rng, n_nodes, M)
-                    ga = boundary_gradient(q, unit_source, grid, lam, "analytic")
-                    gf = boundary_gradient(q, unit_source, grid, lam, "finite-difference")
+                    ga = boundary_gradient(q, unit_source, grid, lam)
+                    gf = _fd_gradient(q, unit_source, grid, lam)
                     denom = max(float(np.max(np.abs(gf))), 1e-10)
                     assert float(np.max(np.abs(ga - gf))) / denom < 1e-5
                     cases += 1
@@ -152,8 +153,8 @@ class TestGradient:
             gaps = data.draw(st.lists(st.floats(0.05, 1.0), min_size=M - 2, max_size=M - 2))
             rows.append([-INF, *(sigma_x * np.cumsum([first, *gaps])), INF])
         q = Quantizer(M=M, boundaries=np.array(rows))
-        ga = boundary_gradient(q, src, grid, lam, "analytic")
-        gf = boundary_gradient(q, src, grid, lam, "finite-difference")
+        ga = boundary_gradient(q, src, grid, lam)
+        gf = _fd_gradient(q, src, grid, lam)
         # central differences of d_e resolve no better than ~eps * |d_e| / step,
         # so near a stationary draw the error is measured against that scale
         floor = 1e-4 * (sigma_x**2 + (1.0 + lam) * src.sigma_theta**2)
@@ -178,8 +179,8 @@ class TestGradient:
         src = make_source(1.1, 0.9, -0.45)
         grid = make_theta_grid(src, 4, "gauss-hermite")
         q = _separated_random_quantizer(rng, 4, 3)
-        ga = boundary_gradient(q, src, grid, 0.8, "analytic")
-        gf = boundary_gradient(q, src, grid, 0.8, "finite-difference")
+        ga = boundary_gradient(q, src, grid, 0.8)
+        gf = _fd_gradient(q, src, grid, 0.8)
         assert float(np.max(np.abs(ga - gf))) / max(float(np.max(np.abs(gf))), 1e-10) < 1e-5
 
     def test_lloyd_max_is_stationary_for_single_node(self, unit_source):
@@ -214,16 +215,11 @@ class TestGradient:
         coincident = (b[:, 1:-1] == b[:, :-2]) | (b[:, 1:-1] == b[:, 2:])
         assert coincident.sum() == 5
         for lam in (0.0, 2.0):
-            ga = boundary_gradient(q, src, grid, lam, "analytic")
-            gf = boundary_gradient(q, src, grid, lam, "finite-difference")
+            ga = boundary_gradient(q, src, grid, lam)
+            gf = _fd_gradient(q, src, grid, lam)
             assert np.all(ga[coincident] == 0.0) and np.all(gf[coincident] == 0.0)
             error = np.max(np.abs(ga - gf)[~coincident])
             assert error / max(float(np.max(np.abs(gf))), 1e-10) < 1e-5
-
-    def test_unknown_mode_rejected(self, unit_source, grid3):
-        q = Quantizer(M=2, boundaries=np.tile([-INF, 0.0, INF], (3, 1)))
-        with pytest.raises(ValueError, match="unknown gradient mode 'bogus'"):
-            boundary_gradient(q, unit_source, grid3, 1.0, mode="bogus")
 
 
 class TestIncrements:

@@ -500,7 +500,7 @@ class TestMomentPassReferee:
         assert _bits(rep.d_e, rep.fidelity, rep.d_d, rep.d_theta) == _bits(
             ref_rep.d_e, ref_rep.fidelity, ref_rep.d_d, ref_rep.d_theta
         )
-        grad = boundary_gradient(q, source, grid, lam, mode="analytic")
+        grad = boundary_gradient(q, source, grid, lam)
         assert _bits(grad) == _bits(_reference_boundary_gradient(q, source, grid, lam))
         # the pooled sums themselves, so a change below the distortions' rounding shows
         sums = _moment_pass(q.interior(), _grid_terms(source, grid, q.n_theta), lam)[0]
