@@ -8,7 +8,10 @@ Two oracles, deliberately unsophisticated:
   optimum.  Feasible only for tiny instances (M=2, a few theta nodes); the
   gradient designer must land at or below this value up to grid resolution.
   Assignments are scored in blocks of at most _CHUNK, so its memory is
-  O(_CHUNK) whatever the number of assignments.
+  O(_CHUNK) whatever the number of assignments.  Each row's six weighted
+  moment tables are one cells-first (6, M, n_choices) array and each block
+  one (6, M, assignments) array, so the broadcasts that build a block and
+  the sums over its cells run along the long axis of assignments.
 
 * monte_carlo_distortions samples the discretized source, pushes samples
   through the quantizer and both estimators, and averages squared errors.
@@ -31,14 +34,17 @@ samples are the ones whole-array sampling draws; only the order of summation
 differs, so the reported means and standard errors can differ from releases
 that summed whole arrays in the last few digits.
 
-Lookahead: each call draws the stream one chunk ahead on one worker thread,
-which draws chunk i + 1 while the calling thread folds chunk i (numpy fills
-both PCG64 streams with the GIL released).  Only the worker advances the
-stream, one chunk per request, and the chunks are folded in stream order, so
-the samples and the results do not depend on how the two threads are
-scheduled.  At most two chunks are held at a time, so memory stays
-O(_MC_CHUNK); the thread is joined before the call returns or raises, and
-there is nothing to configure.
+Lookahead: each call starts one producer thread, which draws the stream
+into a queue of at most _MC_AHEAD chunks while the calling thread folds them
+(numpy fills both PCG64 streams with the GIL released, so the two overlap).
+Only the producer advances the stream, and the chunks are folded in stream
+order, so the samples and the results do not depend on how the two threads
+are scheduled.  At most _MC_AHEAD + 2 chunks are held at a time (the queue's,
+the one being drawn and the one being folded), so memory stays O(_MC_CHUNK).
+An error in the stream reaches the caller through the queue; when the fold
+returns or raises, the producer is told to stop, the queue is emptied so
+that its last put cannot block, and the thread is joined before the call
+returns or raises.  There is nothing to configure.
 """
 
 from __future__ import annotations
@@ -55,8 +61,12 @@ from .quantizer_core import BestResponses, DistortionReport, Quantizer, _check_l
 
 _MAX_ENUMERATION = 100_000_000
 _SPAN_SIGMAS = 3.0  # make_oracle_grid's candidates span +-this many sigma_x
-_CHUNK = 8_192  # boundary assignments per brute-force block; its six sums fit in L2
+# boundary assignments per brute-force block; at 3 nodes, 41 candidates and
+# M = 2 a call took 4.3 ms at 4,096 against 4.5 at 2,048, 4.9 at 8,192 and
+# 6.6 at 16,384 (medians of 80 alternated calls on a 2-CPU Xeon)
+_CHUNK = 4_096
 _MC_CHUNK = 32_768  # Monte Carlo samples per chunk
+_MC_AHEAD = 2  # drawn chunks the Monte Carlo queue holds
 _BUCKETS = 4_096  # guide-table buckets for node indices; a power of two
 
 
@@ -123,18 +133,22 @@ def brute_force_design(
             f"exceeds the {_MAX_ENUMERATION} cap"
         )
 
-    # per-row (n_choices, M) weighted moment tables under the conditional law
+    # per-row (6, M, n_choices) weighted moment tables under the conditional
+    # law, cells first, so that the broadcasts and the sums over cells below
+    # run along the long axis of choices
     rows_bounds = np.hstack(
         [np.full((n_choices, 1), -np.inf), cands[choice_idx], np.full((n_choices, 1), np.inf)]
     )
     mu_all, sigma_c = source.conditional_params(grid.nodes)
-    tables = []
+    if sigma_c == 0.0:  # every score would be nan, and no winner decodes
+        raise ValueError("cell moments require a nondegenerate source (|rho| < 1)")
+    tables = np.empty((n_rows, 6, M, n_choices))
     for j in range(n_rows):
-        mass, first, second = interval_moments(float(mu_all[j]), sigma_c, rows_bounds)
+        moments = interval_moments(float(mu_all[j]), sigma_c, rows_bounds)
+        mass, first, second = (m.T for m in moments)
         w, th = grid.weights[j], grid.nodes[j]
-        tables.append(
-            (w * mass, w * first, w * second, w * th * mass, w * th * first, w * th**2 * mass)
-        )
+        wth = w * th
+        tables[j] = (w * mass, w * first, w * second, wth * mass, wth * first, w * th**2 * mass)
 
     # Lexicographic enumeration (row 0 most significant, candidates ascending)
     # in blocks of at most _CHUNK assignments: rows before `lead` are fixed per
@@ -149,31 +163,27 @@ def brute_force_design(
     best_d_e = math.inf
     best_index = -1
     for p, prefix in enumerate(itertools.product(range(n_choices), repeat=lead)):
-        base = [0.0] * 6
+        base = np.zeros((6, M, 1))
         for j, k in enumerate(prefix):
-            base = [acc + table[k] for acc, table in zip(base, tables[j])]
+            base = base + tables[j, :, :, k:k + 1]
         for lo in range(0, n_choices, step):
-            block = [acc + table[lo:lo + step] for acc, table in zip(base, tables[lead])]
+            block = base + tables[lead, :, :, lo:lo + step]
             for j in range(lead + 1, n_rows):
-                block = [
-                    (acc[:, None, :] + table[None, :, :]).reshape(-1, M)
-                    for acc, table in zip(block, tables[j])
-                ]
+                block = (block[..., None] + tables[j, :, :, None, :]).reshape(6, M, -1)
             n, a, s, t, b, u = block
-            safe = np.where(n >= MASS_FLOOR, n, 1.0)
-            y = np.where(n >= MASS_FLOOR, a / safe, 0.0)
-            th_hat = np.where(n >= MASS_FLOOR, t / safe, 0.0)
-            fidelity = np.sum(s + 2.0 * b + u - 2.0 * y * (a + t) + y**2 * n, axis=1)
-            d_theta = np.sum(u - 2.0 * th_hat * t + th_hat**2 * n, axis=1)
+            full = n >= MASS_FLOOR
+            safe = np.where(full, n, 1.0)
+            y = np.where(full, a / safe, 0.0)
+            th_hat = np.where(full, t / safe, 0.0)
+            fidelity = _sum_cells(s + 2.0 * b + u - 2.0 * y * (a + t) + y**2 * n)
+            d_theta = _sum_cells(u - 2.0 * th_hat * t + th_hat**2 * n)
             d_e = fidelity - lam * d_theta
             i = int(np.argmin(d_e))
             if d_e[i] < best_d_e:  # strict: first occurrence wins, i.e. lexicographic
                 best_d_e = float(d_e[i])
                 best_index = (p * n_choices + lo) * inner + i
 
-    radix = [n_choices**p for p in range(n_rows - 1, -1, -1)]
-    ks = [(best_index // radix[j]) % n_choices for j in range(n_rows)]
-    boundaries = np.vstack([rows_bounds[k] for k in ks])
+    boundaries = rows_bounds[np.array(np.unravel_index(best_index, (n_choices,) * n_rows))]
     q = Quantizer(M=M, boundaries=boundaries)
     br, report = evaluate(q, source, grid, lam)
     return DesignResult(
@@ -184,6 +194,19 @@ def brute_force_design(
         converged=True,
         trajectory=None,
     )
+
+
+def _sum_cells(x: np.ndarray) -> np.ndarray:
+    """Sum cells-first x (M, B) over its cells as numpy sums each row of M.
+
+    numpy adds a contiguous row of fewer than 8 cells in cell order, which is
+    a sum over axis 0; from 8 cells on it sums pairwise, so the rows are laid
+    out contiguously first.  Summed another way, near-ties between the many
+    equivalent assignments with empty cells could choose another winner.
+    """
+    if x.shape[0] < 8:
+        return np.sum(x, axis=0)
+    return np.sum(np.ascontiguousarray(x.T), axis=1)
 
 
 def _draws(grid: ThetaGrid, n_samples: int, seed: int):
@@ -216,6 +239,23 @@ def _draws(grid: ThetaGrid, n_samples: int, seed: int):
         yield j_idx, normal_rng.standard_normal(k)
 
 
+def _produce(draws, ahead, stop) -> None:
+    """Put each chunk of draws into ahead, then None, or the stream's error.
+
+    Checks stop after each put and returns once it is set.  The caller
+    raises any BaseException it gets, so none is lost with this thread.
+    """
+    try:
+        for chunk in draws:
+            ahead.put(chunk)
+            if stop.is_set():
+                return
+    except BaseException as exc:
+        ahead.put(exc)
+    else:
+        ahead.put(None)
+
+
 def monte_carlo_distortions(
     q: Quantizer,
     br: BestResponses,
@@ -230,13 +270,15 @@ def monte_carlo_distortions(
     Streams the samples of the module docstring in chunks of _MC_CHUNK and
     folds each chunk's means and squared deviations into running totals
     (Chan, Golub & LeVeque), so memory does not grow with n_samples.  One
-    worker thread draws chunk i + 1 while this thread folds chunk i (the
-    module docstring's lookahead).
+    producer thread draws the chunks into a queue of at most _MC_AHEAD while
+    this thread folds them in stream order (the module docstring's
+    lookahead); it is joined before the call returns or raises.
     Standard errors use ddof=1 and are inf for a single sample.
     """
     # imported here, not at module level, so that importing the package does
-    # not load concurrent.futures for callers that never sample
-    from concurrent.futures import ThreadPoolExecutor
+    # not load queue for callers that never sample
+    import queue
+    import threading
 
     n_samples = _as_count("n_samples", n_samples)
     _check_lam(lam)
@@ -254,13 +296,17 @@ def monte_carlo_distortions(
     mean = np.zeros(4)  # fidelity, d_d, d_theta, d_e
     m2 = np.zeros(4)
     block = np.empty((4, min(n_samples, _MC_CHUNK)))
-    draws = _draws(grid, n_samples, seed)
-    # leaving the block joins the worker, also when the fold below raises
-    with ThreadPoolExecutor(max_workers=1) as pool:
-        ahead = pool.submit(next, draws, None)
-        while (chunk := ahead.result()) is not None:
-            j_idx, normals = chunk  # releases chunk i - 1 before chunk i + 1 is drawn
-            ahead = pool.submit(next, draws, None)
+    ahead = queue.Queue(maxsize=_MC_AHEAD)
+    stop = threading.Event()
+    producer = threading.Thread(
+        target=_produce, args=(_draws(grid, n_samples, seed), ahead, stop), daemon=True
+    )
+    producer.start()
+    try:
+        while (chunk := ahead.get()) is not None:
+            if isinstance(chunk, BaseException):
+                raise chunk
+            j_idx, normals = chunk
             k = j_idx.size
             theta = grid.nodes[j_idx]
             x = mu_nodes[j_idx]
@@ -288,6 +334,13 @@ def monte_carlo_distortions(
             mean += delta * (k / total)
             m2 += chunk_m2 + delta**2 * (count * k / total)
             count = total
+    finally:
+        # once stop is set the producer makes at most one more put, so a
+        # queue emptied after setting it cannot block that put
+        stop.set()
+        while not ahead.empty():
+            ahead.get_nowait()
+        producer.join()
 
     if n_samples > 1:
         se = np.sqrt(m2 / (n_samples - 1)) / math.sqrt(n_samples)

@@ -2,6 +2,7 @@
 
 import itertools
 import math
+import queue
 import threading
 import tracemalloc
 
@@ -179,6 +180,11 @@ class TestBruteForce:
         assert res.quantizer.boundaries.tobytes() == want.quantizer.boundaries.tobytes()
         assert res.report == want.report
 
+    def test_degenerate_source_rejected(self, grid3):
+        og = make_oracle_grid(make_source(1.0, 1.0, 1.0), n_points=9)
+        with pytest.raises(ValueError, match="nondegenerate"):
+            brute_force_design(make_source(1.0, 1.0, 1.0), grid3, 2, 1.0, og)
+
     def test_enumeration_cap(self, unit_source, grid17):
         og = make_oracle_grid(unit_source)
         with pytest.raises(ValueError, match="exceeds"):
@@ -220,17 +226,19 @@ class TestBruteForce:
         [
             (3, 41, 1), (3, 41, 2), (3, 9, 3),  # one block
             (4, 21, 1), (4, 21, 2), (4, 6, 3),  # 21^4 = 194,481 > _CHUNK: sliced blocks
+            (2, 9, 4),  # 165^2 = 27,225 > _CHUNK: four cells per row
+            (2, 4, 8),  # eight cells, which numpy sums pairwise; many near-ties
         ],
     )
     def test_matches_digit_decoding_enumeration(self, n_nodes, n_points, M):
-        src = make_source(1.2, 0.7, 0.4)
-        grid = make_theta_grid(src, n_nodes, "gauss-hermite")
-        og = make_oracle_grid(src, n_points=n_points)
-        for lam in (0.0, 1.5):
-            res = brute_force_design(src, grid, M, lam, og)
-            boundaries, report = _reference_brute_force(src, grid, M, lam, og)
-            assert res.quantizer.boundaries.tobytes() == boundaries.tobytes()
-            assert _report_bits(res.report) == _report_bits(report)
+        for src in (make_source(1.2, 0.7, 0.4), make_source(1.2, 0.7, -0.6)):
+            grid = make_theta_grid(src, n_nodes, "gauss-hermite")
+            og = make_oracle_grid(src, n_points=n_points)
+            for lam in (0.0, 1.5):
+                res = brute_force_design(src, grid, M, lam, og)
+                boundaries, report = _reference_brute_force(src, grid, M, lam, og)
+                assert res.quantizer.boundaries.tobytes() == boundaries.tobytes()
+                assert _report_bits(res.report) == _report_bits(report)
 
     @pytest.mark.parametrize(
         "n_nodes,n_points,M",
@@ -380,6 +388,54 @@ class TestMonteCarlo:
         before = threading.active_count()
         with pytest.raises(ValueError, match="broadcast"):
             monte_carlo_distortions(q, br, unit_source, grid3, 1.0, 5 * oracle_module._MC_CHUNK, 8)
+        assert threading.active_count() == before
+
+    def test_fold_error_on_a_full_queue_joins_the_worker(self, monkeypatch, unit_source, grid3):
+        # the fold raises on the first chunk only once the worker has filled the
+        # queue and waits to put the next one; the call raises, and no worker is left
+        blocked = threading.Event()
+
+        class WatchedQueue(queue.Queue):
+            def put(self, item, block=True, timeout=None):
+                if self.full():
+                    blocked.set()
+                super().put(item, block, timeout)
+
+        class FailingNormals:
+            __array_ufunc__ = None  # numpy leaves sigma_c * normals to __rmul__
+
+            def __rmul__(self, other):
+                blocked.wait(timeout=30.0)
+                raise RuntimeError("fold failed while the queue was full")
+
+        real_draws = oracle_module._draws
+
+        def first_chunk_fails(grid, n_samples, seed):
+            chunks = real_draws(grid, n_samples, seed)
+            j_idx, _ = next(chunks)
+            yield j_idx, FailingNormals()
+            yield from chunks
+
+        monkeypatch.setattr(queue, "Queue", WatchedQueue)
+        monkeypatch.setattr(oracle_module, "_draws", first_chunk_fails)
+        q = Quantizer(M=2, boundaries=np.tile([-INF, 0.2, INF], (3, 1)))
+        br, _ = evaluate(q, unit_source, grid3, 1.0)
+        raised = []
+
+        def call():
+            try:
+                n = 8 * oracle_module._MC_CHUNK
+                monte_carlo_distortions(q, br, unit_source, grid3, 1.0, n, seed=8)
+            except RuntimeError as exc:
+                raised.append(exc)
+
+        before = threading.active_count()
+        caller = threading.Thread(target=call, daemon=True)  # a hang fails, not stalls, the suite
+        caller.start()
+        caller.join(timeout=60.0)
+        assert not caller.is_alive()
+        assert blocked.is_set()
+        assert [str(exc) for exc in raised] == ["fold failed while the queue was full"]
         assert threading.active_count() == before
 
     def test_lagrangian_combination(self, unit_source, grid3, rng):
