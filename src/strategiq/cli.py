@@ -26,10 +26,11 @@ and `linear` and `design` on the one their flags build, so a value is rejected
 the same way whichever subcommand or config file gives it.  n_restarts changes
 no number: it fills the restart_winner column of M >= 2 rows.
 
-Exit codes: 0 success, 1 config error (including a malformed flag or an
-unknown subcommand), 2 I/O error, 3 at least one sweep row failed (every row
-is still written, and each failed row gets one line on stderr) or the one
-equilibrium of `linear` or `design` raised (one such line, and no output).
+Exit codes: 0 success, 1 config error (including a source that SourceSpec
+refuses, such as --rho 1, a malformed flag or an unknown subcommand), 2 I/O
+error, 3 at least one sweep row failed (every row is still written, and each
+failed row gets one line on stderr) or the one equilibrium of `linear` or
+`design` raised (one such line, and no output).
 """
 
 from __future__ import annotations
@@ -232,9 +233,6 @@ def validate_config(cfg: SweepConfig) -> tuple[SourceSpec, list[float]]:
         source = make_source(cfg.sigma_x, cfg.r, cfg.rho)
     except (TypeError, ValueError) as exc:
         raise ConfigError(str(exc)) from exc
-    # quantizer rows need a spread of X given theta; a mixed sweep fails them row by row
-    if cfg.mode == "quantizer" and source.conditional_params(0.0)[1] == 0.0:
-        raise ConfigError(f"quantizer mode requires |rho| < 1, got {cfg.rho}")
     return source, resolve_lambdas(cfg.lambdas)
 
 

@@ -9,6 +9,9 @@ so X | theta=t is Normal(mu_c, sigma_c^2) with
     mu_c    = rho * (sigma_x / sigma_theta) * t,
     sigma_c = sigma_x * sqrt(1 - rho^2).
 
+SourceSpec builds only sources where sigma_c > 0, so no caller checks for a
+degenerate one.
+
 Every integral downstream (best responses, distortions, gradients) reduces to
 partial moments of this conditional law over an interval [a, b], which have
 exact error-function expressions.  With z = (x - mu_c)/sigma_c and
@@ -40,6 +43,7 @@ from __future__ import annotations
 import functools
 import math
 import numbers
+import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -57,7 +61,11 @@ MAX_THETA_NODES = 370
 class SourceSpec:
     """Parameters of the jointly Gaussian (X, theta) source, stored as floats.
 
-    ValueError unless sigma_x and r are positive and finite and |rho| <= 1.
+    The one check of a usable source: ValueError unless sigma_x and r are
+    positive and finite, |rho| < 1, sigma_x^2, r^2 and sigma_theta^2 are
+    finite (the closed forms square them with **, which raises OverflowError)
+    and sigma_c^2 = sigma_x^2 (1 - rho^2) is a normal float.  Then every
+    Z = X + alpha*theta has E[Z^2] >= sigma_c^2 > 0.
     """
 
     sigma_x: float
@@ -72,10 +80,18 @@ class SourceSpec:
             raise ValueError(f"sigma_x must be positive, got {sigma_x}")
         if r <= 0:
             raise ValueError(f"r must be positive, got {r}")
-        if abs(rho) > 1:
-            raise ValueError(f"rho must lie in [-1, 1], got {rho}")
+        if abs(rho) >= 1:
+            raise ValueError(f"rho must lie in (-1, 1), got {rho}")
         for name in ("sigma_x", "r", "rho"):
             object.__setattr__(self, name, float(getattr(self, name)))
+        try:
+            sigma_x2, _, _ = self.sigma_x**2, self.r**2, self.sigma_theta**2
+        except OverflowError:
+            raise ValueError(f"sigma_x^2, r^2 and sigma_theta^2 must be finite floats, "
+                             f"got sigma_x={sigma_x}, r={r}") from None
+        if (sigma_c2 := sigma_x2 * (1.0 - self.rho**2)) < sys.float_info.min:
+            raise ValueError(f"X given theta needs a spread: sigma_x^2 (1 - rho^2) = {sigma_c2} "
+                             f"is below the smallest normal float")
 
     @property
     def sigma_theta(self) -> float:
@@ -86,7 +102,7 @@ class SourceSpec:
     ) -> tuple[float | np.ndarray, float]:
         """(mean, std) of X given theta = theta_j; theta_j may be an array of nodes."""
         mu_c = self.rho * (self.sigma_x / self.sigma_theta) * theta_j
-        sigma_c = self.sigma_x * math.sqrt(max(1.0 - self.rho**2, 0.0))
+        sigma_c = self.sigma_x * math.sqrt(1.0 - self.rho**2)
         return mu_c, sigma_c
 
 

@@ -18,15 +18,20 @@ Calling that quadratic q, differentiation gives
 
     J'(alpha) = 2 sigma_theta^2 sigma_x^4 (1 - rho^2) q(alpha) / v(alpha)^2,
 
-so for |rho| < 1 J' has the sign of q.  The conjugate-form root, where
-q'(alpha*) = +sqrt(disc) > 0, is therefore where J turns from falling to
-rising: a strict local minimizer.  J tends to the same limit at both ends of
-the real line and has no stationary point besides the two roots, so that
-root is also the global minimizer.  Every alpha* comes with a certificate at
-O(1) cost: the relative residual of q(alpha*) is at most 1e-10,
-q'(alpha*) > 0, E[Z^2] > 0 at alpha*, and J(alpha*) does not exceed J at the
-other root.  optimal_alpha raises ArithmeticError (ValueError for E[Z^2] <= 0)
-if any part fails.
+so for |rho| < 1, which SourceSpec holds every source to, J' has the sign
+of q.  The conjugate-form root, where q'(alpha*) = +sqrt(disc) > 0, is
+therefore where J turns from falling to rising: a strict local minimizer.
+J tends to the same limit at both ends of the real line and has no
+stationary point besides the two roots, so that root is also the global
+minimizer.  q's discriminant is, by an identity,
+
+    disc = (1 + lam r^2)^2 - 4 r (rho + r)(lam rho r - 1)
+         = (lam r^2 - 1 - 2 r rho)^2 + 4 r^2 (1 - rho^2)(1 + lam) >= 0 on lam >= -1,
+
+so a negative disc is rounding, and its square root is taken as 0.  Every alpha* comes with a certificate of three parts
+at O(1) cost: the relative residual of q(alpha*) is at most 1e-10,
+q'(alpha*) > 0, and J(alpha*) does not exceed J at the other root.
+optimal_alpha raises ArithmeticError if any part fails.
 
 The formulas live in two vectorized kernels: _terms (moments and distortions
 at an array of alpha) and _linear_stage (alpha*, its certificate, E[Z^2],
@@ -78,8 +83,9 @@ class _Terms(NamedTuple):
 def _terms(source: SourceSpec, alpha, lam) -> _Terms:
     """Elementwise in alpha and lam (arrays or numpy scalars).
 
-    Callers run it under np.errstate(all="ignore"): where E[Z^2] <= 0 the
-    ratios are meaningless, and callers reject that case themselves.
+    E[Z^2] >= sigma_c^2 > 0 at every finite alpha; callers run it under
+    np.errstate(all="ignore"), since the stage evaluates it at the other
+    root, which is -inf where r(rho + r) = 0, and a far alpha overflows.
     """
     sx, st, rho = source.sigma_x, source.sigma_theta, source.rho
     # E[Z^2] = sx^2 + 2 alpha rho sx st + alpha^2 st^2 written as a sum of two
@@ -98,15 +104,12 @@ def _terms(source: SourceSpec, alpha, lam) -> _Terms:
     return _Terms(v, c_x, c_s, kappa, nu, fidelity - lam * d_theta, fidelity, d_d, d_theta)
 
 
-_DEGENERATE_TEXT = "E[Z^2] must be positive; degenerate encoder configuration"
 # the parts of the certificate in the order they are checked: the first that
-# fails names the exception, formatted with the values the stage quotes
+# fails is the ArithmeticError's text, formatted with the values the stage quotes
 _FAILURES = (
-    (ValueError, "negative discriminant {disc}; violates lam >= 0, |rho| <= 1 structure"),
-    (ArithmeticError, "alpha*={alpha} leaves stationarity residual {residual}"),
-    (ArithmeticError, "alpha*={alpha} is not where J' turns from negative to positive"),
-    (ValueError, _DEGENERATE_TEXT),
-    (ArithmeticError, "alpha*={alpha} is beaten by the other root {other}"),
+    "alpha*={alpha} leaves stationarity residual {residual}",
+    "alpha*={alpha} is not where J' turns from negative to positive",
+    "alpha*={alpha} is beaten by the other root {other}",
 )
 
 
@@ -117,17 +120,17 @@ class _Stage(NamedTuple):
     certified: np.ndarray  # bool: alpha* passed every part of the certificate
     terms: _Terms  # at alpha*
     failed: tuple  # one bool array per entry of _FAILURES
-    quoted: dict  # alpha, disc, residual, other (None where there is no such root)
+    quoted: dict  # alpha, residual, other
 
-    def error(self, index=()) -> Exception | None:
+    def error(self, index=()) -> ArithmeticError | None:
         """The exception that rejects alpha* at index, or None if it is certified.
 
         index is an element index, or () for a stage computed at a numpy scalar.
         """
-        for (kind, text), failed in zip(_FAILURES, self.failed):
+        for text, failed in zip(_FAILURES, self.failed):
             if failed[index]:
-                return kind(text.format(**{k: None if v is None else float(v[index])
-                                           for k, v in self.quoted.items()}))
+                return ArithmeticError(text.format(**{k: float(v[index])
+                                                      for k, v in self.quoted.items()}))
         return None
 
 
@@ -141,35 +144,22 @@ def _linear_stage(source: SourceSpec, lam) -> _Stage:
     with np.errstate(all="ignore"):
         a1 = 1.0 + lam * r**2
         a0 = lam * rho * r - 1.0
-        if a2 == 0.0:
-            alpha = -a0 / a1
-            disc = other = None
-        else:
-            disc = a1 * a1 - 4.0 * a2 * a0
-            sq = np.sqrt(disc)
-            # conjugate form of (-a1 + sq)/(2 a2): immune to cancellation at large lam
-            alpha = -2.0 * a0 / (a1 + sq)
-            other = (-a1 - sq) / (2.0 * a2)
+        sq = np.sqrt(np.maximum(a1 * a1 - 4.0 * a2 * a0, 0.0))  # disc: module docstring
+        # conjugate form of (-a1 + sq)/(2 a2): immune to cancellation at large lam,
+        # and at a2 = 0 the root -a0/a1 of the linear equation, bit for bit
+        alpha = -2.0 * a0 / (a1 + sq)
+        other = (-a1 - sq) / (2.0 * a2)
         alpha_sq = alpha * alpha
         residual = a2 * alpha_sq + a1 * alpha + a0
         scale = abs(a2) * alpha_sq + np.abs(a1 * alpha) + np.abs(a0)
         terms = _terms(source, alpha, lam)
-        if other is None:
-            negative_disc = beaten = np.zeros_like(alpha, dtype=bool)
-        else:
-            negative_disc = disc < 0
-            rival = _terms(source, other, lam)
-            slack = 1e-9 * np.maximum(1.0, np.abs(terms.d_e))
-            beaten = (rival.v > 1e-12) & (terms.d_e > rival.d_e + slack)
-        failed = (
-            negative_disc,
-            np.abs(residual) > 1e-10 * scale,
-            ~(2.0 * a2 * alpha + a1 > 0.0),
-            terms.v <= 0,
-            beaten,
-        )
-    certified = ~(failed[0] | failed[1] | failed[2] | failed[3] | failed[4])
-    quoted = {"alpha": alpha, "disc": disc, "residual": residual, "other": other}
+        rival = _terms(source, other, lam)
+        slack = 1e-9 * np.maximum(1.0, np.abs(terms.d_e))
+        # at a2 = 0 the rival's terms are nan, so it beats nothing
+        beaten = (rival.v > 1e-12) & (terms.d_e > rival.d_e + slack)
+        failed = (np.abs(residual) > 1e-10 * scale, ~(2.0 * a2 * alpha + a1 > 0.0), beaten)
+    certified = ~(failed[0] | failed[1] | failed[2])
+    quoted = {"alpha": alpha, "residual": residual, "other": other}
     return _Stage(alpha, certified, terms, failed, quoted)
 
 
@@ -178,8 +168,7 @@ def solve_equilibrium(source: SourceSpec, lam: float) -> LinearEquilibrium:
 
     One pass of the stage kernel, which solves the stationarity quadratic and
     certifies the returned root as the minimizer (see the module docstring).
-    Raises ValueError for lam < 0, a negative discriminant or E[Z^2] <= 0,
-    and ArithmeticError if the rest of the certificate fails.
+    Raises ValueError for lam < 0 and ArithmeticError if the certificate fails.
     """
     _check_lam(lam)
     stage = _linear_stage(source, np.float64(lam))
@@ -207,8 +196,6 @@ def linear_distortions(source: SourceSpec, alpha: float, lam: float) -> Distorti
         raise ValueError("alpha must be finite")
     with np.errstate(all="ignore"):
         t = _terms(source, np.float64(alpha), lam)
-    if t.v <= 0:
-        raise ValueError(_DEGENERATE_TEXT)
     return DistortionReport(
         d_e=float(t.d_e), fidelity=float(t.fidelity), d_d=float(t.d_d), d_theta=float(t.d_theta)
     )

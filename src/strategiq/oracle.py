@@ -140,8 +140,6 @@ def brute_force_design(
         [np.full((n_choices, 1), -np.inf), cands[choice_idx], np.full((n_choices, 1), np.inf)]
     )
     mu_all, sigma_c = source.conditional_params(grid.nodes)
-    if sigma_c == 0.0:  # every score would be nan, and no winner decodes
-        raise ValueError("cell moments require a nondegenerate source (|rho| < 1)")
     tables = np.empty((n_rows, 6, M, n_choices))
     for j in range(n_rows):
         moments = interval_moments(float(mu_all[j]), sigma_c, rows_bounds)

@@ -112,8 +112,6 @@ def _grid_terms(source: SourceSpec, grid: ThetaGrid, n_rows: int) -> _GridTerms:
     if n_rows != grid.n_nodes:
         raise ValueError("boundaries must have one row per theta node")
     mu_c, sigma_c = source.conditional_params(grid.nodes)
-    if sigma_c == 0.0:
-        raise ValueError("cell moments require a nondegenerate source (|rho| < 1)")
     edge = np.full((n_rows, 1), np.inf)
     w = grid.weights
     c1 = float(w @ ((mu_c + grid.nodes) ** 2 + sigma_c * sigma_c))

@@ -501,8 +501,12 @@ class TestCommandLine:
         ["sweep", "--rho", "nan"],
         # numpy's generators take no negative seed
         ["sweep", "--seed", "-1"],
-        # quantizer rows need a spread of X given theta
+        # SourceSpec refuses a source without a spread of X given theta, or
+        # one whose squares leave the float range, for every subcommand
         ["sweep", "--rho", "-1"],
+        ["sweep", "--sigma-x", "1e-170"],
+        ["sweep", "--sigma-x", "1e100", "--r", "1e60"],
+        ["linear", "--lambda", "2", "--rho", "-1", "--r", "1"],
         ["design", "--lambda", "nan"],
         ["design", "--lambda", "1", "--rho", "2"],
         ["design", "--lambda", "1", "--rho", "1"],
@@ -575,15 +579,16 @@ class TestCommandLine:
                           n_restarts=5)
         assert [(row.M, row.restart_winner) for row in run_sweep(cfg)] == [(1, 0), (2, 5), (8, 5)]
 
-    def test_mixed_sweep_at_rho_one_fails_only_its_quantizer_rows(self, capsys):
-        # the linear stage is defined at |rho| = 1, so its rows are still written
-        argv = ["sweep", "--m", "0,2", "--lambdas", "1", "--rho", "1", "--theta-nodes", "3",
-                "--n-restarts", "1"]
-        assert main(argv) == 3
-        out, err = capsys.readouterr()
-        assert out.splitlines()[1:] == ["1,0,1,1,0,0,,-0,,,,0", "1,2,,,,,,,,false,,1"]
-        assert err.startswith("sweep row lambda=1 M=2 failed: ValueError: ")
-        assert main(["linear", "--lambda", "1", "--rho", "1"]) == 0
+    @pytest.mark.parametrize("argv, message", [
+        (["sweep", "--m", "0,2", "--lambdas", "1", "--rho", "1"], "rho must lie in (-1, 1), got 1.0"),
+        (["linear", "--lambda", "1", "--rho", "1"], "rho must lie in (-1, 1), got 1.0"),
+        (["sweep", "--mode", "linear", "--lambdas", "1", "--r", "1e160"],
+         "sigma_x^2, r^2 and sigma_theta^2 must be finite floats, got sigma_x=1.0, r=1e+160"),
+    ], ids=" ".join)
+    def test_an_unusable_source_fails_before_any_row(self, argv, message, capsys):
+        # no row runs on a source SourceSpec refuses, linear rows included
+        assert main(argv) == 1
+        assert capsys.readouterr() == ("", f"config error: {message}\n")
 
     @pytest.mark.parametrize("field,value", [
         ("theta_nodes", "3"),
@@ -602,13 +607,16 @@ class TestCommandLine:
         assert err.startswith(f"config error: {field} must be ") and len(err.splitlines()) == 1
 
     def test_a_failed_linear_is_reported_like_its_sweep_row(self, capsys):
-        # at rho = -1 and r = 1, E[Z^2] is 0 at alpha*
-        source = ["--rho", "-1", "--r", "1"]
-        assert main(["sweep", "--mode", "linear", "--lambdas", "2", *source]) == 3
+        # at rho = 1 - 2^-53 and lam = (1 + 2r)/r^2 the stationarity quadratic has
+        # a double root, where q' is 0, so the certificate fails
+        source = ["--rho", "0.9999999999999999", "--r", "0.15"]
+        lam = "57.77777777777778"
+        assert main(["sweep", "--mode", "linear", "--lambdas", lam, *source]) == 3
         row_error = capsys.readouterr().err.split(" failed: ", 1)[1]
-        assert row_error.startswith("ValueError: E[Z^2] must be positive")
-        assert main(["linear", "--lambda", "2", *source]) == 3
-        assert capsys.readouterr() == ("", f"linear lambda=2 failed: {row_error}")
+        assert row_error.startswith("ArithmeticError: alpha*=-6.66")
+        assert "is not where J' turns" in row_error
+        assert main(["linear", "--lambda", lam, *source]) == 3
+        assert capsys.readouterr() == ("", f"linear lambda=57.7778 failed: {row_error}")
 
     def test_a_failed_design_is_one_line_and_exit_3(self, monkeypatch, tmp_path, capsys):
         # a sign slip in the stage's square root fails alpha*'s certificate

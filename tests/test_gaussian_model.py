@@ -62,14 +62,11 @@ class TestMakeSource:
         mass, _, _ = _cell_moments(src, grid, np.tile([-math.inf, 0.0, math.inf], (3, 1)))
         assert mass.sum() == pytest.approx(3.0, rel=1e-15)
 
-    def test_full_correlation_is_degenerate_but_accepted(self):
-        # |rho| = 1 is a valid source, but X | theta is a point mass: no cell moments
+    def test_cell_moments_next_to_full_correlation_are_finite(self):
+        # at |rho| = 1 X | theta is a point mass, and SourceSpec refuses the
+        # source (test_a_source_built_directly_checks_itself); one ulp inside it
+        # has a spread
         boundaries = np.tile([-math.inf, 0.0, math.inf], (3, 1))
-        for rho in (1.0, -1.0):
-            src = make_source(1.0, 1.0, rho)
-            grid = make_theta_grid(src, 3)
-            with pytest.raises(ValueError, match="nondegenerate"):
-                evaluate(Quantizer(M=2, boundaries=boundaries), src, grid, 0.0)
         src = make_source(1.0, 1.0, math.nextafter(1.0, 0.0))
         mass, _, _ = _cell_moments(src, make_theta_grid(src, 3), boundaries)
         assert np.all(np.isfinite(mass))
@@ -89,7 +86,16 @@ class TestMakeSource:
         ((1.0, math.inf, 0.0), "source parameters must be finite"),
         ((-1.0, 1.0, 0.0), "sigma_x must be positive, got -1.0"),
         ((1.0, -2.0, 0.0), "r must be positive, got -2.0"),
-        ((1.0, 1.0, -1.5), "rho must lie in [-1, 1], got -1.5"),
+        ((1.0, 1.0, -1.5), "rho must lie in (-1, 1), got -1.5"),
+        # the rejected domains: no spread of X given theta, or a square past the float range
+        ((1.0, 1.0, 1.0), "rho must lie in (-1, 1), got 1.0"),
+        ((1.0, 1.0, -1.0), "rho must lie in (-1, 1), got -1.0"),
+        ((1e-170, 1.0, 0.0), "X given theta needs a spread: sigma_x^2 (1 - rho^2) = 0.0 "
+                             "is below the smallest normal float"),
+        ((1.0, 1e160, 0.0), "sigma_x^2, r^2 and sigma_theta^2 must be finite floats, "
+                            "got sigma_x=1.0, r=1e+160"),
+        ((1e100, 1e60, 0.0), "sigma_x^2, r^2 and sigma_theta^2 must be finite floats, "
+                             "got sigma_x=1e+100, r=1e+60"),
     ], ids=repr)
     def test_a_source_built_directly_checks_itself(self, args, message):
         # SourceSpec checks itself, so make_source and a direct build fail alike
@@ -106,7 +112,7 @@ class TestMakeSource:
         src = make_source(2.0, 3.0, 0.1)
         assert src.sigma_theta == pytest.approx(6.0)
 
-    @pytest.mark.parametrize("rho", [0.0, 0.6, -0.9, 1.0])
+    @pytest.mark.parametrize("rho", [0.0, 0.6, -0.9, 0.9999999999999999])
     def test_conditional_params_of_nodes_match_scalar_calls(self, rho):
         src = make_source(1.3, 0.8, rho)
         nodes = make_theta_grid(src, 17, "gauss-hermite").nodes

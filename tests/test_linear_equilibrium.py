@@ -149,13 +149,19 @@ class TestOptimalAlpha:
             alpha = optimal_alpha(src, lam)
             assert linear_module._terms(src, np.float64(alpha), 0.0).v > 0.0
 
-    def test_negative_discriminant_is_value_error(self):
-        # in exact arithmetic the discriminant is negative only for |rho| > 1,
-        # which SourceSpec refuses to build, so the field is overwritten
-        src = make_source(1.0, 1.0, 0.0)
-        object.__setattr__(src, "rho", -3.0)
-        with pytest.raises(ValueError, match="discriminant"):
-            optimal_alpha(src, 1.0)
+    def test_discriminant_rounded_below_zero_is_clamped(self):
+        # at rho = 1 - 2^-53 and lam = (1 + 2r)/r^2 the discriminant is 0 in exact
+        # arithmetic and rounds below it: its square root is taken as 0, and the
+        # double root fails the certificate's q' part
+        src = make_source(1.0, 0.867, 1.0 - 2.0**-53)
+        r, rho = src.r, src.rho
+        lam = (1.0 + 2.0 * r) / r**2
+        a2, a1, a0 = r * (rho + r), 1.0 + lam * r**2, lam * rho * r - 1.0
+        assert a1 * a1 - 4.0 * a2 * a0 < 0.0
+        stage = linear_module._linear_stage(src, np.float64(lam))
+        assert stage.alpha == -2.0 * a0 / a1
+        with pytest.raises(ArithmeticError, match="is not where J' turns"):
+            optimal_alpha(src, lam)
 
     def test_certificate_rejects_the_maximizing_root(self, monkeypatch):
         # a sign slip in the kernel's square root returns the other root, where q' < 0
@@ -327,10 +333,13 @@ class TestLinearDistortions:
         with pytest.raises(ValueError, match="^alpha must be finite$"):
             linear_distortions(make_source(1.0, 1.0, 0.3), alpha, 1.0)
 
-    def test_degenerate_encoder_raises(self):
-        # at rho = 1 and r = 1, Z = X + alpha * theta vanishes for alpha = -1
-        with pytest.raises(ValueError, match=r"E\[Z\^2\] must be positive"):
-            linear_distortions(make_source(1.0, 1.0, 1.0), -1.0, 1.0)
+    def test_encoder_next_to_full_correlation_keeps_a_spread(self):
+        # at rho = 1 and r = 1, Z = X + alpha * theta would vanish for alpha = -1;
+        # one ulp inside, E[Z^2] is about sigma_c^2 and the distortions are finite
+        src = make_source(1.0, 1.0, math.nextafter(1.0, 0.0))
+        assert linear_module._terms(src, np.float64(-1.0), 1.0).v > 0.0
+        rep = linear_distortions(src, -1.0, 1.0)
+        assert all(math.isfinite(x) for x in (rep.d_e, rep.fidelity, rep.d_d, rep.d_theta))
 
 
 class TestSolveEquilibrium:
@@ -422,3 +431,43 @@ class TestOneKernel:
             cells = [f"{v:.12g}" for v in (lam, 0, d_e, fidelity, d_d, d_theta)]
             want = ",".join(cells + ["", f"{alpha:.12g}", "", "", "", str(5 + index)])
             assert line == want
+
+
+def _accepted_source(log_sigma_x, log_r, rho):
+    """make_source(10^log_sigma_x, 10^log_r, rho), or None where SourceSpec refuses it."""
+    try:
+        return make_source(10.0**log_sigma_x, 10.0**log_r, rho)
+    except ValueError:
+        return None
+
+
+# rho anywhere in (-1, 1), and at one and two ulps from +-1
+_NEAR_ONE = [1.0 - 2.0**-53, 1.0 - 2.0**-52]
+wide_sources = st.builds(
+    _accepted_source,
+    st.floats(-160.0, 100.0),
+    st.floats(-8.0, 8.0),
+    st.one_of(st.floats(-1.0, 1.0, exclude_min=True, exclude_max=True),
+              st.sampled_from(_NEAR_ONE + [-x for x in _NEAR_ONE])),
+).filter(lambda src: src is not None)
+
+
+class TestAcceptedSources:
+    """SourceSpec is the one check of a source: on every source it builds, E[Z^2] > 0
+    and a sweep runs to its end, though a row may still fail on its own."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(src=wide_sources, lam=lams, alpha=st.floats(-1e6, 1e6))
+    def test_energy_is_positive_and_a_sweep_never_raises(self, src, lam, alpha):
+        sx, r, rho = src.sigma_x, src.r, src.rho
+        with np.errstate(all="ignore"):
+            # at -rho/r E[Z^2] is least, at -1/(rho r) its (1 + a rho)^2 term is 0
+            alphas = np.array([-rho / r, -1.0 / (np.float64(rho) * r), alpha])
+            alphas = alphas[np.isfinite(alphas)]
+            assert np.all(linear_module._terms(src, alphas, lam).v > 0.0)
+        source = {"sigma_x": sx, "r": r, "rho": rho}
+        (row,) = run_sweep(SweepConfig(mode="linear", lambdas=[lam], **source))
+        assert row.M == 0
+        (row,) = run_sweep(SweepConfig(mode="quantizer", lambdas=[lam], m_values=[2],
+                                       theta_nodes=3, n_restarts=1, **source))
+        assert row.M == 2

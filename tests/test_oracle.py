@@ -180,10 +180,14 @@ class TestBruteForce:
         assert res.quantizer.boundaries.tobytes() == want.quantizer.boundaries.tobytes()
         assert res.report == want.report
 
-    def test_degenerate_source_rejected(self, grid3):
-        og = make_oracle_grid(make_source(1.0, 1.0, 1.0), n_points=9)
-        with pytest.raises(ValueError, match="nondegenerate"):
-            brute_force_design(make_source(1.0, 1.0, 1.0), grid3, 2, 1.0, og)
+    def test_source_next_to_full_correlation(self):
+        # one ulp inside |rho| = 1, X | theta is all but a point mass: every
+        # score is finite, and the winner's report is evaluate's
+        src = make_source(1.0, 1.0, math.nextafter(1.0, 0.0))
+        grid = make_theta_grid(src, 3)
+        res = brute_force_design(src, grid, 2, 1.0, make_oracle_grid(src, n_points=9))
+        assert math.isfinite(res.report.d_e)
+        assert res.report == evaluate(res.quantizer, src, grid, 1.0)[1]
 
     def test_enumeration_cap(self, unit_source, grid17):
         og = make_oracle_grid(unit_source)
@@ -453,11 +457,11 @@ class TestMonteCarlo:
     @pytest.mark.parametrize("M", [1, 2, 3, 4])
     def test_matches_one_shot_sampler(self, n_samples, M):
         rng = np.random.default_rng([n_samples, M])
-        for rho in (0.0, 0.6, 1.0):
+        for rho in (0.0, 0.6, math.nextafter(1.0, 0.0)):
             src = make_source(1.5, 0.8, rho)
             grid = make_theta_grid(src, 5, "gauss-hermite")
             q = _random_quantizer(rng, grid.n_nodes, M)
-            # cell moments need |rho| < 1; any responses serve a referee
+            # any responses serve a referee
             br, _ = evaluate(q, make_source(1.5, 0.8, min(rho, 0.6)), grid, 1.0)
             for lam in (0.0, 2.0, 1e7):
                 seed = int(rng.integers(2**31))
